@@ -23,10 +23,14 @@ measured by second-order differencing of the frames, matching the accuracy
 of the trapezoidal solver.  Time integrals use the composite trapezoid on
 the solver's own frames.
 
-All weighted sums go through the underflow-guarded accumulator: the
-exponential weight is evaluated once per point in log space, points below
-the representable range are skipped with a recorded mass bound, and every
-term also carries its exact log value for the decay studies.
+Every space-time term is one call of the block kernel `space_time_sum` on
+the (frames x points) block of its field: the exponential weight is formed
+in log space for a chunk of whole frames at a time, points below the
+representable range are skipped with a recorded mass bound, and every term
+also carries its exact log value for the decay studies.  The gamma factor of
+the mixed block multiplies the difference block before the sum.  Only the
+single-time terms (the endpoints and the pointwise bound) use the one-frame
+`weighted_square_sum`.
 
 The empirical constant of the inequality is the max ratio over a declared
 randomized corpus; no reference value exists, so the tests assert finiteness
@@ -44,8 +48,8 @@ from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields
 from .errors import GridError, SolverError
-from .quadrature import Term, TermAccumulator, weighted_square_sum
-from .solver import Trajectory, assemble_ah
+from .quadrature import Term, space_time_sum, weighted_square_sum
+from .solver import TimeGrid, Trajectory, assemble_ah
 from .weights import Box, CarlemanWeight
 
 LHS_KEYS = ("I_p", "J_p_gradient", "J_p_avg_gradient", "J_p_zeroth")
@@ -74,19 +78,11 @@ class CarlemanReport:
         return self.terms[key]
 
 
-def _time_weighted_term(traj_like_values, mesh: g.Mesh, weight: CarlemanWeight,
-                        times: np.ndarray, trapw: np.ndarray, power: float,
-                        factor_frames=None) -> Term:
-    """Accumulate sum_m w_m h^d sum_x f_m^2(x) (s_m)^power e^(2 s_m phi)."""
-    cell = mesh.grid.h ** mesh.grid.d
-    phi = weight.phi(mesh.physical)
-    acc = TermAccumulator(cell)
-    for m, t in enumerate(times):
-        f = traj_like_values[m]
-        if factor_frames is not None:
-            f = f * factor_frames[m]
-        acc.add_frame(f, weight.log_weight(float(t), phi, power), float(trapw[m]))
-    return acc.result()
+def _time_weighted_term(block: np.ndarray, mesh: g.Mesh, weight: CarlemanWeight,
+                        tg: TimeGrid, power: float) -> Term:
+    """sum_m w_m h^d sum_x f_m^2(x) (s_m)^power e^(2 s_m phi) on the frames of tg."""
+    return space_time_sum(block, weight.phi(mesh.physical), weight.s(tg.times), power,
+                          mesh.grid.h ** mesh.grid.d, tg.trap)
 
 
 def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWeight,
@@ -95,10 +91,8 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
     grid = traj.grid
     pm = g.primal(grid)
     tg = traj.time_grid
-    times, trapw = tg.times, tg.trap
-    dty = traj.dt_frames()
-
-    i_time = _time_weighted_term(dty, pm, weight, times, trapw, p - 1)
+    times = tg.times
+    i_time = _time_weighted_term(traj.dt_frames(), pm, weight, tg, p - 1)
 
     i_mixed = Term(0.0, -np.inf, 0.0)
     for i in range(grid.d):
@@ -110,8 +104,8 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
             gi, gj = coeffs.gamma[i], coeffs.gamma[j]
             for m, t in enumerate(times):
                 gfac[m] = np.sqrt(np.asarray(gi(float(t), X)) * np.asarray(gj(float(t), X)))
-            term = _time_weighted_term(block, mesh_ij, weight, times, trapw, p - 1,
-                                       factor_frames=gfac)
+            block *= gfac
+            term = _time_weighted_term(block, mesh_ij, weight, tg, p - 1)
             if i != j:  # ordered pairs (i,j) and (j,i) both appear in the sum
                 term = Term(2.0 * term.value, term.log_value + math.log(2.0),
                             2.0 * term.skipped_bound)
@@ -121,11 +115,11 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
     j_avg = Term(0.0, -np.inf, 0.0)
     for i in range(grid.d):
         dblock, dmesh = ops.diff_block(traj.values, pm, i)
-        j_grad = j_grad + _time_weighted_term(dblock, dmesh, weight, times, trapw, p + 1)
+        j_grad = j_grad + _time_weighted_term(dblock, dmesh, weight, tg, p + 1)
         ablock, amesh = ops.avg_block(dblock, dmesh, i)
-        j_avg = j_avg + _time_weighted_term(ablock, amesh, weight, times, trapw, p + 1)
+        j_avg = j_avg + _time_weighted_term(ablock, amesh, weight, tg, p + 1)
 
-    j_zero = _time_weighted_term(traj.values, pm, weight, times, trapw, p + 3)
+    j_zero = _time_weighted_term(traj.values, pm, weight, tg, p + 3)
 
     return {
         "I_p_time": i_time,
@@ -143,22 +137,17 @@ def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int,
     grid = traj.grid
     pm = g.primal(grid)
     tg = traj.time_grid
-    times, trapw = tg.times, tg.trap
     X = pm.physical
     mask = omega.mask(X)
     if not np.any(mask):
         raise GridError("observation box contains no primal points on this grid")
 
-    g_frames = np.stack([np.asarray(source(float(t), X), dtype=np.float64) for t in times])
-    rhs_source = _time_weighted_term(g_frames, pm, weight, times, trapw, p)
+    g_frames = np.stack([np.asarray(source(float(t), X), dtype=np.float64) for t in tg.times])
+    rhs_source = _time_weighted_term(g_frames, pm, weight, tg, p)
 
     cell = grid.h ** grid.d
-    phi_omega = weight.phi(X[mask])
-    acc = TermAccumulator(cell)
-    for m, t in enumerate(times):
-        acc.add_frame(traj.values[m][mask], weight.log_weight(float(t), phi_omega, p + 3),
-                      float(trapw[m]))
-    rhs_local = acc.result()
+    rhs_local = space_time_sum(traj.values[:, mask], weight.phi(X[mask]), weight.s(tg.times),
+                               p + 3, cell, tg.trap)
 
     phi_all = weight.phi(X)
     logw0 = weight.log_weight(0.0, phi_all, p)
@@ -281,19 +270,22 @@ def pointwise_time_bound(traj: Trajectory, weight: CarlemanWeight, p: int, t: fl
                           holds=bool(lhs_t <= bound * (1.0 + 1e-8)))
 
 
-def feasibility_map(run_factory, grid_sizes, taus, deltas, p: int,
+def feasibility_map(run_factory, grids, taus, deltas, p: int,
                     make_weight) -> list[dict]:
     """Tabulate the empirical ratio over a parameter box.
 
-    `run_factory(grid)` yields (trajectory, source, coefficients) runs for a
-    grid; `make_weight(grid, tau, delta)` builds the bound weight.  Cells
-    outside the admissible window are emitted with an empty ratio.  Columns
-    follow the CSV schema: h, tau, delta, lambda, p, I_p, J_p, rhs_source,
-    rhs_local, rhs_endpoint, ratio, admissible.
+    `grids` holds `GridSpec`s, which carry the dimension; a bare size raises
+    GridError.  `run_factory(grid)` yields (trajectory, source, coefficients)
+    runs for a grid; `make_weight(grid, tau, delta)` builds the bound weight.
+    Cells outside the admissible window are emitted with an empty ratio.
+    Columns follow the CSV schema: h, tau, delta, lambda, p, I_p, J_p,
+    rhs_source, rhs_local, rhs_endpoint, ratio, admissible.
     """
+    for grid in grids:
+        if not isinstance(grid, g.GridSpec):
+            raise GridError(f"feasibility_map needs GridSpec grids, got {grid!r}")
     rows = []
-    for n in grid_sizes:
-        grid = g.GridSpec(1, int(n)) if not isinstance(n, g.GridSpec) else n
+    for grid in grids:
         runs = None
         for tau in taus:
             for delta in deltas:

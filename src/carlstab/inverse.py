@@ -35,7 +35,7 @@ from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields
 from .errors import CertificationError, EmptyMaskError, GridError, SolverError
-from .quadrature import Term, TermAccumulator
+from .quadrature import Term, space_time_sum
 from .solver import TimeGrid, Trajectory, apply_ah, assemble_ah, _linear_solve
 from .weights import Box, CarlemanWeight
 
@@ -70,13 +70,8 @@ def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight,
     local_y = traj.values[:, mask]
     local_dt = z_traj.values[:, mask]
     phi_omega = weight.phi(pm.physical[mask])
+    s = weight.s(tg.times)
     cell = traj.grid.h ** traj.grid.d
-    times, trapw = tg.times, tg.trap
-    acc_y, acc_dt = TermAccumulator(cell), TermAccumulator(cell)
-    for m, t in enumerate(times):
-        logw = weight.log_weight(float(t), phi_omega)
-        acc_y.add_frame(local_y[m], logw, float(trapw[m]))
-        acc_dt.add_frame(local_dt[m], logw, float(trapw[m]))
     return Observation(
         vartheta=vt,
         snapshot=snapshot,
@@ -85,8 +80,8 @@ def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight,
         mask=mask,
         local_y=local_y,
         local_dt=local_dt,
-        weighted_y=acc_y.result(),
-        weighted_dt=acc_dt.result(),
+        weighted_y=space_time_sum(local_y, phi_omega, s, 0.0, cell, tg.trap),
+        weighted_dt=space_time_sum(local_dt, phi_omega, s, 0.0, cell, tg.trap),
         outside_proof_regime=bool(abs(vt - weight.params.T / 2.0) > 1e-12),
     )
 

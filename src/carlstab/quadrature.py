@@ -6,13 +6,22 @@ exactly-rounded float sum (math.fsum): identity residuals tested at the
 
 Weighted space-time sums of the form
 
-    sum_m  w_m * cell * sum_x  f(t_m, x)^2 * exp(logw(t_m, x))
+    sum_m  w_m * cell * s_m^power * sum_x  f(t_m, x)^2 * exp(2 s_m phi(x))
 
-are evaluated by exponentiating the per-point log weight once, skipping
-points whose log weight sits below the underflow threshold (an upper bound
-on the skipped mass is recorded), and in parallel tracking the exact value
-in log space via logsumexp.  The log value survives even when the plain
-value underflows to zero, which the exponential-decay studies depend on.
+are evaluated by `space_time_sum` on the whole (frames x points) block of a
+trajectory-like field.  The block is walked in chunks of whole frames holding
+about CHUNK_POINTS points, which bounds the temporaries whatever the grid.
+Within a chunk the log weight is formed once per point, points whose log
+weight sits below the underflow threshold are skipped (an upper bound on the
+skipped mass is recorded), and the exact value is tracked in parallel in log
+space by one row-wise logsumexp.  Each frame's value and skipped mass is an
+exactly rounded sum; the frames are then combined with the time weights,
+exactly rounded again, and by one weighted logsumexp for the log value.  The
+log value survives even when the plain value underflows to zero, which the
+exponential-decay studies depend on.
+
+`weighted_square_sum` is the same sum for a single frame; it serves the
+single-time terms and is the reference the block kernel is tested against.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ from .errors import QuadratureError
 LOG_TINY = math.log(np.finfo(np.float64).tiny)
 SKIP_MARGIN = 60.0
 SKIP_THRESHOLD = LOG_TINY + SKIP_MARGIN
+# points per chunk of whole frames in `space_time_sum`
+CHUNK_POINTS = 1 << 15
 
 
 def exact_sum(values) -> float:
@@ -76,34 +87,58 @@ def weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> Te
     return Term(val, logv, skipped)
 
 
-class TermAccumulator:
-    """Accumulates per-frame weighted square sums into a time integral."""
+def space_time_sum(block: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
+                   cell: float, time_weights: np.ndarray) -> Term:
+    """sum_m w_m cell sum_x block[m, x]^2 s_m^power e^(2 s_m phi(x)), guarded.
 
-    def __init__(self, cell: float):
-        self.cell = cell
-        self._vals: list[float] = []
-        self._logs: list[float] = []
-        self._skips: list[float] = []
-        self._tw: list[float] = []
+    `block` is (frames, points), `phi` the weight on the points, `s` and
+    `time_weights` one entry per frame.  Each frame gets exactly the value,
+    log value and skipped mass `weighted_square_sum` would give it.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    tw = np.asarray(time_weights, dtype=np.float64)
+    n_frames = block.shape[0]
+    if power != 0.0:
+        shift = np.array([power * math.log(sm) for sm in s.tolist()])
+    vals = np.empty(n_frames)
+    skips = np.zeros(n_frames)
+    logs = np.empty(n_frames)
+    rows = max(1, CHUNK_POINTS // max(1, phi.size))
+    for a in range(0, n_frames, rows):
+        b = min(a + rows, n_frames)
+        logw = (2.0 * s[a:b])[:, None] * phi
+        if power != 0.0:
+            logw += shift[a:b, None]
+        sq = block[a:b] * block[a:b]
+        keep = logw >= SKIP_THRESHOLD
+        if not keep.all():
+            skips[a:b] = cell * _row_sums(np.where(keep, 0.0, sq)) * math.exp(SKIP_THRESHOLD)
+        with np.errstate(divide="ignore"):  # log 0 = -inf drops zeros; a zero row gives -inf
+            lsq = np.log(sq)
+        lsq += logw
+        # exp in place, and the chunk arrays freed before logsumexp copies lsq:
+        # fewer temporaries live at once keeps peak memory at the per-frame level
+        w = np.exp(logw, out=logw)
+        w[~keep] = 0.0
+        w *= sq
+        vals[a:b] = cell * _row_sums(w)
+        del sq, w, logw
+        logs[a:b] = logsumexp(lsq, axis=1) + math.log(cell)
+    value = exact_sum(vals * tw)
+    skipped = exact_sum(skips * tw)
+    finite = np.isfinite(logs)
+    if np.any(finite):
+        logv = float(logsumexp(logs[finite] + np.log(tw[finite])))
+    else:
+        logv = -np.inf
+    return Term(value, logv, skipped)
 
-    def add_frame(self, values: np.ndarray, logw: np.ndarray, time_weight: float):
-        t = weighted_square_sum(values, logw, self.cell)
-        self._vals.append(t.value)
-        self._logs.append(t.log_value)
-        self._skips.append(t.skipped_bound)
-        self._tw.append(time_weight)
 
-    def result(self) -> Term:
-        tw = np.asarray(self._tw)
-        value = exact_sum(np.asarray(self._vals) * tw)
-        skipped = exact_sum(np.asarray(self._skips) * tw)
-        logs = np.asarray(self._logs)
-        finite = np.isfinite(logs)
-        if np.any(finite):
-            logv = float(logsumexp(logs[finite] + np.log(tw[finite])))
-        else:
-            logv = -np.inf
-        return Term(value, logv, skipped)
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row."""
+    return np.array([math.fsum(row.tolist()) for row in block])
 
 
 def trapezoid_weights(n_frames: int, dt: float) -> np.ndarray:

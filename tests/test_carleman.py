@@ -271,6 +271,20 @@ def test_feasibility_map_single_cell_and_inadmissible():
     assert rows_bad[0]["ratio"] == ""
 
 
+def test_feasibility_map_rejects_integer_grid_sizes():
+    # a bare size carries no dimension; it must not silently become d = 1
+    def run_factory(gr):
+        raise AssertionError("no run may be built for a rejected grid")
+
+    def make_w(gr, tau, delta):
+        return make_weight(grid=gr, tau=tau, delta=delta, d=gr.d)
+
+    with pytest.raises(GridError):
+        feasibility_map(run_factory, [15], [3.0], [0.5], 0, make_w)
+    with pytest.raises(GridError):
+        feasibility_map(run_factory, [g.GridSpec(2, 7), 7], [3.0], [0.5], 0, make_w)
+
+
 def test_scheme_residual_detects_wrong_coefficients():
     grid, coeffs, src, traj = solved_run(seed=27, steps=64)
     other = CoefficientFields.constant(1, gamma=2.0)

@@ -1,0 +1,106 @@
+"""The block kernel `space_time_sum` against a per-frame reference.
+
+The reference evaluates each frame with `weighted_square_sum` on the weight's
+own `log_weight` and combines the frames with the time weights: exactly
+rounded sums for the value and the skipped mass, one weighted logsumexp for
+the log value.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp
+
+from carlstab import grid as g
+from carlstab.quadrature import (CHUNK_POINTS, Term, exact_sum, space_time_sum,
+                                 weighted_square_sum)
+from carlstab.solver import TimeGrid
+from carlstab.weights import Box, CarlemanWeight, WeightParams
+
+
+def make_weight(grid, tau=3.0, delta=0.5, lam=2.0):
+    params = WeightParams(T=1.0, tau=tau, delta=delta, lam=lam)
+    d = grid.d
+    return CarlemanWeight(grid, params, Box.cube(0.35, 0.65, d), Box.cube(0.2, 0.8, d))
+
+
+def per_frame_reference(block, phi, weight, tg, power, cell) -> Term:
+    vals, logs, skips = [], [], []
+    for m, t in enumerate(tg.times):
+        term = weighted_square_sum(block[m], weight.log_weight(float(t), phi, power), cell)
+        vals.append(term.value)
+        logs.append(term.log_value)
+        skips.append(term.skipped_bound)
+    tw = np.asarray(tg.trap)
+    logs = np.asarray(logs)
+    finite = np.isfinite(logs)
+    logv = float(logsumexp(logs[finite] + np.log(tw[finite]))) if np.any(finite) else -np.inf
+    return Term(exact_sum(np.asarray(vals) * tw), logv, exact_sum(np.asarray(skips) * tw))
+
+
+def assert_pinned(got: Term, want: Term):
+    assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+    if math.isinf(want.log_value):
+        assert got.log_value == want.log_value
+    else:
+        assert abs(got.log_value - want.log_value) <= 1e-12
+    assert got.skipped_bound == want.skipped_bound
+
+
+def both(block, grid, tg, power, weight=None):
+    weight = weight or make_weight(grid)
+    phi = weight.phi(g.primal(grid).physical)
+    cell = grid.h ** grid.d
+    return (space_time_sum(block, phi, weight.s(tg.times), power, cell, tg.trap),
+            per_frame_reference(block, phi, weight, tg, power, cell))
+
+
+@pytest.mark.parametrize("d,n", [(1, 15), (1, 31), (2, 15)])
+@pytest.mark.parametrize("power", [0, 1.5, 3])
+def test_kernel_matches_per_frame_reference(d, n, power):
+    grid = g.GridSpec(d, n)
+    tg = TimeGrid(1.0, 64)
+    rng = np.random.default_rng(100 * d + n)
+    block = rng.normal(size=(tg.steps + 1, g.primal(grid).size))
+    got, want = both(block, grid, tg, power)
+    assert_pinned(got, want)
+    assert got.value > 0.0 and math.isfinite(got.log_value)
+
+
+def test_kernel_spans_chunks_with_a_ragged_last_chunk():
+    grid = g.GridSpec(2, 31)
+    npts = g.primal(grid).size
+    rows = CHUNK_POINTS // npts
+    tg = TimeGrid(1.0, 256)
+    n_frames = tg.steps + 1
+    assert n_frames * npts > CHUNK_POINTS and n_frames % rows != 0
+    block = np.random.default_rng(7).normal(size=(n_frames, npts))
+    got, want = both(block, grid, tg, 4)
+    assert_pinned(got, want)
+
+
+def test_zero_frames_and_zero_block():
+    grid = g.GridSpec(1, 15)
+    tg = TimeGrid(1.0, 32)
+    block = np.random.default_rng(11).normal(size=(tg.steps + 1, 15))
+    block[0] = 0.0
+    block[10:13] = 0.0
+    got, want = both(block, grid, tg, 1)
+    assert_pinned(got, want)
+    assert math.isfinite(got.log_value)
+
+    got, want = both(np.zeros_like(block), grid, tg, 1)
+    assert_pinned(got, want)
+    assert got.value == 0.0 and got.log_value == -np.inf and got.skipped_bound == 0.0
+
+
+def test_underflow_guard_matches_per_frame_reference():
+    # the lambda = 3 case of test_underflow_guard_skips_and_reports_mass
+    grid = g.GridSpec(1, 15)
+    tg = TimeGrid(1.0, 16)
+    block = np.ones((17, 15))
+    got, want = both(block, grid, tg, 3, weight=make_weight(grid, tau=8.0, lam=3.0))
+    assert_pinned(got, want)
+    assert got.skipped_bound > 0.0
+    assert math.isfinite(got.log_value)
