@@ -49,7 +49,7 @@ from . import operators as ops
 from .coefficients import CoefficientFields
 from .errors import GridError, SolverError
 from .quadrature import Term, space_time_sum, weighted_square_sum
-from .solver import TimeGrid, Trajectory, assemble_ah
+from .solver import Stepper, TimeGrid, Trajectory
 from .weights import Box, CarlemanWeight
 
 LHS_KEYS = ("I_p", "J_p_gradient", "J_p_avg_gradient", "J_p_zeroth")
@@ -71,7 +71,6 @@ class CarlemanReport:
     lhs: float
     rhs: float
     ratio: float | None
-    residual_rel: float
     skipped_bound: float
 
     def term(self, key: str) -> Term:
@@ -168,29 +167,17 @@ def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source,
     triple and O(1) otherwise.
     """
     tg = traj.time_grid
-    grid = traj.grid
-    X = g.primal(grid).physical
-    dt = tg.dt
+    X = g.primal(traj.grid).physical
     times = tg.times
-    steps = tg.steps
-    stride = max(1, steps // max_checks)
+    stepper = Stepper(traj.grid, coeffs, tg, traj.scheme)
     worst = 0.0
-    for m in range(0, steps, stride):
-        t0, t1 = float(times[m]), float(times[m + 1])
+    for m in range(0, tg.steps, max(1, tg.steps // max_checks)):
         y0, y1 = traj.values[m], traj.values[m + 1]
-        g0 = np.asarray(source(t0, X), dtype=np.float64)
-        g1 = np.asarray(source(t1, X), dtype=np.float64)
-        if traj.scheme == "trapezoid":
-            A0 = assemble_ah(grid, coeffs, t0)
-            A1 = assemble_ah(grid, coeffs, t1)
-            lhs = y1 - 0.5 * dt * (A1 @ y1)
-            rhs = y0 + 0.5 * dt * (A0 @ y0) + 0.5 * dt * (g0 + g1)
-        else:
-            A1 = assemble_ah(grid, coeffs, t1)
-            lhs = y1 - dt * (A1 @ y1)
-            rhs = y0 + dt * g1
-        scale = float(np.linalg.norm(y0) + np.linalg.norm(y1) + dt * np.linalg.norm(g1)) + 1e-300
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+        g0 = np.asarray(source(float(times[m]), X), dtype=np.float64)
+        g1 = np.asarray(source(float(times[m + 1]), X), dtype=np.float64)
+        res = stepper.residual(m, y0, y1, stepper.forcing(g0, g1))
+        scale = float(np.linalg.norm(y0) + np.linalg.norm(y1) + tg.dt * np.linalg.norm(g1)) + 1e-300
+        worst = max(worst, float(np.linalg.norm(res)) / scale)
     if worst > tol:
         raise SolverError(
             f"trajectory/source mismatch: scheme residual {worst:.3e} exceeds {tol:.1e}")
@@ -199,12 +186,14 @@ def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source,
 
 def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
                       weight: CarlemanWeight, p: int, omega: Box,
-                      variant: str = "full", check_residual: bool = True) -> CarlemanReport:
+                      variant: str = "full") -> CarlemanReport:
     """Evaluate both sides on one run and report the empirical ratio.
 
     `variant='prior'` drops the mixed second-difference block from the
     left-hand side (the earlier form of the estimate, p = 0 only).  The ratio
-    is recorded only for admissible parameters.
+    is recorded only for admissible parameters.  The run is taken as given:
+    `check_scheme_residual` is the guard against a mismatched
+    (trajectory, source, coefficients) triple.
     """
     if p not in (0, 1):
         raise GridError(f"p must be 0 or 1, got {p}")
@@ -212,7 +201,6 @@ def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
         raise GridError(f"unknown variant {variant!r}")
     if variant == "prior" and p != 0:
         raise GridError("the prior form of the estimate is stated for p = 0")
-    residual = check_scheme_residual(traj, coeffs, source) if check_residual else float("nan")
     lhs_terms = compute_lhs(traj, coeffs, weight, p)
     rhs_terms = compute_rhs(traj, source, weight, p, omega)
     terms = {**lhs_terms, **rhs_terms}
@@ -231,7 +219,6 @@ def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
         p=p, variant=variant, grid=traj.grid,
         tau=prm.tau, delta=prm.delta, lam=prm.lam,
         admissible=admissible, terms=terms, lhs=lhs, rhs=rhs, ratio=ratio,
-        residual_rel=residual,
         skipped_bound=sum(t.skipped_bound for t in terms.values()),
     )
 
@@ -300,8 +287,7 @@ def feasibility_map(run_factory, grids, taus, deltas, p: int,
                         runs = list(run_factory(grid))
                     best = None
                     for traj, source, coeffs in runs:
-                        rep = verify_inequality(traj, source, coeffs, weight, p,
-                                                weight.omega, check_residual=False)
+                        rep = verify_inequality(traj, source, coeffs, weight, p, weight.omega)
                         if rep.ratio is not None and (best is None or rep.ratio > best.ratio):
                             best = rep
                     if best is not None:

@@ -19,14 +19,15 @@ import numpy as np
 
 from . import grid as g
 from . import operators as ops
-from .carleman import LHS_KEYS, compute_rhs, feasibility_map, verify_inequality
+from .carleman import (LHS_KEYS, check_scheme_residual, compute_rhs, feasibility_map,
+                       verify_inequality)
 from .coefficients import CoefficientFields, random_smooth_coefficients
 from .config import Config
 from .errors import AdmissibilityError
 from .inverse import (SeparableSource, SineTimeProfile, add_observation_noise,
                       certify_separable, observe, random_bump, reconstruct_source,
                       recover_coefficient, stability_quotient)
-from .solver import TimeGrid, apply_ah, energy_check, solve_forward, solve_z_system
+from .solver import TimeGrid, Trajectory, apply_ah, energy_check, solve_forward, solve_z_system
 from .weights import Box, CarlemanWeight, WeightParams, coupled_delta
 
 SUITE_IDS = {"verify_ops": 1, "converge": 2, "energy": 3, "carleman": 4,
@@ -271,6 +272,7 @@ def _carleman_worker(payload) -> list:
         y0 = g.MeshFunction(pm, y_prof(pm.physical))
         tg = TimeGrid(T, ca["steps"])
         traj = solve_forward(grid, coeffs, src, tg, y_ini=y0)
+        residual = check_scheme_residual(traj, coeffs, src)
         omega0, omega = _boxes(cfg, d)
         weight = CarlemanWeight(grid, _weight_params(cfg, tau=tau), omega0, omega)
         for p in (0, 1):
@@ -284,7 +286,7 @@ def _carleman_worker(payload) -> list:
                 "rhs_local": rep.terms["rhs_local_omega"].value,
                 "rhs_endpoint": rep.terms["rhs_time_endpoints"].value,
                 "ratio": rep.ratio, "admissible": rep.admissible,
-                "residual": rep.residual_rel,
+                "residual": residual,
             })
     return rows
 
@@ -546,7 +548,7 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     ctg = TimeGrid(rc["coeff_t_final"], rc["coeff_steps"])
     y0 = g.sample(cpm, _product_sine)
     ctraj = solve_forward(cgrid, shifted, _zero_source, ctg, y_ini=y0)
-    cz = solve_z_system(ctraj, shifted, _zero_source, _zero_source, mode="difference")
+    cz = Trajectory(cgrid, ctg, ctraj.dt_frames(), system="z")
     recov = recover_coefficient(ctraj, cz, base, alpha=rc["coeff_alpha"], truth=p_true)
     rows.append(["coefficient", cgrid.n, 0.0, 0.0, recov.relative_error,
                  int(recov.mask_fraction * cpm.size)])

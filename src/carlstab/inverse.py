@@ -29,14 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields
 from .errors import CertificationError, EmptyMaskError, GridError, SolverError
 from .quadrature import Term, space_time_sum
-from .solver import TimeGrid, Trajectory, apply_ah, assemble_ah, _linear_solve
+from .solver import Stepper, TimeGrid, Trajectory, apply_ah
 from .weights import Box, CarlemanWeight
 
 
@@ -278,8 +277,8 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
 class _ForwardMap:
     """Linear map f -> stacked weighted observation of the zero-initial run.
 
-    Steps are y_{m+1} = L_m^{-1} (R_m y_m + s_m f) with L_m = I - dt/2 A(t_{m+1}),
-    R_m = I + dt/2 A(t_m), s_m = dt/2 (R(t_m) + R(t_{m+1})); the adjoint runs the
+    The run is the trapezoidal march of the solver's `Stepper` with forcing
+    s_m f, s_m = dt/2 (R(t_m) + R(t_{m+1})); the adjoint runs the stepper's
     transposed recursion backwards and accumulates s_m lambda_{m+1}.
     """
 
@@ -289,30 +288,15 @@ class _ForwardMap:
         self.time_grid = time_grid
         self.mask = mask
         self.obs_index = time_grid.index_of(obs_time)
-        pm = g.primal(grid)
-        self.size = pm.size
-        dt = time_grid.dt
-        times = time_grid.times
-        eye = sp.identity(self.size, format="csr")
-        self.lhs_mats, self.lhs_mats_t, self.rhs_mats, self.src_coef = [], [], [], []
-        r_vals = np.asarray(r(times), dtype=np.float64)
-        for m in range(time_grid.steps):
-            if coeffs.time_independent and m > 0:
-                self.lhs_mats.append(self.lhs_mats[0])
-                self.lhs_mats_t.append(self.lhs_mats_t[0])
-                self.rhs_mats.append(self.rhs_mats[0])
-            else:
-                a0 = assemble_ah(grid, coeffs, float(times[m]))
-                a1 = assemble_ah(grid, coeffs, float(times[m + 1]))
-                self.lhs_mats.append((eye - 0.5 * dt * a1).tocsr())
-                self.lhs_mats_t.append(self.lhs_mats[-1].T.tocsr())
-                self.rhs_mats.append((eye + 0.5 * dt * a0).tocsr())
-            self.src_coef.append(0.5 * dt * (r_vals[m] + r_vals[m + 1]))
+        self.size = g.primal(grid).size
+        self.stepper = Stepper(grid, coeffs, time_grid)
+        r_vals = np.asarray(r(time_grid.times), dtype=np.float64)
+        self.src_coef = [self.stepper.forcing(r_vals[m], r_vals[m + 1])
+                         for m in range(time_grid.steps)]
         cell = grid.h ** grid.d
         self.w_snap = math.sqrt(cell)
         self.w_frames = np.sqrt(time_grid.trap * cell)
         self.n_obs = self.size + (time_grid.steps + 1) * int(mask.sum())
-        self.symmetric = coeffs.symmetric
         self.solves = 0
 
     def stack(self, snapshot: np.ndarray, frames_local: np.ndarray) -> np.ndarray:
@@ -327,8 +311,7 @@ class _ForwardMap:
         frames_local[0] = 0.0
         snapshot = np.zeros(self.size)
         for m in range(self.time_grid.steps):
-            rhs = self.rhs_mats[m] @ y + self.src_coef[m] * f
-            y = _linear_solve(self.lhs_mats[m], rhs, self.symmetric)
+            y, _ = self.stepper.step(m, y, self.src_coef[m] * f)
             self.solves += 1
             frames_local[m + 1] = y[self.mask]
             if m + 1 == self.obs_index:
@@ -345,9 +328,7 @@ class _ForwardMap:
             q[self.mask] = self.w_frames[m] * locals_[m]
             if m == self.obs_index:
                 q += self.w_snap * r_snap
-            if m < self.time_grid.steps:
-                q += self.rhs_mats[m].T @ lam
-            lam = _linear_solve(self.lhs_mats_t[m - 1], q, self.symmetric)
+            lam = self.stepper.adjoint_step(m - 1, lam, q)
             self.solves += 1
             out += self.src_coef[m - 1] * lam
         return out

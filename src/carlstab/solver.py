@@ -8,10 +8,16 @@ assembled both as a sparse matrix (per-axis three-point stencils) and as a
 matrix-free application through the difference/average operators; the two
 routes agree to rounding and are cross-checked in the tests.
 
-Time integration is ours: backward Euler or the trapezoidal rule, each step
-solving (I - dt * zeta * A_h) y_{m+1} = rhs.  Linear solves use diagonally
-preconditioned CG when the operator is symmetric (no advection) and BiCGStab
-otherwise, and must reach relative residual 1e-10 or the step raises.
+Time integration is ours: one `Stepper` owns the implicit theta-step
+
+    (I - theta dt A(t_{m+1})) y_{m+1} = (I + (1 - theta) dt A(t_m)) y_m + f_m,
+
+theta = 1/2 (trapezoidal rule) or 1 (backward Euler), with its adjoint step
+and its residual; the forward solve, the z-system march, the reconstruction
+map and the scheme residual check all run through it.  Linear solves use
+diagonally preconditioned CG when the operator is symmetric (no advection)
+and BiCGStab otherwise, and must reach relative residual 1e-10 or the step
+raises.
 
 The differentiated system for z ~ dt y carries the data at the mid time
 
@@ -19,9 +25,8 @@ The differentiated system for z ~ dt y carries the data at the mid time
 
 and the forcing B_h y + dt g, where B_h collects the time derivatives of the
 coefficients.  Integrating forward of T/2 is well posed; on [0, T/2) the
-default is the second-order differencing of the y frames (the reversed-time
-integration is available but experimental: the backward heat flow amplifies
-high frequencies and implicit stepping merely damps them inaccurately).
+frames are the second-order differences of the y frames (backward in time
+the heat flow is ill posed).
 """
 
 from __future__ import annotations
@@ -264,11 +269,14 @@ def apply_bh(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
     return g.MeshFunction(pm, out)
 
 
-def _linear_solve(A: sp.csr_matrix, rhs: np.ndarray, symmetric: bool) -> np.ndarray:
-    """Krylov solve with diagonal preconditioning and a hard residual contract."""
+def _linear_solve(A: sp.csr_matrix, rhs: np.ndarray, symmetric: bool) -> tuple[np.ndarray, float]:
+    """Krylov solve with diagonal preconditioning and a hard residual contract.
+
+    Returns the solution and its relative residual ||rhs - A x|| / ||rhs||.
+    """
     nb = float(np.linalg.norm(rhs))
     if nb == 0.0:
-        return np.zeros_like(rhs)
+        return np.zeros_like(rhs), 0.0
     dinv = 1.0 / A.diagonal()
     M = spla.LinearOperator(A.shape, matvec=lambda x: dinv * x)
     method = spla.cg if symmetric else spla.bicgstab
@@ -276,10 +284,96 @@ def _linear_solve(A: sp.csr_matrix, rhs: np.ndarray, symmetric: bool) -> np.ndar
     res = float(np.linalg.norm(rhs - A @ x)) / nb
     if info != 0 or res > LINEAR_RESIDUAL_TOL:
         raise SolverError(f"linear solve failed: info={info}, relative residual {res:.3e}")
-    return x
+    return x, res
 
 
-_SCHEMES = ("trapezoid", "backward-euler")
+_THETA = {"trapezoid": 0.5, "backward-euler": 1.0}
+
+
+class Stepper:
+    """The implicit time step of dt y = A_h(t) y + g on one time grid.
+
+    Step m solves L_m y_{m+1} = R_m y_m + f_m with
+
+        L_m = I - theta dt A(t_{m+1}),    R_m = I + (1 - theta) dt A(t_m),
+
+    theta = 1/2 for the trapezoidal rule and theta = 1 for backward Euler.
+    R_m y is applied matrix-free as y + (1 - theta) dt (A y).  Time-independent
+    coefficients are assembled, and L formed, once; otherwise only the two
+    most recent operators are kept.
+    """
+
+    def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid,
+                 scheme: str = "trapezoid"):
+        if scheme not in _THETA:
+            raise GridError(f"unknown scheme {scheme!r}; use one of {tuple(_THETA)}")
+        self.grid, self.coeffs = grid, coeffs
+        self.times = time_grid.times
+        dt = time_grid.dt
+        self.implicit = _THETA[scheme] * dt
+        self.explicit = (1.0 - _THETA[scheme]) * dt
+        self.symmetric = coeffs.symmetric
+        self._eye = sp.identity(g.primal(grid).size, format="csr")
+        self._ops = {}
+        self._lhs = {}
+
+    def forcing(self, g0, g1):
+        """The source term f_m of one step from the sources at both ends.
+
+        theta dt (g0 + g1) for the trapezoidal rule, dt g1 for backward Euler.
+        """
+        if self.explicit == 0.0:
+            return self.implicit * g1
+        return self.implicit * (g0 + g1)
+
+    def _operator(self, m: int) -> sp.csr_matrix:
+        """A_h at frame m."""
+        if self.coeffs.time_independent:
+            m = 0
+        A = self._ops.get(m)
+        if A is None:
+            if len(self._ops) == 2:
+                # every caller asks for A(t_m) before A(t_{m+1}): the older entry
+                # is the frame a forward march has passed
+                del self._ops[next(iter(self._ops))]
+            A = self._ops[m] = assemble_ah(self.grid, self.coeffs, float(self.times[m]))
+        return A
+
+    def _apply_r(self, m: int, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+        if self.explicit == 0.0:
+            return y
+        A = self._operator(m)
+        return y + self.explicit * ((A.T if transpose else A) @ y)
+
+    def _lhs_matrix(self, m: int, transpose: bool = False) -> sp.csr_matrix:
+        key = 0 if self.coeffs.time_independent else m + 1
+        cached = self._lhs.get(transpose)
+        if cached is None or cached[0] != key:
+            L = (self._eye - self.implicit * self._operator(m + 1)).tocsr()
+            cached = self._lhs[transpose] = (key, L.T.tocsr() if transpose else L)
+        return cached[1]
+
+    def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """y_{m+1} and the relative residual of its linear solve."""
+        rhs = self._apply_r(m, y) + f
+        y1, res = _linear_solve(self._lhs_matrix(m), rhs, self.symmetric)
+        if not np.all(np.isfinite(y1)):
+            raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
+        return y1, res
+
+    def adjoint_step(self, m: int, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """One step of the transposed recursion, run from the last step back.
+
+        Solves L_m^T x_m = q + R_{m+1}^T x_{m+1}; `lam` is x_{m+1}, zero on
+        the last step.
+        """
+        rhs = q + self._apply_r(m + 1, lam, transpose=True)
+        return _linear_solve(self._lhs_matrix(m, transpose=True), rhs, self.symmetric)[0]
+
+    def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """L_m y1 - R_m y0 - f, matrix-free: zero up to the solve tolerance on a true step."""
+        rhs = self._apply_r(m, y0) + f
+        return (y1 - self.implicit * (self._operator(m + 1) @ y1)) - rhs
 
 
 def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
@@ -290,8 +384,7 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
     `source` maps (t, X) to primal values in enumeration order.  Every step
     enforces the linear residual contract and aborts on non-finite values.
     """
-    if scheme not in _SCHEMES:
-        raise GridError(f"unknown scheme {scheme!r}; use one of {_SCHEMES}")
+    stepper = Stepper(grid, coeffs, time_grid, scheme)
     pm = g.primal(grid)
     X = pm.physical
     if y_ini is None:
@@ -299,79 +392,45 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
     else:
         g.require_mesh(y_ini, pm, "initial frame")
         y = y_ini.values.copy()
-    dt = time_grid.dt
     times = time_grid.times
-    eye = sp.identity(pm.size, format="csr")
     frames = np.empty((time_grid.steps + 1, pm.size))
     frames[0] = y
-    cache_t, cache_A = None, None
-
-    def matrix_at(t):
-        nonlocal cache_t, cache_A
-        if coeffs.time_independent:
-            t = 0.0
-        if cache_t != t:
-            cache_A = assemble_ah(grid, coeffs, t)
-            cache_t = t
-        return cache_A
-
     g_now = np.asarray(source(float(times[0]), X), dtype=np.float64)
     max_res = 0.0
     for m in range(time_grid.steps):
-        t0, t1 = float(times[m]), float(times[m + 1])
-        g_next = np.asarray(source(t1, X), dtype=np.float64)
-        if scheme == "trapezoid":
-            A0 = matrix_at(t0)
-            rhs = y + 0.5 * dt * (A0 @ y) + 0.5 * dt * (g_now + g_next)
-            A1 = matrix_at(t1)
-            lhs = (eye - 0.5 * dt * A1).tocsr()
-        else:
-            A1 = matrix_at(t1)
-            rhs = y + dt * g_next
-            lhs = (eye - dt * A1).tocsr()
-        y = _linear_solve(lhs, rhs, coeffs.symmetric)
-        if not np.all(np.isfinite(y)):
-            raise SolverError(f"non-finite state at step {m + 1} (t={t1})")
-        nb = float(np.linalg.norm(rhs))
-        if nb > 0:
-            max_res = max(max_res, float(np.linalg.norm(rhs - lhs @ y)) / nb)
+        g_next = np.asarray(source(float(times[m + 1]), X), dtype=np.float64)
+        y, res = stepper.step(m, y, stepper.forcing(g_now, g_next))
+        max_res = max(max_res, res)
         frames[m + 1] = y
         g_now = g_next
     return Trajectory(grid, time_grid, frames, system="y", scheme=scheme,
                       diagnostics={"max_linear_residual": max_res})
 
 
-Z_MODES = ("hybrid", "difference", "reverse")
-
-
-def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source, dt_source,
-                   mode: str = "hybrid") -> Trajectory:
+def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
+                   dt_source) -> Trajectory:
     """Trajectory of z ~ dt y with data imposed at the mid time.
 
-    Above T/2 the system is integrated forward with forcing B_h y + dt g;
-    below T/2 the default is the differencing fallback (mode 'hybrid').
-    Mode 'reverse' integrates the reversed-time substitution instead and is
-    experimental.  The per-frame gap to the differenced y frames is always
-    recorded in diagnostics['cross_check'].
+    Above T/2 the system is marched forward, in the scheme of `y_traj`, with
+    forcing B_h y + dt g; below T/2 the frames are the second-order
+    differences of the y frames.  The per-frame gap to the differenced y
+    frames is recorded in diagnostics['cross_check'].
     """
-    if mode not in Z_MODES:
-        raise GridError(f"unknown z mode {mode!r}; use one of {Z_MODES}")
     tg = y_traj.time_grid
     if tg.steps % 2 != 0:
         raise GridError("mid-time data needs an even number of steps")
     grid = y_traj.grid
     pm = g.primal(grid)
     X = pm.physical
-    dt = tg.dt
     times = tg.times
     half = tg.steps // 2
-    zc = central_time_derivative(y_traj.values, dt)
+    zc = central_time_derivative(y_traj.values, tg.dt)
     frames = np.empty_like(y_traj.values)
+    frames[:half] = zc[:half]
 
     t_half = float(times[half])
-    z_half = apply_ah(grid, coeffs, t_half, y_traj.frame(half)).values \
+    frames[half] = apply_ah(grid, coeffs, t_half, y_traj.frame(half)).values \
         + np.asarray(source(t_half, X), dtype=np.float64)
-    frames[half] = z_half
 
     def forcing(m):
         t = float(times[m])
@@ -380,51 +439,17 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source, dt_sou
             out = out + apply_bh(grid, coeffs, t, g.MeshFunction(pm, y_traj.values[m])).values
         return out
 
-    eye = sp.identity(pm.size, format="csr")
-    cache = {}
-
-    def matrix_at(t):
-        key = 0.0 if coeffs.time_independent else t
-        if key not in cache:
-            cache[key] = assemble_ah(grid, coeffs, key)
-        return cache[key]
-
-    z = z_half.copy()
+    stepper = Stepper(grid, coeffs, tg, y_traj.scheme)
     f_now = forcing(half)
     for m in range(half, tg.steps):
-        t1 = float(times[m + 1])
         f_next = forcing(m + 1)
-        A0 = matrix_at(float(times[m]))
-        A1 = matrix_at(t1)
-        rhs = z + 0.5 * dt * (A0 @ z) + 0.5 * dt * (f_now + f_next)
-        z = _linear_solve((eye - 0.5 * dt * A1).tocsr(), rhs, coeffs.symmetric)
-        if not np.all(np.isfinite(z)):
-            raise SolverError(f"non-finite z state at step {m + 1}")
-        frames[m + 1] = z
+        frames[m + 1] = stepper.step(m, frames[m], stepper.forcing(f_now, f_next))[0]
         f_now = f_next
 
-    if mode in ("hybrid", "difference"):
-        frames[:half] = zc[:half]
-        if mode == "difference":
-            frames[half:] = zc[half:]
-    else:
-        # Experimental: backward-in-time continuation below T/2 by direct
-        # solves of the reversed substitution; accuracy degrades with 1/h^2.
-        w = z_half.copy()
-        for m in range(half, 0, -1):
-            t0 = float(times[m - 1])
-            A0 = matrix_at(t0)
-            lhs = (eye + dt * A0).tocsr()
-            rhs = w - dt * forcing(m - 1)
-            w = spla.spsolve(lhs.tocsc(), rhs)
-            if not np.all(np.isfinite(w)):
-                raise SolverError(f"reverse continuation diverged at step {m - 1}")
-            frames[m - 1] = w
     cell = grid.h ** grid.d
     gap = np.sqrt(np.sum((frames - zc) ** 2, axis=1) * cell)
     z_scale = float(np.max(np.sqrt(np.sum(zc ** 2, axis=1) * cell)))
     return Trajectory(grid, tg, frames, system="z", scheme=y_traj.scheme,
-                      meta={"mode": mode},
                       diagnostics={"cross_check": gap,
                                    "cross_check_rel": float(np.max(gap) / max(z_scale, 1e-300))})
 

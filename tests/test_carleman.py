@@ -79,14 +79,14 @@ def test_frozen_mode_time_term_vanishes_and_oracle_agreement():
 def test_scaling_homogeneity_and_ratio_invariance():
     grid, coeffs, src, traj = solved_run()
     w = make_weight()
-    rep1 = verify_inequality(traj, src, coeffs, w, 0, OMEGA, check_residual=False)
+    rep1 = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
 
     scaled = Trajectory(GRID, traj.time_grid, 2.0 * traj.values, scheme=traj.scheme)
 
     def scaled_src(t, X):
         return 2.0 * src(t, X)
 
-    rep2 = verify_inequality(scaled, scaled_src, coeffs, w, 0, OMEGA, check_residual=False)
+    rep2 = verify_inequality(scaled, scaled_src, coeffs, w, 0, OMEGA)
     for key in LHS_KEYS + ("rhs_source", "rhs_local_omega", "rhs_time_endpoints"):
         assert rep2.terms[key].value == pytest.approx(4.0 * rep1.terms[key].value, rel=1e-12)
     assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-12)
@@ -143,42 +143,39 @@ def test_verify_inequality_reports_and_admissibility_gate():
     w = make_weight(tau=3.0)
     rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
     assert rep.admissible and rep.ratio is not None and math.isfinite(rep.ratio)
-    assert rep.residual_rel <= 1e-6
+    assert check_scheme_residual(traj, coeffs, src) <= 1e-6
     assert all(rep.terms[k].value >= 0 for k in rep.terms)
 
     w_bad = make_weight(tau=12.0)  # coupling 12/8 > epsilon
-    rep_bad = verify_inequality(traj, src, coeffs, w_bad, 0, OMEGA, check_residual=False)
+    rep_bad = verify_inequality(traj, src, coeffs, w_bad, 0, OMEGA)
     assert not rep_bad.admissible
     assert rep_bad.ratio is None
 
 
-def test_verify_inequality_rejects_mismatched_source():
+def test_scheme_residual_rejects_mismatched_source():
     grid, coeffs, src, traj = solved_run(seed=9)
-    w = make_weight()
 
     def wrong_src(t, X):
         return src(t, X) + 1.0
 
     with pytest.raises(SolverError, match="mismatch"):
-        verify_inequality(traj, wrong_src, coeffs, w, 0, OMEGA)
+        check_scheme_residual(traj, coeffs, wrong_src)
 
 
 def test_verify_inequality_p_validation():
     grid, coeffs, src, traj = solved_run(seed=13, steps=64)
     w = make_weight()
     with pytest.raises(GridError):
-        verify_inequality(traj, src, coeffs, w, 2, OMEGA, check_residual=False)
+        verify_inequality(traj, src, coeffs, w, 2, OMEGA)
     with pytest.raises(GridError):
-        verify_inequality(traj, src, coeffs, w, 1, OMEGA, variant="prior",
-                          check_residual=False)
+        verify_inequality(traj, src, coeffs, w, 1, OMEGA, variant="prior")
 
 
 def test_prior_variant_drops_mixed_block():
     grid, coeffs, src, traj = solved_run(seed=15, steps=64)
     w = make_weight()
-    full = verify_inequality(traj, src, coeffs, w, 0, OMEGA, check_residual=False)
-    prior = verify_inequality(traj, src, coeffs, w, 0, OMEGA, variant="prior",
-                              check_residual=False)
+    full = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
+    prior = verify_inequality(traj, src, coeffs, w, 0, OMEGA, variant="prior")
     gap = full.lhs - prior.lhs
     assert gap == pytest.approx(full.terms["I_p_mixed"].value, rel=1e-12)
     assert prior.rhs == full.rhs
@@ -187,7 +184,7 @@ def test_prior_variant_drops_mixed_block():
 def test_pointwise_time_bound():
     grid, coeffs, src, traj = solved_run(seed=17, steps=64)
     w = make_weight()
-    rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA, check_residual=False)
+    rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
     pb = pointwise_time_bound(traj, w, 0, 0.5, constant=10.0, lhs_total=rep.lhs)
     assert pb.lhs_t >= 0 and math.isfinite(pb.bound)
 
@@ -218,7 +215,7 @@ def test_pointwise_bound_corpus_zero_initial():
         src = SeparableSource(random_bump(rng, 1), SineTimeProfile(1.0, 0.5, 0.3, 1.0))
         traj = solve_forward(GRID, coeffs, src, TimeGrid(1.0, 128))
         w = make_weight()
-        rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA, check_residual=False)
+        rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
         for t in (0.25, 0.5, 0.75, 1.0):
             pb = pointwise_time_bound(traj, w, 0, t, constant=1.0, lhs_total=rep.lhs)
             assert pb.initial_term == 0.0
@@ -241,15 +238,13 @@ def test_axis_swap_invariance_d2():
                   * (1 + 0.3 * np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])))
     traj = solve_forward(grid, co, src, TimeGrid(1.0, 64), y_ini=y0)
     w = make_weight(grid=grid, d=2)
-    rep = verify_inequality(traj, src, co, w, 0, Box.cube(0.2, 0.8, 2),
-                            check_residual=False)
+    rep = verify_inequality(traj, src, co, w, 0, Box.cube(0.2, 0.8, 2))
 
     # swap the two axes of every frame
     shape = pm.shape
     swapped_vals = np.stack([fr.reshape(shape).T.ravel() for fr in traj.values])
     swapped = Trajectory(grid, traj.time_grid, swapped_vals)
-    rep_swapped = verify_inequality(swapped, src, co, w, 0, Box.cube(0.2, 0.8, 2),
-                                    check_residual=False)
+    rep_swapped = verify_inequality(swapped, src, co, w, 0, Box.cube(0.2, 0.8, 2))
     for key in LHS_KEYS:
         assert rep_swapped.terms[key].value == pytest.approx(rep.terms[key].value, rel=1e-10)
 

@@ -211,8 +211,12 @@ def test_error_term_refinement_decay():
     assert logs[1] < logs[0]
 
 
-def test_forward_map_adjoint_identity(rng):
-    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=False)
+@pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (True, 0.7)],
+                         ids=["time-independent", "time-dependent-advection"])
+def test_forward_map_adjoint_identity(rng, time_dependent, b_amp):
+    # with advection the solves are BiCGStab and the adjoint transposes L != L^T
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent,
+                                        b_amp=b_amp)
     r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
     fwd = _ForwardMap(GRID, coeffs, r, TimeGrid(1.0, 24), OMEGA.mask(g.primal(GRID).physical), 0.5)
     for _ in range(3):
@@ -261,8 +265,7 @@ def test_coefficient_recovery_zero_truth():
     y0 = g.sample(pm, lambda X: np.sin(np.pi * X[:, 0]))
     tg = TimeGrid(0.2, 512)
     traj = solve_forward(grid, coeffs, lambda t, X: np.zeros(X.shape[0]), tg, y_ini=y0)
-    z = solve_z_system(traj, coeffs, lambda t, X: np.zeros(X.shape[0]),
-                       lambda t, X: np.zeros(X.shape[0]), mode="difference")
+    z = Trajectory(grid, tg, traj.dt_frames(), system="z")
     rec = recover_coefficient(traj, z, coeffs, alpha=0.02,
                               truth=g.MeshFunction(pm, np.zeros(pm.size)))
     assert np.nanmax(np.abs(rec.p_estimate.values)) <= 1e-3

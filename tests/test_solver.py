@@ -179,7 +179,7 @@ def test_z_system_cross_check_small():
 
     tg = TimeGrid(1.0, 2048)
     traj = solve_forward(GRID, coeffs, src, tg)
-    z = solve_z_system(traj, coeffs, src, dsrc, mode="hybrid")
+    z = solve_z_system(traj, coeffs, src, dsrc)
     assert z.diagnostics["cross_check_rel"] <= 1e-3
 
 
@@ -198,24 +198,6 @@ def test_z_system_steady_state_decay():
     cell = GRID.h
     norms = np.sqrt(cell * np.sum(z.values ** 2, axis=1))
     assert norms[-1] <= 1e-3 * norms[128 + 8]
-
-
-def test_z_system_reverse_mode_runs_finite():
-    # experimental path: needs dt * |lambda_max| << 1 to avoid the backward
-    # resonance 1 + dt*lambda ~ 0, hence the short horizon
-    coeffs = CoefficientFields.constant(1)
-    grid = g.GridSpec(1, 7)
-
-    def src(t, X):
-        return np.sin(np.pi * X[:, 0])
-
-    def zsrc(t, X):
-        return np.zeros(X.shape[0])
-
-    traj = solve_forward(grid, coeffs, src, TimeGrid(0.02, 64))
-    z = solve_z_system(traj, coeffs, src, zsrc, mode="reverse")
-    assert z.meta["mode"] == "reverse"
-    assert np.all(np.isfinite(z.values))
 
 
 def test_z_system_requires_even_steps():
