@@ -297,7 +297,6 @@ class _ForwardMap:
         self.w_snap = math.sqrt(cell)
         self.w_frames = np.sqrt(time_grid.trap * cell)
         self.n_obs = self.size + (time_grid.steps + 1) * int(mask.sum())
-        self.solves = 0
 
     def stack(self, snapshot: np.ndarray, frames_local: np.ndarray) -> np.ndarray:
         parts = [self.w_snap * snapshot]
@@ -312,7 +311,6 @@ class _ForwardMap:
         snapshot = np.zeros(self.size)
         for m in range(self.time_grid.steps):
             y, _ = self.stepper.step(m, y, self.src_coef[m] * f)
-            self.solves += 1
             frames_local[m + 1] = y[self.mask]
             if m + 1 == self.obs_index:
                 snapshot = y.copy()
@@ -329,7 +327,6 @@ class _ForwardMap:
             if m == self.obs_index:
                 q += self.w_snap * r_snap
             lam = self.stepper.adjoint_step(m - 1, lam, q)
-            self.solves += 1
             out += self.src_coef[m - 1] * lam
         return out
 
@@ -403,7 +400,7 @@ def reconstruct_source(grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimeP
         rel = ops.l2_norm(diff) / denom if denom > 0 else ops.l2_norm(diff)
     return ReconstructionResult(f_estimate=est, beta=beta, iterations=it,
                                 residual_history=history, relative_error=rel,
-                                forward_solves=fwd.solves)
+                                forward_solves=fwd.stepper.linear_solves)
 
 
 def add_observation_noise(obs: Observation, level: float,

@@ -14,10 +14,14 @@ Time integration is ours: one `Stepper` owns the implicit theta-step
 
 theta = 1/2 (trapezoidal rule) or 1 (backward Euler), with its adjoint step
 and its residual; the forward solve, the z-system march, the reconstruction
-map and the scheme residual check all run through it.  Linear solves use
-diagonally preconditioned CG when the operator is symmetric (no advection)
-and BiCGStab otherwise, and must reach relative residual 1e-10 or the step
-raises.
+map and the scheme residual check all run through it.  Its solve policy
+follows from the coefficients and the dimension: with time-independent
+coefficients L is factorised once by sparse LU and every step and adjoint
+step reuses the factor; at d = 1 with time-dependent coefficients the
+tridiagonal L_m is factorised the same way at each step; at d >= 2 with
+time-dependent coefficients each step is a Krylov solve (diagonally
+preconditioned CG without advection, BiCGStab with it).  Every solve must
+reach relative residual 1e-10 or the step raises.
 
 The differentiated system for z ~ dt y carries the data at the mid time
 
@@ -298,9 +302,17 @@ class Stepper:
         L_m = I - theta dt A(t_{m+1}),    R_m = I + (1 - theta) dt A(t_m),
 
     theta = 1/2 for the trapezoidal rule and theta = 1 for backward Euler.
-    R_m y is applied matrix-free as y + (1 - theta) dt (A y).  Time-independent
-    coefficients are assembled, and L formed, once; otherwise only the two
-    most recent operators are kept.
+    R_m y and the residuals are applied matrix-free through A and its cached
+    transpose.  Time-independent coefficients are assembled once; otherwise
+    only the two most recent operators are kept.
+
+    Solve policy: when the coefficients are time-independent (any d) or
+    d = 1, L_m is factorised by `splu` and the factor serves both `step` and
+    `adjoint_step` (the latter as a transposed solve), so a time-independent
+    march factorises once.  At d >= 2 with time-dependent coefficients each
+    step is a Krylov solve (`_linear_solve`).  Every solve must reach relative
+    residual LINEAR_RESIDUAL_TOL and a finite state, or it raises.
+    `factorisations` and `linear_solves` count the work done.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid,
@@ -313,9 +325,12 @@ class Stepper:
         self.implicit = _THETA[scheme] * dt
         self.explicit = (1.0 - _THETA[scheme]) * dt
         self.symmetric = coeffs.symmetric
+        self.direct = coeffs.time_independent or grid.d == 1
+        self.factorisations = 0
+        self.linear_solves = 0
         self._eye = sp.identity(g.primal(grid).size, format="csr")
-        self._ops = {}
-        self._lhs = {}
+        self._ops = {}      # frame -> [A, A^T or None]
+        self._lhs = None    # (frame of L, LU factor or the CSR matrix of L)
 
     def forcing(self, g0, g1):
         """The source term f_m of one step from the sources at both ends.
@@ -326,40 +341,58 @@ class Stepper:
             return self.implicit * g1
         return self.implicit * (g0 + g1)
 
-    def _operator(self, m: int) -> sp.csr_matrix:
-        """A_h at frame m."""
+    def _operator(self, m: int, transpose: bool = False) -> sp.csr_matrix:
+        """A_h at frame m, or its transpose (formed on first use)."""
         if self.coeffs.time_independent:
             m = 0
-        A = self._ops.get(m)
-        if A is None:
+        entry = self._ops.get(m)
+        if entry is None:
             if len(self._ops) == 2:
                 # every caller asks for A(t_m) before A(t_{m+1}): the older entry
                 # is the frame a forward march has passed
                 del self._ops[next(iter(self._ops))]
-            A = self._ops[m] = assemble_ah(self.grid, self.coeffs, float(self.times[m]))
-        return A
+            entry = self._ops[m] = [assemble_ah(self.grid, self.coeffs, float(self.times[m])), None]
+        if not transpose:
+            return entry[0]
+        if entry[1] is None:
+            entry[1] = entry[0].T.tocsr()
+        return entry[1]
 
     def _apply_r(self, m: int, y: np.ndarray, transpose: bool = False) -> np.ndarray:
         if self.explicit == 0.0:
             return y
-        A = self._operator(m)
-        return y + self.explicit * ((A.T if transpose else A) @ y)
+        return y + self.explicit * (self._operator(m, transpose) @ y)
 
-    def _lhs_matrix(self, m: int, transpose: bool = False) -> sp.csr_matrix:
+    def _apply_l(self, m: int, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+        return y - self.implicit * (self._operator(m + 1, transpose) @ y)
+
+    def _solve(self, m: int, rhs: np.ndarray, transpose: bool = False) -> tuple[np.ndarray, float]:
+        """x with L_m x = rhs (L_m^T x = rhs if `transpose`) and its relative residual."""
         key = 0 if self.coeffs.time_independent else m + 1
-        cached = self._lhs.get(transpose)
-        if cached is None or cached[0] != key:
-            L = (self._eye - self.implicit * self._operator(m + 1)).tocsr()
-            cached = self._lhs[transpose] = (key, L.T.tocsr() if transpose else L)
-        return cached[1]
+        if self._lhs is None or self._lhs[0] != key:
+            L = self._eye - self.implicit * self._operator(m + 1)
+            if self.direct:
+                self.factorisations += 1
+                self._lhs = (key, spla.splu(L.tocsc()))
+            else:
+                self._lhs = (key, L.tocsr())
+        lhs = self._lhs[1]
+        self.linear_solves += 1
+        if self.direct:
+            x = lhs.solve(rhs, trans="T" if transpose else "N")
+            nb = float(np.linalg.norm(rhs))
+            res = float(np.linalg.norm(rhs - self._apply_l(m, x, transpose))) / nb if nb else 0.0
+            if res > LINEAR_RESIDUAL_TOL:
+                raise SolverError(f"direct solve failed: relative residual {res:.3e}")
+        else:
+            x, res = _linear_solve(lhs.T.tocsr() if transpose else lhs, rhs, self.symmetric)
+        if not np.all(np.isfinite(x)):
+            raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
+        return x, res
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """y_{m+1} and the relative residual of its linear solve."""
-        rhs = self._apply_r(m, y) + f
-        y1, res = _linear_solve(self._lhs_matrix(m), rhs, self.symmetric)
-        if not np.all(np.isfinite(y1)):
-            raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
-        return y1, res
+        return self._solve(m, self._apply_r(m, y) + f)
 
     def adjoint_step(self, m: int, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
         """One step of the transposed recursion, run from the last step back.
@@ -367,13 +400,11 @@ class Stepper:
         Solves L_m^T x_m = q + R_{m+1}^T x_{m+1}; `lam` is x_{m+1}, zero on
         the last step.
         """
-        rhs = q + self._apply_r(m + 1, lam, transpose=True)
-        return _linear_solve(self._lhs_matrix(m, transpose=True), rhs, self.symmetric)[0]
+        return self._solve(m, q + self._apply_r(m + 1, lam, transpose=True), transpose=True)[0]
 
     def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
         """L_m y1 - R_m y0 - f, matrix-free: zero up to the solve tolerance on a true step."""
-        rhs = self._apply_r(m, y0) + f
-        return (y1 - self.implicit * (self._operator(m + 1) @ y1)) - rhs
+        return self._apply_l(m, y1) - (self._apply_r(m, y0) + f)
 
 
 def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
@@ -404,7 +435,9 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
         frames[m + 1] = y
         g_now = g_next
     return Trajectory(grid, time_grid, frames, system="y", scheme=scheme,
-                      diagnostics={"max_linear_residual": max_res})
+                      diagnostics={"max_linear_residual": max_res,
+                                   "factorisations": stepper.factorisations,
+                                   "linear_solves": stepper.linear_solves})
 
 
 def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,

@@ -2,13 +2,18 @@
 
 Every suite is rerun with the fast overrides into a temporary directory and
 each CSV is compared with its committed copy: the header and non-numeric
-cells exactly, numeric cells to 1e-9 relative.  A change that moves a CSV
-on purpose regenerates the file and says so in CHANGES.md.
+cells exactly, numeric cells to 1e-9 relative.  Each summary.json must list
+the same assertions, with the same bounds and verdicts and values to the
+same tolerance; its wall time is not compared.  A change that moves a run on
+purpose regenerates the files and says so in CHANGES.md.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
+
+import pytest
 
 from carlstab.cli import main
 
@@ -24,6 +29,17 @@ def _run_all():
     return mod
 
 
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs")
+    run_all = _run_all()
+    for suite in run_all.SUITES:
+        argv = [suite, f"--set=run.out={out}"]
+        argv += [f"--set={ov}" for ov in run_all.FAST_OVERRIDES[suite]]
+        assert main(argv) == 0, suite
+    return out
+
+
 def _number(cell):
     try:
         return float(cell)
@@ -31,27 +47,25 @@ def _number(cell):
         return None
 
 
-def _cells_agree(want: str, got: str) -> bool:
-    a, b = _number(want), _number(got)
-    if a is None or b is None:
-        return want == got
+def _numbers_agree(a: float, b: float) -> bool:
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
     return a == b or math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
 
 
-def test_fast_runs_match_committed_csvs(tmp_path):
-    run_all = _run_all()
-    for suite in run_all.SUITES:
-        argv = [suite, f"--set=run.out={tmp_path}"]
-        argv += [f"--set={ov}" for ov in run_all.FAST_OVERRIDES[suite]]
-        assert main(argv) == 0, suite
+def _cells_agree(want: str, got: str) -> bool:
+    a, b = _number(want), _number(got)
+    if a is None or b is None:
+        return want == got
+    return _numbers_agree(a, b)
 
+
+def test_fast_runs_match_committed_csvs(fresh_runs):
     golden = sorted(p.relative_to(RUNS) for p in RUNS.glob("*/*.csv"))
-    assert golden == sorted(p.relative_to(tmp_path) for p in tmp_path.glob("*/*.csv"))
+    assert golden == sorted(p.relative_to(fresh_runs) for p in fresh_runs.glob("*/*.csv"))
     for rel in golden:
         want = (RUNS / rel).read_text().splitlines()
-        got = (tmp_path / rel).read_text().splitlines()
+        got = (fresh_runs / rel).read_text().splitlines()
         assert len(got) == len(want), rel
         assert got[0] == want[0], rel
         for i, (w_line, g_line) in enumerate(zip(want[1:], got[1:]), start=2):
@@ -59,3 +73,17 @@ def test_fast_runs_match_committed_csvs(tmp_path):
             assert len(g_cells) == len(w_cells), f"{rel}:{i}"
             for col, w_cell, g_cell in zip(want[0].split(","), w_cells, g_cells):
                 assert _cells_agree(w_cell, g_cell), f"{rel}:{i} {col}: {g_cell} != {w_cell}"
+
+
+def test_fast_runs_match_committed_summaries(fresh_runs):
+    golden = sorted(p.relative_to(RUNS) for p in RUNS.glob("*/summary.json"))
+    assert golden == sorted(p.relative_to(fresh_runs) for p in fresh_runs.glob("*/summary.json"))
+    for rel in golden:
+        want = json.loads((RUNS / rel).read_text())
+        got = json.loads((fresh_runs / rel).read_text())
+        assert got.keys() == want.keys() and got["suite"] == want["suite"], rel
+        assert [a["name"] for a in got["assertions"]] == [a["name"] for a in want["assertions"]], rel
+        for w, g in zip(want["assertions"], got["assertions"]):
+            assert (g["bound"], g["pass"]) == (w["bound"], w["pass"]), f"{rel} {w['name']}"
+            assert _numbers_agree(float(w["value"]), float(g["value"])), \
+                f"{rel} {w['name']}: {g['value']} != {w['value']}"

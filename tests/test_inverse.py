@@ -214,7 +214,7 @@ def test_error_term_refinement_decay():
 @pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (True, 0.7)],
                          ids=["time-independent", "time-dependent-advection"])
 def test_forward_map_adjoint_identity(rng, time_dependent, b_amp):
-    # with advection the solves are BiCGStab and the adjoint transposes L != L^T
+    # with advection L_m^T != L_m: the adjoint takes the transposed solve of each factor
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent,
                                         b_amp=b_amp)
     r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
@@ -225,6 +225,15 @@ def test_forward_map_adjoint_identity(rng, time_dependent, b_amp):
         lhs = float(fwd.apply(f) @ v)
         rhs = float(f @ fwd.apply_adjoint(v))
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_forward_map_factorises_once(rng):
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=False)
+    r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
+    fwd = _ForwardMap(GRID, coeffs, r, TimeGrid(1.0, 24), OMEGA.mask(g.primal(GRID).physical), 0.5)
+    fwd.apply_adjoint(fwd.apply(rng.normal(size=fwd.size)))
+    assert fwd.stepper.factorisations == 1
+    assert fwd.stepper.linear_solves == 48
 
 
 def test_reconstruction_zero_truth():

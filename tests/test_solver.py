@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from carlstab import grid as g
 from carlstab.coefficients import (CoefficientFields, ConstantField,
                                    random_smooth_coefficients)
 from carlstab.errors import GridError, SolverError
-from carlstab.solver import (TimeGrid, Trajectory, apply_ah, apply_bh, assemble_ah,
-                             central_time_derivative, energy_check, solve_forward,
-                             solve_z_system)
+from carlstab.solver import (Stepper, TimeGrid, Trajectory, _linear_solve, apply_ah, apply_bh,
+                             assemble_ah, central_time_derivative, energy_check,
+                             solve_forward, solve_z_system)
 
 GRID = g.GridSpec(1, 15)
 
@@ -257,14 +259,85 @@ def test_trajectory_round_trip_bit_exact(tmp_path, rng):
 
 
 def test_linear_solver_residual_contract(rng):
-    coeffs = random_smooth_coefficients(rng, 1, 1.0, b_amp=0.9, time_dependent=True)
-    tg = TimeGrid(0.5, 64)
+    # per-step LU (d=1, time-dependent), one LU (time-independent), Krylov (d=2, time-dependent)
+    cases = [(GRID, True, 0.9), (GRID, False, 0.0), (g.GridSpec(2, 7), True, 0.9)]
+    tg = TimeGrid(0.5, 256)
 
     def src(t, X):
-        return np.sin(np.pi * X[:, 0])
+        return np.prod(np.sin(np.pi * X), axis=1)
 
-    traj = solve_forward(GRID, coeffs, src, tg)
-    assert traj.diagnostics["max_linear_residual"] <= 1e-10
+    for grid, time_dependent, b_amp in cases:
+        coeffs = random_smooth_coefficients(rng, grid.d, 1.0, b_amp=b_amp,
+                                            time_dependent=time_dependent)
+        traj = solve_forward(grid, coeffs, src, tg)
+        assert traj.diagnostics["max_linear_residual"] <= 1e-10
+        assert traj.diagnostics["linear_solves"] == 256
+        want = 0 if grid.d == 2 else (256 if time_dependent else 1)
+        assert traj.diagnostics["factorisations"] == want
+
+
+def _oracle_step(stepper, m, y, f):
+    """One step solved by the Krylov path against the assembled L_m."""
+    A0 = assemble_ah(stepper.grid, stepper.coeffs, float(stepper.times[m]))
+    A1 = assemble_ah(stepper.grid, stepper.coeffs, float(stepper.times[m + 1]))
+    L = (sp.identity(A1.shape[0], format="csr") - stepper.implicit * A1).tocsr()
+    return L, A1, _linear_solve(L, y + stepper.explicit * (A0 @ y) + f, stepper.symmetric)[0]
+
+
+@pytest.mark.parametrize("d,time_dependent,b_amp", [(1, False, 0.0), (1, True, 0.8),
+                                                    (2, False, 0.0)],
+                         ids=["d1-time-independent", "d1-time-dependent-advection",
+                              "d2-time-independent"])
+def test_direct_steps_match_krylov_oracle(rng, d, time_dependent, b_amp):
+    grid = g.GridSpec(d, 15 if d == 1 else 7)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent, b_amp=b_amp)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 256))
+    assert stepper.direct
+    size = g.primal(grid).size
+    for m in (0, 97, 255):
+        y, f, lam, q = rng.normal(size=(4, size))
+        L, A1, want = _oracle_step(stepper, m, y, f)
+        got = stepper.step(m, y, f)[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # adjoint: L_m^T x = q + R_{m+1}^T lam, with L_m^T formed only by the oracle
+        rhs = q + lam + stepper.explicit * (A1.T @ lam)
+        want = _linear_solve(L.T.tocsr(), rhs, stepper.symmetric)[0]
+        got = stepper.adjoint_step(m, lam, q)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert stepper.factorisations == (3 if time_dependent else 1)
+    assert stepper.linear_solves == 6
+
+
+def test_d2_time_dependent_steps_stay_krylov(rng):
+    grid = g.GridSpec(2, 7)
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.8)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 64))
+    assert not stepper.direct
+    y, f = rng.normal(size=(2, g.primal(grid).size))
+    # the Krylov path is the oracle itself, bit for bit
+    assert np.array_equal(stepper.step(5, y, f)[0], _oracle_step(stepper, 5, y, f)[2])
+    assert (stepper.factorisations, stepper.linear_solves) == (0, 1)
+
+
+class _PerturbedLU:
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs, trans="N"):
+        return self.lu.solve(rhs, trans=trans) * (1.0 + 1e-6)
+
+
+def test_direct_solve_enforces_residual_contract(rng, monkeypatch):
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A: _PerturbedLU(splu(A)))
+    coeffs = random_smooth_coefficients(rng, 1, 1.0)
+    stepper = Stepper(GRID, coeffs, TimeGrid(1.0, 16))
+    y, f = rng.normal(size=(2, 15))
+    with pytest.raises(SolverError, match="residual"):
+        stepper.step(0, y, f)
+    with pytest.raises(SolverError, match="residual"):
+        stepper.adjoint_step(0, y, f)
+
 
 
 def test_trajectory_load_rejects_foreign_file(tmp_path):
