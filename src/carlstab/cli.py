@@ -88,9 +88,6 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="SECTION.KEY=VALUE", help="override one config entry")
         p.add_argument("--out", help="run directory (default: <run.out>/<suite>)")
-        if name == "stability":
-            p.add_argument("--grids", help="comma list of inverse mesh sizes for the "
-                                           "decay study, e.g. 16,32,64")
     args = parser.parse_args(argv)
 
     try:
@@ -99,22 +96,9 @@ def main(argv=None) -> int:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
 
-    decay_grids = None
-    if args.command == "stability" and getattr(args, "grids", None):
-        try:
-            decay_grids = [int(tok) - 1 for tok in args.grids.split(",")]
-            if any(n < 1 for n in decay_grids):
-                raise ValueError("grid sizes must exceed 1")
-        except ValueError as exc:
-            print(f"configuration error:\n  --grids: {exc}", file=sys.stderr)
-            return 2
-
     start = time.perf_counter()
     try:
-        if args.command == "stability":
-            result = run_stability(cfg, decay_grids=decay_grids)
-        else:
-            result = _SUITES[args.command](cfg)
+        result = _SUITES[args.command](cfg)
     except Exception as exc:  # solver/certification failures are run failures
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

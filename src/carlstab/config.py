@@ -1,10 +1,12 @@
 """Experiment configuration: one INI file, schema-validated, CLI-overridable.
 
-Every physical and numerical knob lives in the config: grid, time grid,
-observation boxes, weight parameters, coefficient draws, per-suite corpus
-sizes, and the run seed.  `--set section.key=value` overrides individual
-entries.  Validation failures carry field-level paths and map to exit code 2
-at the CLI.
+The schema holds exactly the knobs some suite reads: the converge grid, the
+horizon, the observation boxes, the weight parameters, each suite's corpus
+sizes, grids, step counts and advection amplitude, and the run seed, so a
+run's snapshot (`Config.snapshot_text`) is all it takes to re-run it.  Each
+setting has one spelling, `section.key`, in the file or in a `--set
+section.key=value` override; no CLI flag duplicates one.  Validation failures
+carry field-level paths and map to exit code 2 at the CLI.
 """
 
 from __future__ import annotations
@@ -14,15 +16,6 @@ import io
 from dataclasses import dataclass
 
 from .errors import ConfigError
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -41,7 +34,6 @@ def _parse_interval(text: str) -> tuple[float, float]:
 _PARSERS = {
     "int": int,
     "float": float,
-    "bool": _parse_bool,
     "str": str,
     "int_list": _parse_int_list,
     "float_list": _parse_float_list,
@@ -56,7 +48,6 @@ SCHEMA = {
     },
     "time": {
         "t_final": ("float", 1.0),
-        "steps": ("int", 512),
     },
     "domain": {
         "omega": ("interval", (0.2, 0.8)),
@@ -71,12 +62,6 @@ SCHEMA = {
         "epsilon": ("float", 0.5),
         "tau0": ("float", 1.0),
         "hat_margin": ("float", 0.1),
-    },
-    "coefficients": {
-        "time_dependent": ("bool", False),
-        "gamma_amp": ("float", 0.4),
-        "b_amp": ("float", 0.0),
-        "c_amp": ("float", 1.0),
     },
     "verify_ops": {
         "fields": ("int", 200),
@@ -138,6 +123,16 @@ SCHEMA = {
 }
 
 
+# step counts whose runs observe, or certify a source at, the mid time T/2
+_MID_TIME_STEPS = ("stability.steps", "stability.decay_steps", "reconstruct.steps",
+                   "reconstruct.coeff_steps")
+_CORPUS_COUNTS = ("verify_ops.fields", "energy.runs", "carleman.runs",
+                  "carleman.feasibility_runs", "stability.runs")
+# lists that feed an order or a slope need two points; every other list needs one
+_MIN_ENTRIES = {"converge.spatial_grids": 2, "converge.temporal_steps": 2,
+                "stability.decay_grids": 2}
+
+
 @dataclass
 class Config:
     values: dict
@@ -153,10 +148,9 @@ class Config:
         buf = io.StringIO()
         for section in SCHEMA:
             buf.write(f"[{section}]\n")
-            for key in SCHEMA[section]:
+            for key, (kind, _) in SCHEMA[section].items():
                 val = self.values[section][key]
-                if isinstance(val, tuple) and len(val) == 2 and all(isinstance(v, float) for v in val) \
-                        and SCHEMA[section][key][0] == "interval":
+                if kind == "interval":
                     text = f"{val[0]!r}:{val[1]!r}"
                 elif isinstance(val, tuple):
                     text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
@@ -226,8 +220,23 @@ def _validate(cfg: Config):
         problems.append("grid.n: must be >= 1")
     if cfg.get("time", "t_final") <= 0:
         problems.append("time.t_final: must be positive")
-    if cfg.get("time", "steps") < 2 or cfg.get("time", "steps") % 2:
-        problems.append("time.steps: must be even and >= 2 (mid-time frame needed)")
+    for name in _MID_TIME_STEPS:
+        steps = cfg.get(*name.split("."))
+        if steps < 2 or steps % 2:
+            problems.append(f"{name}: must be even and >= 2 (mid-time frame needed)")
+    if cfg.get("energy", "steps") < 16 or cfg.get("energy", "steps") % 16:
+        problems.append("energy.steps: must be a positive multiple of 16 "
+                        "(frames at t = 0.25, 0.5 and 0.9375 needed)")
+    for name in _CORPUS_COUNTS:
+        if cfg.get(*name.split(".")) < 1:
+            problems.append(f"{name}: must be >= 1")
+    if not 1 <= cfg.get("verify_ops", "n_min") <= cfg.get("verify_ops", "n_max"):
+        problems.append("verify_ops.n_min: must satisfy 1 <= n_min <= verify_ops.n_max")
+    for section, keys in SCHEMA.items():
+        for key, (kind, _) in keys.items():
+            need = _MIN_ENTRIES.get(f"{section}.{key}", 1)
+            if kind.endswith("_list") and len(cfg.get(section, key)) < need:
+                problems.append(f"{section}.{key}: needs at least {need} value(s)")
     lo, hi = cfg.get("domain", "omega")
     lo0, hi0 = cfg.get("domain", "omega0")
     if not 0.0 < lo < hi < 1.0:

@@ -24,9 +24,9 @@ from .carleman import (LHS_KEYS, check_scheme_residual, compute_rhs, feasibility
 from .coefficients import CoefficientFields, random_smooth_coefficients
 from .config import Config
 from .errors import AdmissibilityError
-from .inverse import (SeparableSource, SineTimeProfile, add_observation_noise,
-                      certify_separable, observe, random_bump, reconstruct_source,
-                      recover_coefficient, stability_quotient)
+from .inverse import (add_observation_noise, certify_separable, observe, random_bump,
+                      random_separable_source, reconstruct_source, recover_coefficient,
+                      stability_quotient)
 from .solver import TimeGrid, Trajectory, apply_ah, energy_check, solve_forward, solve_z_system
 from .weights import Box, CarlemanWeight, WeightParams, coupled_delta
 
@@ -66,12 +66,6 @@ def _ge(name, value, bound) -> Assertion:
     return Assertion(name, float(value), float(bound), bool(value >= bound))
 
 
-def _boxes(cfg: Config, d: int) -> tuple[Box, Box]:
-    lo, hi = cfg.get("domain", "omega")
-    lo0, hi0 = cfg.get("domain", "omega0")
-    return Box.cube(lo0, hi0, d), Box.cube(lo, hi, d)
-
-
 def _weight_params(cfg: Config, **over) -> WeightParams:
     w = cfg["weights"]
     base = dict(T=cfg.get("time", "t_final"), tau=w["tau"], lam=w["lambda"],
@@ -79,6 +73,25 @@ def _weight_params(cfg: Config, **over) -> WeightParams:
                 tau0=w["tau0"], hat_margin=w["hat_margin"])
     base.update(over)
     return WeightParams(**base)
+
+
+def _weight(cfg: Config, grid: g.GridSpec, params: WeightParams) -> CarlemanWeight:
+    """The weight on `grid` for the configured boxes omega0 inside omega."""
+    lo, hi = cfg.get("domain", "omega")
+    lo0, hi0 = cfg.get("domain", "omega0")
+    return CarlemanWeight(grid, params, Box.cube(lo0, hi0, grid.d), Box.cube(lo, hi, grid.d))
+
+
+def _grid_stability(label: str, finite_name: str, per_grid: list) -> list:
+    """Per-grid maxima of one quantity: all finite and positive, and the first
+    two grids within a factor 2 of each other."""
+    maxima = [max(vals) if vals else math.nan for vals in per_grid]
+    finite = all(math.isfinite(v) and v > 0 for v in maxima)
+    out = [Assertion(finite_name, max(maxima) if finite else math.inf, math.inf, finite)]
+    if len(maxima) >= 2 and finite:
+        r = maxima[0] / maxima[1]
+        out.append(_le(f"{label}_grid_stability", max(r, 1.0 / r), 2.0))
+    return out
 
 
 # identities ---------------------------------------------------------------
@@ -222,8 +235,7 @@ def run_energy(cfg: Config) -> SuiteResult:
                                             b_amp=en["b_amp"], c_amp=1.0)
         pm = g.primal(grid)
         y0 = g.MeshFunction(pm, rng.normal(size=pm.size))
-        src = SeparableSource(random_bump(rng, d),
-                              SineTimeProfile(1.0, 0.5, float(rng.uniform(0, 2 * math.pi)), 1.0))
+        src = random_separable_source(rng, d, 1.0)
         tg = TimeGrid(1.0, en["steps"])
         traj = solve_forward(grid, coeffs, src, tg, y_ini=y0)
         for t0, t1 in ((0.0, 1.0), (0.25, 0.75), (0.5, 0.9375)):
@@ -249,8 +261,7 @@ def _draw_corpus_run(rng: np.random.Generator, cfg: Config, time_dependent: bool
     coeffs = random_smooth_coefficients(rng, d, T, time_dependent=time_dependent,
                                         b_amp=b_amp, c_amp=1.0)
     y_prof = random_bump(rng, d)
-    src = SeparableSource(random_bump(rng, d),
-                          SineTimeProfile(1.0, 0.5, float(rng.uniform(0, 2 * math.pi)), T))
+    src = random_separable_source(rng, d, T)
     return tau, coeffs, y_prof, src
 
 
@@ -268,15 +279,13 @@ def _carleman_worker(payload) -> list:
     rows = []
     for n in ca["grids"]:
         grid = g.GridSpec(d, int(n))
-        pm = g.primal(grid)
-        y0 = g.MeshFunction(pm, y_prof(pm.physical))
+        y0 = g.sample(g.primal(grid), y_prof)
         tg = TimeGrid(T, ca["steps"])
         traj = solve_forward(grid, coeffs, src, tg, y_ini=y0)
         residual = check_scheme_residual(traj, coeffs, src)
-        omega0, omega = _boxes(cfg, d)
-        weight = CarlemanWeight(grid, _weight_params(cfg, tau=tau), omega0, omega)
+        weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
         for p in (0, 1):
-            rep = verify_inequality(traj, src, coeffs, weight, p, omega)
+            rep = verify_inequality(traj, src, coeffs, weight, p, weight.omega)
             rows.append({
                 "run_id": run_index, "N": int(n), "h": grid.h, "p": p,
                 "tau": tau, "delta": weight.params.delta, "lambda": weight.params.lam,
@@ -310,20 +319,10 @@ def run_carleman(cfg: Config) -> SuiteResult:
     rows.sort(key=lambda r: (r["run_id"], r["N"], r["p"]))
 
     assertions = []
-    grids = list(ca["grids"])
     for p in (0, 1):
-        per_grid_max = {}
-        for n in grids:
-            ratios = [r["ratio"] for r in rows
-                      if r["p"] == p and r["N"] == n and r["admissible"] and r["ratio"] is not None]
-            per_grid_max[n] = max(ratios) if ratios else math.nan
-        vals = list(per_grid_max.values())
-        finite = all(math.isfinite(v) for v in vals)
-        assertions.append(Assertion(f"p{p}_max_ratio_finite",
-                                    max(vals) if finite else math.inf, math.inf, finite))
-        if len(vals) >= 2 and finite:
-            r = vals[0] / vals[1]
-            assertions.append(_le(f"p{p}_grid_stability", max(r, 1.0 / r), 2.0))
+        per_grid = [[r["ratio"] for r in rows if r["p"] == p and r["N"] == n
+                     and r["admissible"] and r["ratio"] is not None] for n in ca["grids"]]
+        assertions.extend(_grid_stability(f"p{p}", f"p{p}_max_ratio_finite", per_grid))
 
     d = cfg.get("grid", "d")
     T = cfg.get("time", "t_final")
@@ -336,15 +335,13 @@ def run_carleman(cfg: Config) -> SuiteResult:
             tau, coeffs, y_prof, src = _draw_corpus_run(
                 rng, cfg, time_dependent=True, b_amp=ca["b_amp"],
                 tau_range=(ca["tau_min"], ca["tau_max"]))
-            pm = g.primal(grid)
-            y0 = g.MeshFunction(pm, y_prof(pm.physical))
+            y0 = g.sample(g.primal(grid), y_prof)
             traj = solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]), y_ini=y0)
             out.append((traj, src, coeffs))
         return out
 
     def make_weight(grid, tau, delta):
-        omega0, omega = _boxes(cfg, d)
-        return CarlemanWeight(grid, _weight_params(cfg, tau=tau, delta=delta), omega0, omega)
+        return _weight(cfg, grid, _weight_params(cfg, tau=tau, delta=delta))
 
     taus = list(ca["feasibility_taus"])
     deltas = list(ca["feasibility_deltas"])
@@ -404,9 +401,8 @@ def _stability_worker(payload) -> list:
         adm = certify_separable(src, grid, tg)
         traj = solve_forward(grid, coeffs, adm.g, tg)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-        omega0, omega = _boxes(cfg, d)
-        weight = CarlemanWeight(grid, _weight_params(cfg, tau=tau), omega0, omega)
-        res = stability_quotient(traj, z, adm, weight, omega)
+        weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
+        res = stability_quotient(traj, z, adm, weight, weight.omega)
         rows.append({
             "run_id": run_index, "h": grid.h, "N": int(n), "d": d, "tau": tau,
             "delta": weight.params.delta, "lambda": weight.params.lam,
@@ -419,7 +415,7 @@ def _stability_worker(payload) -> list:
     return rows
 
 
-def run_stability(cfg: Config, decay_grids=None) -> SuiteResult:
+def run_stability(cfg: Config) -> SuiteResult:
     """Stability-quotient corpus on two grids plus the coupled-delta decay study."""
     st = cfg["stability"]
     workers = cfg.get("run", "workers")
@@ -428,18 +424,11 @@ def run_stability(cfg: Config, decay_grids=None) -> SuiteResult:
     rows.sort(key=lambda r: (r["run_id"], r["N"]))
 
     assertions = []
-    grids = list(st["grids"])
-    for key, label in (("quotient", "quotient"), ("reduced_quotient", "reduced_quotient")):
-        per_grid_max = {n: max(r[key] for r in rows if r["N"] == n) for n in grids}
-        vals = list(per_grid_max.values())
-        finite = all(math.isfinite(v) and v > 0 for v in vals)
-        assertions.append(Assertion(f"{label}_finite", max(vals) if finite else math.inf,
-                                    math.inf, finite))
-        if len(vals) >= 2 and finite:
-            r = vals[0] / vals[1]
-            assertions.append(_le(f"{label}_grid_stability", max(r, 1.0 / r), 2.0))
+    for key in ("quotient", "reduced_quotient"):
+        per_grid = [[r[key] for r in rows if r["N"] == n] for n in st["grids"]]
+        assertions.extend(_grid_stability(key, f"{key}_finite", per_grid))
 
-    decay_rows, decay_assertions = _decay_study(cfg, decay_grids or st["decay_grids"])
+    decay_rows, decay_assertions = _decay_study(cfg)
     assertions.extend(decay_assertions)
 
     header = ["run_id", "h", "N", "d", "tau", "delta", "lambda", "lhs", "rhs_observed",
@@ -455,7 +444,7 @@ def run_stability(cfg: Config, decay_grids=None) -> SuiteResult:
     return SuiteResult("stability", assertions, tables)
 
 
-def _decay_study(cfg: Config, grids) -> tuple[list, list]:
+def _decay_study(cfg: Config) -> tuple[list, list]:
     """Mesh-coupled delta: endpoint and error terms vs 1/h, fitted in log space."""
     st = cfg["stability"]
     d = cfg.get("grid", "d")
@@ -463,27 +452,24 @@ def _decay_study(cfg: Config, grids) -> tuple[list, list]:
     seed = cfg.get("run", "seed")
     rng = run_rng(seed, SUITE_IDS["decay"], 0)
     y_prof = random_bump(rng, d)
-    src = SeparableSource(random_bump(rng, d),
-                          SineTimeProfile(1.0, 0.5, float(rng.uniform(0, 2 * math.pi)), T))
+    src = random_separable_source(rng, d, T)
     coeffs = random_smooth_coefficients(run_rng(seed, SUITE_IDS["decay"], 1), d, T,
                                         time_dependent=False)
     rows = []
     log_end, log_err, inv_h = [], [], []
-    for n in grids:
+    for n in st["decay_grids"]:
         grid = g.GridSpec(d, int(n))
         base = _weight_params(cfg, tau=st["tau1"], lam=st["decay_lambda"])
         params = coupled_delta(base, grid.h, st["tau1"], st["eps0"])
-        omega0, omega = _boxes(cfg, d)
-        weight = CarlemanWeight(grid, params, omega0, omega)
+        weight = _weight(cfg, grid, params)
         tg = TimeGrid(T, st["decay_steps"])
-        pm = g.primal(grid)
-        y0 = g.MeshFunction(pm, y_prof(pm.physical))
+        y0 = g.sample(g.primal(grid), y_prof)
         adm = certify_separable(src, grid, tg)
         traj = solve_forward(grid, coeffs, adm.g, tg, y_ini=y0)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-        rhs_terms = compute_rhs(traj, adm.g, weight, 0, omega)
+        rhs_terms = compute_rhs(traj, adm.g, weight, 0, weight.omega)
         endpoint = rhs_terms["rhs_time_endpoints"]
-        res = stability_quotient(traj, z, adm, weight, omega)
+        res = stability_quotient(traj, z, adm, weight, weight.omega)
         rows.append([int(n), grid.h, 1.0 / grid.h, params.tau, params.delta, params.lam,
                      endpoint.value, endpoint.log_value, res.rhs_error_term,
                      res.log_error_term])
@@ -519,15 +505,12 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
 
     grid = g.GridSpec(d, rc["n"])
     tg = TimeGrid(T, rc["steps"])
-    src = SeparableSource(random_bump(rng, d),
-                          SineTimeProfile(1.0, 0.5, float(rng.uniform(0, 2 * math.pi)), T))
-    adm = certify_separable(src, grid, tg)
+    adm = certify_separable(random_separable_source(rng, d, T), grid, tg)
     coeffs = random_smooth_coefficients(rng, d, T, time_dependent=False)
     traj = solve_forward(grid, coeffs, adm.g, tg)
     z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-    omega0, omega = _boxes(cfg, d)
-    weight = CarlemanWeight(grid, _weight_params(cfg), omega0, omega)
-    obs = observe(traj, z, weight, omega)
+    weight = _weight(cfg, grid, _weight_params(cfg))
+    obs = observe(traj, z, weight, weight.omega)
     rec = reconstruct_source(grid, coeffs, adm.r, tg, obs, beta=rc["beta"], truth=adm.f)
     rows.append(["source", grid.n, rc["beta"], 0.0, rec.relative_error, rec.iterations])
 

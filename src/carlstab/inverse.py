@@ -142,6 +142,13 @@ class SeparableSource:
         return self.profile(X) * float(self.r.dt(t))
 
 
+def random_separable_source(rng: np.random.Generator, d: int, T: float) -> SeparableSource:
+    """Random bump profile times R(t) = 1 + sin(2 pi t / T + phase) / 2, so
+    |R| >= 1/2; draws the profile, then the phase."""
+    return SeparableSource(random_bump(rng, d),
+                           SineTimeProfile(1.0, 0.5, float(rng.uniform(0, 2 * math.pi)), T))
+
+
 @dataclass
 class AdmissibleSource:
     """A certified source: |dt g| <= c_g |g(vt, .)| on the space-time grid."""
@@ -156,9 +163,6 @@ class AdmissibleSource:
 
     def g_at(self, t, X):
         return np.asarray(self.g(t, X), dtype=np.float64)
-
-    def dt_g_at(self, t, X):
-        return np.asarray(self.dt_g(t, X), dtype=np.float64)
 
 
 def certify_source(g_fn, dt_fn, grid: g.GridSpec, time_grid: TimeGrid,
@@ -193,31 +197,6 @@ def certify_separable(src: SeparableSource, grid: g.GridSpec, time_grid: TimeGri
     f_mf = g.MeshFunction(g.primal(grid), src.profile(g.primal(grid).physical))
     return AdmissibleSource(g=src, dt_g=src.dt, c_g=c_g, alpha=alpha, vartheta=vt,
                             f=f_mf, r=src.r)
-
-
-def generate_admissible(rng: np.random.Generator, grid: g.GridSpec,
-                        time_grid: TimeGrid, vartheta: float | None = None,
-                        mode: str = "separable", alpha: float = 0.5,
-                        g_fn=None, dt_fn=None) -> AdmissibleSource:
-    """Draw (or certify) a source satisfying the derivative-domination bound.
-
-    Separable mode: random smooth bump profile times R(t) = 1 + amp sin(...)
-    with min |R| >= alpha enforced; general mode certifies a caller-supplied
-    (g, dt g) pair and rejects it on failure.
-    """
-    vt = time_grid.T / 2.0 if vartheta is None else vartheta
-    if mode == "separable":
-        profile = random_bump(rng, grid.d)
-        r = SineTimeProfile(base=1.0, amp=0.5, phase=float(rng.uniform(0, 2 * math.pi)),
-                            T=time_grid.T)
-        return certify_separable(SeparableSource(profile, r), grid, time_grid, vt, alpha)
-    if mode == "general":
-        if g_fn is None or dt_fn is None:
-            raise CertificationError("general mode needs explicit g and dt g samplers")
-        time_grid.index_of(vt)
-        c_g = certify_source(g_fn, dt_fn, grid, time_grid, vt)
-        return AdmissibleSource(g=g_fn, dt_g=dt_fn, c_g=c_g, alpha=alpha, vartheta=vt)
-    raise CertificationError(f"unknown source mode {mode!r}")
 
 
 @dataclass

@@ -9,7 +9,8 @@ from carlstab.carleman import (LHS_KEYS, check_scheme_residual, compute_lhs,
                                verify_inequality)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.errors import GridError, SolverError
-from carlstab.inverse import SeparableSource, SineTimeProfile, random_bump
+from carlstab.inverse import (SeparableSource, SineTimeProfile, random_bump,
+                              random_separable_source)
 from carlstab.solver import TimeGrid, Trajectory, solve_forward
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
@@ -27,8 +28,7 @@ def solved_run(seed=3, n=15, steps=192, d=1, b_amp=0.0):
     rng = np.random.default_rng(seed)
     grid = g.GridSpec(d, n)
     coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=b_amp)
-    src = SeparableSource(random_bump(rng, d),
-                          SineTimeProfile(1.0, 0.5, float(rng.uniform(0, 2 * math.pi)), 1.0))
+    src = random_separable_source(rng, d, 1.0)
     pm = g.primal(grid)
     y0 = g.MeshFunction(pm, random_bump(rng, d)(pm.physical))
     traj = solve_forward(grid, coeffs, src, TimeGrid(1.0, steps), y_ini=y0)

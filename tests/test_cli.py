@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 
 from carlstab.cli import main
-from carlstab.config import default_config, parse_config
+from carlstab.config import SCHEMA, Config, default_config, parse_config
 from carlstab.errors import ConfigError
+from carlstab.experiments import (run_carleman, run_converge, run_energy, run_reconstruct,
+                                  run_stability, run_verify_ops)
 
 
 def test_verify_ops_exit_zero(tmp_path):
@@ -36,26 +39,45 @@ def test_missing_config_file_exits_two():
     assert main(["energy", "--config", "/nonexistent/path.cfg"]) == 2
 
 
-def test_bad_grids_flag_exits_two(capsys):
-    assert main(["stability", "--grids", "sixteen"]) == 2
-    assert "--grids" in capsys.readouterr().err
-
-
 def test_interval_and_list_parsing():
-    cfg = parse_config(None, ["domain.omega=0.25:0.75", "carleman.grids=7,15",
-                              "coefficients.time_dependent=true"])
+    cfg = parse_config(None, ["domain.omega=0.25:0.75", "carleman.grids=7,15"])
     assert cfg.get("domain", "omega") == (0.25, 0.75)
     assert cfg.get("carleman", "grids") == (7, 15)
-    assert cfg.get("coefficients", "time_dependent") is True
 
 
-def test_validation_rules():
-    with pytest.raises(ConfigError, match="domain.omega0"):
-        parse_config(None, ["domain.omega0=0.1:0.9"])
-    with pytest.raises(ConfigError, match="time.steps"):
-        parse_config(None, ["time.steps=7"])
-    with pytest.raises(ConfigError, match="weights.delta"):
-        parse_config(None, ["weights.delta=0.7"])
+@pytest.mark.parametrize("suite,override", [
+    ("stability", "domain.omega0=0.1:0.9"),
+    ("stability", "weights.delta=0.7"),
+    ("stability", "stability.steps=63"),
+    ("stability", "stability.decay_steps=0"),
+    ("reconstruct", "reconstruct.steps=255"),
+    ("reconstruct", "reconstruct.coeff_steps=2047"),
+    ("energy", "energy.steps=100"),
+    ("verify-ops", "verify_ops.fields=0"),
+    ("energy", "energy.runs=0"),
+    ("carleman", "carleman.runs=0"),
+    ("carleman", "carleman.feasibility_runs=0"),
+    ("stability", "stability.runs=0"),
+    ("verify-ops", "verify_ops.n_min=0"),
+    ("verify-ops", "verify_ops.n_min=21"),
+    ("converge", "converge.spatial_grids=7"),
+    ("converge", "converge.temporal_steps="),
+    ("carleman", "carleman.grids="),
+    ("carleman", "carleman.feasibility_taus="),
+    ("stability", "stability.decay_grids=15"),
+], ids=lambda v: v if "=" in v else None)
+def test_validation_rules(suite, override, tmp_path, capsys):
+    key = override.partition("=")[0]
+    with pytest.raises(ConfigError, match=key):
+        parse_config(None, [override])
+    assert main([suite, "--set", override, "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_removed_keys_rejected_as_unknown():
+    for override in ("time.steps=512", "coefficients.gamma_amp=0.4"):
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_config(None, [override])
 
 
 def test_snapshot_round_trip(tmp_path):
@@ -76,17 +98,9 @@ def test_config_snapshot_is_sufficient_to_rerun(tmp_path):
                  "--out", str(out2)]) == 0
     for name in ("stability.csv", "decay.csv", "stability_extra.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_stability_grids_flag_three_row_decay(tmp_path):
-    out = tmp_path / "g"
-    code = main(["stability", "--set", "stability.runs=2", "--set", "stability.steps=64",
-                 "--set", "stability.decay_steps=64", "--grids", "16,32,64",
-                 "--out", str(out)])
-    assert code == 0
-    rows = (out / "decay.csv").read_text().strip().splitlines()
-    assert len(rows) == 4  # header + one row per grid
-    assert rows[1].split(",")[0] == "15"
+    # the non-default decay grids travel in the snapshot: one row per grid
+    rows = (out2 / "decay.csv").read_text().strip().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["15", "31"]
 
 
 def test_default_config_matches_schema():
@@ -119,3 +133,48 @@ def test_worker_pool_matches_serial(tmp_path):
     assert main(base + ["--set", "run.workers=3", "--out", str(tmp_path / "pool")]) == 0
     for f in ("stability.csv", "decay.csv"):
         assert (tmp_path / "serial" / f).read_bytes() == (tmp_path / "pool" / f).read_bytes()
+
+
+class _ReadRecorder(dict):
+    """A config section that records every key a suite reads from it."""
+
+    def __init__(self, section, values, seen):
+        super().__init__(values)
+        self.section, self.seen = section, seen
+
+    def __getitem__(self, key):
+        self.seen.add(f"{self.section}.{key}")
+        return super().__getitem__(key)
+
+
+TINY = ["grid.n=7", "verify_ops.fields=2", "verify_ops.n_max=4",
+        "converge.spatial_grids=3,7", "converge.spatial_steps=8",
+        "converge.temporal_steps=4,8", "converge.manufactured_steps=8",
+        "energy.runs=1", "energy.steps=16",
+        "carleman.runs=1", "carleman.grids=7,15", "carleman.steps=16",
+        "carleman.feasibility_grids=15", "carleman.feasibility_runs=1",
+        "stability.runs=1", "stability.grids=15,31", "stability.steps=16",
+        "stability.decay_grids=15,31", "stability.decay_steps=16",
+        "reconstruct.n=7", "reconstruct.steps=16", "reconstruct.coeff_n=7",
+        "reconstruct.coeff_steps=32",
+        "reconstruct.noise=0.01", "reconstruct.beta_sweep_decades=1"]
+
+
+def test_every_schema_key_is_read():
+    """A key no suite reads cannot change a run, so it must not be in the schema.
+
+    `run.out` is read by the CLI only.  The noise sweep is switched on, which
+    also covers the noisy branch of the reconstruct suite.
+    """
+    seen = set()
+    values = parse_config(None, TINY).values
+    cfg = Config({s: _ReadRecorder(s, v, seen) for s, v in values.items()})
+    results = {run.__name__: run(cfg) for run in (run_verify_ops, run_converge, run_energy,
+                                                  run_carleman, run_stability, run_reconstruct)}
+    schema_keys = {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys}
+    assert seen == schema_keys - {"run.out"}
+
+    header, rows = results["run_reconstruct"].tables["reconstruct"]
+    noisy = [dict(zip(header, row)) for row in rows if row[0] == "source_noisy"]
+    assert [r["beta"] for r in noisy] == pytest.approx([1e-10, 1e-9], rel=1e-12)
+    assert all(r["noise"] == 0.01 and math.isfinite(r["rel_error"]) for r in noisy)

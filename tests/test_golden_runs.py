@@ -4,8 +4,9 @@ Every suite is rerun with the fast overrides into a temporary directory and
 each CSV is compared with its committed copy: the header and non-numeric
 cells exactly, numeric cells to 1e-9 relative.  Each summary.json must list
 the same assertions, with the same bounds and verdicts and values to the
-same tolerance; its wall time is not compared.  A change that moves a run on
-purpose regenerates the files and says so in CHANGES.md.
+same tolerance; its wall time is not compared.  Each config.cfg snapshot must
+parse and hold the fresh run's settings, `run.out` aside.  A change that moves
+a run on purpose regenerates the files and says so in CHANGES.md.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from carlstab.cli import main
+from carlstab.config import default_config, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = ROOT / "runs"
@@ -87,3 +89,17 @@ def test_fast_runs_match_committed_summaries(fresh_runs):
             assert (g["bound"], g["pass"]) == (w["bound"], w["pass"]), f"{rel} {w['name']}"
             assert _numbers_agree(float(w["value"]), float(g["value"])), \
                 f"{rel} {w['name']}: {g['value']} != {w['value']}"
+
+
+def test_committed_snapshots_match_fresh_configs(fresh_runs):
+    golden = sorted(p.relative_to(RUNS) for p in RUNS.glob("*/config.cfg"))
+    assert golden == sorted(p.relative_to(fresh_runs) for p in fresh_runs.glob("*/config.cfg"))
+    for rel in golden:
+        want = parse_config(str(RUNS / rel)).values
+        got = parse_config(str(fresh_runs / rel)).values
+        del want["run"]["out"], got["run"]["out"]
+        assert got == want, rel
+
+
+def test_default_cfg_file_is_the_builtin_default():
+    assert parse_config(str(ROOT / "configs" / "default.cfg")).values == default_config().values

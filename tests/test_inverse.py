@@ -10,7 +10,7 @@ from carlstab.errors import (AdmissibilityError, CertificationError, EmptyMaskEr
                              GridError)
 from carlstab.inverse import (AdmissibleSource, SeparableSource, SineTimeProfile,
                               _ForwardMap, add_observation_noise, certify_separable,
-                              generate_admissible, observe, random_bump,
+                              certify_source, observe, random_bump, random_separable_source,
                               reconstruct_source, recover_coefficient, stability_quotient)
 from carlstab.solver import TimeGrid, Trajectory, solve_forward, solve_z_system
 from carlstab.weights import Box, CarlemanWeight, WeightParams
@@ -28,7 +28,7 @@ def solved_pair(seed=11, steps=256, y_ini=None):
     rng = np.random.default_rng(seed)
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=False)
     tg = TimeGrid(1.0, steps)
-    adm = generate_admissible(rng, GRID, tg)
+    adm = certify_separable(random_separable_source(rng, GRID.d, tg.T), GRID, tg)
     traj = solve_forward(GRID, coeffs, adm.g, tg, y_ini=y_ini)
     z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
     return coeffs, adm, traj, z
@@ -44,7 +44,7 @@ def test_certificate_r_constant_gives_zero():
 def test_certificate_matches_dense_sampling():
     rng = np.random.default_rng(1)
     tg = TimeGrid(1.0, 256)
-    adm = generate_admissible(rng, GRID, tg)
+    adm = certify_separable(random_separable_source(rng, GRID.d, tg.T), GRID, tg)
     on_grid = np.max(np.abs(adm.r.dt(tg.times))) / abs(float(adm.r(0.5)))
     assert adm.c_g == pytest.approx(on_grid, rel=1e-12)
     # dense oracle agrees up to the grid's sampling resolution
@@ -69,9 +69,7 @@ def test_general_mode_certifies_or_rejects():
     def dt_fn(t, X):
         return np.cos(np.pi * X[:, 0] / 4.0) * (math.pi * math.cos(2 * math.pi * t))
 
-    adm = generate_admissible(np.random.default_rng(0), GRID, tg, mode="general",
-                              g_fn=g_fn, dt_fn=dt_fn)
-    assert adm.c_g > 0
+    assert certify_source(g_fn, dt_fn, GRID, tg, 0.5) > 0
 
     def bad_g(t, X):
         return np.maximum(X[:, 0] - 0.5, 0.0)  # vanishes at vartheta on half the grid
@@ -80,8 +78,7 @@ def test_general_mode_certifies_or_rejects():
         return np.ones(X.shape[0])
 
     with pytest.raises(CertificationError):
-        generate_admissible(np.random.default_rng(0), GRID, tg, mode="general",
-                            g_fn=bad_g, dt_fn=bad_dt)
+        certify_source(bad_g, bad_dt, GRID, tg, 0.5)
 
 
 def test_observation_zero_run():
@@ -155,7 +152,7 @@ def test_stability_quotient_scale_invariance():
     rng = np.random.default_rng(41)
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=False)
     tg = TimeGrid(1.0, 128)
-    adm = generate_admissible(rng, GRID, tg)
+    adm = certify_separable(random_separable_source(rng, GRID.d, tg.T), GRID, tg)
     traj = solve_forward(GRID, coeffs, adm.g, tg)
     z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
     res1 = stability_quotient(traj, z, adm, make_weight(), OMEGA)
@@ -306,12 +303,6 @@ def test_observation_linearity_superposition():
     t12 = solve_forward(GRID, coeffs, s_sum, tg)
     gap = np.max(np.abs(t12.values - t1.values - t2.values))
     assert gap <= 1e-9 * max(1.0, np.max(np.abs(t12.values)))
-
-
-def test_unknown_source_mode_rejected():
-    with pytest.raises(CertificationError):
-        generate_admissible(np.random.default_rng(0), GRID, TimeGrid(1.0, 8),
-                            mode="bespoke")
 
 
 def test_outside_proof_regime_flagged():
