@@ -103,6 +103,17 @@ def test_config_snapshot_is_sufficient_to_rerun(tmp_path):
     assert [row.split(",")[0] for row in rows[1:]] == ["15", "31"]
 
 
+def test_stability_grids_flag_three_row_decay(tmp_path):
+    out = tmp_path / "g"
+    code = main(["stability", "--set", "stability.runs=2", "--set", "stability.steps=64",
+                 "--set", "stability.decay_steps=64", "--set", "stability.decay_grids=15,31,63",
+                 "--out", str(out)])
+    assert code == 0
+    rows = (out / "decay.csv").read_text().strip().splitlines()
+    assert len(rows) == 4  # header + one row per grid
+    assert rows[1].split(",")[0] == "15"
+
+
 def test_default_config_matches_schema():
     cfg = default_config()
     assert cfg.get("grid", "n") == 15
