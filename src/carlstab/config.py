@@ -237,6 +237,8 @@ def _validate(cfg: Config):
             need = _MIN_ENTRIES.get(f"{section}.{key}", 1)
             if kind.endswith("_list") and len(cfg.get(section, key)) < need:
                 problems.append(f"{section}.{key}: needs at least {need} value(s)")
+            if kind == "int_list" and min(cfg.get(section, key), default=1) < 1:
+                problems.append(f"{section}.{key}: every entry must be >= 1")
     lo, hi = cfg.get("domain", "omega")
     lo0, hi0 = cfg.get("domain", "omega0")
     if not 0.0 < lo < hi < 1.0:
@@ -253,5 +255,7 @@ def _validate(cfg: Config):
         problems.append("run.workers: must be >= 1")
     if cfg.get("reconstruct", "noise") < 0:
         problems.append("reconstruct.noise: must be >= 0")
+    if cfg.get("reconstruct", "beta") < 0:
+        problems.append("reconstruct.beta: must be >= 0")
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))

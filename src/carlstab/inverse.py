@@ -17,10 +17,10 @@ space-time grid; separable sources f(x) R(t) with R bounded away from zero
 get certified with C = max|R'| / |R(vt)|.
 
 The reconstruction is Tikhonov-regularised least squares on the observation
-misfit, solved matrix-free by conjugate gradients on the normal equations;
-each application of the forward map is one implicit solve of the system and
-each adjoint application one transposed sweep.  The estimate exists to
-exhibit the stability constant operationally, not as a production inversion.
+misfit.  The misfit is linear in the spatial profile, so one implicit march
+with one column per unknown builds the normal equations, which a Cholesky
+factorisation solves.  The estimate exists to exhibit the stability constant
+operationally, not as a production inversion.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import grid as g
 from . import operators as ops
@@ -253,61 +254,37 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
 # reconstruction -----------------------------------------------------------
 
 
-class _ForwardMap:
-    """Linear map f -> stacked weighted observation of the zero-initial run.
+def _normal_equations(grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimeProfile,
+                      time_grid: TimeGrid, observation: Observation):
+    """G = F^T F and F^T d for the weighted observation map F of a separable source.
 
-    The run is the trapezoidal march of the solver's `Stepper` with forcing
-    s_m f, s_m = dt/2 (R(t_m) + R(t_{m+1})); the adjoint runs the stepper's
-    transposed recursion backwards and accumulates s_m lambda_{m+1}.
+    F f stacks sqrt(cell) y(vt) and sqrt(trap_m cell) y_m on omega for the
+    zero-initial trapezoidal march with forcing s_m f, s_m = dt/2 (R(t_m) +
+    R(t_{m+1})); d is the observation in the same weights.  One march of the
+    forcing block s_m I carries every column of F, and each frame adds its
+    share to G and F^T d, so F is never stored.  Returns G, F^T d and the
+    stepper that marched.
     """
-
-    def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimeProfile,
-                 time_grid: TimeGrid, mask: np.ndarray, obs_time: float):
-        self.grid = grid
-        self.time_grid = time_grid
-        self.mask = mask
-        self.obs_index = time_grid.index_of(obs_time)
-        self.size = g.primal(grid).size
-        self.stepper = Stepper(grid, coeffs, time_grid)
-        r_vals = np.asarray(r(time_grid.times), dtype=np.float64)
-        self.src_coef = [self.stepper.forcing(r_vals[m], r_vals[m + 1])
-                         for m in range(time_grid.steps)]
-        cell = grid.h ** grid.d
-        self.w_snap = math.sqrt(cell)
-        self.w_frames = np.sqrt(time_grid.trap * cell)
-        self.n_obs = self.size + (time_grid.steps + 1) * int(mask.sum())
-
-    def stack(self, snapshot: np.ndarray, frames_local: np.ndarray) -> np.ndarray:
-        parts = [self.w_snap * snapshot]
-        for m in range(self.time_grid.steps + 1):
-            parts.append(self.w_frames[m] * frames_local[m])
-        return np.concatenate(parts)
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.size)
-        frames_local = np.empty((self.time_grid.steps + 1, int(self.mask.sum())))
-        frames_local[0] = 0.0
-        snapshot = np.zeros(self.size)
-        for m in range(self.time_grid.steps):
-            y, _ = self.stepper.step(m, y, self.src_coef[m] * f)
-            frames_local[m + 1] = y[self.mask]
-            if m + 1 == self.obs_index:
-                snapshot = y.copy()
-        return self.stack(snapshot, frames_local)
-
-    def apply_adjoint(self, resid: np.ndarray) -> np.ndarray:
-        r_snap = resid[: self.size]
-        locals_ = resid[self.size:].reshape(self.time_grid.steps + 1, -1)
-        out = np.zeros(self.size)
-        lam = np.zeros(self.size)
-        for m in range(self.time_grid.steps, 0, -1):
-            q = np.zeros(self.size)
-            q[self.mask] = self.w_frames[m] * locals_[m]
-            if m == self.obs_index:
-                q += self.w_snap * r_snap
-            lam = self.stepper.adjoint_step(m - 1, lam, q)
-            out += self.src_coef[m - 1] * lam
-        return out
+    size = g.primal(grid).size
+    mask = observation.mask
+    obs_index = time_grid.index_of(observation.vartheta)
+    cell = grid.h ** grid.d
+    frame_w = time_grid.trap * cell
+    r_vals = np.asarray(r(time_grid.times), dtype=np.float64)
+    stepper = Stepper(grid, coeffs, time_grid)
+    eye = np.eye(size)
+    Y = np.zeros((size, size))
+    gram = np.zeros((size, size))
+    rhs = np.zeros(size)
+    for m in range(time_grid.steps):
+        Y = stepper.step(m, Y, stepper.forcing(r_vals[m], r_vals[m + 1]) * eye)[0]
+        local = Y[mask]
+        gram += frame_w[m + 1] * (local.T @ local)
+        rhs += frame_w[m + 1] * (local.T @ observation.local_y[m + 1])
+        if m + 1 == obs_index:
+            gram += cell * (Y.T @ Y)
+            rhs += cell * (Y.T @ observation.snapshot.values)
+    return gram, rhs, stepper
 
 
 @dataclass
@@ -315,71 +292,39 @@ class ReconstructionResult:
     f_estimate: g.MeshFunction
     beta: float
     iterations: int
-    residual_history: list
     relative_error: float | None
     forward_solves: int
 
 
-def _cg_normal(normal_op, b: np.ndarray, tol: float, max_iter: int):
-    """Conjugate gradients on SPD normal equations with a progress guard.
-
-    Raises when the residual norm drops by less than one percent over twenty
-    consecutive iterations before reaching the tolerance.
-    """
-    x = np.zeros_like(b)
-    rvec = b.copy()
-    p = rvec.copy()
-    rs = float(rvec @ rvec)
-    rs0 = rs
-    history = [math.sqrt(rs)]
-    it = 0
-    while it < max_iter and rs > tol * tol * rs0:
-        ap = normal_op(p)
-        alpha = rs / float(p @ ap)
-        x += alpha * p
-        rvec -= alpha * ap
-        rs_new = float(rvec @ rvec)
-        history.append(math.sqrt(rs_new))
-        if len(history) > 21:
-            drop = history[-21] - history[-1]
-            if drop < 1e-2 * history[-21]:
-                raise SolverError(
-                    f"reconstruction stagnated: residual decrease {drop:.3e} over 20 iterations")
-        p = rvec + (rs_new / rs) * p
-        rs = rs_new
-        it += 1
-    return x, it, history
-
-
 def reconstruct_source(grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimeProfile,
                        time_grid: TimeGrid, observation: Observation, beta: float,
-                       truth: g.MeshFunction | None = None, tol: float = 1e-12,
-                       max_iter: int = 500) -> ReconstructionResult:
+                       truth: g.MeshFunction | None = None) -> ReconstructionResult:
     """Tikhonov least squares for the spatial profile of a separable source.
 
-    Minimises ||F f - data||^2 + beta ||f||^2 by conjugate gradients on the
-    normal equations; stagnation (relative residual decrease below 1e-2 over
-    20 iterations) raises.  Relative L2 error against the truth is reported
-    when the truth is supplied.
+    Minimises ||F f - d||^2 + beta ||f||_{L^2_h}^2 by a Cholesky solve of the
+    normal equations (`iterations` is 0: nothing iterates).  Raises
+    SolverError when the regularised G is not positive definite or the
+    solution's relative residual exceeds 1e-12.  Relative L2 error against
+    the truth is reported when the truth is supplied.
     """
-    fwd = _ForwardMap(grid, coeffs, r, time_grid, observation.mask, observation.vartheta)
-    data = fwd.stack(observation.snapshot.values, observation.local_y)
-    cell = grid.h ** grid.d
-    b = fwd.apply_adjoint(data)
-
-    def normal_op(v):
-        return fwd.apply_adjoint(fwd.apply(v)) + beta * cell * v
-
-    x, it, history = _cg_normal(normal_op, b, tol, max_iter)
+    gram, rhs, stepper = _normal_equations(grid, coeffs, r, time_grid, observation)
+    gram[np.diag_indices_from(gram)] += beta * grid.h ** grid.d
+    try:
+        x = cho_solve(cho_factor(gram), rhs)
+    except LinAlgError as exc:
+        raise SolverError(f"normal equations not positive definite at beta={beta}: {exc}") from exc
+    res = float(np.linalg.norm(gram @ x - rhs))
+    if not res <= 1e-12 * float(np.linalg.norm(rhs)):
+        raise SolverError(f"normal equations solved to residual {res:.3e}, "
+                          f"above 1e-12 of ||F^T d|| = {np.linalg.norm(rhs):.3e}")
     est = g.MeshFunction(g.primal(grid), x)
     rel = None
     if truth is not None:
         diff = g.MeshFunction(est.mesh, est.values - truth.values)
         denom = ops.l2_norm(truth)
         rel = ops.l2_norm(diff) / denom if denom > 0 else ops.l2_norm(diff)
-    return ReconstructionResult(f_estimate=est, beta=beta, iterations=it,
-                                residual_history=history, relative_error=rel,
-                                forward_solves=fwd.stepper.linear_solves)
+    return ReconstructionResult(f_estimate=est, beta=beta, iterations=0, relative_error=rel,
+                                forward_solves=stepper.linear_solves)
 
 
 def add_observation_noise(obs: Observation, level: float,

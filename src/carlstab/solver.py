@@ -12,16 +12,17 @@ Time integration is ours: one `Stepper` owns the implicit theta-step
 
     (I - theta dt A(t_{m+1})) y_{m+1} = (I + (1 - theta) dt A(t_m)) y_m + f_m,
 
-theta = 1/2 (trapezoidal rule) or 1 (backward Euler), with its adjoint step
-and its residual; the forward solve, the z-system march, the reconstruction
-map and the scheme residual check all run through it.  Its solve policy
-follows from the coefficients and the dimension: with time-independent
-coefficients L is factorised once by sparse LU and every step and adjoint
-step reuses the factor; at d = 1 with time-dependent coefficients the
-tridiagonal L_m is factorised the same way at each step; at d >= 2 with
-time-dependent coefficients each step is a Krylov solve (diagonally
-preconditioned CG without advection, BiCGStab with it).  Every solve must
-reach relative residual 1e-10 or the step raises.
+theta = 1/2 (trapezoidal rule) or 1 (backward Euler), and its residual; the
+forward solve, the z-system march, the reconstruction's normal equations and
+the scheme residual check all run through it.  A step takes one state or a
+block of states as columns, so a linear map of the forcing marches all its
+columns at once.  The solve policy follows from the coefficients and the
+dimension: with time-independent coefficients L is factorised once by sparse
+LU and every step reuses the factor; at d = 1 with time-dependent
+coefficients the tridiagonal L_m is factorised the same way at each step; at
+d >= 2 with time-dependent coefficients each column is a Krylov solve
+(diagonally preconditioned CG without advection, BiCGStab with it).  Every
+column must reach relative residual 1e-10 or the step raises.
 
 The differentiated system for z ~ dt y carries the data at the mid time
 
@@ -102,9 +103,6 @@ class Trajectory:
 
     def frame(self, i: int) -> g.MeshFunction:
         return g.MeshFunction(self.mesh, self.values[i])
-
-    def frame_at(self, t: float) -> g.MeshFunction:
-        return self.frame(self.time_grid.index_of(t))
 
     def dt_frames(self) -> np.ndarray:
         return central_time_derivative(self.values, self.time_grid.dt)
@@ -302,17 +300,19 @@ class Stepper:
         L_m = I - theta dt A(t_{m+1}),    R_m = I + (1 - theta) dt A(t_m),
 
     theta = 1/2 for the trapezoidal rule and theta = 1 for backward Euler.
-    R_m y and the residuals are applied matrix-free through A and its cached
-    transpose.  Time-independent coefficients are assembled once; otherwise
-    only the two most recent operators are kept.
+    y and f are one state of shape (n,) or a block of states of shape (n, k),
+    one per column.  R_m y and the residuals are applied matrix-free through
+    A.  Time-independent coefficients are assembled once; otherwise only the
+    two most recent operators are kept.
 
     Solve policy: when the coefficients are time-independent (any d) or
-    d = 1, L_m is factorised by `splu` and the factor serves both `step` and
-    `adjoint_step` (the latter as a transposed solve), so a time-independent
-    march factorises once.  At d >= 2 with time-dependent coefficients each
-    step is a Krylov solve (`_linear_solve`).  Every solve must reach relative
-    residual LINEAR_RESIDUAL_TOL and a finite state, or it raises.
-    `factorisations` and `linear_solves` count the work done.
+    d = 1, L_m is factorised by `splu` and a block is solved by one solve
+    with the factor, so a time-independent march factorises once.  At d >= 2
+    with time-dependent coefficients each column is a Krylov solve
+    (`_linear_solve`).  Every column must reach relative residual
+    LINEAR_RESIDUAL_TOL and a finite state, or the step raises; the residual
+    reported is the largest over the columns.  `factorisations` and
+    `linear_solves` (one per step) count the work done.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid,
@@ -329,7 +329,7 @@ class Stepper:
         self.factorisations = 0
         self.linear_solves = 0
         self._eye = sp.identity(g.primal(grid).size, format="csr")
-        self._ops = {}      # frame -> [A, A^T or None]
+        self._ops = {}      # frame -> A
         self._lhs = None    # (frame of L, LU factor or the CSR matrix of L)
 
     def forcing(self, g0, g1):
@@ -341,33 +341,29 @@ class Stepper:
             return self.implicit * g1
         return self.implicit * (g0 + g1)
 
-    def _operator(self, m: int, transpose: bool = False) -> sp.csr_matrix:
-        """A_h at frame m, or its transpose (formed on first use)."""
+    def _operator(self, m: int) -> sp.csr_matrix:
+        """A_h at frame m."""
         if self.coeffs.time_independent:
             m = 0
-        entry = self._ops.get(m)
-        if entry is None:
+        A = self._ops.get(m)
+        if A is None:
             if len(self._ops) == 2:
                 # every caller asks for A(t_m) before A(t_{m+1}): the older entry
                 # is the frame a forward march has passed
                 del self._ops[next(iter(self._ops))]
-            entry = self._ops[m] = [assemble_ah(self.grid, self.coeffs, float(self.times[m])), None]
-        if not transpose:
-            return entry[0]
-        if entry[1] is None:
-            entry[1] = entry[0].T.tocsr()
-        return entry[1]
+            A = self._ops[m] = assemble_ah(self.grid, self.coeffs, float(self.times[m]))
+        return A
 
-    def _apply_r(self, m: int, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+    def _apply_r(self, m: int, y: np.ndarray) -> np.ndarray:
         if self.explicit == 0.0:
             return y
-        return y + self.explicit * (self._operator(m, transpose) @ y)
+        return y + self.explicit * (self._operator(m) @ y)
 
-    def _apply_l(self, m: int, y: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return y - self.implicit * (self._operator(m + 1, transpose) @ y)
+    def _apply_l(self, m: int, y: np.ndarray) -> np.ndarray:
+        return y - self.implicit * (self._operator(m + 1) @ y)
 
-    def _solve(self, m: int, rhs: np.ndarray, transpose: bool = False) -> tuple[np.ndarray, float]:
-        """x with L_m x = rhs (L_m^T x = rhs if `transpose`) and its relative residual."""
+    def _solve(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """x with L_m x = rhs, column by column, and its largest relative residual."""
         key = 0 if self.coeffs.time_independent else m + 1
         if self._lhs is None or self._lhs[0] != key:
             L = self._eye - self.implicit * self._operator(m + 1)
@@ -379,28 +375,24 @@ class Stepper:
         lhs = self._lhs[1]
         self.linear_solves += 1
         if self.direct:
-            x = lhs.solve(rhs, trans="T" if transpose else "N")
-            nb = float(np.linalg.norm(rhs))
-            res = float(np.linalg.norm(rhs - self._apply_l(m, x, transpose))) / nb if nb else 0.0
+            x = lhs.solve(rhs)
+            nb = np.linalg.norm(rhs, axis=0)
+            # a zero column solves exactly to zero
+            res = float(np.max(np.linalg.norm(rhs - self._apply_l(m, x), axis=0)
+                               / np.where(nb > 0.0, nb, 1.0)))
             if res > LINEAR_RESIDUAL_TOL:
                 raise SolverError(f"direct solve failed: relative residual {res:.3e}")
         else:
-            x, res = _linear_solve(lhs.T.tocsr() if transpose else lhs, rhs, self.symmetric)
+            cols = [_linear_solve(lhs, col, self.symmetric) for col in np.atleast_2d(rhs.T)]
+            x = np.array([col[0] for col in cols]).T.reshape(rhs.shape)
+            res = max(col[1] for col in cols)
         if not np.all(np.isfinite(x)):
             raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
         return x, res
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
-        """y_{m+1} and the relative residual of its linear solve."""
+        """y_{m+1} and the largest relative residual of its linear solves."""
         return self._solve(m, self._apply_r(m, y) + f)
-
-    def adjoint_step(self, m: int, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """One step of the transposed recursion, run from the last step back.
-
-        Solves L_m^T x_m = q + R_{m+1}^T x_{m+1}; `lam` is x_{m+1}, zero on
-        the last step.
-        """
-        return self._solve(m, q + self._apply_r(m + 1, lam, transpose=True), transpose=True)[0]
 
     def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
         """L_m y1 - R_m y0 - f, matrix-free: zero up to the solve tolerance on a true step."""

@@ -118,9 +118,6 @@ class WeightParams:
     def with_tau(self, tau: float) -> "WeightParams":
         return replace(self, tau=tau)
 
-    def with_delta(self, delta: float) -> "WeightParams":
-        return replace(self, delta=delta)
-
 
 def coupled_delta(params: WeightParams, h: float, tau1: float, eps0: float) -> WeightParams:
     """Couple delta to the mesh via tau1 / (T^2 delta) = eps0 / h."""

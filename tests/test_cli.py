@@ -65,6 +65,9 @@ def test_interval_and_list_parsing():
     ("carleman", "carleman.grids="),
     ("carleman", "carleman.feasibility_taus="),
     ("stability", "stability.decay_grids=15"),
+    ("carleman", "carleman.grids=0,15"),
+    ("converge", "converge.temporal_steps=0,64"),
+    ("reconstruct", "reconstruct.beta=-1"),
 ], ids=lambda v: v if "=" in v else None)
 def test_validation_rules(suite, override, tmp_path, capsys):
     key = override.partition("=")[0]

@@ -6,13 +6,14 @@ import pytest
 from carlstab import grid as g
 from carlstab import operators as ops
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
+from carlstab.cli import main
 from carlstab.errors import (AdmissibilityError, CertificationError, EmptyMaskError,
-                             GridError)
+                             GridError, SolverError)
 from carlstab.inverse import (AdmissibleSource, SeparableSource, SineTimeProfile,
-                              _ForwardMap, add_observation_noise, certify_separable,
+                              _normal_equations, add_observation_noise, certify_separable,
                               certify_source, observe, random_bump, random_separable_source,
                               reconstruct_source, recover_coefficient, stability_quotient)
-from carlstab.solver import TimeGrid, Trajectory, solve_forward, solve_z_system
+from carlstab.solver import Stepper, TimeGrid, Trajectory, solve_forward, solve_z_system
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
 GRID = g.GridSpec(1, 15)
@@ -208,29 +209,43 @@ def test_error_term_refinement_decay():
     assert logs[1] < logs[0]
 
 
+def _normal_equations_by_columns(grid, coeffs, r, tg, obs):
+    """Reference: F column by column from single-vector marches of each e_j, then F^T F, F^T d."""
+    size = g.primal(grid).size
+    cell = grid.h ** grid.d
+    w = np.sqrt(tg.trap * cell)[:, None]
+    k = tg.index_of(obs.vartheta)
+    r_vals = r(tg.times)
+    columns = []
+    for e_j in np.eye(size):
+        stepper = Stepper(grid, coeffs, tg)
+        frames = [np.zeros(size)]
+        for m in range(tg.steps):
+            f = stepper.forcing(r_vals[m], r_vals[m + 1]) * e_j
+            frames.append(stepper.step(m, frames[-1], f)[0])
+        frames = np.array(frames)
+        columns.append(np.concatenate([math.sqrt(cell) * frames[k],
+                                       (w * frames[:, obs.mask]).ravel()]))
+    F = np.array(columns).T
+    data = np.concatenate([math.sqrt(cell) * obs.snapshot.values, (w * obs.local_y).ravel()])
+    return F.T @ F, F.T @ data
+
+
 @pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (True, 0.7)],
                          ids=["time-independent", "time-dependent-advection"])
-def test_forward_map_adjoint_identity(rng, time_dependent, b_amp):
-    # with advection L_m^T != L_m: the adjoint takes the transposed solve of each factor
+def test_normal_equations_match_column_oracle(rng, time_dependent, b_amp):
+    # with advection L_m is nonsymmetric, so G = F^T F must not lean on L_m^T = L_m
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent,
                                         b_amp=b_amp)
+    _, adm, traj, z = solved_pair(seed=67, steps=256)
+    obs = observe(traj, z, make_weight(), OMEGA)
     r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
-    fwd = _ForwardMap(GRID, coeffs, r, TimeGrid(1.0, 24), OMEGA.mask(g.primal(GRID).physical), 0.5)
-    for _ in range(3):
-        f = rng.normal(size=fwd.size)
-        v = rng.normal(size=fwd.n_obs)
-        lhs = float(fwd.apply(f) @ v)
-        rhs = float(f @ fwd.apply_adjoint(v))
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
-def test_forward_map_factorises_once(rng):
-    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=False)
-    r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
-    fwd = _ForwardMap(GRID, coeffs, r, TimeGrid(1.0, 24), OMEGA.mask(g.primal(GRID).physical), 0.5)
-    fwd.apply_adjoint(fwd.apply(rng.normal(size=fwd.size)))
-    assert fwd.stepper.factorisations == 1
-    assert fwd.stepper.linear_solves == 48
+    gram, rhs, stepper = _normal_equations(GRID, coeffs, r, traj.time_grid, obs)
+    want_gram, want_rhs = _normal_equations_by_columns(GRID, coeffs, r, traj.time_grid, obs)
+    assert np.linalg.norm(gram - want_gram) <= 1e-12 * np.linalg.norm(want_gram)
+    assert np.linalg.norm(rhs - want_rhs) <= 1e-12 * np.linalg.norm(want_rhs)
+    assert stepper.linear_solves == 256
+    assert stepper.factorisations == (256 if time_dependent else 1)
 
 
 def test_reconstruction_zero_truth():
@@ -314,11 +329,19 @@ def test_outside_proof_regime_flagged():
     assert not observe(traj, z, w_mid, OMEGA).outside_proof_regime
 
 
-def test_cg_normal_stagnation_guard():
-    from carlstab.errors import SolverError
-    from carlstab.inverse import _cg_normal
-    # a 1e16 condition number stalls float64 CG well before the tolerance
-    diag = np.logspace(0, -16, 300)
-    b = np.ones(300)
-    with pytest.raises(SolverError, match="stagnat"):
-        _cg_normal(lambda v: diag * v, b, tol=1e-14, max_iter=5000)
+def test_reconstruction_rejects_indefinite_normal_equations():
+    coeffs, adm, traj, z = solved_pair(seed=63, steps=128)
+    obs = observe(traj, z, make_weight(), OMEGA)
+    with pytest.raises(SolverError, match="positive definite"):
+        reconstruct_source(GRID, coeffs, adm.r, traj.time_grid, obs, beta=-1.0, truth=adm.f)
+
+
+def test_reconstruct_fine_grid_seed_four_recovers(tmp_path):
+    # CG on the normal equations stalled here ("reconstruction stagnated", exit 1)
+    args = ["reconstruct", "--set", "reconstruct.n=31", "--set", "run.seed=4",
+            "--set", "reconstruct.coeff_n=15", "--set", "reconstruct.coeff_steps=256",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
+    rows = (tmp_path / "reconstruct.csv").read_text().splitlines()
+    source = next(row.split(",") for row in rows if row.startswith("source,"))
+    assert float(source[4]) <= 5e-3
