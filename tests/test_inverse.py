@@ -209,43 +209,76 @@ def test_error_term_refinement_decay():
     assert logs[1] < logs[0]
 
 
-def _normal_equations_by_columns(grid, coeffs, r, tg, obs):
-    """Reference: F column by column from single-vector marches of each e_j, then F^T F, F^T d."""
-    size = g.primal(grid).size
+def _forward_image(grid, coeffs, r, tg, obs, f):
+    """Reference: F f from one single-vector march of the forcing s_m f, in the weights of G."""
     cell = grid.h ** grid.d
     w = np.sqrt(tg.trap * cell)[:, None]
-    k = tg.index_of(obs.vartheta)
     r_vals = r(tg.times)
-    columns = []
-    for e_j in np.eye(size):
-        stepper = Stepper(grid, coeffs, tg)
-        frames = [np.zeros(size)]
-        for m in range(tg.steps):
-            f = stepper.forcing(r_vals[m], r_vals[m + 1]) * e_j
-            frames.append(stepper.step(m, frames[-1], f)[0])
-        frames = np.array(frames)
-        columns.append(np.concatenate([math.sqrt(cell) * frames[k],
-                                       (w * frames[:, obs.mask]).ravel()]))
-    F = np.array(columns).T
-    data = np.concatenate([math.sqrt(cell) * obs.snapshot.values, (w * obs.local_y).ravel()])
-    return F.T @ F, F.T @ data
+    stepper = Stepper(grid, coeffs, tg)
+    frames = [np.zeros(f.size)]
+    for m in range(tg.steps):
+        frames.append(stepper.step(m, frames[-1], stepper.forcing(r_vals[m], r_vals[m + 1]) * f)[0])
+    frames = np.array(frames)
+    return np.concatenate([math.sqrt(cell) * frames[tg.index_of(obs.vartheta)],
+                           (w * frames[:, obs.mask]).ravel()])
 
 
-@pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (True, 0.7)],
-                         ids=["time-independent", "time-dependent-advection"])
-def test_normal_equations_match_column_oracle(rng, time_dependent, b_amp):
-    # with advection L_m is nonsymmetric, so G = F^T F must not lean on L_m^T = L_m
+def _weighted_data(grid, tg, obs):
+    cell = grid.h ** grid.d
+    w = np.sqrt(tg.trap * cell)[:, None]
+    return np.concatenate([math.sqrt(cell) * obs.snapshot.values, (w * obs.local_y).ravel()])
+
+
+def _reconstruction_setup(rng, time_dependent, b_amp):
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent,
                                         b_amp=b_amp)
     _, adm, traj, z = solved_pair(seed=67, steps=256)
     obs = observe(traj, z, make_weight(), OMEGA)
-    r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
-    gram, rhs, stepper = _normal_equations(GRID, coeffs, r, traj.time_grid, obs)
-    want_gram, want_rhs = _normal_equations_by_columns(GRID, coeffs, r, traj.time_grid, obs)
+    return coeffs, SineTimeProfile(1.0, 0.5, 0.2, 1.0), traj.time_grid, obs
+
+
+COEFF_CASES = pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (True, 0.7)],
+                                      ids=["time-independent", "time-dependent-advection"])
+
+
+@COEFF_CASES
+def test_normal_equations_match_column_oracle(rng, time_dependent, b_amp):
+    # with advection L_m is nonsymmetric, so G = F^T F must not lean on L_m^T = L_m
+    coeffs, r, tg, obs = _reconstruction_setup(rng, time_dependent, b_amp)
+    gram, rhs, _ = _normal_equations(GRID, coeffs, r, tg, obs)
+    F = np.array([_forward_image(GRID, coeffs, r, tg, obs, e_j)
+                  for e_j in np.eye(g.primal(GRID).size)]).T
+    want_gram, want_rhs = F.T @ F, F.T @ _weighted_data(GRID, tg, obs)
     assert np.linalg.norm(gram - want_gram) <= 1e-12 * np.linalg.norm(want_gram)
     assert np.linalg.norm(rhs - want_rhs) <= 1e-12 * np.linalg.norm(want_rhs)
+
+
+@COEFF_CASES
+def test_forward_map_adjoint_identity(rng, time_dependent, b_amp):
+    # <F f1, F f2> = f1^T G f2 and <F f, d> = f^T F^T d for random f, without building F
+    coeffs, r, tg, obs = _reconstruction_setup(rng, time_dependent, b_amp)
+    gram, rhs, _ = _normal_equations(GRID, coeffs, r, tg, obs)
+    d = _weighted_data(GRID, tg, obs)
+    for _ in range(3):
+        f1, f2 = rng.normal(size=(2, g.primal(GRID).size))
+        Ff1 = _forward_image(GRID, coeffs, r, tg, obs, f1)
+        Ff2 = _forward_image(GRID, coeffs, r, tg, obs, f2)
+        scale = np.linalg.norm(Ff1) * max(np.linalg.norm(Ff2), np.linalg.norm(d))
+        assert float(f1 @ gram @ f2) == pytest.approx(float(Ff1 @ Ff2), rel=1e-9,
+                                                      abs=1e-12 * scale)
+        assert float(f1 @ rhs) == pytest.approx(float(Ff1 @ d), rel=1e-9, abs=1e-12 * scale)
+
+
+def test_forward_map_factorises_once(rng):
+    coeffs, r, tg, obs = _reconstruction_setup(rng, False, 0.0)
+    _, _, stepper = _normal_equations(GRID, coeffs, r, tg, obs)
+    assert stepper.factorisations == 1
     assert stepper.linear_solves == 256
-    assert stepper.factorisations == (256 if time_dependent else 1)
+    # time-dependent coefficients refactorise L_m at every step of the same march
+    coeffs, r, tg, obs = _reconstruction_setup(rng, True, 0.7)
+    _, _, stepper = _normal_equations(GRID, coeffs, r, tg, obs)
+    assert stepper.factorisations == 256
+    assert stepper.linear_solves == 256
 
 
 def test_reconstruction_zero_truth():
