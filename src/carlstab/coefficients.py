@@ -81,8 +81,8 @@ class RegularityReport:
 class CoefficientFields:
     """Diffusion, advection, and zero-order samplers with optional dt's.
 
-    `b` may be None for operators without an advection part, which keeps the
-    assembled matrix symmetric.  Time-derivative samplers must be supplied
+    `b` may be None for operators without an advection part, whose assembled
+    matrix then equals its transpose.  Time-derivative samplers must be supplied
     whenever the corresponding field actually depends on t; their absence
     declares the field time independent.
     """
@@ -101,10 +101,6 @@ class CoefficientFields:
     @property
     def time_independent(self) -> bool:
         return self.dt_gamma is None and self.dt_b is None and self.dt_c is None
-
-    @property
-    def symmetric(self) -> bool:
-        return self.b is None
 
     @staticmethod
     def constant(d: int, gamma: float = 1.0, b: float | None = None, c: float = 0.0) -> "CoefficientFields":

@@ -16,6 +16,8 @@ import io
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .grid import GridSpec
+from .weights import admissible
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -257,5 +259,28 @@ def _validate(cfg: Config):
         problems.append("reconstruct.noise: must be >= 0")
     if cfg.get("reconstruct", "beta") < 0:
         problems.append("reconstruct.beta: must be >= 0")
+    if not problems:
+        _check_stability_window(cfg, problems)
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+def _check_stability_window(cfg: Config, problems: list):
+    """Every tau the stability corpus draws must be admissible on every grid.
+
+    The corpus draws tau from [carleman.tau_min, carleman.tau_max]; the floor
+    binds at tau_min and the coupling tau h / (delta T^2) grows with tau and h,
+    so both ends on the coarsest grid decide.
+    """
+    n = min(cfg.get("stability", "grids"))
+    h = GridSpec(cfg.get("grid", "d"), n).h
+    w = cfg["weights"]
+    for end in ("tau_min", "tau_max"):
+        tau = cfg.get("carleman", end)
+        ok, tau_floor, coupling = admissible(tau, h, cfg.get("time", "t_final"), w["delta"],
+                                             w["epsilon"], w["tau0"])
+        if not ok:
+            problems.append(
+                f"stability.grids: carleman.{end}={tau!r} is inadmissible on N={n}: need "
+                f"tau >= {tau_floor:.4g} and tau h / (delta T^2) = {coupling:.4g} <= "
+                f"weights.epsilon = {w['epsilon']!r}")

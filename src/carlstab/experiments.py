@@ -531,7 +531,7 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     ctg = TimeGrid(rc["coeff_t_final"], rc["coeff_steps"])
     y0 = g.sample(cpm, _product_sine)
     ctraj = solve_forward(cgrid, shifted, _zero_source, ctg, y_ini=y0)
-    cz = Trajectory(cgrid, ctg, ctraj.dt_frames(), system="z")
+    cz = Trajectory(cgrid, ctg, ctraj.dt_frames())
     recov = recover_coefficient(ctraj, cz, base, alpha=rc["coeff_alpha"], truth=p_true)
     rows.append(["coefficient", cgrid.n, 0.0, 0.0, recov.relative_error,
                  int(recov.mask_fraction * cpm.size)])

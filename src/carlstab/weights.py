@@ -119,6 +119,18 @@ class WeightParams:
         return replace(self, tau=tau)
 
 
+def admissible(tau: float, h: float, T: float, delta: float, epsilon: float,
+               tau0: float) -> tuple[bool, float, float]:
+    """The admissibility window on a mesh of size h, as (ok, tau floor, coupling).
+
+    ok is tau >= tau0 (T + T^2) and tau h / (delta T^2) <= epsilon, the latter
+    with 1-ulp slack so a delta coupled exactly to the boundary stays admissible.
+    """
+    tau_floor = tau0 * (T + T ** 2)
+    coupling = tau * h / (delta * T ** 2)
+    return tau >= tau_floor and coupling <= epsilon * (1.0 + 1e-12), tau_floor, coupling
+
+
 def coupled_delta(params: WeightParams, h: float, tau1: float, eps0: float) -> WeightParams:
     """Couple delta to the mesh via tau1 / (T^2 delta) = eps0 / h."""
     delta = tau1 * h / (params.T ** 2 * eps0)
@@ -243,10 +255,7 @@ class CarlemanWeight:
     def admissibility(self) -> tuple[bool, dict]:
         p = self.params
         h = self.grid.h
-        tau_floor = p.tau0 * (p.T + p.T ** 2)
-        coupling = p.tau * h / (p.delta * p.T ** 2)
-        # 1-ulp slack so a delta coupled exactly to the boundary stays admissible
-        ok = p.tau >= tau_floor and coupling <= p.epsilon * (1.0 + 1e-12)
+        ok, tau_floor, coupling = admissible(p.tau, h, p.T, p.delta, p.epsilon, p.tau0)
         return ok, {
             "tau": p.tau,
             "tau_floor": tau_floor,

@@ -68,6 +68,7 @@ def test_interval_and_list_parsing():
     ("carleman", "carleman.grids=0,15"),
     ("converge", "converge.temporal_steps=0,64"),
     ("reconstruct", "reconstruct.beta=-1"),
+    ("stability", "stability.grids=7,15"),
 ], ids=lambda v: v if "=" in v else None)
 def test_validation_rules(suite, override, tmp_path, capsys):
     key = override.partition("=")[0]

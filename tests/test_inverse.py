@@ -86,7 +86,7 @@ def test_observation_zero_run():
     coeffs = CoefficientFields.constant(1)
     tg = TimeGrid(1.0, 64)
     traj = solve_forward(GRID, coeffs, lambda t, X: np.zeros(X.shape[0]), tg)
-    z = Trajectory(GRID, tg, np.zeros_like(traj.values), system="z")
+    z = Trajectory(GRID, tg, np.zeros_like(traj.values))
     obs = observe(traj, z, make_weight(), OMEGA)
     assert obs.snapshot_h2 == 0.0
     assert obs.weighted_y.value == 0.0 and obs.weighted_dt.value == 0.0
@@ -129,7 +129,7 @@ def test_stability_quotient_zero_source():
     coeffs = CoefficientFields.constant(1)
     tg = TimeGrid(1.0, 64)
     traj = solve_forward(GRID, coeffs, lambda t, X: np.zeros(X.shape[0]), tg)
-    z = Trajectory(GRID, tg, np.zeros_like(traj.values), system="z")
+    z = Trajectory(GRID, tg, np.zeros_like(traj.values))
     zero_profile = SeparableSource(
         random_bump(np.random.default_rng(0), 1), SineTimeProfile(1.0, 0.0, 0.0, 1.0))
     adm = AdmissibleSource(g=lambda t, X: np.zeros(X.shape[0]),
@@ -168,7 +168,7 @@ def test_stability_quotient_scale_invariance():
     adm3 = AdmissibleSource(g=Scaled(adm.g), dt_g=Scaled(adm.dt_g), c_g=adm.c_g,
                             alpha=adm.alpha, vartheta=adm.vartheta)
     traj3 = Trajectory(GRID, tg, 3.0 * traj.values)
-    z3 = Trajectory(GRID, tg, 3.0 * z.values, system="z")
+    z3 = Trajectory(GRID, tg, 3.0 * z.values)
     res3 = stability_quotient(traj3, z3, adm3, make_weight(), OMEGA)
     assert res3.lhs == pytest.approx(3.0 * res1.lhs, rel=1e-12)
     assert res3.quotient == pytest.approx(res1.quotient, rel=1e-10)
@@ -274,10 +274,10 @@ def test_forward_map_factorises_once(rng):
     _, _, stepper = _normal_equations(GRID, coeffs, r, tg, obs)
     assert stepper.factorisations == 1
     assert stepper.linear_solves == 256
-    # time-dependent coefficients refactorise L_m at every step of the same march
+    # time-dependent coefficients refactorise L_m only when the lagged factor misses
     coeffs, r, tg, obs = _reconstruction_setup(rng, True, 0.7)
     _, _, stepper = _normal_equations(GRID, coeffs, r, tg, obs)
-    assert stepper.factorisations == 256
+    assert 1 <= stepper.factorisations < 256
     assert stepper.linear_solves == 256
 
 
@@ -286,7 +286,7 @@ def test_reconstruction_zero_truth():
     w = make_weight()
     tg = traj.time_grid
     zeros = Trajectory(GRID, tg, np.zeros_like(traj.values))
-    zeros_z = Trajectory(GRID, tg, np.zeros_like(traj.values), system="z")
+    zeros_z = Trajectory(GRID, tg, np.zeros_like(traj.values))
     obs = observe(zeros, zeros_z, w, OMEGA)
     rec = reconstruct_source(GRID, coeffs, adm.r, tg, obs, beta=1e-10)
     assert ops.l2_norm(rec.f_estimate) <= 1e-10
@@ -319,7 +319,7 @@ def test_coefficient_recovery_zero_truth():
     y0 = g.sample(pm, lambda X: np.sin(np.pi * X[:, 0]))
     tg = TimeGrid(0.2, 512)
     traj = solve_forward(grid, coeffs, lambda t, X: np.zeros(X.shape[0]), tg, y_ini=y0)
-    z = Trajectory(grid, tg, traj.dt_frames(), system="z")
+    z = Trajectory(grid, tg, traj.dt_frames())
     rec = recover_coefficient(traj, z, coeffs, alpha=0.02,
                               truth=g.MeshFunction(pm, np.zeros(pm.size)))
     assert np.nanmax(np.abs(rec.p_estimate.values)) <= 1e-3
@@ -330,7 +330,7 @@ def test_coefficient_recovery_empty_mask():
     pm = g.primal(grid)
     tg = TimeGrid(0.2, 16)
     traj = Trajectory(grid, tg, np.full((17, 7), 1e-6))
-    z = Trajectory(grid, tg, np.zeros((17, 7)), system="z")
+    z = Trajectory(grid, tg, np.zeros((17, 7)))
     with pytest.raises(EmptyMaskError):
         recover_coefficient(traj, z, CoefficientFields.constant(1), alpha=5.0)
 
