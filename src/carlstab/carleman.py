@@ -46,7 +46,7 @@ import numpy as np
 
 from . import grid as g
 from . import operators as ops
-from .coefficients import CoefficientFields
+from .coefficients import CoefficientFields, sample_frames
 from .errors import GridError, SolverError
 from .quadrature import Term, space_time_sum, weighted_square_sum
 from .solver import Stepper, TimeGrid, Trajectory
@@ -98,12 +98,10 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
         for j in range(i, grid.d):
             block, mesh_ij = ops.diff_block(traj.values, pm, j)
             block, mesh_ij = ops.diff_block(block, mesh_ij, i)
-            gfac = np.empty_like(block)
             X = mesh_ij.physical
-            gi, gj = coeffs.gamma[i], coeffs.gamma[j]
-            for m, t in enumerate(times):
-                gfac[m] = np.sqrt(np.asarray(gi(float(t), X)) * np.asarray(gj(float(t), X)))
-            block *= gfac
+            gfac = sample_frames(coeffs.gamma[i], times, X)
+            gfac *= gfac if i == j else sample_frames(coeffs.gamma[j], times, X)
+            block *= np.sqrt(gfac, out=gfac)
             term = _time_weighted_term(block, mesh_ij, weight, tg, p - 1)
             if i != j:  # ordered pairs (i,j) and (j,i) both appear in the sum
                 term = Term(2.0 * term.value, term.log_value + math.log(2.0),
@@ -141,8 +139,7 @@ def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int,
     if not np.any(mask):
         raise GridError("observation box contains no primal points on this grid")
 
-    g_frames = np.stack([np.asarray(source(float(t), X), dtype=np.float64) for t in tg.times])
-    rhs_source = _time_weighted_term(g_frames, pm, weight, tg, p)
+    rhs_source = _time_weighted_term(sample_frames(source, tg.times, X), pm, weight, tg, p)
 
     cell = grid.h ** grid.d
     rhs_local = space_time_sum(traj.values[:, mask], weight.phi(X[mask]), weight.s(tg.times),
@@ -168,13 +165,12 @@ def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source,
     """
     tg = traj.time_grid
     X = g.primal(traj.grid).physical
-    times = tg.times
+    checked = np.arange(0, tg.steps, max(1, tg.steps // max_checks))
+    g_before, g_after = (sample_frames(source, tg.times[k], X) for k in (checked, checked + 1))
     stepper = Stepper(traj.grid, coeffs, tg, traj.scheme)
     worst = 0.0
-    for m in range(0, tg.steps, max(1, tg.steps // max_checks)):
+    for m, g0, g1 in zip(checked.tolist(), g_before, g_after):
         y0, y1 = traj.values[m], traj.values[m + 1]
-        g0 = np.asarray(source(float(times[m]), X), dtype=np.float64)
-        g1 = np.asarray(source(float(times[m + 1]), X), dtype=np.float64)
         res = stepper.residual(m, y0, y1, stepper.forcing(g0, g1))
         scale = float(np.linalg.norm(y0) + np.linalg.norm(y1) + tg.dt * np.linalg.norm(g1)) + 1e-300
         worst = max(worst, float(np.linalg.norm(res)) / scale)

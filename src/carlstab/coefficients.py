@@ -2,7 +2,10 @@
 
 A coefficient sampler maps (t, X) with X of shape (npts, d) to an array of
 npts values.  Samplers are small frozen dataclasses so whole problem setups
-pickle cleanly across worker processes.
+pickle cleanly across worker processes.  `sample_frames` samples one at many
+times; a sampler with a `frames(times, X)` method (the fields here, separable
+sources) builds that block from one spatial evaluation, bitwise equal to one
+call per time.
 
 The regularity functional collects, per diffusion component,
 
@@ -33,6 +36,9 @@ class ConstantField:
     def __call__(self, t, X):
         return np.full(np.atleast_2d(X).shape[0], self.value)
 
+    def frames(self, times, X):
+        return np.full((len(times), np.atleast_2d(X).shape[0]), self.value)
+
 
 @dataclass(frozen=True)
 class SmoothField:
@@ -51,10 +57,20 @@ class SmoothField:
         return np.sin(math.pi * (X @ np.asarray(self.w)) + self.phase)
 
     def _rho(self, t):
-        return 1.0 + self.tamp * math.sin(2.0 * math.pi * t / self.T + self.tphase)
+        # np.sin serves a scalar t and an array of times alike
+        return 1.0 + self.tamp * np.sin(2.0 * math.pi * t / self.T + self.tphase)
 
     def __call__(self, t, X):
         return self.base + self.amp * self._space(X) * self._rho(t)
+
+    def at(self, X):
+        """t -> self(t, X) bitwise, with amp S(X) evaluated once; a column of
+        times gives one row per time."""
+        space = self.amp * self._space(X)
+        return lambda t: self.base + space * self._rho(t)
+
+    def frames(self, times, X):
+        return self.at(X)(times[:, None])
 
     def dt(self, t, X):
         rho_p = self.tamp * (2.0 * math.pi / self.T) * math.cos(2.0 * math.pi * t / self.T + self.tphase)
@@ -67,6 +83,23 @@ class FieldTimeDerivative:
 
     def __call__(self, t, X):
         return self.field.dt(t, X)
+
+
+def sample_frames(fn, times, X) -> np.ndarray:
+    """fn(t, X) at every time of `times`, stacked: shape (len(times), len(X)).
+
+    Calls `fn.frames(times, X)` when the sampler has one, else fn once per
+    time; rejects a block of the wrong shape.
+    """
+    times, X = np.asarray(times, dtype=np.float64), np.atleast_2d(X)
+    if hasattr(fn, "frames"):
+        vals = np.asarray(fn.frames(times, X), dtype=np.float64)
+    else:
+        vals = np.stack([np.asarray(fn(float(t), X), dtype=np.float64) for t in times])
+    if vals.shape != (len(times), X.shape[0]):
+        raise GridError(f"sampler returned frames of shape {vals.shape}, "
+                        f"expected ({len(times)}, {X.shape[0]})")
+    return vals
 
 
 @dataclass
@@ -121,28 +154,19 @@ class CoefficientFields:
         reg = 0.0
         gamma_min = np.inf
         for i, gam in enumerate(self.gamma):
-            for t in times:
-                vals = np.asarray(gam(float(t), X), dtype=np.float64)
-                gamma_min = min(gamma_min, float(np.min(vals)))
-                gmf = g.MeshFunction(mesh, vals)
-                grad_max_sq = 0.0
-                for ax in range(grid.d):
-                    dg = ops.diff(gmf, ax)
-                    grad_max_sq += float(np.max(np.abs(dg.values))) ** 2
-                if self.dt_gamma is not None:
-                    dt_val = float(np.max(np.abs(self.dt_gamma[i](float(t), X))))
-                else:
-                    dt_val = 0.0
-                local = float(np.max(vals + 1.0 / vals)) + math.sqrt(grad_max_sq) + dt_val
-                reg = max(reg, local)
-        b_sup = 0.0
-        if self.b is not None:
-            for bi in self.b:
-                for t in times:
-                    b_sup = max(b_sup, float(np.max(np.abs(bi(float(t), X)))))
-        c_sup = 0.0
-        for t in times:
-            c_sup = max(c_sup, float(np.max(np.abs(self.c(float(t), X)))))
+            vals = sample_frames(gam, times, X)
+            gamma_min = min(gamma_min, float(np.min(vals)))
+            grad_max_sq = 0.0
+            for ax in range(grid.d):
+                grad = ops.diff_block(vals, mesh, ax)[0]
+                grad_max_sq = grad_max_sq + np.max(np.abs(grad), axis=1) ** 2
+            local = np.max(vals + 1.0 / vals, axis=1) + np.sqrt(grad_max_sq)
+            if self.dt_gamma is not None:
+                local += np.max(np.abs(sample_frames(self.dt_gamma[i], times, X)), axis=1)
+            reg = max(reg, float(np.max(local)))
+        b_sup = max((float(np.max(np.abs(sample_frames(bi, times, X)))) for bi in self.b or ()),
+                    default=0.0)
+        c_sup = float(np.max(np.abs(sample_frames(self.c, times, X))))
         return RegularityReport(reg=reg, gamma_min=gamma_min, b_sup=b_sup, c_sup=c_sup)
 
 

@@ -307,16 +307,20 @@ def normal(grid: GridSpec, axis: int, point) -> int:
     return 0
 
 
+def axis_index(d: int, axis: int, lo, hi) -> tuple[tuple, tuple]:
+    """Index tuples of a d-dimensional array taking `lo`, then `hi`, along one axis."""
+    a, b = [slice(None)] * d, [slice(None)] * d
+    a[axis], b[axis] = lo, hi
+    return tuple(a), tuple(b)
+
+
 def face_normals(grid: GridSpec, axis: int) -> np.ndarray:
     """Normals on the whole face mesh, aligned with its enumeration."""
     face = boundary_face(grid, axis)
     arr = np.empty(face.shape, dtype=np.float64)
-    idx_lo = [slice(None)] * grid.d
-    idx_hi = [slice(None)] * grid.d
-    idx_lo[axis] = 0
-    idx_hi[axis] = 1
-    arr[tuple(idx_lo)] = -1.0
-    arr[tuple(idx_hi)] = 1.0
+    lo, hi = axis_index(grid.d, axis, 0, 1)
+    arr[lo] = -1.0
+    arr[hi] = 1.0
     return arr.ravel()
 
 
@@ -329,11 +333,9 @@ def trace(u: MeshFunction, axis: int) -> MeshFunction:
     grid = u.mesh.grid
     require_mesh(u, dual_star(grid, axis), "trace argument")
     arr = u.array()
-    lo = [slice(None)] * grid.d
-    hi = [slice(None)] * grid.d
-    lo[axis] = 0       # dual coordinate 1, adjacent to the k=0 face
-    hi[axis] = -1      # dual coordinate 2N+1, adjacent to the k=2N+2 face
-    stacked = np.stack([arr[tuple(lo)], arr[tuple(hi)]], axis=axis)
+    # dual coordinates 1 and 2N+1, adjacent to the k=0 and k=2N+2 faces
+    lo, hi = axis_index(grid.d, axis, 0, -1)
+    stacked = np.stack([arr[lo], arr[hi]], axis=axis)
     return MeshFunction.from_array(boundary_face(grid, axis), stacked)
 
 

@@ -33,7 +33,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import grid as g
 from . import operators as ops
-from .coefficients import CoefficientFields
+from .coefficients import CoefficientFields, sample_frames
 from .errors import CertificationError, EmptyMaskError, GridError, SolverError
 from .quadrature import Term, space_time_sum
 from .solver import Stepper, TimeGrid, Trajectory, apply_ah
@@ -142,6 +142,22 @@ class SeparableSource:
     def dt(self, t, X):
         return self.profile(X) * float(self.r.dt(t))
 
+    def frames(self, times, X):
+        return np.outer(self.r(times), self.profile(X))
+
+
+@dataclass(frozen=True)
+class SourceRate:
+    """dt g(t, x) = f(x) R'(t) of a separable source, as a sampler of its own."""
+
+    source: SeparableSource
+
+    def __call__(self, t, X):
+        return self.source.dt(t, X)
+
+    def frames(self, times, X):
+        return np.outer(self.source.r.dt(times), self.source.profile(X))
+
 
 def random_separable_source(rng: np.random.Generator, d: int, T: float) -> SeparableSource:
     """Random bump profile times R(t) = 1 + sin(2 pi t / T + phase) / 2, so
@@ -171,18 +187,15 @@ def certify_source(g_fn, dt_fn, grid: g.GridSpec, time_grid: TimeGrid,
     """Smallest constant with |dt g| <= C |g(vt, x)| on the sampled grid."""
     X = g.primal(grid).physical
     ref = np.abs(np.asarray(g_fn(vartheta, X), dtype=np.float64))
-    c_g = 0.0
-    for t in time_grid.times:
-        dtv = np.abs(np.asarray(dt_fn(float(t), X), dtype=np.float64))
-        dead = ref <= 0.0
-        if np.any(dtv[dead] > 1e-14 * max(1.0, float(np.max(dtv)))):
-            k = int(np.argmax(np.where(dead, dtv, -np.inf)))
-            raise CertificationError(
-                f"|dt g| > 0 where g(vartheta, x) = 0 at t={float(t)}, x={X[k]}")
-        live = ~dead
-        if np.any(live):
-            c_g = max(c_g, float(np.max(dtv[live] / ref[live])))
-    return c_g
+    dtv = np.abs(sample_frames(dt_fn, time_grid.times, X))
+    dead = ref <= 0.0
+    bad = np.any(dtv[:, dead] > 1e-14 * np.maximum(1.0, dtv.max(axis=1, keepdims=True)), axis=1)
+    if np.any(bad):
+        m = int(np.argmax(bad))
+        k = int(np.argmax(np.where(dead, dtv[m], -np.inf)))
+        raise CertificationError(
+            f"|dt g| > 0 where g(vartheta, x) = 0 at t={float(time_grid.times[m])}, x={X[k]}")
+    return 0.0 if np.all(dead) else float(np.max(dtv[:, ~dead] / ref[~dead]))
 
 
 def certify_separable(src: SeparableSource, grid: g.GridSpec, time_grid: TimeGrid,
@@ -194,9 +207,10 @@ def certify_separable(src: SeparableSource, grid: g.GridSpec, time_grid: TimeGri
     if float(np.min(np.abs(r_vals))) < alpha:
         raise CertificationError(
             f"time profile dips below alpha={alpha}: min |R| = {np.min(np.abs(r_vals)):.4g}")
-    c_g = certify_source(src, src.dt, grid, time_grid, vt)
+    rate = SourceRate(src)
+    c_g = certify_source(src, rate, grid, time_grid, vt)
     f_mf = g.MeshFunction(g.primal(grid), src.profile(g.primal(grid).physical))
-    return AdmissibleSource(g=src, dt_g=src.dt, c_g=c_g, alpha=alpha, vartheta=vt,
+    return AdmissibleSource(g=src, dt_g=rate, c_g=c_g, alpha=alpha, vartheta=vt,
                             f=f_mf, r=src.r)
 
 

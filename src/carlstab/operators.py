@@ -55,17 +55,12 @@ def _shift_core(values: np.ndarray, mesh: g.Mesh, axis: int):
         arr = values.reshape((-1,) + mesh.shape)
     if not _step_two(c):
         raise GridError(f"axis {axis} of {mesh.kind} is not shiftable by +-h/2")
-    lo = [slice(None)] * (gs.d + 1)
-    hi = [slice(None)] * (gs.d + 1)
-    lo[axis + 1] = slice(None, -1)
-    hi[axis + 1] = slice(1, None)
+    lo, hi = g.axis_index(gs.d + 1, axis + 1, slice(None, -1), slice(1, None))
     coords = list(mesh.coords)
     coords[axis] = tuple(k + 1 for k in c[:-1])
     new_mesh = g.make_mesh(gs, coords)
     batch = values.shape[0]
-    return (arr[tuple(hi)].reshape(batch, -1),
-            arr[tuple(lo)].reshape(batch, -1),
-            new_mesh)
+    return arr[hi].reshape(batch, -1), arr[lo].reshape(batch, -1), new_mesh
 
 
 def diff_block(values: np.ndarray, mesh: g.Mesh, axis: int):
@@ -194,12 +189,8 @@ def ibp_avg_residual(u: g.MeshFunction, v: g.MeshFunction, axis: int) -> float:
 def _face_values(u: g.MeshFunction, axis: int) -> np.ndarray:
     """Values of an axis-closed field on the two face slabs, face enumeration."""
     arr = u.array()
-    gs = u.mesh.grid
-    lo = [slice(None)] * gs.d
-    hi = [slice(None)] * gs.d
-    lo[axis] = 0
-    hi[axis] = -1
-    return np.stack([arr[tuple(lo)], arr[tuple(hi)]], axis=axis).ravel()
+    lo, hi = g.axis_index(u.mesh.grid.d, axis, 0, -1)
+    return np.stack([arr[lo], arr[hi]], axis=axis).ravel()
 
 
 def trace_values(v: g.MeshFunction, axis: int) -> np.ndarray:

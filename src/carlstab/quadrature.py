@@ -14,9 +14,12 @@ about CHUNK_POINTS points, which bounds the temporaries whatever the grid.
 Within a chunk the log weight is formed once per point, points whose log
 weight sits below the underflow threshold are skipped (an upper bound on the
 skipped mass is recorded), and the exact value is tracked in parallel in log
-space by one row-wise logsumexp.  Each frame's value and skipped mass is an
-exactly rounded sum; the frames are then combined with the time weights,
-exactly rounded again, and by one weighted logsumexp for the log value.  The
+space by one row-wise logsumexp.  Each frame's value and skipped mass is a
+compensated pairwise row sum (`_row_sums`: a TwoSum cascade, vectorised over
+the chunk, whose order is fixed by the row width, so reruns and any worker
+count give the same bits; rows it cannot certify as exactly rounded go to
+math.fsum, so it equals fsum); the frames are then combined with the time
+weights by `exact_sum`, and by one weighted logsumexp for the log value.  The
 log value survives even when the plain value underflows to zero, which the
 exponential-decay studies depend on.
 
@@ -92,8 +95,8 @@ def space_time_sum(block: np.ndarray, phi: np.ndarray, s: np.ndarray, power: flo
     """sum_m w_m cell sum_x block[m, x]^2 s_m^power e^(2 s_m phi(x)), guarded.
 
     `block` is (frames, points), `phi` the weight on the points, `s` and
-    `time_weights` one entry per frame.  Each frame gets exactly the value,
-    log value and skipped mass `weighted_square_sum` would give it.
+    `time_weights` one entry per frame.  Row sums are compensated pairwise
+    (`_row_sums`), so each frame gets the bits `weighted_square_sum` would.
     """
     block = np.asarray(block, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
@@ -137,8 +140,37 @@ def space_time_sum(block: np.ndarray, phi: np.ndarray, s: np.ndarray, power: flo
 
 
 def _row_sums(block: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of each row."""
-    return np.array([math.fsum(row.tolist()) for row in block])
+    """math.fsum of each row of a non-negative block, vectorised.
+
+    A pairwise TwoSum cascade over the zero-padded columns halves the partial
+    sums s and their exact errors level by level.  For non-negative rows the
+    summed errors e are within 2 (levels + 1)^2 u^2 s of exact, so fl(s + e) is
+    the exactly rounded sum unless s + e lies within 4 times that of a rounding
+    boundary; such rows (ties among them) go to math.fsum.
+    """
+    width = block.shape[1]
+    levels = max(1, (width - 1).bit_length())
+    s = np.zeros((block.shape[0], 1 << levels))
+    s[:, :width] = block
+    e = None
+    while s.shape[1] > 1:
+        half = s.shape[1] // 2
+        a, b = s[:, :half], s[:, half:]
+        t = a + b
+        z = t - a
+        err = (a - (t - z)) + (b - z)      # TwoSum: t + err == a + b exactly
+        if e is not None:
+            err += e[:, :half] + e[:, half:]
+        s, e = t, err
+    s, e = s[:, 0], e[:, 0]
+    hi = s + e
+    lo = e - (hi - s)      # hi + lo == s + e exactly, as |e| <= |s|
+    ulp = np.where(lo >= 0.0, np.nextafter(hi, np.inf) - hi, hi - np.nextafter(hi, -np.inf))
+    slack = 8.0 * (levels + 1) ** 2 * 2.0 ** -106
+    risky = (lo != 0.0) & (np.abs(2.0 * np.abs(lo) - ulp) <= slack * hi)
+    for i in np.flatnonzero(risky).tolist():
+        hi[i] = math.fsum(block[i].tolist())
+    return np.where(np.isfinite(s), hi, s)
 
 
 def trapezoid_weights(n_frames: int, dt: float) -> np.ndarray:

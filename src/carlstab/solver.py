@@ -6,7 +6,10 @@ The spatial operator on primal unknowns (homogeneous Dirichlet data) is
 
 assembled both as a sparse matrix (per-axis three-point stencils) and as a
 matrix-free application through the difference/average operators; the two
-routes agree to rounding and are cross-checked in the tests.
+routes agree to rounding and are cross-checked in the tests.  The matrix has
+one CSR pattern per (grid, advection), built on first use, and each time is
+one fill of its entries into their slots.  A Stepper on SmoothFields,
+base + amp S(x) rho(t), samples each amp S(x) once and fills every frame.
 
 Time integration is ours: one `Stepper` owns the implicit theta-step
 
@@ -37,6 +40,7 @@ the heat flow is ill posed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +48,7 @@ import scipy.sparse.linalg as spla
 
 from . import grid as g
 from . import operators as ops
-from .coefficients import CoefficientFields
+from .coefficients import CoefficientFields, SmoothField, sample_frames
 from .errors import GridError, SolverError
 from .quadrature import exact_sum, trapezoid_weights
 
@@ -120,70 +124,61 @@ def central_time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _sample_coefficient(fn, t: float, X: np.ndarray) -> np.ndarray:
-    vals = np.asarray(fn(t, X), dtype=np.float64)
-    if vals.shape != (X.shape[0],):
-        raise GridError(f"coefficient sampler returned shape {vals.shape}, expected ({X.shape[0]},)")
-    return vals
+@lru_cache(maxsize=None)
+def _pattern(grid: g.GridSpec, advection: bool):
+    """CSR (indptr, indices) of A_h, and the slot of each entry `_fill` emits."""
+    pm = g.primal(grid)
+    size = pm.size
+    idx = np.arange(size, dtype=np.int64).reshape(pm.shape)
+    keys = []
+    for ax in range(grid.d):
+        lo, hi = g.axis_index(grid.d, ax, slice(None, -1), slice(1, None))
+        up, dn = idx[lo].ravel(), idx[hi].ravel()
+        keys += [up * size + dn, dn * size + up] * (2 if advection else 1)
+    uniq, slot = np.unique(np.concatenate(keys + [idx.ravel() * (size + 1)]), return_inverse=True)
+    indptr = np.searchsorted(uniq, np.arange(size + 1) * size)
+    return indptr.astype(np.int32), (uniq % size).astype(np.int32), slot
+
+
+def _fill(grid: g.GridSpec, gammas, bs, c, t: float) -> sp.csr_matrix:
+    """A_h at time t from gamma_i sampled on dual_star(i), and b_i (or None) and c
+    on the primal mesh, scattered onto the fixed pattern.
+
+    Per axis: the stencil [gamma_-, -(gamma_+ + gamma_-), gamma_+]/h^2, then the
+    advection -b (y_+ - y_-)/(2h); the zero-order part is diagonal.  Rejects
+    non-positive diffusion with its location and t.
+    """
+    indptr, indices, slot = _pattern(grid, bs is not None)
+    shape, h = g.primal(grid).shape, grid.h
+    data, diag = [], np.zeros(indptr.size - 1)
+    for ax, gam in enumerate(gammas):
+        if np.any(gam <= 0.0):
+            k = int(np.argmin(gam))
+            raise GridError(f"non-positive diffusion gamma_{ax}={gam[k]:.4g} "
+                            f"at x={g.dual_star(grid, ax).physical[k]}, t={t}")
+        lo, hi = g.axis_index(grid.d, ax, slice(None, -1), slice(1, None))
+        gam = gam.reshape(g.dual_star(grid, ax).shape)
+        g_minus, g_plus = gam[lo], gam[hi]
+        diag += (-(g_plus + g_minus) / (h * h)).ravel()
+        data += [(g_plus[lo] / (h * h)).ravel(), (g_minus[hi] / (h * h)).ravel()]
+        if bs is not None:
+            b = bs[ax].reshape(shape)
+            data += [(-b[lo] / (2.0 * h)).ravel(), (b[hi] / (2.0 * h)).ravel()]
+    diag -= c
+    data.append(diag)
+    vals = np.bincount(slot, weights=np.concatenate(data), minlength=indices.size)
+    return sp.csr_matrix((vals, indices.copy(), indptr.copy()), shape=(diag.size, diag.size))
 
 
 def assemble_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float) -> sp.csr_matrix:
-    """Sparse matrix of A_h on primal unknowns at time t.
-
-    Per axis: the divergence-form part contributes the three-point stencil
-    [gamma_-, -(gamma_+ + gamma_-), gamma_+]/h^2 with face-sampled diffusion,
-    the advection part the wide difference -b (y_+ - y_-)/(2h); the zero-order
-    part is diagonal.  Rejects non-positive diffusion with its location.
-    """
+    """Sparse matrix of A_h on primal unknowns at time t: samples, then `_fill`s."""
     if coeffs.d != grid.d:
         raise GridError(f"coefficients for d={coeffs.d} used with grid d={grid.d}")
-    pm = g.primal(grid)
-    n, d, h = grid.n, grid.d, grid.h
-    shape = pm.shape
-    size = pm.size
-    idx = np.arange(size).reshape(shape)
-    Xp = pm.physical
-    rows, cols, data = [], [], []
-    diag = np.zeros(size)
-    for ax in range(d):
-        star = g.dual_star(grid, ax)
-        gam = _sample_coefficient(coeffs.gamma[ax], t, star.physical)
-        if np.any(gam <= 0.0):
-            k = int(np.argmin(gam))
-            raise GridError(
-                f"non-positive diffusion gamma_{ax}={gam[k]:.4g} at x={star.physical[k]}, t={t}")
-        gam = gam.reshape(star.shape)
-        sl_lo = [slice(None)] * d
-        sl_hi = [slice(None)] * d
-        sl_lo[ax] = slice(None, -1)
-        sl_hi[ax] = slice(1, None)
-        g_minus = gam[tuple(sl_lo)]
-        g_plus = gam[tuple(sl_hi)]
-        diag += (-(g_plus + g_minus) / (h * h)).ravel()
-        # neighbour couplings within the interior
-        rows_up = idx[tuple(sl_lo)].ravel()
-        cols_up = idx[tuple(sl_hi)].ravel()
-        coeff_up = (g_plus[tuple(sl_lo)] / (h * h)).ravel()
-        coeff_dn = (g_minus[tuple(sl_hi)] / (h * h)).ravel()
-        rows.extend([rows_up, cols_up])
-        cols.extend([cols_up, rows_up])
-        data.extend([coeff_up, coeff_dn])
-        if coeffs.b is not None:
-            bvals = _sample_coefficient(coeffs.b[ax], t, Xp).reshape(shape)
-            adv_up = (-bvals[tuple(sl_lo)] / (2.0 * h)).ravel()
-            adv_dn = (bvals[tuple(sl_hi)] / (2.0 * h)).ravel()
-            rows.extend([rows_up, cols_up])
-            cols.extend([cols_up, rows_up])
-            data.extend([adv_up, adv_dn])
-    diag -= _sample_coefficient(coeffs.c, t, Xp)
-    rows.append(np.arange(size))
-    cols.append(np.arange(size))
-    data.append(diag)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-    return A.tocsr()
+    Xp = g.primal(grid).physical
+    gammas = [sample_frames(gam, (t,), g.dual_star(grid, ax).physical)[0]
+              for ax, gam in enumerate(coeffs.gamma)]
+    bs = None if coeffs.b is None else [sample_frames(b, (t,), Xp)[0] for b in coeffs.b]
+    return _fill(grid, gammas, bs, sample_frames(coeffs.c, (t,), Xp)[0], t)
 
 
 def apply_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
@@ -194,7 +189,7 @@ def apply_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
     out = np.zeros(pm.size)
     for ax in range(grid.d):
         du = ops.diff(u, ax)
-        gam = _sample_coefficient(coeffs.gamma[ax], t, du.mesh.physical)
+        gam = sample_frames(coeffs.gamma[ax], (t,), du.mesh.physical)[0]
         if np.any(gam <= 0.0):
             k = int(np.argmin(gam))
             raise GridError(
@@ -202,9 +197,9 @@ def apply_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
         flux = g.MeshFunction(du.mesh, gam * du.values)
         out += ops.diff(flux, ax).values
         if coeffs.b is not None:
-            b = _sample_coefficient(coeffs.b[ax], t, pm.physical)
+            b = sample_frames(coeffs.b[ax], (t,), pm.physical)[0]
             out -= b * ops.avg_diff(u, ax).values
-    out -= _sample_coefficient(coeffs.c, t, pm.physical) * u.values
+    out -= sample_frames(coeffs.c, (t,), pm.physical)[0] * u.values
     return g.MeshFunction(pm, out)
 
 
@@ -223,13 +218,13 @@ def apply_bh(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
     for ax in range(grid.d):
         if coeffs.dt_gamma is not None:
             du = ops.diff(u, ax)
-            dgam = _sample_coefficient(coeffs.dt_gamma[ax], t, du.mesh.physical)
+            dgam = sample_frames(coeffs.dt_gamma[ax], (t,), du.mesh.physical)[0]
             out += ops.diff(g.MeshFunction(du.mesh, dgam * du.values), ax).values
         if coeffs.dt_b is not None:
-            dbv = _sample_coefficient(coeffs.dt_b[ax], t, pm.physical)
+            dbv = sample_frames(coeffs.dt_b[ax], (t,), pm.physical)[0]
             out -= dbv * ops.avg_diff(u, ax).values
     if coeffs.dt_c is not None:
-        out -= _sample_coefficient(coeffs.dt_c, t, pm.physical) * u.values
+        out -= sample_frames(coeffs.dt_c, (t,), pm.physical)[0] * u.values
     return g.MeshFunction(pm, out)
 
 
@@ -247,7 +242,8 @@ class Stepper:
     y and f are one state of shape (n,) or a block of states of shape (n, k),
     one per column.  R_m y and the residuals are applied matrix-free through
     A.  Time-independent coefficients are assembled once; otherwise only the
-    two most recent operators are kept.
+    two most recent operators are kept, each filled from cached amp S(x) when
+    every field is a SmoothField (bitwise what `assemble_ah` builds).
 
     Solve policy, the same for every dimension and coefficient: the stepper
     keeps one `splu` factor of L at the frame it was taken.  A step solves
@@ -279,6 +275,13 @@ class Stepper:
         self._eye = sp.identity(g.primal(grid).size, format="csr")
         self._ops = {}      # frame -> A
         self._lu = None     # (frame of L, its LU factor)
+        fields = (*coeffs.gamma, *(coeffs.b or ()), coeffs.c)
+        self._fields_at = None      # t -> field values, per field, gammas first
+        if coeffs.d == grid.d and not coeffs.time_independent \
+                and all(isinstance(f, SmoothField) for f in fields):
+            points = [g.dual_star(grid, ax).physical for ax in range(grid.d)]
+            points += [g.primal(grid).physical] * (len(fields) - grid.d)
+            self._fields_at = [f.at(X) for f, X in zip(fields, points)]
 
     def forcing(self, g0, g1):
         """The source term f_m of one step from the sources at both ends.
@@ -299,8 +302,15 @@ class Stepper:
                 # every caller asks for A(t_m) before A(t_{m+1}): the older entry
                 # is the frame a forward march has passed
                 del self._ops[next(iter(self._ops))]
-            A = self._ops[m] = assemble_ah(self.grid, self.coeffs, float(self.times[m]))
+            A = self._ops[m] = self._assemble(float(self.times[m]))
         return A
+
+    def _assemble(self, t: float) -> sp.csr_matrix:
+        if self._fields_at is None:
+            return assemble_ah(self.grid, self.coeffs, t)
+        vals = [field_at(t) for field_at in self._fields_at]
+        d = self.grid.d
+        return _fill(self.grid, vals[:d], vals[d:-1] or None, vals[-1], t)
 
     def _apply_r(self, m: int, y: np.ndarray) -> np.ndarray:
         if self.explicit == 0.0:
@@ -374,14 +384,12 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
     times = time_grid.times
     frames = np.empty((time_grid.steps + 1, pm.size))
     frames[0] = y
-    g_now = np.asarray(source(float(times[0]), X), dtype=np.float64)
+    g_all = sample_frames(source, times, X)
     max_res = 0.0
     for m in range(time_grid.steps):
-        g_next = np.asarray(source(float(times[m + 1]), X), dtype=np.float64)
-        y, res = stepper.step(m, y, stepper.forcing(g_now, g_next))
+        y, res = stepper.step(m, y, stepper.forcing(g_all[m], g_all[m + 1]))
         max_res = max(max_res, res)
         frames[m + 1] = y
-        g_now = g_next
     return Trajectory(grid, time_grid, frames, scheme=scheme,
                       diagnostics={"max_linear_residual": max_res,
                                    "factorisations": stepper.factorisations,
@@ -414,12 +422,13 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
     frames[half] = apply_ah(grid, coeffs, t_half, y_traj.frame(half)).values \
         + np.asarray(source(t_half, X), dtype=np.float64)
 
+    rates = sample_frames(dt_source, times[half:], X)
+
     def forcing(m):
-        t = float(times[m])
-        out = np.asarray(dt_source(t, X), dtype=np.float64)
-        if not coeffs.time_independent:
-            out = out + apply_bh(grid, coeffs, t, g.MeshFunction(pm, y_traj.values[m])).values
-        return out
+        if coeffs.time_independent:
+            return rates[m - half]
+        bh = apply_bh(grid, coeffs, float(times[m]), g.MeshFunction(pm, y_traj.values[m]))
+        return rates[m - half] + bh.values
 
     stepper = Stepper(grid, coeffs, tg, y_traj.scheme)
     f_now = forcing(half)
@@ -466,7 +475,7 @@ def energy_check(traj: Trajectory, coeffs: CoefficientFields, source,
     y0_sq = cell * exact_sum(traj.values[i0] ** 2)
     times = tg.times
     sub = times[i0:i1 + 1]
-    g_sq = np.array([cell * exact_sum(np.asarray(source(float(t), X)) ** 2) for t in sub])
+    g_sq = np.array([cell * exact_sum(row ** 2) for row in sample_frames(source, sub, X)])
     tw = trapezoid_weights(len(sub), tg.dt)
     g_int = exact_sum(g_sq * tw)
     sample_times = times[:: max(1, len(times) // 16)]

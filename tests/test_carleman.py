@@ -8,7 +8,9 @@ from carlstab.carleman import (LHS_KEYS, check_scheme_residual, compute_lhs,
                                compute_rhs, feasibility_map, pointwise_time_bound,
                                verify_inequality)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
+from carlstab.config import parse_config
 from carlstab.errors import GridError, SolverError
+from carlstab.experiments import _carleman_worker
 from carlstab.inverse import (SeparableSource, SineTimeProfile, random_bump,
                               random_separable_source)
 from carlstab.solver import TimeGrid, Trajectory, solve_forward
@@ -310,3 +312,16 @@ def test_scheme_residual_accepts_backward_euler_trajectory():
     src = SeparableSource(random_bump(rng, 1), SineTimeProfile(1.0, 0.5, 0.4, 1.0))
     traj = solve_forward(GRID, coeffs, src, TimeGrid(1.0, 64), scheme="backward-euler")
     assert check_scheme_residual(traj, coeffs, src) <= 1e-6
+
+
+def test_carleman_worker_d3_smoke():
+    # finiteness only: at N = 7 no feasibility cell is admissible, so the suite's
+    # exit code says nothing here
+    cfg = parse_config(overrides=["grid.d=3", "carleman.grids=7", "carleman.steps=64",
+                                  "carleman.runs=1"])
+    rows = _carleman_worker((cfg.values, 0))
+    assert [(row["N"], row["p"]) for row in rows] == [(7, 0), (7, 1)]
+    for row in rows:
+        for key in ("I_p", "J_p", "rhs_source", "rhs_local", "rhs_endpoint"):
+            assert math.isfinite(row[key]) and row[key] > 0.0, key
+        assert row["residual"] <= 1e-6

@@ -3,7 +3,8 @@
 The reference evaluates each frame with `weighted_square_sum` on the weight's
 own `log_weight` and combines the frames with the time weights: exactly
 rounded sums for the value and the skipped mass, one weighted logsumexp for
-the log value.
+the log value.  The kernel's row sums, `_row_sums`, are pinned bit for bit to
+math.fsum.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from scipy.special import logsumexp
 
 from carlstab import grid as g
-from carlstab.quadrature import (CHUNK_POINTS, Term, exact_sum, space_time_sum,
+from carlstab.quadrature import (CHUNK_POINTS, Term, _row_sums, exact_sum, space_time_sum,
                                  weighted_square_sum)
 from carlstab.solver import TimeGrid
 from carlstab.weights import Box, CarlemanWeight, WeightParams
@@ -104,3 +105,47 @@ def test_underflow_guard_matches_per_frame_reference():
     assert_pinned(got, want)
     assert got.skipped_bound > 0.0
     assert math.isfinite(got.log_value)
+
+
+def assert_rows_equal_fsum(block):
+    want = np.array([math.fsum(row.tolist()) for row in block])
+    got = _row_sums(block)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 31, 63, 961])
+def test_row_sums_equal_fsum_bitwise(width):
+    rng = np.random.default_rng(width)
+    rows = 300
+    for span in (50.0, 600.0):
+        # non-negative summands spanning e^-span..1 within each row
+        block = rng.uniform(size=(rows, width)) * np.exp(-span * rng.uniform(size=(rows, width)))
+        block[0] = 0.0
+        block[1] = np.ldexp(rng.integers(0, 1 << 20, width).astype(np.float64), -1074)
+        block[2] = np.exp(-span) * np.ones(width)
+        assert 0.0 < block[1].max() < np.finfo(np.float64).tiny
+        assert_rows_equal_fsum(block)
+
+
+def test_row_sums_equal_fsum_on_kernel_chunks():
+    # the shape `space_time_sum` hands over at d = 2, N = 31, with its weights
+    grid = g.GridSpec(2, 31)
+    npts = g.primal(grid).size
+    rows = CHUNK_POINTS // npts
+    assert (rows, npts) == (34, 961)
+    weight = make_weight(grid, tau=8.0, lam=3.0)
+    phi = weight.phi(g.primal(grid).physical)
+    s = weight.s(TimeGrid(1.0, 256).times)[100:100 + rows]
+    block = np.random.default_rng(5).normal(size=(rows, npts)) ** 2
+    assert_rows_equal_fsum(block * np.exp(2.0 * s[:, None] * phi))
+    assert_rows_equal_fsum(np.random.default_rng(6).uniform(size=(rows, npts)))
+
+
+def test_row_sums_round_ties_like_fsum():
+    # the cascade's partial sum is a tie that a summand below its precision breaks
+    u = 2.0 ** -53
+    block = np.array([[1.0, u, u ** 2], [1.0, u, 0.0], [u ** 2, u, 1.0], [2.0, u, u ** 2],
+                      [1.0, 3.0 * u, u ** 2], [0.5, 0.5 * u, 0.5 * u ** 2]])
+    assert_rows_equal_fsum(block)
+    assert _row_sums(block)[0] == 1.0 + 2.0 * u

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carlstab import grid as g
-from carlstab.coefficients import (CoefficientFields, ConstantField,
-                                   random_smooth_coefficients)
+from carlstab.coefficients import (CoefficientFields, ConstantField, FieldTimeDerivative,
+                                   SmoothField, random_smooth_coefficients)
 from carlstab.errors import GridError, SolverError
 from carlstab.solver import (Stepper, TimeGrid, Trajectory, apply_ah, apply_bh, assemble_ah,
                              central_time_derivative, energy_check, solve_forward,
@@ -372,3 +372,103 @@ def test_coefficient_sampler_shape_validated():
     bad = CoefficientFields(gamma=(BadSampler(),), b=None, c=ConstantField(0.0))
     with pytest.raises(GridError, match="shape"):
         assemble_ah(GRID, bad, 0.0)
+
+
+def reference_assemble_ah(grid, coeffs, t):
+    """A_h built entry by entry in COO form and converted to CSR: the oracle
+    for the fixed-pattern fill."""
+    pm = g.primal(grid)
+    d, h, shape, size = grid.d, grid.h, pm.shape, pm.size
+    idx = np.arange(size).reshape(shape)
+    Xp = pm.physical
+    rows, cols, data = [], [], []
+    diag = np.zeros(size)
+    for ax in range(d):
+        star = g.dual_star(grid, ax)
+        gam = np.asarray(coeffs.gamma[ax](t, star.physical), dtype=np.float64)
+        if np.any(gam <= 0.0):
+            k = int(np.argmin(gam))
+            raise GridError(
+                f"non-positive diffusion gamma_{ax}={gam[k]:.4g} at x={star.physical[k]}, t={t}")
+        gam = gam.reshape(star.shape)
+        sl_lo = [slice(None)] * d
+        sl_hi = [slice(None)] * d
+        sl_lo[ax] = slice(None, -1)
+        sl_hi[ax] = slice(1, None)
+        g_minus = gam[tuple(sl_lo)]
+        g_plus = gam[tuple(sl_hi)]
+        diag += (-(g_plus + g_minus) / (h * h)).ravel()
+        rows_up = idx[tuple(sl_lo)].ravel()
+        cols_up = idx[tuple(sl_hi)].ravel()
+        rows.extend([rows_up, cols_up])
+        cols.extend([cols_up, rows_up])
+        data.extend([(g_plus[tuple(sl_lo)] / (h * h)).ravel(),
+                     (g_minus[tuple(sl_hi)] / (h * h)).ravel()])
+        if coeffs.b is not None:
+            bvals = np.asarray(coeffs.b[ax](t, Xp), dtype=np.float64).reshape(shape)
+            rows.extend([rows_up, cols_up])
+            cols.extend([cols_up, rows_up])
+            data.extend([(-bvals[tuple(sl_lo)] / (2.0 * h)).ravel(),
+                         (bvals[tuple(sl_hi)] / (2.0 * h)).ravel()])
+    diag -= np.asarray(coeffs.c(t, Xp), dtype=np.float64)
+    rows.append(np.arange(size))
+    cols.append(np.arange(size))
+    data.append(diag)
+    A = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(size, size))
+    return A.tocsr()
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("time_dependent", [False, True], ids=["frozen", "time-dependent"])
+@pytest.mark.parametrize("b_amp", [0.0, 0.3], ids=["no-advection", "advection"])
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)], ids=["d1", "d2", "d3"])
+def test_fill_matches_coo_reference_bitwise(rng, d, n, b_amp, time_dependent):
+    grid = g.GridSpec(d, n)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent, b_amp=b_amp)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
+    # the separable cache serves every time-dependent march of smooth fields
+    assert (stepper._fields_at is not None) == time_dependent
+    for m, t in enumerate(stepper.times):
+        want = reference_assemble_ah(grid, coeffs, float(t))
+        assert_same_csr(assemble_ah(grid, coeffs, float(t)), want)
+        assert_same_csr(stepper._operator(m), want)
+
+
+def test_fill_matches_coo_reference_constant_fields():
+    for d in (1, 2, 3):
+        grid = g.GridSpec(d, 5)
+        for coeffs in (CoefficientFields.constant(d, gamma=1.5, c=0.25),
+                       CoefficientFields.constant(d, gamma=0.5, b=0.75, c=-1.0)):
+            assert_same_csr(assemble_ah(grid, coeffs, 0.25),
+                            reference_assemble_ah(grid, coeffs, 0.25))
+
+
+def test_cached_fill_rejects_nonpositive_diffusion_with_location():
+    # gamma = 0.5 - 0.45 sin(pi x) rho(t), rho in [0.7, 1.3]: positive on some frames only
+    gamma = SmoothField(base=0.5, amp=0.45, w=(1.0,), phase=math.pi, tamp=0.3)
+    c = SmoothField(base=0.0, amp=0.5, w=(1.0,), tamp=0.2)
+    coeffs = CoefficientFields(gamma=(gamma,), b=None, c=c,
+                               dt_gamma=(FieldTimeDerivative(gamma),),
+                               dt_c=FieldTimeDerivative(c))
+    stepper = Stepper(GRID, coeffs, TimeGrid(1.0, 16))
+    assert stepper._fields_at is not None
+    rejected = 0
+    for m, t in enumerate(stepper.times):
+        try:
+            reference_assemble_ah(GRID, coeffs, float(t))
+        except GridError as exc:
+            with pytest.raises(GridError) as info:
+                stepper._operator(m)
+            assert str(info.value) == str(exc)
+            assert "gamma_0" in str(exc) and "x=[" in str(exc) and f"t={float(t)}" in str(exc)
+            rejected += 1
+        else:
+            stepper._operator(m)
+    assert 0 < rejected < len(stepper.times)
