@@ -48,12 +48,15 @@ from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields, sample_frames
 from .errors import GridError, SolverError
-from .quadrature import Term, space_time_sum, weighted_square_sum
+from .quadrature import ZERO_TERM, Term, space_time_sum, weighted_square_sum
 from .solver import Stepper, TimeGrid, Trajectory
-from .weights import Box, CarlemanWeight
+from .weights import CarlemanWeight
 
 LHS_KEYS = ("I_p", "J_p_gradient", "J_p_avg_gradient", "J_p_zeroth")
 RHS_KEYS = ("rhs_source", "rhs_local_omega", "rhs_time_endpoints")
+# the scheme residual check: its tolerance, and how many steps it samples
+SCHEME_RESIDUAL_TOL = 1e-6
+SCHEME_RESIDUAL_CHECKS = 48
 
 
 @dataclass
@@ -61,11 +64,6 @@ class CarlemanReport:
     """Every term of the inequality on one run, with the empirical ratio."""
 
     p: int
-    variant: str
-    grid: g.GridSpec
-    tau: float
-    delta: float
-    lam: float
     admissible: bool
     terms: dict
     lhs: float
@@ -73,8 +71,15 @@ class CarlemanReport:
     ratio: float | None
     skipped_bound: float
 
-    def term(self, key: str) -> Term:
-        return self.terms[key]
+    def columns(self) -> dict:
+        """The CSV columns I_p, J_p, rhs_source, rhs_local, rhs_endpoint, ratio."""
+        terms = self.terms
+        return {"I_p": terms["I_p"].value,
+                "J_p": sum(terms[k].value for k in LHS_KEYS[1:]),
+                "rhs_source": terms["rhs_source"].value,
+                "rhs_local": terms["rhs_local_omega"].value,
+                "rhs_endpoint": terms["rhs_time_endpoints"].value,
+                "ratio": self.ratio}
 
 
 def _time_weighted_term(block: np.ndarray, mesh: g.Mesh, weight: CarlemanWeight,
@@ -93,7 +98,7 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
     times = tg.times
     i_time = _time_weighted_term(traj.dt_frames(), pm, weight, tg, p - 1)
 
-    i_mixed = Term(0.0, -np.inf, 0.0)
+    i_mixed = ZERO_TERM
     for i in range(grid.d):
         for j in range(i, grid.d):
             block, mesh_ij = ops.diff_block(traj.values, pm, j)
@@ -108,8 +113,8 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
                             2.0 * term.skipped_bound)
             i_mixed = i_mixed + term
 
-    j_grad = Term(0.0, -np.inf, 0.0)
-    j_avg = Term(0.0, -np.inf, 0.0)
+    j_grad = ZERO_TERM
+    j_avg = ZERO_TERM
     for i in range(grid.d):
         dblock, dmesh = ops.diff_block(traj.values, pm, i)
         j_grad = j_grad + _time_weighted_term(dblock, dmesh, weight, tg, p + 1)
@@ -128,14 +133,23 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
     }
 
 
-def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int,
-                omega: Box) -> dict:
-    """Source, local-observation, and endpoint terms of the right-hand side."""
+def endpoint_term(traj: Trajectory, weight: CarlemanWeight, p: int) -> Term:
+    """h^-2 int_W (s(0))^p (|y(0)|^2 + |y(T)|^2) e^(2 s(0) phi)."""
+    grid = traj.grid
+    logw0 = weight.log_weight(0.0, weight.phi(g.primal(grid).physical), p)
+    endpoint_cell = grid.h ** grid.d / (grid.h ** 2)
+    return weighted_square_sum(traj.values[0], logw0, endpoint_cell) + \
+        weighted_square_sum(traj.values[-1], logw0, endpoint_cell)
+
+
+def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int) -> dict:
+    """Source, local-observation on the weight's omega, and endpoint terms of the
+    right-hand side."""
     grid = traj.grid
     pm = g.primal(grid)
     tg = traj.time_grid
     X = pm.physical
-    mask = omega.mask(X)
+    mask = weight.omega.mask(X)
     if not np.any(mask):
         raise GridError("observation box contains no primal points on this grid")
 
@@ -145,18 +159,11 @@ def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int,
     rhs_local = space_time_sum(traj.values[:, mask], weight.phi(X[mask]), weight.s(tg.times),
                                p + 3, cell, tg.trap)
 
-    phi_all = weight.phi(X)
-    logw0 = weight.log_weight(0.0, phi_all, p)
-    endpoint_cell = cell / (grid.h ** 2)
-    rhs_end = weighted_square_sum(traj.values[0], logw0, endpoint_cell) + \
-        weighted_square_sum(traj.values[-1], logw0, endpoint_cell)
-
     return {"rhs_source": rhs_source, "rhs_local_omega": rhs_local,
-            "rhs_time_endpoints": rhs_end}
+            "rhs_time_endpoints": endpoint_term(traj, weight, p)}
 
 
-def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source,
-                          tol: float = 1e-6, max_checks: int = 48) -> float:
+def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source) -> float:
     """Verify the frames satisfy the time-stepping relation for this source.
 
     Guards against mismatched (trajectory, source, coefficients) triples; the
@@ -165,56 +172,43 @@ def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source,
     """
     tg = traj.time_grid
     X = g.primal(traj.grid).physical
-    checked = np.arange(0, tg.steps, max(1, tg.steps // max_checks))
+    checked = np.arange(0, tg.steps, max(1, tg.steps // SCHEME_RESIDUAL_CHECKS))
     g_before, g_after = (sample_frames(source, tg.times[k], X) for k in (checked, checked + 1))
-    stepper = Stepper(traj.grid, coeffs, tg, traj.scheme)
+    stepper = Stepper(traj.grid, coeffs, tg)
     worst = 0.0
     for m, g0, g1 in zip(checked.tolist(), g_before, g_after):
         y0, y1 = traj.values[m], traj.values[m + 1]
         res = stepper.residual(m, y0, y1, stepper.forcing(g0, g1))
         scale = float(np.linalg.norm(y0) + np.linalg.norm(y1) + tg.dt * np.linalg.norm(g1)) + 1e-300
         worst = max(worst, float(np.linalg.norm(res)) / scale)
-    if worst > tol:
-        raise SolverError(
-            f"trajectory/source mismatch: scheme residual {worst:.3e} exceeds {tol:.1e}")
+    if worst > SCHEME_RESIDUAL_TOL:
+        raise SolverError(f"trajectory/source mismatch: scheme residual {worst:.3e} "
+                          f"exceeds {SCHEME_RESIDUAL_TOL:.1e}")
     return worst
 
 
 def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
-                      weight: CarlemanWeight, p: int, omega: Box,
-                      variant: str = "full") -> CarlemanReport:
+                      weight: CarlemanWeight, p: int) -> CarlemanReport:
     """Evaluate both sides on one run and report the empirical ratio.
 
-    `variant='prior'` drops the mixed second-difference block from the
-    left-hand side (the earlier form of the estimate, p = 0 only).  The ratio
-    is recorded only for admissible parameters.  The run is taken as given:
-    `check_scheme_residual` is the guard against a mismatched
+    The ratio is recorded only for admissible parameters.  The run is taken
+    as given: `check_scheme_residual` is the guard against a mismatched
     (trajectory, source, coefficients) triple.
     """
     if p not in (0, 1):
         raise GridError(f"p must be 0 or 1, got {p}")
-    if variant not in ("full", "prior"):
-        raise GridError(f"unknown variant {variant!r}")
-    if variant == "prior" and p != 0:
-        raise GridError("the prior form of the estimate is stated for p = 0")
     lhs_terms = compute_lhs(traj, coeffs, weight, p)
-    rhs_terms = compute_rhs(traj, source, weight, p, omega)
+    rhs_terms = compute_rhs(traj, source, weight, p)
     terms = {**lhs_terms, **rhs_terms}
     for key, term in terms.items():
         if term.value < 0:
             raise SolverError(f"negative quadratic term {key}: {term.value}")
-    if variant == "prior":
-        lhs = lhs_terms["I_p_time"].value + sum(lhs_terms[k].value for k in LHS_KEYS[1:])
-    else:
-        lhs = sum(lhs_terms[k].value for k in LHS_KEYS)
+    lhs = sum(lhs_terms[k].value for k in LHS_KEYS)
     rhs = sum(rhs_terms[k].value for k in RHS_KEYS)
     admissible, _ = weight.admissibility()
     ratio = (lhs / rhs) if (admissible and rhs > 0.0) else None
-    prm = weight.params
     return CarlemanReport(
-        p=p, variant=variant, grid=traj.grid,
-        tau=prm.tau, delta=prm.delta, lam=prm.lam,
-        admissible=admissible, terms=terms, lhs=lhs, rhs=rhs, ratio=ratio,
+        p=p, admissible=admissible, terms=terms, lhs=lhs, rhs=rhs, ratio=ratio,
         skipped_bound=sum(t.skipped_bound for t in terms.values()),
     )
 
@@ -253,47 +247,26 @@ def pointwise_time_bound(traj: Trajectory, weight: CarlemanWeight, p: int, t: fl
                           holds=bool(lhs_t <= bound * (1.0 + 1e-8)))
 
 
-def feasibility_map(run_factory, grids, taus, deltas, p: int,
-                    make_weight) -> list[dict]:
-    """Tabulate the empirical ratio over a parameter box.
+def feasibility_row(weight: CarlemanWeight, runs) -> dict:
+    """One cell of the feasibility table at p = 0: the run with the largest ratio.
 
-    `grids` holds `GridSpec`s, which carry the dimension; a bare size raises
-    GridError.  `run_factory(grid)` yields (trajectory, source, coefficients)
-    runs for a grid; `make_weight(grid, tau, delta)` builds the bound weight.
-    Cells outside the admissible window are emitted with an empty ratio.
-    Columns follow the CSV schema: h, tau, delta, lambda, p, I_p, J_p,
-    rhs_source, rhs_local, rhs_endpoint, ratio, admissible.
+    `runs` holds (trajectory, source, coefficients) triples on the weight's
+    grid; the first run wins a tie.  A cell outside the admissible window, or
+    one where no run has a ratio, keeps its term columns empty.  Columns
+    follow the CSV schema: h, tau, delta, lambda, p, I_p, J_p, rhs_source,
+    rhs_local, rhs_endpoint, ratio, admissible.
     """
-    for grid in grids:
-        if not isinstance(grid, g.GridSpec):
-            raise GridError(f"feasibility_map needs GridSpec grids, got {grid!r}")
-    rows = []
-    for grid in grids:
-        runs = None
-        for tau in taus:
-            for delta in deltas:
-                weight = make_weight(grid, float(tau), float(delta))
-                admissible, _ = weight.admissibility()
-                row = {"h": grid.h, "tau": float(tau), "delta": float(delta),
-                       "lambda": weight.params.lam, "p": p,
-                       "I_p": "", "J_p": "", "rhs_source": "", "rhs_local": "",
-                       "rhs_endpoint": "", "ratio": "", "admissible": admissible}
-                if admissible:
-                    if runs is None:
-                        runs = list(run_factory(grid))
-                    best = None
-                    for traj, source, coeffs in runs:
-                        rep = verify_inequality(traj, source, coeffs, weight, p, weight.omega)
-                        if rep.ratio is not None and (best is None or rep.ratio > best.ratio):
-                            best = rep
-                    if best is not None:
-                        row.update({
-                            "I_p": best.terms["I_p"].value,
-                            "J_p": sum(best.terms[k].value for k in LHS_KEYS[1:]),
-                            "rhs_source": best.terms["rhs_source"].value,
-                            "rhs_local": best.terms["rhs_local_omega"].value,
-                            "rhs_endpoint": best.terms["rhs_time_endpoints"].value,
-                            "ratio": best.ratio,
-                        })
-                rows.append(row)
-    return rows
+    admissible, _ = weight.admissibility()
+    prm = weight.params
+    row = {"h": weight.grid.h, "tau": prm.tau, "delta": prm.delta, "lambda": prm.lam,
+           "p": 0, "I_p": "", "J_p": "", "rhs_source": "", "rhs_local": "",
+           "rhs_endpoint": "", "ratio": "", "admissible": admissible}
+    if admissible:
+        best = None
+        for traj, source, coeffs in runs:
+            rep = verify_inequality(traj, source, coeffs, weight, 0)
+            if rep.ratio is not None and (best is None or rep.ratio > best.ratio):
+                best = rep
+        if best is not None:
+            row.update(best.columns())
+    return row

@@ -1,5 +1,5 @@
 """Experiment suites behind the CLI: identity corpus, convergence orders,
-energy corpus, weighted-inequality corpus with feasibility map, stability
+energy corpus, weighted-inequality corpus with feasibility table, stability
 corpus with refinement decay, and the twin reconstructions.
 
 Randomness is counter-based: the generator of run k in suite s is
@@ -19,8 +19,7 @@ import numpy as np
 
 from . import grid as g
 from . import operators as ops
-from .carleman import (LHS_KEYS, check_scheme_residual, compute_rhs, feasibility_map,
-                       verify_inequality)
+from .carleman import check_scheme_residual, endpoint_term, feasibility_row, verify_inequality
 from .coefficients import CoefficientFields, random_smooth_coefficients
 from .config import Config
 from .errors import AdmissibilityError
@@ -285,17 +284,11 @@ def _carleman_worker(payload) -> list:
         residual = check_scheme_residual(traj, coeffs, src)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
         for p in (0, 1):
-            rep = verify_inequality(traj, src, coeffs, weight, p, weight.omega)
+            rep = verify_inequality(traj, src, coeffs, weight, p)
             rows.append({
                 "run_id": run_index, "N": int(n), "h": grid.h, "p": p,
                 "tau": tau, "delta": weight.params.delta, "lambda": weight.params.lam,
-                "I_p": rep.terms["I_p"].value,
-                "J_p": sum(rep.terms[k].value for k in LHS_KEYS[1:]),
-                "rhs_source": rep.terms["rhs_source"].value,
-                "rhs_local": rep.terms["rhs_local_omega"].value,
-                "rhs_endpoint": rep.terms["rhs_time_endpoints"].value,
-                "ratio": rep.ratio, "admissible": rep.admissible,
-                "residual": residual,
+                **rep.columns(), "admissible": rep.admissible, "residual": residual,
             })
     return rows
 
@@ -328,37 +321,27 @@ def run_carleman(cfg: Config) -> SuiteResult:
     T = cfg.get("time", "t_final")
     seed = cfg.get("run", "seed")
 
-    def run_factory(grid):
-        out = []
-        for i in range(ca["feasibility_runs"]):
-            rng = run_rng(seed, SUITE_IDS["feasibility"], i)
-            tau, coeffs, y_prof, src = _draw_corpus_run(
-                rng, cfg, time_dependent=True, b_amp=ca["b_amp"],
-                tau_range=(ca["tau_min"], ca["tau_max"]))
-            y0 = g.sample(g.primal(grid), y_prof)
-            traj = solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]), y_ini=y0)
-            out.append((traj, src, coeffs))
-        return out
-
-    def make_weight(grid, tau, delta):
-        return _weight(cfg, grid, _weight_params(cfg, tau=tau, delta=delta))
-
-    taus = list(ca["feasibility_taus"])
-    deltas = list(ca["feasibility_deltas"])
+    fea_draws = [_draw_corpus_run(run_rng(seed, SUITE_IDS["feasibility"], i), cfg,
+                                  time_dependent=True, b_amp=ca["b_amp"],
+                                  tau_range=(ca["tau_min"], ca["tau_max"]))
+                 for i in range(ca["feasibility_runs"])]
     fea_rows = []
     for n in ca["feasibility_grids"]:
         grid = g.GridSpec(d, int(n))
-        base = _weight_params(cfg)
-        cell_deltas = list(deltas)
+        runs = [(solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]),
+                               y_ini=g.sample(g.primal(grid), y_prof)), src, coeffs)
+                for _, coeffs, y_prof, src in fea_draws]
+        cell_deltas = list(ca["feasibility_deltas"])
         try:
-            coupled = coupled_delta(base, grid.h, ca["feasibility_tau1"],
+            coupled = coupled_delta(_weight_params(cfg), grid.h, ca["feasibility_tau1"],
                                     ca["feasibility_eps0"])
             cell_deltas.append(coupled.delta)
         except AdmissibilityError:
             pass  # coupling lands outside (0, 1/2] on this grid; plain cells remain
-        fea_rows.extend(feasibility_map(run_factory, [grid],
-                                        [ca["feasibility_tau1"]] + taus, cell_deltas, 0,
-                                        make_weight))
+        for tau in [ca["feasibility_tau1"], *ca["feasibility_taus"]]:
+            for delta in cell_deltas:
+                params = _weight_params(cfg, tau=float(tau), delta=float(delta))
+                fea_rows.append(feasibility_row(_weight(cfg, grid, params), runs))
     for n in ca["feasibility_grids"]:
         h = g.GridSpec(d, int(n)).h
         n_adm = sum(1 for r in fea_rows if r["h"] == h and r["admissible"])
@@ -402,7 +385,7 @@ def _stability_worker(payload) -> list:
         traj = solve_forward(grid, coeffs, adm.g, tg)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
-        res = stability_quotient(traj, z, adm, weight, weight.omega)
+        res = stability_quotient(traj, z, adm, weight)
         rows.append({
             "run_id": run_index, "h": grid.h, "N": int(n), "d": d, "tau": tau,
             "delta": weight.params.delta, "lambda": weight.params.lam,
@@ -467,9 +450,8 @@ def _decay_study(cfg: Config) -> tuple[list, list]:
         adm = certify_separable(src, grid, tg)
         traj = solve_forward(grid, coeffs, adm.g, tg, y_ini=y0)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-        rhs_terms = compute_rhs(traj, adm.g, weight, 0, weight.omega)
-        endpoint = rhs_terms["rhs_time_endpoints"]
-        res = stability_quotient(traj, z, adm, weight, weight.omega)
+        endpoint = endpoint_term(traj, weight, 0)
+        res = stability_quotient(traj, z, adm, weight)
         rows.append([int(n), grid.h, 1.0 / grid.h, params.tau, params.delta, params.lam,
                      endpoint.value, endpoint.log_value, res.rhs_error_term,
                      res.log_error_term])
@@ -510,7 +492,7 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     traj = solve_forward(grid, coeffs, adm.g, tg)
     z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
     weight = _weight(cfg, grid, _weight_params(cfg))
-    obs = observe(traj, z, weight, weight.omega)
+    obs = observe(traj, z, weight)
     rec = reconstruct_source(grid, coeffs, adm.r, tg, obs, beta=rc["beta"], truth=adm.f)
     rows.append(["source", grid.n, rc["beta"], 0.0, rec.relative_error, rec.iterations])
 

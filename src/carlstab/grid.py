@@ -18,8 +18,9 @@ in k (C order), which fixes the index <-> point bijection used by all linear
 algebra in this package.
 
 Fields on the primal mesh follow the homogeneous Dirichlet convention: where
-an operator needs values on the face layer, the field is extended by zero via
-the explicit `close` operation.
+an operator needs values on the face layer, the field is extended by zero.
+The difference/average operators pad their input themselves; `close` builds
+the extended field as a mesh function of its own.
 """
 
 from __future__ import annotations
@@ -228,9 +229,8 @@ def close(u: MeshFunction, axes=None) -> MeshFunction:
     """Dirichlet zero-extension: append the face layer with value 0 along `axes`.
 
     Each requested axis must currently carry the primal interior range; the
-    result carries the closed range [0, 2N+2] there.  This is the one and only
-    place where boundary values enter; operators never extend silently other
-    than through this function.
+    result carries the closed range [0, 2N+2] there.  The difference/average
+    operators pad a primal axis of their input the same way, by themselves.
     """
     grid = u.mesh.grid
     if axes is None:

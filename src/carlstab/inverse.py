@@ -26,7 +26,7 @@ operationally, not as a production inversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -37,7 +37,7 @@ from .coefficients import CoefficientFields, sample_frames
 from .errors import CertificationError, EmptyMaskError, GridError, SolverError
 from .quadrature import Term, space_time_sum
 from .solver import Stepper, TimeGrid, Trajectory, apply_ah
-from .weights import Box, CarlemanWeight
+from .weights import CarlemanWeight
 
 
 @dataclass
@@ -47,7 +47,6 @@ class Observation:
     vartheta: float
     snapshot: g.MeshFunction
     snapshot_h2: float
-    omega: Box
     mask: np.ndarray
     local_y: np.ndarray          # (steps+1, |omega|)
     local_dt: np.ndarray
@@ -56,15 +55,15 @@ class Observation:
     outside_proof_regime: bool
 
 
-def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight,
-            omega: Box) -> Observation:
-    """Measure one run: mid-time snapshot and the omega-restricted histories."""
+def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight) -> Observation:
+    """Measure one run: mid-time snapshot and the histories restricted to the
+    weight's omega."""
     tg = traj.time_grid
     vt = weight.params.obs_time
     idx = tg.index_of(vt)
     pm = g.primal(traj.grid)
     snapshot = traj.frame(idx)
-    mask = omega.mask(pm.physical)
+    mask = weight.omega.mask(pm.physical)
     if not np.any(mask):
         raise GridError("observation box contains no primal points on this grid")
     local_y = traj.values[:, mask]
@@ -76,7 +75,6 @@ def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight,
         vartheta=vt,
         snapshot=snapshot,
         snapshot_h2=ops.h2_norm(snapshot),
-        omega=omega,
         mask=mask,
         local_y=local_y,
         local_dt=local_dt,
@@ -233,7 +231,7 @@ class StabilityResult:
 
 
 def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleSource,
-                       weight: CarlemanWeight, omega: Box) -> StabilityResult:
+                       weight: CarlemanWeight) -> StabilityResult:
     """Measure ||g(vt)|| against the observed norms plus the mesh error term.
 
     The reduced variant (time-independent coefficients) drops the weighted
@@ -241,7 +239,7 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
     the error term.
     """
     weight.require_admissible()
-    obs = observe(traj, z_traj, weight, omega)
+    obs = observe(traj, z_traj, weight)
     pm = g.primal(traj.grid)
     lhs = ops.l2_norm(g.MeshFunction(pm, source.g_at(obs.vartheta, pm.physical)))
     w_dt = math.sqrt(max(obs.weighted_dt.value, 0.0))
@@ -348,15 +346,7 @@ def add_observation_noise(obs: Observation, level: float,
         return obs
     snap = obs.snapshot.values * (1.0 + level * rng.standard_normal(obs.snapshot.values.shape))
     loc = obs.local_y * (1.0 + level * rng.standard_normal(obs.local_y.shape))
-    out = Observation(
-        vartheta=obs.vartheta,
-        snapshot=g.MeshFunction(obs.snapshot.mesh, snap),
-        snapshot_h2=obs.snapshot_h2, omega=obs.omega, mask=obs.mask,
-        local_y=loc, local_dt=obs.local_dt,
-        weighted_y=obs.weighted_y, weighted_dt=obs.weighted_dt,
-        outside_proof_regime=obs.outside_proof_regime,
-    )
-    return out
+    return replace(obs, snapshot=g.MeshFunction(obs.snapshot.mesh, snap), local_y=loc)
 
 
 @dataclass

@@ -9,9 +9,10 @@ hierarchy along one axis:
 Both consume the two neighbours at distance h/2, so the result lives on the
 in-between points of the input's axis-i family.  When the input carries the
 primal interior range on that axis, the documented Dirichlet convention
-applies: the field is first zero-extended to the face layer (`grid.close`),
-so primal -> dual_star(i), dual_star(i) -> primal, and mixed second
-differences land on the iterated dual mesh.
+applies: the field is first zero-extended to the face layer (padded by
+`_shift_core`, as `grid.close` would extend it), so primal -> dual_star(i),
+dual_star(i) -> primal, and mixed second differences land on the iterated
+dual mesh.
 
 The discrete product rules and the integration-by-parts identities are exact
 in real arithmetic; this module exposes them as computable residuals, which

@@ -11,20 +11,20 @@ one CSR pattern per (grid, advection), built on first use, and each time is
 one fill of its entries into their slots.  A Stepper on SmoothFields,
 base + amp S(x) rho(t), samples each amp S(x) once and fills every frame.
 
-Time integration is ours: one `Stepper` owns the implicit theta-step
+Time integration is ours: one `Stepper` owns the trapezoidal step
 
-    (I - theta dt A(t_{m+1})) y_{m+1} = (I + (1 - theta) dt A(t_m)) y_m + f_m,
+    (I - dt/2 A(t_{m+1})) y_{m+1} = (I + dt/2 A(t_m)) y_m + f_m
 
-theta = 1/2 (trapezoidal rule) or 1 (backward Euler), and its residual; the
-forward solve, the z-system march, the reconstruction's normal equations and
-the scheme residual check all run through it.  A step takes one state or a
-block of states as columns, so a linear map of the forcing marches all its
-columns at once.  Every step solves the same way: with one sparse LU factor of
-L taken at some frame, followed by iterative refinement against the current
-L_m until the worst column's relative residual is at most REFINE_TOL, for at
-most REFINE_SWEEPS sweeps; a factor of another frame that misses the target
-is replaced by one of L_m.  Time-independent coefficients factorise once, and
-that exact factor meets the target without a sweep.  Every column must reach relative residual
+and its residual; the forward solve, the z-system march, the reconstruction's
+normal equations and the scheme residual check all run through it.  A step
+takes one state or a block of states as columns, so a linear map of the
+forcing marches all its columns at once.  Every step solves the same way:
+with one sparse LU factor of L taken at some frame, followed by iterative
+refinement against the current L_m until the worst column's relative
+residual is at most REFINE_TOL, for at most REFINE_SWEEPS sweeps; a factor
+of another frame that misses the target is replaced by one of L_m.
+Time-independent coefficients factorise once, and that exact factor meets
+the target without a sweep.  Every column must reach relative residual
 LINEAR_RESIDUAL_TOL = 1e-10 or the step raises.
 
 The differentiated system for z ~ dt y carries the data at the mid time
@@ -92,7 +92,6 @@ class Trajectory:
     grid: g.GridSpec
     time_grid: TimeGrid
     values: np.ndarray          # shape (steps+1, primal size)
-    scheme: str = "trapezoid"
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -228,17 +227,13 @@ def apply_bh(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
     return g.MeshFunction(pm, out)
 
 
-_THETA = {"trapezoid": 0.5, "backward-euler": 1.0}
-
-
 class Stepper:
     """The implicit time step of dt y = A_h(t) y + g on one time grid.
 
-    Step m solves L_m y_{m+1} = R_m y_m + f_m with
+    Step m of the trapezoidal rule solves L_m y_{m+1} = R_m y_m + f_m with
 
-        L_m = I - theta dt A(t_{m+1}),    R_m = I + (1 - theta) dt A(t_m),
+        L_m = I - dt/2 A(t_{m+1}),    R_m = I + dt/2 A(t_m).
 
-    theta = 1/2 for the trapezoidal rule and theta = 1 for backward Euler.
     y and f are one state of shape (n,) or a block of states of shape (n, k),
     one per column.  R_m y and the residuals are applied matrix-free through
     A.  Time-independent coefficients are assembled once; otherwise only the
@@ -260,15 +255,10 @@ class Stepper:
     `sweeps` and `linear_solves` (one per step) count the work done.
     """
 
-    def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid,
-                 scheme: str = "trapezoid"):
-        if scheme not in _THETA:
-            raise GridError(f"unknown scheme {scheme!r}; use one of {tuple(_THETA)}")
+    def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
         self.grid, self.coeffs = grid, coeffs
         self.times = time_grid.times
-        dt = time_grid.dt
-        self.implicit = _THETA[scheme] * dt
-        self.explicit = (1.0 - _THETA[scheme]) * dt
+        self.half_dt = 0.5 * time_grid.dt
         self.factorisations = 0
         self.sweeps = 0
         self.linear_solves = 0
@@ -284,13 +274,8 @@ class Stepper:
             self._fields_at = [f.at(X) for f, X in zip(fields, points)]
 
     def forcing(self, g0, g1):
-        """The source term f_m of one step from the sources at both ends.
-
-        theta dt (g0 + g1) for the trapezoidal rule, dt g1 for backward Euler.
-        """
-        if self.explicit == 0.0:
-            return self.implicit * g1
-        return self.implicit * (g0 + g1)
+        """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
+        return self.half_dt * (g0 + g1)
 
     def _operator(self, m: int) -> sp.csr_matrix:
         """A_h at frame m."""
@@ -313,15 +298,13 @@ class Stepper:
         return _fill(self.grid, vals[:d], vals[d:-1] or None, vals[-1], t)
 
     def _apply_r(self, m: int, y: np.ndarray) -> np.ndarray:
-        if self.explicit == 0.0:
-            return y
-        return y + self.explicit * (self._operator(m) @ y)
+        return y + self.half_dt * (self._operator(m) @ y)
 
     def _apply_l(self, m: int, y: np.ndarray) -> np.ndarray:
-        return y - self.implicit * (self._operator(m + 1) @ y)
+        return y - self.half_dt * (self._operator(m + 1) @ y)
 
     def _factorise(self, frame: int):
-        L = self._eye - self.implicit * self._operator(frame)
+        L = self._eye - self.half_dt * self._operator(frame)
         self.factorisations += 1
         self._lu = (frame, spla.splu(L.tocsc()))
 
@@ -366,14 +349,13 @@ class Stepper:
 
 
 def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
-                  time_grid: TimeGrid, y_ini: g.MeshFunction | None = None,
-                  scheme: str = "trapezoid") -> Trajectory:
+                  time_grid: TimeGrid, y_ini: g.MeshFunction | None = None) -> Trajectory:
     """March the semi-discrete system dt y = A_h y + g from its initial frame.
 
     `source` maps (t, X) to primal values in enumeration order.  Every step
     enforces the linear residual contract and aborts on non-finite values.
     """
-    stepper = Stepper(grid, coeffs, time_grid, scheme)
+    stepper = Stepper(grid, coeffs, time_grid)
     pm = g.primal(grid)
     X = pm.physical
     if y_ini is None:
@@ -390,7 +372,7 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
         y, res = stepper.step(m, y, stepper.forcing(g_all[m], g_all[m + 1]))
         max_res = max(max_res, res)
         frames[m + 1] = y
-    return Trajectory(grid, time_grid, frames, scheme=scheme,
+    return Trajectory(grid, time_grid, frames,
                       diagnostics={"max_linear_residual": max_res,
                                    "factorisations": stepper.factorisations,
                                    "sweeps": stepper.sweeps,
@@ -401,10 +383,10 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
                    dt_source) -> Trajectory:
     """Trajectory of z ~ dt y with data imposed at the mid time.
 
-    Above T/2 the system is marched forward, in the scheme of `y_traj`, with
-    forcing B_h y + dt g; below T/2 the frames are the second-order
-    differences of the y frames.  The per-frame gap to the differenced y
-    frames is recorded in diagnostics['cross_check'].
+    Above T/2 the system is marched forward with forcing B_h y + dt g; below
+    T/2 the frames are the second-order differences of the y frames.  The
+    per-frame gap to the differenced y frames is recorded in
+    diagnostics['cross_check'].
     """
     tg = y_traj.time_grid
     if tg.steps % 2 != 0:
@@ -430,7 +412,7 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
         bh = apply_bh(grid, coeffs, float(times[m]), g.MeshFunction(pm, y_traj.values[m]))
         return rates[m - half] + bh.values
 
-    stepper = Stepper(grid, coeffs, tg, y_traj.scheme)
+    stepper = Stepper(grid, coeffs, tg)
     f_now = forcing(half)
     for m in range(half, tg.steps):
         f_next = forcing(m + 1)
@@ -440,7 +422,7 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
     cell = grid.h ** grid.d
     gap = np.sqrt(np.sum((frames - zc) ** 2, axis=1) * cell)
     z_scale = float(np.max(np.sqrt(np.sum(zc ** 2, axis=1) * cell)))
-    return Trajectory(grid, tg, frames, scheme=y_traj.scheme,
+    return Trajectory(grid, tg, frames,
                       diagnostics={"cross_check": gap,
                                    "cross_check_rel": float(np.max(gap) / max(z_scale, 1e-300))})
 

@@ -5,13 +5,13 @@ import pytest
 
 from carlstab import grid as g
 from carlstab.carleman import (LHS_KEYS, check_scheme_residual, compute_lhs,
-                               compute_rhs, feasibility_map, pointwise_time_bound,
+                               compute_rhs, feasibility_row, pointwise_time_bound,
                                verify_inequality)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.config import parse_config
 from carlstab.errors import GridError, SolverError
 from carlstab.experiments import _carleman_worker
-from carlstab.inverse import (SeparableSource, SineTimeProfile, random_bump,
+from carlstab.inverse import (FourierBump, SeparableSource, SineTimeProfile, random_bump,
                               random_separable_source)
 from carlstab.solver import TimeGrid, Trajectory, solve_forward
 from carlstab.weights import Box, CarlemanWeight, WeightParams
@@ -44,7 +44,7 @@ def test_zero_trajectory_all_terms_zero():
     co = CoefficientFields.constant(1)
     lhs = compute_lhs(traj, co, w, 0)
     assert all(term.value == 0.0 for term in lhs.values())
-    rhs = compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0, OMEGA)
+    rhs = compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0)
     assert all(term.value == 0.0 for term in rhs.values())
 
 
@@ -81,14 +81,14 @@ def test_frozen_mode_time_term_vanishes_and_oracle_agreement():
 def test_scaling_homogeneity_and_ratio_invariance():
     grid, coeffs, src, traj = solved_run()
     w = make_weight()
-    rep1 = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
+    rep1 = verify_inequality(traj, src, coeffs, w, 0)
 
-    scaled = Trajectory(GRID, traj.time_grid, 2.0 * traj.values, scheme=traj.scheme)
+    scaled = Trajectory(GRID, traj.time_grid, 2.0 * traj.values)
 
     def scaled_src(t, X):
         return 2.0 * src(t, X)
 
-    rep2 = verify_inequality(scaled, scaled_src, coeffs, w, 0, OMEGA)
+    rep2 = verify_inequality(scaled, scaled_src, coeffs, w, 0)
     for key in LHS_KEYS + ("rhs_source", "rhs_local_omega", "rhs_time_endpoints"):
         assert rep2.terms[key].value == pytest.approx(4.0 * rep1.terms[key].value, rel=1e-12)
     assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-12)
@@ -101,7 +101,7 @@ def test_rhs_trivial_cases():
     vals[10] = np.sin(np.pi * pm.physical[:, 0])  # interior frame only
     traj = Trajectory(GRID, tg, vals)
     w = make_weight()
-    rhs = compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0, OMEGA)
+    rhs = compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0)
     assert rhs["rhs_source"].value == 0.0
     assert rhs["rhs_time_endpoints"].value == 0.0
     assert rhs["rhs_local_omega"].value > 0.0
@@ -110,12 +110,12 @@ def test_rhs_trivial_cases():
 def test_rhs_source_homogeneity():
     grid, coeffs, src, traj = solved_run(seed=5)
     w = make_weight()
-    r1 = compute_rhs(traj, src, w, 0, OMEGA)
+    r1 = compute_rhs(traj, src, w, 0)
 
     def double_src(t, X):
         return 2.0 * src(t, X)
 
-    r2 = compute_rhs(traj, double_src, w, 0, OMEGA)
+    r2 = compute_rhs(traj, double_src, w, 0)
     assert r2["rhs_source"].value == pytest.approx(4.0 * r1["rhs_source"].value, rel=1e-12)
     assert r2["rhs_local_omega"].value == r1["rhs_local_omega"].value
 
@@ -123,7 +123,7 @@ def test_rhs_source_homogeneity():
 def test_rhs_direct_summation_oracle():
     grid, coeffs, src, traj = solved_run(seed=11, steps=64)
     w = make_weight()
-    rhs = compute_rhs(traj, src, w, 0, OMEGA)
+    rhs = compute_rhs(traj, src, w, 0)
     pm = g.primal(grid)
     tg = traj.time_grid
     mask = OMEGA.mask(pm.physical)
@@ -143,13 +143,13 @@ def test_rhs_direct_summation_oracle():
 def test_verify_inequality_reports_and_admissibility_gate():
     grid, coeffs, src, traj = solved_run(seed=7)
     w = make_weight(tau=3.0)
-    rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
+    rep = verify_inequality(traj, src, coeffs, w, 0)
     assert rep.admissible and rep.ratio is not None and math.isfinite(rep.ratio)
     assert check_scheme_residual(traj, coeffs, src) <= 1e-6
     assert all(rep.terms[k].value >= 0 for k in rep.terms)
 
     w_bad = make_weight(tau=12.0)  # coupling 12/8 > epsilon
-    rep_bad = verify_inequality(traj, src, coeffs, w_bad, 0, OMEGA)
+    rep_bad = verify_inequality(traj, src, coeffs, w_bad, 0)
     assert not rep_bad.admissible
     assert rep_bad.ratio is None
 
@@ -168,25 +168,13 @@ def test_verify_inequality_p_validation():
     grid, coeffs, src, traj = solved_run(seed=13, steps=64)
     w = make_weight()
     with pytest.raises(GridError):
-        verify_inequality(traj, src, coeffs, w, 2, OMEGA)
-    with pytest.raises(GridError):
-        verify_inequality(traj, src, coeffs, w, 1, OMEGA, variant="prior")
-
-
-def test_prior_variant_drops_mixed_block():
-    grid, coeffs, src, traj = solved_run(seed=15, steps=64)
-    w = make_weight()
-    full = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
-    prior = verify_inequality(traj, src, coeffs, w, 0, OMEGA, variant="prior")
-    gap = full.lhs - prior.lhs
-    assert gap == pytest.approx(full.terms["I_p_mixed"].value, rel=1e-12)
-    assert prior.rhs == full.rhs
+        verify_inequality(traj, src, coeffs, w, 2)
 
 
 def test_pointwise_time_bound():
     grid, coeffs, src, traj = solved_run(seed=17, steps=64)
     w = make_weight()
-    rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
+    rep = verify_inequality(traj, src, coeffs, w, 0)
     pb = pointwise_time_bound(traj, w, 0, 0.5, constant=10.0, lhs_total=rep.lhs)
     assert pb.lhs_t >= 0 and math.isfinite(pb.bound)
 
@@ -217,7 +205,7 @@ def test_pointwise_bound_corpus_zero_initial():
         src = SeparableSource(random_bump(rng, 1), SineTimeProfile(1.0, 0.5, 0.3, 1.0))
         traj = solve_forward(GRID, coeffs, src, TimeGrid(1.0, 128))
         w = make_weight()
-        rep = verify_inequality(traj, src, coeffs, w, 0, OMEGA)
+        rep = verify_inequality(traj, src, coeffs, w, 0)
         for t in (0.25, 0.5, 0.75, 1.0):
             pb = pointwise_time_bound(traj, w, 0, t, constant=1.0, lhs_total=rep.lhs)
             assert pb.initial_term == 0.0
@@ -240,46 +228,55 @@ def test_axis_swap_invariance_d2():
                   * (1 + 0.3 * np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])))
     traj = solve_forward(grid, co, src, TimeGrid(1.0, 64), y_ini=y0)
     w = make_weight(grid=grid, d=2)
-    rep = verify_inequality(traj, src, co, w, 0, Box.cube(0.2, 0.8, 2))
+    rep = verify_inequality(traj, src, co, w, 0)
 
     # swap the two axes of every frame
     shape = pm.shape
     swapped_vals = np.stack([fr.reshape(shape).T.ravel() for fr in traj.values])
     swapped = Trajectory(grid, traj.time_grid, swapped_vals)
-    rep_swapped = verify_inequality(swapped, src, co, w, 0, Box.cube(0.2, 0.8, 2))
+    rep_swapped = verify_inequality(swapped, src, co, w, 0)
     for key in LHS_KEYS:
         assert rep_swapped.terms[key].value == pytest.approx(rep.terms[key].value, rel=1e-10)
 
 
 def test_feasibility_map_single_cell_and_inadmissible():
     grid, coeffs, src, traj = solved_run(seed=25, steps=64)
+    runs = [(traj, src, coeffs)]
 
-    def run_factory(gr):
-        return [(traj, src, coeffs)]
+    row = feasibility_row(make_weight(tau=3.0, delta=0.5), runs)
+    assert row["admissible"] and math.isfinite(row["ratio"])
+    assert (row["h"], row["tau"], row["delta"], row["lambda"], row["p"]) == \
+        (GRID.h, 3.0, 0.5, 2.0, 0)
 
-    def make_w(gr, tau, delta):
-        return make_weight(grid=gr, tau=tau, delta=delta)
-
-    rows = feasibility_map(run_factory, [GRID], [3.0], [0.5], 0, make_w)
-    assert len(rows) == 1 and rows[0]["admissible"] and math.isfinite(rows[0]["ratio"])
-
-    rows_bad = feasibility_map(run_factory, [GRID], [40.0], [0.25], 0, make_w)
-    assert len(rows_bad) == 1 and not rows_bad[0]["admissible"]
-    assert rows_bad[0]["ratio"] == ""
+    row_bad = feasibility_row(make_weight(tau=40.0, delta=0.25), runs)
+    assert not row_bad["admissible"]
+    assert row_bad["ratio"] == "" and row_bad["I_p"] == ""
 
 
-def test_feasibility_map_rejects_integer_grid_sizes():
-    # a bare size carries no dimension; it must not silently become d = 1
-    def run_factory(gr):
-        raise AssertionError("no run may be built for a rejected grid")
+def test_feasibility_row_carries_the_largest_ratio_first_on_tie():
+    runs = []
+    for seed in (25, 31):
+        _, coeffs, src, traj = solved_run(seed=seed, steps=64)
+        runs.append((traj, src, coeffs))
+    w = make_weight()
+    reps = [verify_inequality(traj, src, coeffs, w, 0) for traj, src, coeffs in runs]
+    assert reps[0].ratio != reps[1].ratio
+    best = max(reps, key=lambda rep: rep.ratio)
+    for order in (runs, runs[::-1]):
+        row = feasibility_row(w, order)
+        assert {k: row[k] for k in best.columns()} == best.columns()
 
-    def make_w(gr, tau, delta):
-        return make_weight(grid=gr, tau=tau, delta=delta, d=gr.d)
-
-    with pytest.raises(GridError):
-        feasibility_map(run_factory, [15], [3.0], [0.5], 0, make_w)
-    with pytest.raises(GridError):
-        feasibility_map(run_factory, [g.GridSpec(2, 7), 7], [3.0], [0.5], 0, make_w)
+    # doubling a run is exact in floating point: every term gains exactly 4 and
+    # the ratio ties bit for bit, so the first of the two runs must win
+    traj, src, coeffs = runs[0]
+    doubled = (Trajectory(GRID, traj.time_grid, 2.0 * traj.values),
+               SeparableSource(FourierBump(tuple(2.0 * a for a in src.profile.amps),
+                                           src.profile.modes), src.r),
+               coeffs)
+    rep2 = verify_inequality(*doubled, w, 0)
+    assert rep2.ratio == reps[0].ratio and rep2.columns()["I_p"] == 4.0 * reps[0].columns()["I_p"]
+    assert feasibility_row(w, [runs[0], doubled])["I_p"] == reps[0].columns()["I_p"]
+    assert feasibility_row(w, [doubled, runs[0]])["I_p"] == rep2.columns()["I_p"]
 
 
 def test_scheme_residual_detects_wrong_coefficients():
@@ -304,14 +301,6 @@ def test_underflow_guard_skips_and_reports_mass():
     # the exact log value survives even where the plain value underflows
     assert math.isfinite(term.log_value)
     assert term.skipped_bound <= 1e-250
-
-
-def test_scheme_residual_accepts_backward_euler_trajectory():
-    rng = np.random.default_rng(29)
-    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True)
-    src = SeparableSource(random_bump(rng, 1), SineTimeProfile(1.0, 0.5, 0.4, 1.0))
-    traj = solve_forward(GRID, coeffs, src, TimeGrid(1.0, 64), scheme="backward-euler")
-    assert check_scheme_residual(traj, coeffs, src) <= 1e-6
 
 
 def test_carleman_worker_d3_smoke():

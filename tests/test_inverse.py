@@ -87,7 +87,7 @@ def test_observation_zero_run():
     tg = TimeGrid(1.0, 64)
     traj = solve_forward(GRID, coeffs, lambda t, X: np.zeros(X.shape[0]), tg)
     z = Trajectory(GRID, tg, np.zeros_like(traj.values))
-    obs = observe(traj, z, make_weight(), OMEGA)
+    obs = observe(traj, z, make_weight())
     assert obs.snapshot_h2 == 0.0
     assert obs.weighted_y.value == 0.0 and obs.weighted_dt.value == 0.0
 
@@ -95,7 +95,7 @@ def test_observation_zero_run():
 def test_observation_norms_match_direct_sum():
     coeffs, adm, traj, z = solved_pair(seed=21, steps=64)
     w = make_weight()
-    obs = observe(traj, z, w, OMEGA)
+    obs = observe(traj, z, w)
     pm = g.primal(GRID)
     mask = OMEGA.mask(pm.physical)
     phi = w.phi(pm.physical[mask])
@@ -113,14 +113,15 @@ def test_observation_requires_frame_time():
     coeffs, adm, traj, z = solved_pair(seed=22, steps=64)
     w = CarlemanWeight(GRID, WeightParams(T=1.0, tau=3.0, vartheta=1 / 3), OMEGA0, OMEGA)
     with pytest.raises(GridError):
-        observe(traj, z, w, OMEGA)
+        observe(traj, z, w)
 
 
 def test_omega_monotonicity_of_observation():
     coeffs, adm, traj, z = solved_pair(seed=23, steps=64)
     w = make_weight()
-    small = observe(traj, z, w, Box.cube(0.3, 0.7, 1))
-    large = observe(traj, z, w, OMEGA)
+    w_small = CarlemanWeight(GRID, w.params, OMEGA0, Box.cube(0.3, 0.7, 1))
+    small = observe(traj, z, w_small)
+    large = observe(traj, z, w)
     assert small.weighted_y.value <= large.weighted_y.value
     assert small.weighted_dt.value <= large.weighted_dt.value
 
@@ -135,13 +136,13 @@ def test_stability_quotient_zero_source():
     adm = AdmissibleSource(g=lambda t, X: np.zeros(X.shape[0]),
                            dt_g=lambda t, X: np.zeros(X.shape[0]),
                            c_g=0.0, alpha=0.5, vartheta=0.5)
-    res = stability_quotient(traj, z, adm, make_weight(), OMEGA)
+    res = stability_quotient(traj, z, adm, make_weight())
     assert res.lhs == 0.0 and res.quotient == 0.0
 
 
 def test_stability_quotient_zero_initial_data():
     coeffs, adm, traj, z = solved_pair(seed=31)
-    res = stability_quotient(traj, z, adm, make_weight(), OMEGA)
+    res = stability_quotient(traj, z, adm, make_weight())
     # y(0) = 0 kills the y-part; z(0) = g(0) != 0 but the prefactor crushes it
     assert res.initial_norm == 0.0
     assert res.rhs_error_term <= 1e-50 * res.rhs_observed
@@ -156,7 +157,7 @@ def test_stability_quotient_scale_invariance():
     adm = certify_separable(random_separable_source(rng, GRID.d, tg.T), GRID, tg)
     traj = solve_forward(GRID, coeffs, adm.g, tg)
     z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-    res1 = stability_quotient(traj, z, adm, make_weight(), OMEGA)
+    res1 = stability_quotient(traj, z, adm, make_weight())
 
     class Scaled:
         def __init__(self, fn):
@@ -169,7 +170,7 @@ def test_stability_quotient_scale_invariance():
                             alpha=adm.alpha, vartheta=adm.vartheta)
     traj3 = Trajectory(GRID, tg, 3.0 * traj.values)
     z3 = Trajectory(GRID, tg, 3.0 * z.values)
-    res3 = stability_quotient(traj3, z3, adm3, make_weight(), OMEGA)
+    res3 = stability_quotient(traj3, z3, adm3, make_weight())
     assert res3.lhs == pytest.approx(3.0 * res1.lhs, rel=1e-12)
     assert res3.quotient == pytest.approx(res1.quotient, rel=1e-10)
 
@@ -177,15 +178,16 @@ def test_stability_quotient_scale_invariance():
 def test_stability_quotient_omega_shrink_monotone():
     coeffs, adm, traj, z = solved_pair(seed=43)
     w = make_weight()
-    q_small = stability_quotient(traj, z, adm, w, Box.cube(0.3, 0.7, 1)).quotient
-    q_large = stability_quotient(traj, z, adm, w, OMEGA).quotient
+    w_small = CarlemanWeight(GRID, w.params, OMEGA0, Box.cube(0.3, 0.7, 1))
+    q_small = stability_quotient(traj, z, adm, w_small).quotient
+    q_large = stability_quotient(traj, z, adm, w).quotient
     assert q_small >= q_large
 
 
 def test_stability_quotient_rejects_inadmissible():
     coeffs, adm, traj, z = solved_pair(seed=44, steps=64)
     with pytest.raises(AdmissibilityError):
-        stability_quotient(traj, z, adm, make_weight(tau=20.0), OMEGA)
+        stability_quotient(traj, z, adm, make_weight(tau=20.0))
 
 
 def test_error_term_refinement_decay():
@@ -204,7 +206,7 @@ def test_error_term_refinement_decay():
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
         params = WeightParams(T=1.0, tau=2.5, delta=2.5 * grid.h / 0.5)
         w = CarlemanWeight(grid, params, OMEGA0, OMEGA)
-        res = stability_quotient(traj, z, adm, w, OMEGA)
+        res = stability_quotient(traj, z, adm, w)
         logs.append(res.log_error_term)
     assert logs[1] < logs[0]
 
@@ -233,7 +235,7 @@ def _reconstruction_setup(rng, time_dependent, b_amp):
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent,
                                         b_amp=b_amp)
     _, adm, traj, z = solved_pair(seed=67, steps=256)
-    obs = observe(traj, z, make_weight(), OMEGA)
+    obs = observe(traj, z, make_weight())
     return coeffs, SineTimeProfile(1.0, 0.5, 0.2, 1.0), traj.time_grid, obs
 
 
@@ -287,14 +289,14 @@ def test_reconstruction_zero_truth():
     tg = traj.time_grid
     zeros = Trajectory(GRID, tg, np.zeros_like(traj.values))
     zeros_z = Trajectory(GRID, tg, np.zeros_like(traj.values))
-    obs = observe(zeros, zeros_z, w, OMEGA)
+    obs = observe(zeros, zeros_z, w)
     rec = reconstruct_source(GRID, coeffs, adm.r, tg, obs, beta=1e-10)
     assert ops.l2_norm(rec.f_estimate) <= 1e-10
 
 
 def test_reconstruction_noiseless_twin():
     coeffs, adm, traj, z = solved_pair(seed=63, steps=128)
-    obs = observe(traj, z, make_weight(), OMEGA)
+    obs = observe(traj, z, make_weight())
     rec = reconstruct_source(GRID, coeffs, adm.r, traj.time_grid, obs, beta=1e-12,
                              truth=adm.f)
     assert rec.relative_error <= 5e-3
@@ -302,7 +304,7 @@ def test_reconstruction_noiseless_twin():
 
 def test_reconstruction_noise_sweep_reports():
     coeffs, adm, traj, z = solved_pair(seed=65, steps=96)
-    obs = observe(traj, z, make_weight(), OMEGA)
+    obs = observe(traj, z, make_weight())
     noisy = add_observation_noise(obs, 0.01, np.random.default_rng(1))
     errs = []
     for beta in (1e-10, 1e-6, 1e-2):
@@ -356,15 +358,15 @@ def test_observation_linearity_superposition():
 def test_outside_proof_regime_flagged():
     coeffs, adm, traj, z = solved_pair(seed=81, steps=256)
     w = CarlemanWeight(GRID, WeightParams(T=1.0, tau=3.0, vartheta=0.25), OMEGA0, OMEGA)
-    obs = observe(traj, z, w, OMEGA)
+    obs = observe(traj, z, w)
     assert obs.outside_proof_regime
     w_mid = CarlemanWeight(GRID, WeightParams(T=1.0, tau=3.0), OMEGA0, OMEGA)
-    assert not observe(traj, z, w_mid, OMEGA).outside_proof_regime
+    assert not observe(traj, z, w_mid).outside_proof_regime
 
 
 def test_reconstruction_rejects_indefinite_normal_equations():
     coeffs, adm, traj, z = solved_pair(seed=63, steps=128)
-    obs = observe(traj, z, make_weight(), OMEGA)
+    obs = observe(traj, z, make_weight())
     with pytest.raises(SolverError, match="positive definite"):
         reconstruct_source(GRID, coeffs, adm.r, traj.time_grid, obs, beta=-1.0, truth=adm.f)
 

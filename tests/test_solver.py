@@ -112,37 +112,13 @@ def test_temporal_convergence_trapezoid_and_backward_euler():
     def src(t, X):
         return -math.exp(-t) * (u0.values + a_u0)
 
-    def final_err(scheme, steps):
+    def final_err(steps):
         tg = TimeGrid(0.5, steps)
-        traj = solve_forward(GRID, coeffs, src, tg, y_ini=u0, scheme=scheme)
+        traj = solve_forward(GRID, coeffs, src, tg, y_ini=u0)
         return np.max(np.abs(traj.values[-1] - math.exp(-0.5) * u0.values))
 
-    tr = [final_err("trapezoid", m) for m in (32, 64)]
-    be = [final_err("backward-euler", m) for m in (32, 64)]
+    tr = [final_err(m) for m in (32, 64)]
     assert math.log2(tr[0] / tr[1]) >= 1.9
-    order_be = math.log2(be[0] / be[1])
-    assert 0.8 <= order_be <= 1.2
-
-
-def test_maximum_principle_backward_euler(rng):
-    grid = g.GridSpec(1, 9)
-    pm = g.primal(grid)
-    coeffs = CoefficientFields.constant(1, gamma=1.0, c=0.5)
-    y0 = g.MeshFunction(pm, np.abs(rng.normal(size=pm.size)))
-
-    def src(t, X):
-        return np.ones(X.shape[0])
-
-    traj = solve_forward(grid, coeffs, src, TimeGrid(1.0, 64), y_ini=y0,
-                         scheme="backward-euler")
-    assert traj.values.min() >= -1e-10 * np.max(np.abs(traj.values))
-
-
-def test_unknown_scheme_rejected():
-    with pytest.raises(GridError):
-        solve_forward(GRID, CoefficientFields.constant(1),
-                      lambda t, X: np.zeros(X.shape[0]), TimeGrid(1.0, 4),
-                      scheme="leapfrog")
 
 
 def test_nan_detection_aborts():
@@ -276,8 +252,8 @@ def _oracle_step(stepper, m, y, f):
     """One step solved by a fresh sparse LU factorisation of the assembled L_m."""
     A0 = assemble_ah(stepper.grid, stepper.coeffs, float(stepper.times[m]))
     A1 = assemble_ah(stepper.grid, stepper.coeffs, float(stepper.times[m + 1]))
-    L = sp.identity(A1.shape[0], format="csc") - stepper.implicit * A1
-    return spla.splu(L.tocsc()).solve(y + stepper.explicit * (A0 @ y) + f)
+    L = sp.identity(A1.shape[0], format="csc") - stepper.half_dt * A1
+    return spla.splu(L.tocsc()).solve(y + stepper.half_dt * (A0 @ y) + f)
 
 
 @pytest.mark.parametrize("d,n,time_dependent,b_amp", [
