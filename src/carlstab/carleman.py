@@ -23,14 +23,15 @@ measured by second-order differencing of the frames, matching the accuracy
 of the trapezoidal solver.  Time integrals use the composite trapezoid on
 the solver's own frames.
 
-Every space-time term is one call of the block kernel `space_time_sum` on
-the (frames x points) block of its field: the exponential weight is formed
-in log space for a chunk of whole frames at a time, points below the
-representable range are skipped with a recorded mass bound, and every term
-also carries its exact log value for the decay studies.  The gamma factor of
-the mixed block multiplies the difference block before the sum.  Only the
-single-time terms (the endpoints and the pointwise bound) use the one-frame
-`weighted_square_sum`.
+Every space-time term is one call of `CarlemanWeight.space_time_term` on the
+(frames x points) block of its field and its points, through the block kernel
+`space_time_sum`: the exponential weight is formed in log space a chunk of
+whole frames at a time, and points below the representable range are skipped
+with a recorded mass bound.  The gamma factor of the mixed block multiplies
+the difference block before the sum.  The single-time terms (the endpoints
+and the pointwise bound) use the one-frame `weighted_square_sum`;
+`log_endpoint_term` is the exact log the decay study reads where the
+endpoint value underflows.
 
 The empirical constant of the inequality is the max ratio over a declared
 randomized corpus; no reference value exists, so the tests assert finiteness
@@ -39,17 +40,17 @@ and stability under grid refinement instead of a number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields, sample_frames
 from .errors import GridError, SolverError
-from .quadrature import ZERO_TERM, Term, space_time_sum, weighted_square_sum
-from .solver import Stepper, TimeGrid, Trajectory
+from .quadrature import ZERO_TERM, Term, log_weighted_square_sum, weighted_square_sum
+from .solver import Stepper, Trajectory
 from .weights import CarlemanWeight
 
 LHS_KEYS = ("I_p", "J_p_gradient", "J_p_avg_gradient", "J_p_zeroth")
@@ -82,13 +83,6 @@ class CarlemanReport:
                 "ratio": self.ratio}
 
 
-def _time_weighted_term(block: np.ndarray, mesh: g.Mesh, weight: CarlemanWeight,
-                        tg: TimeGrid, power: float) -> Term:
-    """sum_m w_m h^d sum_x f_m^2(x) (s_m)^power e^(2 s_m phi) on the frames of tg."""
-    return space_time_sum(block, weight.phi(mesh.physical), weight.s(tg.times), power,
-                          mesh.grid.h ** mesh.grid.d, tg.trap)
-
-
 def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWeight,
                 p: int) -> dict:
     """All left-hand terms; returns the named totals plus the I_p split."""
@@ -96,7 +90,7 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
     pm = g.primal(grid)
     tg = traj.time_grid
     times = tg.times
-    i_time = _time_weighted_term(traj.dt_frames(), pm, weight, tg, p - 1)
+    i_time = weight.space_time_term(traj.dt_frames(), pm.physical, p - 1, tg)
 
     i_mixed = ZERO_TERM
     for i in range(grid.d):
@@ -107,21 +101,20 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
             gfac = sample_frames(coeffs.gamma[i], times, X)
             gfac *= gfac if i == j else sample_frames(coeffs.gamma[j], times, X)
             block *= np.sqrt(gfac, out=gfac)
-            term = _time_weighted_term(block, mesh_ij, weight, tg, p - 1)
+            term = weight.space_time_term(block, X, p - 1, tg)
             if i != j:  # ordered pairs (i,j) and (j,i) both appear in the sum
-                term = Term(2.0 * term.value, term.log_value + math.log(2.0),
-                            2.0 * term.skipped_bound)
+                term = term + term
             i_mixed = i_mixed + term
 
     j_grad = ZERO_TERM
     j_avg = ZERO_TERM
     for i in range(grid.d):
         dblock, dmesh = ops.diff_block(traj.values, pm, i)
-        j_grad = j_grad + _time_weighted_term(dblock, dmesh, weight, tg, p + 1)
+        j_grad = j_grad + weight.space_time_term(dblock, dmesh.physical, p + 1, tg)
         ablock, amesh = ops.avg_block(dblock, dmesh, i)
-        j_avg = j_avg + _time_weighted_term(ablock, amesh, weight, tg, p + 1)
+        j_avg = j_avg + weight.space_time_term(ablock, amesh.physical, p + 1, tg)
 
-    j_zero = _time_weighted_term(traj.values, pm, weight, tg, p + 3)
+    j_zero = weight.space_time_term(traj.values, pm.physical, p + 3, tg)
 
     return {
         "I_p_time": i_time,
@@ -133,33 +126,32 @@ def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWei
     }
 
 
-def endpoint_term(traj: Trajectory, weight: CarlemanWeight, p: int) -> Term:
-    """h^-2 int_W (s(0))^p (|y(0)|^2 + |y(T)|^2) e^(2 s(0) phi)."""
+def _endpoint_sums(traj: Trajectory, weight: CarlemanWeight, p: int, frame_sum) -> list:
+    """frame_sum(y, log weight, cell) of y(0) and y(T) under the endpoint weight."""
     grid = traj.grid
     logw0 = weight.log_weight(0.0, weight.phi(g.primal(grid).physical), p)
     endpoint_cell = grid.h ** grid.d / (grid.h ** 2)
-    return weighted_square_sum(traj.values[0], logw0, endpoint_cell) + \
-        weighted_square_sum(traj.values[-1], logw0, endpoint_cell)
+    return [frame_sum(traj.values[k], logw0, endpoint_cell) for k in (0, -1)]
+
+
+def endpoint_term(traj: Trajectory, weight: CarlemanWeight, p: int) -> Term:
+    """h^-2 int_W (s(0))^p (|y(0)|^2 + |y(T)|^2) e^(2 s(0) phi)."""
+    return sum(_endpoint_sums(traj, weight, p, weighted_square_sum), ZERO_TERM)
+
+
+def log_endpoint_term(traj: Trajectory, weight: CarlemanWeight, p: int) -> float:
+    """log of the endpoint term's value, finite where that value underflows to 0."""
+    return float(logsumexp(_endpoint_sums(traj, weight, p, log_weighted_square_sum)))
 
 
 def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int) -> dict:
     """Source, local-observation on the weight's omega, and endpoint terms of the
     right-hand side."""
-    grid = traj.grid
-    pm = g.primal(grid)
     tg = traj.time_grid
-    X = pm.physical
-    mask = weight.omega.mask(X)
-    if not np.any(mask):
-        raise GridError("observation box contains no primal points on this grid")
-
-    rhs_source = _time_weighted_term(sample_frames(source, tg.times, X), pm, weight, tg, p)
-
-    cell = grid.h ** grid.d
-    rhs_local = space_time_sum(traj.values[:, mask], weight.phi(X[mask]), weight.s(tg.times),
-                               p + 3, cell, tg.trap)
-
-    return {"rhs_source": rhs_source, "rhs_local_omega": rhs_local,
+    X = g.primal(traj.grid).physical
+    mask = weight.omega_mask(X)
+    return {"rhs_source": weight.space_time_term(sample_frames(source, tg.times, X), X, p, tg),
+            "rhs_local_omega": weight.space_time_term(traj.values[:, mask], X[mask], p + 3, tg),
             "rhs_time_endpoints": endpoint_term(traj, weight, p)}
 
 

@@ -249,18 +249,23 @@ def _validate(cfg: Config):
         problems.append("domain.omega0: must be strictly inside domain.omega")
     if not 0 < cfg.get("weights", "delta") <= 0.5:
         problems.append("weights.delta: must be in (0, 1/2]")
-    if cfg.get("weights", "lambda") < 1:
-        problems.append("weights.lambda: must be >= 1")
-    if cfg.get("weights", "tau") < 1:
-        problems.append("weights.tau: must be >= 1")
+    for name in ("weights.lambda", "weights.tau", "stability.decay_lambda", "stability.tau1"):
+        if cfg.get(*name.split(".")) < 1:
+            problems.append(f"{name}: must be >= 1")
     if cfg.get("run", "workers") < 1:
         problems.append("run.workers: must be >= 1")
     if cfg.get("reconstruct", "noise") < 0:
         problems.append("reconstruct.noise: must be >= 0")
     if cfg.get("reconstruct", "beta") < 0:
         problems.append("reconstruct.beta: must be >= 0")
+    elif cfg.get("reconstruct", "beta") == 0 and cfg.get("reconstruct", "noise") > 0:
+        problems.append("reconstruct.beta: must be > 0 when reconstruct.noise > 0 "
+                        "(the noisy sweep steps beta in decades from it)")
+    if cfg.get("stability", "eps0") <= 0:
+        problems.append("stability.eps0: must be positive")
     if not problems:
         _check_stability_window(cfg, problems)
+        _check_decay_window(cfg, problems)
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
@@ -284,3 +289,24 @@ def _check_stability_window(cfg: Config, problems: list):
                 f"stability.grids: carleman.{end}={tau!r} is inadmissible on N={n}: need "
                 f"tau >= {tau_floor:.4g} and tau h / (delta T^2) = {coupling:.4g} <= "
                 f"weights.epsilon = {w['epsilon']!r}")
+
+
+def _check_decay_window(cfg: Config, problems: list):
+    """On every decay grid the decay study's delta = tau1 h / (T^2 eps0) must lie
+    in (0, 1/2], and its weight (tau = tau1) must be admissible."""
+    st, w = cfg["stability"], cfg["weights"]
+    T = cfg.get("time", "t_final")
+    for n in st["decay_grids"]:
+        h = GridSpec(cfg.get("grid", "d"), n).h
+        delta = st["tau1"] * h / (T ** 2 * st["eps0"])
+        if not 0 < delta <= 0.5:
+            problems.append(
+                f"stability.decay_grids: N={n} couples delta = stability.tau1 h / "
+                f"(T^2 stability.eps0) = {delta:.4g}, outside (0, 1/2]")
+            continue
+        ok, tau_floor, coupling = admissible(st["tau1"], h, T, delta, w["epsilon"], w["tau0"])
+        if not ok:
+            problems.append(
+                f"stability.tau1, stability.eps0: the decay weight is inadmissible on N={n}: "
+                f"need tau1 = {st['tau1']!r} >= {tau_floor:.4g} and tau1 h / (delta T^2) = "
+                f"eps0 = {coupling:.4g} <= weights.epsilon = {w['epsilon']!r}")

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import grid as g
 from . import operators as ops
-from .carleman import check_scheme_residual, endpoint_term, feasibility_row, verify_inequality
+from .carleman import (check_scheme_residual, endpoint_term, feasibility_row,
+                       log_endpoint_term, verify_inequality)
 from .coefficients import CoefficientFields, random_smooth_coefficients
 from .config import Config
 from .errors import AdmissibilityError
@@ -450,12 +451,12 @@ def _decay_study(cfg: Config) -> tuple[list, list]:
         adm = certify_separable(src, grid, tg)
         traj = solve_forward(grid, coeffs, adm.g, tg, y_ini=y0)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-        endpoint = endpoint_term(traj, weight, 0)
+        log_endpoint = log_endpoint_term(traj, weight, 0)
         res = stability_quotient(traj, z, adm, weight)
         rows.append([int(n), grid.h, 1.0 / grid.h, params.tau, params.delta, params.lam,
-                     endpoint.value, endpoint.log_value, res.rhs_error_term,
+                     endpoint_term(traj, weight, 0).value, log_endpoint, res.rhs_error_term,
                      res.log_error_term])
-        log_end.append(endpoint.log_value)
+        log_end.append(log_endpoint)
         log_err.append(res.log_error_term)
         inv_h.append(1.0 / grid.h)
     assertions = []

@@ -26,7 +26,6 @@ the extended field as a mesh function of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -52,11 +51,6 @@ class GridSpec:
     @property
     def h(self) -> float:
         return 1.0 / (self.n + 1)
-
-    @property
-    def h_exact(self) -> Fraction:
-        """Mesh size as an exact rational; h_exact * (n+1) == 1 identically."""
-        return Fraction(1, self.n + 1)
 
     def check_axis(self, axis: int):
         if not 0 <= axis < self.d:

@@ -34,8 +34,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields, sample_frames
-from .errors import CertificationError, EmptyMaskError, GridError, SolverError
-from .quadrature import Term, space_time_sum
+from .errors import CertificationError, EmptyMaskError, SolverError
+from .quadrature import Term
 from .solver import Stepper, TimeGrid, Trajectory, apply_ah
 from .weights import CarlemanWeight
 
@@ -49,7 +49,6 @@ class Observation:
     snapshot_h2: float
     mask: np.ndarray
     local_y: np.ndarray          # (steps+1, |omega|)
-    local_dt: np.ndarray
     weighted_y: Term
     weighted_dt: Term
     outside_proof_regime: bool
@@ -60,26 +59,18 @@ def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight) -> Obs
     weight's omega."""
     tg = traj.time_grid
     vt = weight.params.obs_time
-    idx = tg.index_of(vt)
-    pm = g.primal(traj.grid)
-    snapshot = traj.frame(idx)
-    mask = weight.omega.mask(pm.physical)
-    if not np.any(mask):
-        raise GridError("observation box contains no primal points on this grid")
+    snapshot = traj.frame(tg.index_of(vt))
+    X = g.primal(traj.grid).physical
+    mask = weight.omega_mask(X)
     local_y = traj.values[:, mask]
-    local_dt = z_traj.values[:, mask]
-    phi_omega = weight.phi(pm.physical[mask])
-    s = weight.s(tg.times)
-    cell = traj.grid.h ** traj.grid.d
     return Observation(
         vartheta=vt,
         snapshot=snapshot,
         snapshot_h2=ops.h2_norm(snapshot),
         mask=mask,
         local_y=local_y,
-        local_dt=local_dt,
-        weighted_y=space_time_sum(local_y, phi_omega, s, 0.0, cell, tg.trap),
-        weighted_dt=space_time_sum(local_dt, phi_omega, s, 0.0, cell, tg.trap),
+        weighted_y=weight.space_time_term(local_y, X[mask], 0.0, tg),
+        weighted_dt=weight.space_time_term(z_traj.values[:, mask], X[mask], 0.0, tg),
         outside_proof_regime=bool(abs(vt - weight.params.T / 2.0) > 1e-12),
     )
 

@@ -11,20 +11,20 @@ Weighted space-time sums of the form
 are evaluated by `space_time_sum` on the whole (frames x points) block of a
 trajectory-like field.  The block is walked in chunks of whole frames holding
 about CHUNK_POINTS points, which bounds the temporaries whatever the grid.
-Within a chunk the log weight is formed once per point, points whose log
+Within a chunk the log weight is formed once per point, and points whose log
 weight sits below the underflow threshold are skipped (an upper bound on the
-skipped mass is recorded), and the exact value is tracked in parallel in log
-space by one row-wise logsumexp.  Each frame's value and skipped mass is a
+skipped mass is recorded).  Each frame's value and skipped mass is a
 compensated pairwise row sum (`_row_sums`: a TwoSum cascade, vectorised over
 the chunk, whose order is fixed by the row width, so reruns and any worker
 count give the same bits; rows it cannot certify as exactly rounded go to
 math.fsum, so it equals fsum); the frames are then combined with the time
-weights by `exact_sum`, and by one weighted logsumexp for the log value.  The
-log value survives even when the plain value underflows to zero, which the
-exponential-decay studies depend on.
+weights by `exact_sum`.
 
 `weighted_square_sum` is the same sum for a single frame; it serves the
 single-time terms and is the reference the block kernel is tested against.
+`log_weighted_square_sum` is the exact log of one frame's sum, which survives
+even where the plain value underflows to zero; the exponential-decay study
+depends on it.
 """
 
 from __future__ import annotations
@@ -52,26 +52,20 @@ def exact_sum(values) -> float:
 
 @dataclass
 class Term:
-    """One weighted quadratic term: plain value, exact log value, skip bound.
+    """One weighted quadratic term: its value and a skip bound.
 
-    `log_value` is -inf for an identically zero field.  `skipped_bound` is an
-    upper bound on the mass dropped by the underflow guard; it is zero unless
-    some points fell below the threshold.
+    `skipped_bound` is an upper bound on the mass dropped by the underflow
+    guard; it is zero unless some points fell below the threshold.
     """
 
     value: float
-    log_value: float
-    skipped_bound: float = 0.0
+    skipped_bound: float
 
     def __add__(self, other: "Term") -> "Term":
-        return Term(
-            self.value + other.value,
-            float(logsumexp([self.log_value, other.log_value])),
-            self.skipped_bound + other.skipped_bound,
-        )
+        return Term(self.value + other.value, self.skipped_bound + other.skipped_bound)
 
 
-ZERO_TERM = Term(0.0, -np.inf, 0.0)
+ZERO_TERM = Term(0.0, 0.0)
 
 
 def weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> Term:
@@ -82,32 +76,35 @@ def weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> Te
     keep = logw >= SKIP_THRESHOLD
     val = cell * exact_sum(sq[keep] * np.exp(logw[keep]))
     skipped = cell * exact_sum(sq[~keep]) * math.exp(SKIP_THRESHOLD)
+    return Term(val, skipped)
+
+
+def log_weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> float:
+    """log of cell * sum_x values(x)^2 * exp(logw(x)), exact where the value
+    underflows; -inf for an identically zero frame."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    logw = np.asarray(logw, dtype=np.float64).ravel()
+    sq = values * values
     nz = sq > 0.0
-    if np.any(nz):
-        logv = float(logsumexp(np.log(sq[nz]) + logw[nz])) + math.log(cell)
-    else:
-        logv = -np.inf
-    return Term(val, logv, skipped)
+    if not np.any(nz):
+        return -np.inf
+    return float(logsumexp(np.log(sq[nz]) + logw[nz])) + math.log(cell)
 
 
 def space_time_sum(block: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
                    cell: float, time_weights: np.ndarray) -> Term:
     """sum_m w_m cell sum_x block[m, x]^2 s_m^power e^(2 s_m phi(x)), guarded.
 
-    `block` is (frames, points), `phi` the weight on the points, `s` and
-    `time_weights` one entry per frame.  Row sums are compensated pairwise
+    `block` is (frames, points); `phi` (one entry per point), `s` and
+    `time_weights` (one per frame) are float arrays.  Row sums are compensated pairwise
     (`_row_sums`), so each frame gets the bits `weighted_square_sum` would.
     """
     block = np.asarray(block, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    tw = np.asarray(time_weights, dtype=np.float64)
     n_frames = block.shape[0]
     if power != 0.0:
         shift = np.array([power * math.log(sm) for sm in s.tolist()])
     vals = np.empty(n_frames)
     skips = np.zeros(n_frames)
-    logs = np.empty(n_frames)
     rows = max(1, CHUNK_POINTS // max(1, phi.size))
     for a in range(0, n_frames, rows):
         b = min(a + rows, n_frames)
@@ -118,25 +115,11 @@ def space_time_sum(block: np.ndarray, phi: np.ndarray, s: np.ndarray, power: flo
         keep = logw >= SKIP_THRESHOLD
         if not keep.all():
             skips[a:b] = cell * _row_sums(np.where(keep, 0.0, sq)) * math.exp(SKIP_THRESHOLD)
-        with np.errstate(divide="ignore"):  # log 0 = -inf drops zeros; a zero row gives -inf
-            lsq = np.log(sq)
-        lsq += logw
-        # exp in place, and the chunk arrays freed before logsumexp copies lsq:
-        # fewer temporaries live at once keeps peak memory at the per-frame level
         w = np.exp(logw, out=logw)
         w[~keep] = 0.0
         w *= sq
         vals[a:b] = cell * _row_sums(w)
-        del sq, w, logw
-        logs[a:b] = logsumexp(lsq, axis=1) + math.log(cell)
-    value = exact_sum(vals * tw)
-    skipped = exact_sum(skips * tw)
-    finite = np.isfinite(logs)
-    if np.any(finite):
-        logv = float(logsumexp(logs[finite] + np.log(tw[finite])))
-    else:
-        logv = -np.inf
-    return Term(value, logv, skipped)
+    return Term(exact_sum(vals * time_weights), exact_sum(skips * time_weights))
 
 
 def _row_sums(block: np.ndarray) -> np.ndarray:

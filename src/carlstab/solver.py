@@ -8,8 +8,8 @@ assembled both as a sparse matrix (per-axis three-point stencils) and as a
 matrix-free application through the difference/average operators; the two
 routes agree to rounding and are cross-checked in the tests.  The matrix has
 one CSR pattern per (grid, advection), built on first use, and each time is
-one fill of its entries into their slots.  A Stepper on SmoothFields,
-base + amp S(x) rho(t), samples each amp S(x) once and fills every frame.
+one fill of its entries into their slots from one t -> values sampler per
+field; a SmoothField's, base + amp S(x) rho(t), evaluates amp S(x) once.
 
 Time integration is ours: one `Stepper` owns the trapezoidal step
 
@@ -48,7 +48,7 @@ import scipy.sparse.linalg as spla
 
 from . import grid as g
 from . import operators as ops
-from .coefficients import CoefficientFields, SmoothField, sample_frames
+from .coefficients import CoefficientFields, sample_frames
 from .errors import GridError, SolverError
 from .quadrature import exact_sum, trapezoid_weights
 
@@ -139,14 +139,29 @@ def _pattern(grid: g.GridSpec, advection: bool):
     return indptr.astype(np.int32), (uniq % size).astype(np.int32), slot
 
 
-def _fill(grid: g.GridSpec, gammas, bs, c, t: float) -> sp.csr_matrix:
-    """A_h at time t from gamma_i sampled on dual_star(i), and b_i (or None) and c
-    on the primal mesh, scattered onto the fixed pattern.
+def _field_samplers(grid: g.GridSpec, coeffs: CoefficientFields) -> list:
+    """One t -> values sampler per field on its mesh: gamma_i on dual_star(i),
+    then b_i and c on the primal mesh.  A field with `at` (SmoothField) samples
+    its spatial part once; any other goes through `sample_frames`."""
+    if coeffs.d != grid.d:
+        raise GridError(f"coefficients for d={coeffs.d} used with grid d={grid.d}")
+    fields = (*coeffs.gamma, *(coeffs.b or ()), coeffs.c)
+    points = [g.dual_star(grid, ax).physical for ax in range(grid.d)]
+    points += [g.primal(grid).physical] * (len(fields) - grid.d)
+    return [f.at(X) if hasattr(f, "at") else (lambda t, f=f, X=X: sample_frames(f, (t,), X)[0])
+            for f, X in zip(fields, points)]
+
+
+def _fill(grid: g.GridSpec, samplers: list, t: float) -> sp.csr_matrix:
+    """A_h at time t from the `_field_samplers` of its coefficients, scattered
+    onto the fixed pattern.
 
     Per axis: the stencil [gamma_-, -(gamma_+ + gamma_-), gamma_+]/h^2, then the
     advection -b (y_+ - y_-)/(2h); the zero-order part is diagonal.  Rejects
     non-positive diffusion with its location and t.
     """
+    vals = [at(t) for at in samplers]
+    gammas, bs, c = vals[:grid.d], vals[grid.d:-1] or None, vals[-1]
     indptr, indices, slot = _pattern(grid, bs is not None)
     shape, h = g.primal(grid).shape, grid.h
     data, diag = [], np.zeros(indptr.size - 1)
@@ -170,14 +185,8 @@ def _fill(grid: g.GridSpec, gammas, bs, c, t: float) -> sp.csr_matrix:
 
 
 def assemble_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float) -> sp.csr_matrix:
-    """Sparse matrix of A_h on primal unknowns at time t: samples, then `_fill`s."""
-    if coeffs.d != grid.d:
-        raise GridError(f"coefficients for d={coeffs.d} used with grid d={grid.d}")
-    Xp = g.primal(grid).physical
-    gammas = [sample_frames(gam, (t,), g.dual_star(grid, ax).physical)[0]
-              for ax, gam in enumerate(coeffs.gamma)]
-    bs = None if coeffs.b is None else [sample_frames(b, (t,), Xp)[0] for b in coeffs.b]
-    return _fill(grid, gammas, bs, sample_frames(coeffs.c, (t,), Xp)[0], t)
+    """Sparse matrix of A_h on primal unknowns at time t."""
+    return _fill(grid, _field_samplers(grid, coeffs), t)
 
 
 def apply_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
@@ -237,8 +246,8 @@ class Stepper:
     y and f are one state of shape (n,) or a block of states of shape (n, k),
     one per column.  R_m y and the residuals are applied matrix-free through
     A.  Time-independent coefficients are assembled once; otherwise only the
-    two most recent operators are kept, each filled from cached amp S(x) when
-    every field is a SmoothField (bitwise what `assemble_ah` builds).
+    two most recent operators are kept.  Each is filled from samplers built
+    once per stepper, the same fill `assemble_ah` runs.
 
     Solve policy, the same for every dimension and coefficient: the stepper
     keeps one `splu` factor of L at the frame it was taken.  A step solves
@@ -265,13 +274,7 @@ class Stepper:
         self._eye = sp.identity(g.primal(grid).size, format="csr")
         self._ops = {}      # frame -> A
         self._lu = None     # (frame of L, its LU factor)
-        fields = (*coeffs.gamma, *(coeffs.b or ()), coeffs.c)
-        self._fields_at = None      # t -> field values, per field, gammas first
-        if coeffs.d == grid.d and not coeffs.time_independent \
-                and all(isinstance(f, SmoothField) for f in fields):
-            points = [g.dual_star(grid, ax).physical for ax in range(grid.d)]
-            points += [g.primal(grid).physical] * (len(fields) - grid.d)
-            self._fields_at = [f.at(X) for f, X in zip(fields, points)]
+        self._samplers = _field_samplers(grid, coeffs)
 
     def forcing(self, g0, g1):
         """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
@@ -287,15 +290,8 @@ class Stepper:
                 # every caller asks for A(t_m) before A(t_{m+1}): the older entry
                 # is the frame a forward march has passed
                 del self._ops[next(iter(self._ops))]
-            A = self._ops[m] = self._assemble(float(self.times[m]))
+            A = self._ops[m] = _fill(self.grid, self._samplers, float(self.times[m]))
         return A
-
-    def _assemble(self, t: float) -> sp.csr_matrix:
-        if self._fields_at is None:
-            return assemble_ah(self.grid, self.coeffs, t)
-        vals = [field_at(t) for field_at in self._fields_at]
-        d = self.grid.d
-        return _fill(self.grid, vals[:d], vals[d:-1] or None, vals[-1], t)
 
     def _apply_r(self, m: int, y: np.ndarray) -> np.ndarray:
         return y + self.half_dt * (self._operator(m) @ y)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, GridError
 from .grid import GridSpec, full_closure
-from .quadrature import adaptive_log_integral, fit_slope
+from .quadrature import Term, adaptive_log_integral, fit_slope, space_time_sum
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,13 @@ class CarlemanWeight:
     def assumption_report(self) -> PsiReport:
         return self._report
 
+    def omega_mask(self, physical: np.ndarray) -> np.ndarray:
+        """Membership of primal points in omega; raises GridError if none is inside."""
+        mask = self.omega.mask(physical)
+        if not np.any(mask):
+            raise GridError("observation box contains no primal points on this grid")
+        return mask
+
     # time envelope ------------------------------------------------------
 
     def theta(self, t):
@@ -241,6 +248,13 @@ class CarlemanWeight:
 
     def s(self, t):
         return self.params.tau * self.theta(t)
+
+    def space_time_term(self, block: np.ndarray, points: np.ndarray, power: float,
+                        time_grid) -> Term:
+        """sum_m w_m h^d sum_x block[m, x]^2 (s_m)^power e^(2 s_m phi(x)): one row
+        per frame of `time_grid` (trapezoid weights w_m), one column per point."""
+        return space_time_sum(block, self.phi(points), self.s(time_grid.times), power,
+                              self.grid.h ** self.grid.d, time_grid.trap)
 
     def log_weight(self, t, phi_values: np.ndarray, power: float = 0.0) -> np.ndarray:
         """log of (tau theta(t))^power * exp(2 tau theta(t) phi(x))."""

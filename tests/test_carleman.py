@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from carlstab import grid as g
 from carlstab.carleman import (LHS_KEYS, check_scheme_residual, compute_lhs,
-                               compute_rhs, feasibility_row, pointwise_time_bound,
-                               verify_inequality)
+                               compute_rhs, endpoint_term, feasibility_row, log_endpoint_term,
+                               pointwise_time_bound, verify_inequality)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.config import parse_config
 from carlstab.errors import GridError, SolverError
@@ -298,9 +299,33 @@ def test_underflow_guard_skips_and_reports_mass():
     term = lhs["J_p_zeroth"]
     assert term.skipped_bound > 0.0
     assert math.isfinite(term.value) and term.value >= 0.0
-    # the exact log value survives even where the plain value underflows
-    assert math.isfinite(term.log_value)
     assert term.skipped_bound <= 1e-250
+
+
+def test_log_endpoint_term_survives_underflow():
+    # delta = 0.01 puts s(0) near 800: e^(2 s(0) phi) underflows at every point, so
+    # the value path skips the whole endpoint mass while its exact log stays finite
+    tg = TimeGrid(1.0, 16)
+    pm = g.primal(GRID)
+    frames = np.ones((17, 15))
+    frames[0] = np.sin(np.pi * pm.physical[:, 0])
+    w = make_weight(tau=8.0, delta=0.01, lam=3.0)
+    traj = Trajectory(GRID, tg, frames)
+    term = endpoint_term(traj, w, 0)
+    assert term.value == 0.0 and term.skipped_bound > 0.0
+    got = log_endpoint_term(traj, w, 0)
+    assert math.isfinite(got)
+
+    # the per-frame log formula, the two frames combined by logsumexp
+    logw = w.log_weight(0.0, w.phi(pm.physical), 0)
+    cell = GRID.h ** GRID.d / (GRID.h ** 2)
+    logs = []
+    for y in (frames[0], frames[-1]):
+        sq = y * y
+        nz = sq > 0.0
+        logs.append(float(logsumexp(np.log(sq[nz]) + logw[nz])) + math.log(cell))
+    assert got == float(logsumexp(logs))
+    assert log_endpoint_term(Trajectory(GRID, tg, np.zeros((17, 15))), w, 0) == -np.inf
 
 
 def test_carleman_worker_d3_smoke():

@@ -69,6 +69,10 @@ def test_interval_and_list_parsing():
     ("converge", "converge.temporal_steps=0,64"),
     ("reconstruct", "reconstruct.beta=-1"),
     ("stability", "stability.grids=7,15"),
+    ("stability", "stability.decay_grids=3,15"),
+    ("stability", "stability.eps0=0.6"),
+    ("stability", "stability.tau1=1.5"),
+    ("stability", "stability.decay_lambda=0.5"),
 ], ids=lambda v: v if "=" in v else None)
 def test_validation_rules(suite, override, tmp_path, capsys):
     key = override.partition("=")[0]
@@ -76,6 +80,17 @@ def test_validation_rules(suite, override, tmp_path, capsys):
         parse_config(None, [override])
     assert main([suite, "--set", override, "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_beta_sweep_needs_positive_beta(tmp_path, capsys):
+    # the noisy sweep steps beta in decades, from log10(beta)
+    noisy = ["reconstruct.beta=0", "reconstruct.noise=0.01"]
+    with pytest.raises(ConfigError, match="reconstruct.beta"):
+        parse_config(None, noisy)
+    argv = ["reconstruct", "--out", str(tmp_path)]
+    assert main(argv + [f"--set={ov}" for ov in noisy]) == 2
+    assert "reconstruct.beta" in capsys.readouterr().err
+    assert parse_config(None, ["reconstruct.beta=0"]).get("reconstruct", "beta") == 0.0
 
 
 def test_removed_keys_rejected_as_unknown():

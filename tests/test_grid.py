@@ -11,12 +11,6 @@ def brute_shift_set(points, axis, step):
     return {tuple(p[i] + (step if i == axis else 0) for i in range(len(p))) for p in points}
 
 
-def test_grid_spec_exact_mesh_size():
-    for n in (1, 3, 7, 48):
-        gs = g.GridSpec(1, n)
-        assert gs.h_exact * (n + 1) == 1
-
-
 def test_grid_spec_rejects_bad_dimension():
     with pytest.raises(GridError):
         g.GridSpec(4, 3)

@@ -409,8 +409,6 @@ def test_fill_matches_coo_reference_bitwise(rng, d, n, b_amp, time_dependent):
     grid = g.GridSpec(d, n)
     coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent, b_amp=b_amp)
     stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
-    # the separable cache serves every time-dependent march of smooth fields
-    assert (stepper._fields_at is not None) == time_dependent
     for m, t in enumerate(stepper.times):
         want = reference_assemble_ah(grid, coeffs, float(t))
         assert_same_csr(assemble_ah(grid, coeffs, float(t)), want)
@@ -434,7 +432,6 @@ def test_cached_fill_rejects_nonpositive_diffusion_with_location():
                                dt_gamma=(FieldTimeDerivative(gamma),),
                                dt_c=FieldTimeDerivative(c))
     stepper = Stepper(GRID, coeffs, TimeGrid(1.0, 16))
-    assert stepper._fields_at is not None
     rejected = 0
     for m, t in enumerate(stepper.times):
         try:
