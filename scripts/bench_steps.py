@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Per-step cost of the implicit march at fixed (d, N, steps).
+
+Each case marches `solver.solve_forward` from a random initial state with a
+random separable source.  The time-dependent cases draw coefficients with
+advection (`b_amp=0.3`); the time-independent case is the small repeated
+operator of the stability corpus and the reconstruction.  For each case the
+script prints milliseconds per step (assembly and factorisations included,
+median over `--repeat` marches), and the factorisations and refinement sweeps
+of one march, which repeat exactly for a given seed.
+
+    python scripts/bench_steps.py [--repeat 3] [--seed 0] [--json FILE]
+
+BLAS runs on one thread.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from carlstab import grid as g  # noqa: E402
+from carlstab.coefficients import random_smooth_coefficients  # noqa: E402
+from carlstab.inverse import random_separable_source  # noqa: E402
+from carlstab.solver import TimeGrid, solve_forward  # noqa: E402
+
+# (d, N, steps, time-dependent)
+CASES = [(1, 31, 256, True), (2, 31, 256, True), (2, 63, 256, True), (3, 15, 64, True),
+         (1, 15, 4096, False)]
+
+
+def march(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, dict]:
+    rng = np.random.default_rng(seed)
+    grid = g.GridSpec(d, n)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent,
+                                        b_amp=0.3 if time_dependent else 0.0)
+    src = random_separable_source(rng, d, 1.0)
+    pm = g.primal(grid)
+    y0 = g.MeshFunction(pm, rng.normal(size=pm.size))
+    start = time.perf_counter()
+    traj = solve_forward(grid, coeffs, src, TimeGrid(1.0, steps), y_ini=y0)
+    return time.perf_counter() - start, traj.diagnostics
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json", help="also write the table to this file")
+    args = ap.parse_args()
+    rows = []
+    print(f"{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'ms/step':>8} "
+          f"{'factorisations':>14} {'sweeps':>6} {'sweeps/step':>11}")
+    for d, n, steps, time_dependent in CASES:
+        times, diag = [], None
+        for _ in range(args.repeat):
+            elapsed, diag = march(d, n, steps, time_dependent, args.seed)
+            times.append(elapsed)
+        ms = 1e3 * statistics.median(times) / steps
+        row = {"d": d, "N": n, "steps": steps, "time_dependent": time_dependent,
+               "ms_per_step": ms, "factorisations": diag["factorisations"],
+               "sweeps": diag["sweeps"]}
+        rows.append(row)
+        kind = "time-dependent" if time_dependent else "time-independent"
+        print(f"{d:>2} {n:>3} {steps:>5} {kind:>16} {ms:>8.3f} {row['factorisations']:>14} "
+              f"{row['sweeps']:>6} {row['sweeps'] / steps:>11.2f}", flush=True)
+    if args.json:
+        Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

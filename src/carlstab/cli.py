@@ -59,6 +59,12 @@ def _json_num(v: float):
     return v if math.isfinite(v) else repr(v)
 
 
+def _json_value(v):
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return _json_num(v) if isinstance(v, float) else v
+
+
 def _write_run_dir(out_dir: Path, cfg: Config, result: SuiteResult, wall: float):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.cfg").write_text(cfg.snapshot_text())
@@ -71,6 +77,7 @@ def _write_run_dir(out_dir: Path, cfg: Config, result: SuiteResult, wall: float)
              "pass": a.passed}
             for a in result.assertions
         ],
+        "extras": {key: _json_value(v) for key, v in result.extras.items()},
         "wall_time_s": wall,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

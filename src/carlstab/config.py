@@ -249,9 +249,12 @@ def _validate(cfg: Config):
         problems.append("domain.omega0: must be strictly inside domain.omega")
     if not 0 < cfg.get("weights", "delta") <= 0.5:
         problems.append("weights.delta: must be in (0, 1/2]")
-    for name in ("weights.lambda", "weights.tau", "stability.decay_lambda", "stability.tau1"):
+    for name in ("weights.lambda", "weights.tau", "stability.decay_lambda", "stability.tau1",
+                 "carleman.feasibility_tau1"):
         if cfg.get(*name.split(".")) < 1:
             problems.append(f"{name}: must be >= 1")
+    if min(cfg.get("carleman", "feasibility_taus"), default=1) < 1:
+        problems.append("carleman.feasibility_taus: every entry must be >= 1")
     if cfg.get("run", "workers") < 1:
         problems.append("run.workers: must be >= 1")
     if cfg.get("reconstruct", "noise") < 0:

@@ -265,7 +265,17 @@ def _draw_corpus_run(rng: np.random.Generator, cfg: Config, time_dependent: bool
     return tau, coeffs, y_prof, src
 
 
-def _carleman_worker(payload) -> list:
+def _solver_work(diagnostics: list) -> dict:
+    """Solver work of several marches from their `Trajectory.diagnostics`, or
+    from earlier merges: counters summed, the largest linear residual kept."""
+    work = {key: sum(d[key] for d in diagnostics)
+            for key in ("factorisations", "sweeps", "linear_solves")}
+    work["max_linear_residual"] = max((d["max_linear_residual"] for d in diagnostics),
+                                      default=0.0)
+    return work
+
+
+def _carleman_worker(payload) -> tuple[list, dict]:
     cfg_values, run_index = payload
     cfg = Config(cfg_values)
     seed = cfg.get("run", "seed")
@@ -276,12 +286,13 @@ def _carleman_worker(payload) -> list:
     tau, coeffs, y_prof, src = _draw_corpus_run(
         rng, cfg, time_dependent=True, b_amp=ca["b_amp"],
         tau_range=(ca["tau_min"], ca["tau_max"]))
-    rows = []
+    rows, diagnostics = [], []
     for n in ca["grids"]:
         grid = g.GridSpec(d, int(n))
         y0 = g.sample(g.primal(grid), y_prof)
         tg = TimeGrid(T, ca["steps"])
         traj = solve_forward(grid, coeffs, src, tg, y_ini=y0)
+        diagnostics.append(traj.diagnostics)
         residual = check_scheme_residual(traj, coeffs, src)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
         for p in (0, 1):
@@ -291,7 +302,7 @@ def _carleman_worker(payload) -> list:
                 "tau": tau, "delta": weight.params.delta, "lambda": weight.params.lam,
                 **rep.columns(), "admissible": rep.admissible, "residual": residual,
             })
-    return rows
+    return rows, _solver_work(diagnostics)
 
 
 def _map_runs(worker, payloads, workers: int):
@@ -309,8 +320,10 @@ def run_carleman(cfg: Config) -> SuiteResult:
     ca = cfg["carleman"]
     workers = cfg.get("run", "workers")
     payloads = [(cfg.values, k) for k in range(ca["runs"])]
-    rows = [row for batch in _map_runs(_carleman_worker, payloads, workers) for row in batch]
+    results = _map_runs(_carleman_worker, payloads, workers)    # in run-id order
+    rows = [row for batch, _ in results for row in batch]
     rows.sort(key=lambda r: (r["run_id"], r["N"], r["p"]))
+    solver_work = [work for _, work in results]
 
     assertions = []
     for p in (0, 1):
@@ -332,6 +345,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
         runs = [(solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]),
                                y_ini=g.sample(g.primal(grid), y_prof)), src, coeffs)
                 for _, coeffs, y_prof, src in fea_draws]
+        solver_work += [traj.diagnostics for traj, _, _ in runs]
         cell_deltas = list(ca["feasibility_deltas"])
         try:
             coupled = coupled_delta(_weight_params(cfg), grid.h, ca["feasibility_tau1"],
@@ -361,7 +375,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
         "carleman_corpus": (corpus_header, [[r[k] for k in corpus_header] for r in rows]),
         "feasibility": (fea_header, [[r[k] for k in fea_header] for r in fea_rows]),
     }
-    return SuiteResult("carleman", assertions, tables)
+    return SuiteResult("carleman", assertions, tables, extras=_solver_work(solver_work))
 
 
 # stability corpus and decay ---------------------------------------------------

@@ -18,14 +18,18 @@ Time integration is ours: one `Stepper` owns the trapezoidal step
 and its residual; the forward solve, the z-system march, the reconstruction's
 normal equations and the scheme residual check all run through it.  A step
 takes one state or a block of states as columns, so a linear map of the
-forcing marches all its columns at once.  Every step solves the same way:
-with one sparse LU factor of L taken at some frame, followed by iterative
+forcing marches all its columns at once.  Each frame stores L and R, scaled
+from A's entries on A's pattern, so applying either is one sparse product.
+Every step solves the same way: with one sparse LU factor of L taken at
+some frame, in SuperLU's minimum-degree ordering of L^T + L (about half the
+fill of the default column ordering at d >= 2), followed by iterative
 refinement against the current L_m until the worst column's relative
 residual is at most REFINE_TOL, for at most REFINE_SWEEPS sweeps; a factor
-of another frame that misses the target is replaced by one of L_m.
-Time-independent coefficients factorise once, and that exact factor meets
-the target without a sweep.  Every column must reach relative residual
-LINEAR_RESIDUAL_TOL = 1e-10 or the step raises.
+of another frame that misses the target is replaced by one of L_m, and so is
+one whose previous step needed more than REFRESH_SWEEPS sweeps.  Both
+rules read only the data.  Time-independent coefficients factorise once,
+and that exact factor meets the target without a sweep.  Every column must
+reach relative residual LINEAR_RESIDUAL_TOL = 1e-10 or the step raises.
 
 The differentiated system for z ~ dt y carries the data at the mid time
 
@@ -39,6 +43,8 @@ the heat flow is ill posed).
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,6 +61,9 @@ from .quadrature import exact_sum, trapezoid_weights
 LINEAR_RESIDUAL_TOL = 1e-10
 REFINE_TOL = 1e-13
 REFINE_SWEEPS = 8
+# a lower threshold refactorises more often than it saves in sweeps on the
+# costliest factor measured (d = 3, N = 15); see scripts/bench_steps.py
+REFRESH_SWEEPS = 7
 
 
 @dataclass(frozen=True)
@@ -244,24 +253,29 @@ class Stepper:
         L_m = I - dt/2 A(t_{m+1}),    R_m = I + dt/2 A(t_m).
 
     y and f are one state of shape (n,) or a block of states of shape (n, k),
-    one per column.  R_m y and the residuals are applied matrix-free through
-    A.  Time-independent coefficients are assembled once; otherwise only the
-    two most recent operators are kept.  Each is filled from samplers built
-    once per stepper, the same fill `assemble_ah` runs.
+    one per column.  Each frame keeps A and both shifted matrices I -+ dt/2 A,
+    scaled from A's entries on its own pattern, so R_m y and each residual are
+    one sparse product.  Time-independent coefficients are assembled once;
+    otherwise only the two most recent frames are kept.  Each is filled from
+    samplers built once per stepper, the same fill `assemble_ah` runs.
 
     Solve policy, the same for every dimension and coefficient: the stepper
-    keeps one `splu` factor of L at the frame it was taken.  A step solves
-    with it, then refines, x += LU^{-1}(rhs - L_m x), until the largest
-    relative residual over the columns is at most REFINE_TOL or
-    REFINE_SWEEPS sweeps are spent.  If the target is missed and the factor
-    belongs to another frame, L_m is factorised and the step is solved again
-    from scratch.  The rule reads only the data, so a rerun repeats every
+    keeps one `splu` factor of L, in a minimum-degree ordering of the pattern
+    of L^T + L, at the frame it was taken.  A step solves with it, then
+    refines, x += LU^{-1}(rhs - L_m x), until the largest relative residual
+    over the columns is at most REFINE_TOL or REFINE_SWEEPS sweeps are spent.
+    If the target is missed and the factor belongs to another frame, L_m is
+    factorised and the step is solved again from scratch.  A step that follows
+    one which needed more than REFRESH_SWEEPS sweeps factorises its own L_m
+    before solving, so a drifting factor is replaced before it runs into the
+    cap.  The rule reads only the data, so a rerun repeats every
     factorisation.  A time-independent march factorises once and its exact
-    factor needs no sweep; a time-dependent one factorises whenever its coefficients have
-    drifted too far for the lagged factor.  Every column must reach relative
-    residual LINEAR_RESIDUAL_TOL and a finite state, or the step raises; the
-    residual reported is the largest over the columns.  `factorisations`,
-    `sweeps` and `linear_solves` (one per step) count the work done.
+    factor needs no sweep; a time-dependent one factorises whenever its
+    coefficients have drifted too far for the lagged factor.  Every column
+    must reach relative residual LINEAR_RESIDUAL_TOL and a finite state, or
+    the step raises; the residual reported is the largest over the columns.
+    `factorisations`, `sweeps` and `linear_solves` (one per step) count the
+    work done.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
@@ -271,65 +285,88 @@ class Stepper:
         self.factorisations = 0
         self.sweeps = 0
         self.linear_solves = 0
-        self._eye = sp.identity(g.primal(grid).size, format="csr")
-        self._ops = {}      # frame -> A
-        self._lu = None     # (frame of L, its LU factor)
+        self._ops = {}          # frame -> (A, L, R)
+        self._lu = None         # (frame of L, its LU factor)
+        self._last_sweeps = 0   # sweeps the previous step needed
         self._samplers = _field_samplers(grid, coeffs)
+        # `_pattern` emits the diagonal entries last
+        self._diag = _pattern(grid, coeffs.b is not None)[2][-g.primal(grid).size:]
 
     def forcing(self, g0, g1):
         """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
         return self.half_dt * (g0 + g1)
 
-    def _operator(self, m: int) -> sp.csr_matrix:
-        """A_h at frame m."""
+    def _frame(self, m: int) -> tuple:
+        """(A, I - dt/2 A, I + dt/2 A) at frame m."""
         if self.coeffs.time_independent:
             m = 0
-        A = self._ops.get(m)
-        if A is None:
+        entry = self._ops.get(m)
+        if entry is None:
             if len(self._ops) == 2:
-                # every caller asks for A(t_m) before A(t_{m+1}): the older entry
+                # every caller asks for frame m before frame m + 1: the older entry
                 # is the frame a forward march has passed
                 del self._ops[next(iter(self._ops))]
-            A = self._ops[m] = _fill(self.grid, self._samplers, float(self.times[m]))
-        return A
+            A = _fill(self.grid, self._samplers, float(self.times[m]))
+            entry = self._ops[m] = (A, self._shifted(A, -self.half_dt),
+                                    self._shifted(A, self.half_dt))
+        return entry
 
-    def _apply_r(self, m: int, y: np.ndarray) -> np.ndarray:
-        return y + self.half_dt * (self._operator(m) @ y)
+    def _shifted(self, A: sp.csr_matrix, scale: float) -> sp.csr_matrix:
+        """I + scale A on the pattern of A, which holds the diagonal.  A shallow
+        copy shares A's index arrays and skips the constructor's format checks."""
+        M = copy.copy(A)
+        M.data = scale * A.data
+        M.data[self._diag] += 1.0
+        return M
 
-    def _apply_l(self, m: int, y: np.ndarray) -> np.ndarray:
-        return y - self.half_dt * (self._operator(m + 1) @ y)
+    def _operator(self, m: int) -> sp.csr_matrix:
+        """A_h at frame m."""
+        return self._frame(m)[0]
 
-    def _factorise(self, frame: int):
-        L = self._eye - self.half_dt * self._operator(frame)
+    def _factorise(self, frame: int, L: sp.csr_matrix):
         self.factorisations += 1
-        self._lu = (frame, spla.splu(L.tocsc()))
+        self._lu = (frame, spla.splu(L.tocsc(), permc_spec="MMD_AT_PLUS_A"))
 
-    def _refine(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solve with the current factor, then refine against L_m."""
-        lu = self._lu[1]
-        nb = np.linalg.norm(rhs, axis=0)
-        scale = np.where(nb > 0.0, nb, 1.0)     # a zero column solves exactly to zero
-        x = lu.solve(rhs)
-        for sweep in range(REFINE_SWEEPS + 1):
-            r = rhs - self._apply_l(m, x)
-            res = float(np.max(np.linalg.norm(r, axis=0) / scale))
-            if res <= REFINE_TOL or not np.isfinite(res) or sweep == REFINE_SWEEPS:
-                return x, res
-            x += lu.solve(r)
-            self.sweeps += 1
+    def _refine(self, L: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solve with the current factor, then refine against L."""
+        solve = self._lu[1].solve
+        if rhs.ndim == 1:
+            scale = math.sqrt(rhs @ rhs) or 1.0     # a zero rhs solves exactly to zero
+
+            def worst(r):
+                return math.sqrt(r @ r) / scale
+        else:
+            norms = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
+            scale = np.where(norms > 0.0, norms, 1.0)
+
+            def worst(r):
+                return float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r)) / scale))
+        x = solve(rhs)
+        sweeps = 0
+        while True:
+            r = rhs - L @ x
+            res = worst(r)
+            if res <= REFINE_TOL or sweeps == REFINE_SWEEPS or not math.isfinite(res):
+                break
+            x += solve(r)
+            sweeps += 1
+        self.sweeps += sweeps
+        self._last_sweeps = sweeps
+        return x, res
 
     def _solve(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """x with L_m x = rhs, and its largest relative residual over the columns."""
         self.linear_solves += 1
         frame = 0 if self.coeffs.time_independent else m + 1
-        if self._lu is None:
-            self._factorise(frame)
-        x, res = self._refine(m, rhs)
+        L = self._frame(frame)[1]
+        if self._lu is None or (self._lu[0] != frame and self._last_sweeps > REFRESH_SWEEPS):
+            self._factorise(frame, L)
+        x, res = self._refine(L, rhs)
         # a non-finite residual is a miss too: a diverged refinement gets a fresh factor
         if not res <= REFINE_TOL and self._lu[0] != frame:
-            self._factorise(frame)
-            x, res = self._refine(m, rhs)
-        if not np.all(np.isfinite(x)):
+            self._factorise(frame, L)
+            x, res = self._refine(L, rhs)
+        if not np.isfinite(x).all():
             raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
         if res > LINEAR_RESIDUAL_TOL:
             raise SolverError(f"linear solve failed: relative residual {res:.3e}")
@@ -337,11 +374,12 @@ class Stepper:
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """y_{m+1} and the largest relative residual of its linear solves."""
-        return self._solve(m, self._apply_r(m, y) + f)
+        return self._solve(m, self._frame(m)[2] @ y + f)
 
     def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """L_m y1 - R_m y0 - f, matrix-free: zero up to the solve tolerance on a true step."""
-        return self._apply_l(m, y1) - (self._apply_r(m, y0) + f)
+        """L_m y1 - R_m y0 - f: zero up to the solve tolerance on a true step."""
+        rhs = self._frame(m)[2] @ y0 + f
+        return self._frame(m + 1)[1] @ y1 - rhs
 
 
 def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,

@@ -333,7 +333,8 @@ def test_carleman_worker_d3_smoke():
     # exit code says nothing here
     cfg = parse_config(overrides=["grid.d=3", "carleman.grids=7", "carleman.steps=64",
                                   "carleman.runs=1"])
-    rows = _carleman_worker((cfg.values, 0))
+    rows, solver = _carleman_worker((cfg.values, 0))
+    assert solver["linear_solves"] == 64 and solver["max_linear_residual"] <= 1e-10
     assert [(row["N"], row["p"]) for row in rows] == [(7, 0), (7, 1)]
     for row in rows:
         for key in ("I_p", "J_p", "rhs_source", "rhs_local", "rhs_endpoint"):

@@ -64,6 +64,8 @@ def test_interval_and_list_parsing():
     ("converge", "converge.temporal_steps="),
     ("carleman", "carleman.grids="),
     ("carleman", "carleman.feasibility_taus="),
+    ("carleman", "carleman.feasibility_taus=0.5"),
+    ("carleman", "carleman.feasibility_tau1=0.5"),
     ("stability", "stability.decay_grids=15"),
     ("carleman", "carleman.grids=0,15"),
     ("converge", "converge.temporal_steps=0,64"),

@@ -4,9 +4,11 @@ Every suite is rerun with the fast overrides into a temporary directory and
 each CSV is compared with its committed copy: the header and non-numeric
 cells exactly, numeric cells to 1e-9 relative.  Each summary.json must list
 the same assertions, with the same bounds and verdicts and values to the
-same tolerance; its wall time is not compared.  Each config.cfg snapshot must
-parse and hold the fresh run's settings, `run.out` aside.  A change that moves
-a run on purpose regenerates the files and says so in CHANGES.md.
+same tolerance, and the same extras: counters such as the carleman suite's
+factorisations and sweeps exactly, other numbers to the same tolerance; its
+wall time is not compared.  Each config.cfg snapshot must parse and hold the
+fresh run's settings, `run.out` aside.  A change that moves a run on purpose
+regenerates the files and says so in CHANGES.md.
 """
 
 import importlib.util
@@ -77,6 +79,16 @@ def test_fast_runs_match_committed_csvs(fresh_runs):
                 assert _cells_agree(w_cell, g_cell), f"{rel}:{i} {col}: {g_cell} != {w_cell}"
 
 
+def _extras_agree(want, got) -> bool:
+    """Counters (integers) exactly, other numbers to REL_TOL, lists entry by entry."""
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) \
+            and all(map(_extras_agree, want, got))
+    if isinstance(want, int):
+        return isinstance(got, int) and got == want
+    return _numbers_agree(float(want), float(got))
+
+
 def test_fast_runs_match_committed_summaries(fresh_runs):
     golden = sorted(p.relative_to(RUNS) for p in RUNS.glob("*/summary.json"))
     assert golden == sorted(p.relative_to(fresh_runs) for p in fresh_runs.glob("*/summary.json"))
@@ -89,6 +101,9 @@ def test_fast_runs_match_committed_summaries(fresh_runs):
             assert (g["bound"], g["pass"]) == (w["bound"], w["pass"]), f"{rel} {w['name']}"
             assert _numbers_agree(float(w["value"]), float(g["value"])), \
                 f"{rel} {w['name']}: {g['value']} != {w['value']}"
+        assert got["extras"].keys() == want["extras"].keys(), rel
+        for key, w in want["extras"].items():
+            assert _extras_agree(w, got["extras"][key]), f"{rel} {key}: {got['extras'][key]} != {w}"
 
 
 def test_committed_snapshots_match_fresh_configs(fresh_runs):
