@@ -2,10 +2,10 @@
 
 A coefficient sampler maps (t, X) with X of shape (npts, d) to an array of
 npts values.  Samplers are small frozen dataclasses so whole problem setups
-pickle cleanly across worker processes.  `sample_frames` samples one at many
-times; a sampler with a `frames(times, X)` method (the fields here, separable
-sources) builds that block from one spatial evaluation, bitwise equal to one
-call per time.
+pickle cleanly across worker processes.  A fast sampler (these fields but
+the time derivative, separable sources and their rates) also has `at(X)`:
+t -> values bitwise equal to the call, the spatial part evaluated once; t is a
+scalar or a column of times, one row each.  `sample_frames` goes through it.
 
 The regularity functional collects, per diffusion component,
 
@@ -36,8 +36,9 @@ class ConstantField:
     def __call__(self, t, X):
         return np.full(np.atleast_2d(X).shape[0], self.value)
 
-    def frames(self, times, X):
-        return np.full((len(times), np.atleast_2d(X).shape[0]), self.value)
+    def at(self, X):
+        n = np.atleast_2d(X).shape[0]
+        return lambda t: np.full(np.broadcast_shapes(np.shape(t), (n,)), self.value)
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,9 @@ class SmoothField:
         return self.base + self.amp * self._space(X) * self._rho(t)
 
     def at(self, X):
-        """t -> self(t, X) bitwise, with amp S(X) evaluated once; a column of
-        times gives one row per time."""
+        """t -> self(t, X) bitwise, with amp S(X) evaluated once."""
         space = self.amp * self._space(X)
         return lambda t: self.base + space * self._rho(t)
-
-    def frames(self, times, X):
-        return self.at(X)(times[:, None])
 
     def dt(self, t, X):
         rho_p = self.tamp * (2.0 * math.pi / self.T) * math.cos(2.0 * math.pi * t / self.T + self.tphase)
@@ -88,12 +85,12 @@ class FieldTimeDerivative:
 def sample_frames(fn, times, X) -> np.ndarray:
     """fn(t, X) at every time of `times`, stacked: shape (len(times), len(X)).
 
-    Calls `fn.frames(times, X)` when the sampler has one, else fn once per
-    time; rejects a block of the wrong shape.
+    Calls `fn.at(X)` on the column of times when the sampler has `at`, else
+    fn once per time; rejects a block of the wrong shape.
     """
     times, X = np.asarray(times, dtype=np.float64), np.atleast_2d(X)
-    if hasattr(fn, "frames"):
-        vals = np.asarray(fn.frames(times, X), dtype=np.float64)
+    if hasattr(fn, "at"):
+        vals = np.asarray(fn.at(X)(times[:, None]), dtype=np.float64)
     else:
         vals = np.stack([np.asarray(fn(float(t), X), dtype=np.float64) for t in times])
     if vals.shape != (len(times), X.shape[0]):
@@ -105,7 +102,6 @@ def sample_frames(fn, times, X) -> np.ndarray:
 @dataclass
 class RegularityReport:
     reg: float
-    gamma_min: float
     b_sup: float
     c_sup: float
 
@@ -152,10 +148,8 @@ class CoefficientFields:
         X = mesh.physical
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
         reg = 0.0
-        gamma_min = np.inf
         for i, gam in enumerate(self.gamma):
             vals = sample_frames(gam, times, X)
-            gamma_min = min(gamma_min, float(np.min(vals)))
             grad_max_sq = 0.0
             for ax in range(grid.d):
                 grad = ops.diff_block(vals, mesh, ax)[0]
@@ -167,14 +161,13 @@ class CoefficientFields:
         b_sup = max((float(np.max(np.abs(sample_frames(bi, times, X)))) for bi in self.b or ()),
                     default=0.0)
         c_sup = float(np.max(np.abs(sample_frames(self.c, times, X))))
-        return RegularityReport(reg=reg, gamma_min=gamma_min, b_sup=b_sup, c_sup=c_sup)
+        return RegularityReport(reg=reg, b_sup=b_sup, c_sup=c_sup)
 
 
 def random_smooth_coefficients(rng: np.random.Generator, d: int, T: float,
                                time_dependent: bool = False,
-                               gamma_amp: float = 0.4, b_amp: float = 0.0,
-                               c_amp: float = 1.0) -> CoefficientFields:
-    """Random smooth coefficient set with gamma bounded away from zero."""
+                               b_amp: float = 0.0) -> CoefficientFields:
+    """Random smooth coefficient set, gamma within 0.4 of 1 and |c| <= 1."""
 
     def draw(base, amp, with_time):
         w = tuple(rng.uniform(0.5, 1.5, size=d))
@@ -188,8 +181,8 @@ def random_smooth_coefficients(rng: np.random.Generator, d: int, T: float,
             T=T,
         )
 
-    gammas = tuple(draw(1.0, gamma_amp, time_dependent) for _ in range(d))
-    c = draw(0.0, c_amp, time_dependent)
+    gammas = tuple(draw(1.0, 0.4, time_dependent) for _ in range(d))
+    c = draw(0.0, 1.0, time_dependent)
     bs = tuple(draw(0.0, b_amp, time_dependent) for _ in range(d)) if b_amp > 0 else None
     if time_dependent:
         return CoefficientFields(

@@ -226,6 +226,8 @@ def _validate(cfg: Config):
         steps = cfg.get(*name.split("."))
         if steps < 2 or steps % 2:
             problems.append(f"{name}: must be even and >= 2 (mid-time frame needed)")
+    if cfg.get("carleman", "steps") < 2:
+        problems.append("carleman.steps: must be >= 2 (the corpus differences frames in time)")
     if cfg.get("energy", "steps") < 16 or cfg.get("energy", "steps") % 16:
         problems.append("energy.steps: must be a positive multiple of 16 "
                         "(frames at t = 0.25, 0.5 and 0.9375 needed)")

@@ -232,7 +232,7 @@ def run_energy(cfg: Config) -> SuiteResult:
         n = int(rng.integers(5, 13))
         grid = g.GridSpec(d, n)
         coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True,
-                                            b_amp=en["b_amp"], c_amp=1.0)
+                                            b_amp=en["b_amp"])
         pm = g.primal(grid)
         y0 = g.MeshFunction(pm, rng.normal(size=pm.size))
         src = random_separable_source(rng, d, 1.0)
@@ -259,7 +259,7 @@ def _draw_corpus_run(rng: np.random.Generator, cfg: Config, time_dependent: bool
     T = cfg.get("time", "t_final")
     tau = float(rng.uniform(*tau_range))
     coeffs = random_smooth_coefficients(rng, d, T, time_dependent=time_dependent,
-                                        b_amp=b_amp, c_amp=1.0)
+                                        b_amp=b_amp)
     y_prof = random_bump(rng, d)
     src = random_separable_source(rng, d, T)
     return tau, coeffs, y_prof, src
@@ -509,7 +509,7 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     weight = _weight(cfg, grid, _weight_params(cfg))
     obs = observe(traj, z, weight)
     rec = reconstruct_source(grid, coeffs, adm.r, tg, obs, beta=rc["beta"], truth=adm.f)
-    rows.append(["source", grid.n, rc["beta"], 0.0, rec.relative_error, rec.iterations])
+    rows.append(["source", grid.n, rc["beta"], 0.0, rec.relative_error])
 
     if rc["noise"] > 0:
         noisy = add_observation_noise(obs, rc["noise"], run_rng(seed, SUITE_IDS["reconstruct"], 1))
@@ -517,8 +517,7 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
                             rc["beta_sweep_decades"] + 1)
         for b in betas:
             rec_n = reconstruct_source(grid, coeffs, adm.r, tg, noisy, beta=float(b), truth=adm.f)
-            rows.append(["source_noisy", grid.n, float(b), rc["noise"],
-                         rec_n.relative_error, rec_n.iterations])
+            rows.append(["source_noisy", grid.n, float(b), rc["noise"], rec_n.relative_error])
 
     cgrid = g.GridSpec(d, rc["coeff_n"])
     cpm = g.primal(cgrid)
@@ -530,15 +529,14 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     ctraj = solve_forward(cgrid, shifted, _zero_source, ctg, y_ini=y0)
     cz = Trajectory(cgrid, ctg, ctraj.dt_frames())
     recov = recover_coefficient(ctraj, cz, base, alpha=rc["coeff_alpha"], truth=p_true)
-    rows.append(["coefficient", cgrid.n, 0.0, 0.0, recov.relative_error,
-                 int(recov.mask_fraction * cpm.size)])
+    rows.append(["coefficient", cgrid.n, 0.0, 0.0, recov.relative_error])
 
     assertions = [
         _le("source_recovery_rel_error", rec.relative_error, 5e-3),
         _le("coefficient_recovery_rel_error", recov.relative_error, 1e-2),
         _ge("coefficient_mask_fraction", recov.mask_fraction, 0.5),
     ]
-    header = ["kind", "n", "beta", "noise", "rel_error", "iterations"]
+    header = ["kind", "n", "beta", "noise", "rel_error"]
     return SuiteResult("reconstruct", assertions, {"reconstruct": (header, rows)})
 
 

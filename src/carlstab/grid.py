@@ -196,13 +196,6 @@ class MeshFunction:
     def array(self) -> np.ndarray:
         return self.values.reshape(self.mesh.shape)
 
-    def copy(self) -> "MeshFunction":
-        return MeshFunction(self.mesh, self.values.copy())
-
-    @staticmethod
-    def from_array(mesh: Mesh, arr: np.ndarray) -> "MeshFunction":
-        return MeshFunction(mesh, np.asarray(arr, dtype=np.float64).ravel())
-
 
 def sample(mesh: Mesh, fn) -> MeshFunction:
     """Evaluate `fn` on the physical points of `mesh` (fn maps (size,d) -> (size,))."""
@@ -240,7 +233,7 @@ def close(u: MeshFunction, axes=None) -> MeshFunction:
         arr = np.pad(arr, pad, mode="constant")
         coords[ax] = _even_range(0, 2 * grid.n + 2)
     mesh = Mesh(grid, tuple(coords), kind=_derive_kind(grid, tuple(coords)))
-    return MeshFunction.from_array(mesh, arr)
+    return MeshFunction(mesh, arr)
 
 
 def _classify_axis(grid: GridSpec, c: tuple[int, ...]) -> str:
@@ -330,7 +323,7 @@ def trace(u: MeshFunction, axis: int) -> MeshFunction:
     # dual coordinates 1 and 2N+1, adjacent to the k=0 and k=2N+2 faces
     lo, hi = axis_index(grid.d, axis, 0, -1)
     stacked = np.stack([arr[lo], arr[hi]], axis=axis)
-    return MeshFunction.from_array(boundary_face(grid, axis), stacked)
+    return MeshFunction(boundary_face(grid, axis), stacked)
 
 
 def restrict_to_primal(u: MeshFunction) -> MeshFunction:
@@ -345,4 +338,4 @@ def restrict_to_primal(u: MeshFunction) -> MeshFunction:
             arr = arr[tuple(sl)]
         elif tag != "interior":
             raise GridError(f"cannot restrict axis {ax} of {u.mesh.kind} to the interior")
-    return MeshFunction.from_array(primal(grid), arr)
+    return MeshFunction(primal(grid), arr)

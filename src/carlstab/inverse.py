@@ -1,10 +1,11 @@
 """Observation operator, admissible sources, stability quotients, recovery.
 
-The observation of a run is the pair (full-domain snapshot at the mid time,
-trajectory restricted to the observation box), together with the weighted
-norms entering the stability estimate:
+The observation of a run is the pair (full-domain snapshot at the mid time
+T/2, the frame `TimeGrid.mid`, and the trajectory restricted to the
+observation box), together with the weighted norms entering the stability
+estimate:
 
-    rhs_observed = ||y(vt)||_{H^2_h} + ||e^{s phi} dt y||_{L^2_h(Q_omega)}
+    rhs_observed = ||y(T/2)||_{H^2_h} + ||e^{s phi} dt y||_{L^2_h(Q_omega)}
                  + ||e^{s phi} y||_{L^2_h(Q_omega)}
     rhs_error    = e^{2 tau theta(0) sup(phi)} * (||y(0)|| + ||dt y(0)||)
 
@@ -12,9 +13,9 @@ The error-term prefactor is the sharp uniform bound on the endpoint weight,
 exp(-2 tau theta(0) mu0); with delta coupled to the mesh it decays like
 exp(-c/h), which the refinement studies measure through the exact log value.
 
-A source is admissible when |dt g(t,x)| <= C |g(vt,x)| holds on the whole
-space-time grid; separable sources f(x) R(t) with R bounded away from zero
-get certified with C = max|R'| / |R(vt)|.
+A source is admissible when |dt g(t,x)| <= C |g(T/2,x)| holds on the whole
+space-time grid; separable sources f(x) R(t) with |R| >= 1/2 get certified
+with C = max|R'| / |R(T/2)|.
 
 The reconstruction is Tikhonov-regularised least squares on the observation
 misfit.  The misfit is linear in the spatial profile, so one implicit march
@@ -44,34 +45,29 @@ from .weights import CarlemanWeight
 class Observation:
     """Snapshot plus locally observed frames and their weighted norms."""
 
-    vartheta: float
     snapshot: g.MeshFunction
     snapshot_h2: float
     mask: np.ndarray
     local_y: np.ndarray          # (steps+1, |omega|)
     weighted_y: Term
     weighted_dt: Term
-    outside_proof_regime: bool
 
 
 def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight) -> Observation:
     """Measure one run: mid-time snapshot and the histories restricted to the
     weight's omega."""
     tg = traj.time_grid
-    vt = weight.params.obs_time
-    snapshot = traj.frame(tg.index_of(vt))
+    snapshot = traj.frame(tg.mid)
     X = g.primal(traj.grid).physical
     mask = weight.omega_mask(X)
     local_y = traj.values[:, mask]
     return Observation(
-        vartheta=vt,
         snapshot=snapshot,
         snapshot_h2=ops.h2_norm(snapshot),
         mask=mask,
         local_y=local_y,
         weighted_y=weight.space_time_term(local_y, X[mask], 0.0, tg),
         weighted_dt=weight.space_time_term(z_traj.values[:, mask], X[mask], 0.0, tg),
-        outside_proof_regime=bool(abs(vt - weight.params.T / 2.0) > 1e-12),
     )
 
 
@@ -109,9 +105,10 @@ class FourierBump:
         return out
 
 
-def random_bump(rng: np.random.Generator, d: int, max_mode: int = 3) -> FourierBump:
+def random_bump(rng: np.random.Generator, d: int) -> FourierBump:
+    """Modes 1 to 3 per axis, amplitudes N(0, 1) / (1 + |k|^2)."""
     modes, amps = [], []
-    for ks in np.ndindex(*((max_mode,) * d)):
+    for ks in np.ndindex(*((3,) * d)):
         k = tuple(int(v) + 1 for v in ks)
         modes.append(k)
         amps.append(float(rng.normal() / (1.0 + sum(v * v for v in k))))
@@ -131,8 +128,10 @@ class SeparableSource:
     def dt(self, t, X):
         return self.profile(X) * float(self.r.dt(t))
 
-    def frames(self, times, X):
-        return np.outer(self.r(times), self.profile(X))
+    def at(self, X):
+        """t -> self(t, X) bitwise, with f(X) evaluated once."""
+        f = self.profile(X)
+        return lambda t: self.r(t) * f
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,10 @@ class SourceRate:
     def __call__(self, t, X):
         return self.source.dt(t, X)
 
-    def frames(self, times, X):
-        return np.outer(self.source.r.dt(times), self.source.profile(X))
+    def at(self, X):
+        """t -> self(t, X) bitwise, with f(X) evaluated once."""
+        f = self.source.profile(X)
+        return lambda t: self.source.r.dt(t) * f
 
 
 def random_separable_source(rng: np.random.Generator, d: int, T: float) -> SeparableSource:
@@ -157,25 +158,19 @@ def random_separable_source(rng: np.random.Generator, d: int, T: float) -> Separ
 
 @dataclass
 class AdmissibleSource:
-    """A certified source: |dt g| <= c_g |g(vt, .)| on the space-time grid."""
+    """A certified source: |dt g| <= c_g |g(T/2, .)| on the space-time grid."""
 
     g: object
     dt_g: object
     c_g: float
-    alpha: float
-    vartheta: float
     f: g.MeshFunction | None = None
     r: object | None = None
 
-    def g_at(self, t, X):
-        return np.asarray(self.g(t, X), dtype=np.float64)
 
-
-def certify_source(g_fn, dt_fn, grid: g.GridSpec, time_grid: TimeGrid,
-                   vartheta: float) -> float:
-    """Smallest constant with |dt g| <= C |g(vt, x)| on the sampled grid."""
+def certify_source(g_fn, dt_fn, grid: g.GridSpec, time_grid: TimeGrid) -> float:
+    """Smallest constant with |dt g| <= C |g(T/2, x)| on the sampled grid."""
     X = g.primal(grid).physical
-    ref = np.abs(np.asarray(g_fn(vartheta, X), dtype=np.float64))
+    ref = np.abs(np.asarray(g_fn(time_grid.times[time_grid.mid], X), dtype=np.float64))
     dtv = np.abs(sample_frames(dt_fn, time_grid.times, X))
     dead = ref <= 0.0
     bad = np.any(dtv[:, dead] > 1e-14 * np.maximum(1.0, dtv.max(axis=1, keepdims=True)), axis=1)
@@ -183,24 +178,21 @@ def certify_source(g_fn, dt_fn, grid: g.GridSpec, time_grid: TimeGrid,
         m = int(np.argmax(bad))
         k = int(np.argmax(np.where(dead, dtv[m], -np.inf)))
         raise CertificationError(
-            f"|dt g| > 0 where g(vartheta, x) = 0 at t={float(time_grid.times[m])}, x={X[k]}")
+            f"|dt g| > 0 where g(T/2, x) = 0 at t={float(time_grid.times[m])}, x={X[k]}")
     return 0.0 if np.all(dead) else float(np.max(dtv[:, ~dead] / ref[~dead]))
 
 
-def certify_separable(src: SeparableSource, grid: g.GridSpec, time_grid: TimeGrid,
-                      vartheta: float | None = None, alpha: float = 0.5) -> AdmissibleSource:
-    """Certify a separable source on a given grid; rejects |R| dipping below alpha."""
-    vt = time_grid.T / 2.0 if vartheta is None else vartheta
-    time_grid.index_of(vt)
+def certify_separable(src: SeparableSource, grid: g.GridSpec,
+                      time_grid: TimeGrid) -> AdmissibleSource:
+    """Certify a separable source on a given grid; rejects |R| dipping below 1/2."""
     r_vals = np.asarray(src.r(time_grid.times), dtype=np.float64)
-    if float(np.min(np.abs(r_vals))) < alpha:
+    if float(np.min(np.abs(r_vals))) < 0.5:
         raise CertificationError(
-            f"time profile dips below alpha={alpha}: min |R| = {np.min(np.abs(r_vals)):.4g}")
+            f"time profile dips below 1/2: min |R| = {np.min(np.abs(r_vals)):.4g}")
     rate = SourceRate(src)
-    c_g = certify_source(src, rate, grid, time_grid, vt)
+    c_g = certify_source(src, rate, grid, time_grid)
     f_mf = g.MeshFunction(g.primal(grid), src.profile(g.primal(grid).physical))
-    return AdmissibleSource(g=src, dt_g=rate, c_g=c_g, alpha=alpha, vartheta=vt,
-                            f=f_mf, r=src.r)
+    return AdmissibleSource(g=src, dt_g=rate, c_g=c_g, f=f_mf, r=src.r)
 
 
 @dataclass
@@ -212,18 +204,13 @@ class StabilityResult:
     rhs_error_term: float
     log_error_term: float
     quotient: float
-    reduced_rhs: float
     reduced_quotient: float
-    snapshot_h2: float
-    weighted_dt_norm: float
-    weighted_y_norm: float
     initial_norm: float
-    initial_dt_norm: float
 
 
 def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleSource,
                        weight: CarlemanWeight) -> StabilityResult:
-    """Measure ||g(vt)|| against the observed norms plus the mesh error term.
+    """Measure ||g(T/2)|| against the observed norms plus the mesh error term.
 
     The reduced variant (time-independent coefficients) drops the weighted
     zero-order observation and keeps only the initial time-derivative norm in
@@ -232,7 +219,8 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
     weight.require_admissible()
     obs = observe(traj, z_traj, weight)
     pm = g.primal(traj.grid)
-    lhs = ops.l2_norm(g.MeshFunction(pm, source.g_at(obs.vartheta, pm.physical)))
+    tg = traj.time_grid
+    lhs = ops.l2_norm(g.MeshFunction(pm, source.g(tg.times[tg.mid], pm.physical)))
     w_dt = math.sqrt(max(obs.weighted_dt.value, 0.0))
     w_y = math.sqrt(max(obs.weighted_y.value, 0.0))
     rhs_observed = obs.snapshot_h2 + w_dt + w_y
@@ -248,9 +236,7 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
     reduced_quotient = lhs / reduced_rhs if reduced_rhs > 0 else 0.0
     return StabilityResult(
         lhs=lhs, rhs_observed=rhs_observed, rhs_error_term=err, log_error_term=log_err,
-        quotient=quotient, reduced_rhs=reduced_rhs, reduced_quotient=reduced_quotient,
-        snapshot_h2=obs.snapshot_h2, weighted_dt_norm=w_dt, weighted_y_norm=w_y,
-        initial_norm=y0, initial_dt_norm=z0,
+        quotient=quotient, reduced_quotient=reduced_quotient, initial_norm=y0,
     )
 
 
@@ -261,7 +247,7 @@ def _normal_equations(grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimePr
                       time_grid: TimeGrid, observation: Observation):
     """G = F^T F and F^T d for the weighted observation map F of a separable source.
 
-    F f stacks sqrt(cell) y(vt) and sqrt(trap_m cell) y_m on omega for the
+    F f stacks sqrt(cell) y(T/2) and sqrt(trap_m cell) y_m on omega for the
     zero-initial trapezoidal march with forcing s_m f, s_m = dt/2 (R(t_m) +
     R(t_{m+1})); d is the observation in the same weights.  One march of the
     forcing block s_m I carries every column of F, and each frame adds its
@@ -270,7 +256,7 @@ def _normal_equations(grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimePr
     """
     size = g.primal(grid).size
     mask = observation.mask
-    obs_index = time_grid.index_of(observation.vartheta)
+    obs_index = time_grid.mid
     cell = grid.h ** grid.d
     frame_w = time_grid.trap * cell
     r_vals = np.asarray(r(time_grid.times), dtype=np.float64)
@@ -353,15 +339,15 @@ def recover_coefficient(traj: Trajectory, z_traj: Trajectory,
                         truth: g.MeshFunction | None = None) -> CoefficientRecovery:
     """Pointwise zero-order coefficient from the mid-time snapshot.
 
-    On points where |y(vt)| >= alpha,
+    On points where |y(T/2)| >= alpha,
 
-        p(x) = (dt y(vt, x) - A~_h y(vt, x)) / y(vt, x),
+        p(x) = (dt y(T/2, x) - A~_h y(T/2, x)) / y(T/2, x),
 
     with A~_h the operator without the sought zero-order part; masked (NaN)
     elsewhere.  Raises when the mask is empty.
     """
     tg = traj.time_grid
-    idx = tg.index_of(tg.T / 2.0)
+    idx = tg.mid
     pm = g.primal(traj.grid)
     y_vt = traj.frame(idx)
     z_vt = z_traj.values[idx]

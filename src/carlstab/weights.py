@@ -17,7 +17,8 @@ From psi the space factor and the time envelope are
 
 theta peaks at the time endpoints with theta(0) = theta(T) =
 1/(T^2 delta (1+delta)) and dips to 4/(T^2 (1+2 delta)^2) at T/2, so
-exp(2 s phi) concentrates all weighted integrals near the mid time.
+exp(2 s phi) concentrates all weighted integrals near the mid time.  The
+data are observed there, at the frame `TimeGrid.mid`.
 
 Admissibility of a parameter set on a mesh of size h requires
 
@@ -82,8 +83,7 @@ class WeightParams:
 
     `kappa` sets K = kappa * sup(psi) with kappa > 1; `hat_margin` inflates
     the unit box to the neighbourhood on which the bump conditions are
-    checked; `vartheta` is the observation time (defaults to T/2, the only
-    value the mid-time machinery is calibrated for).
+    checked.
     """
 
     T: float
@@ -95,7 +95,6 @@ class WeightParams:
     epsilon: float = 0.5
     tau0: float = 1.0
     hat_margin: float = 0.1
-    vartheta: float | None = None
 
     def __post_init__(self):
         if self.T <= 0:
@@ -108,12 +107,6 @@ class WeightParams:
             raise AdmissibilityError(f"delta={self.delta} outside (0, 1/2]")
         if self.kappa <= 1:
             raise AdmissibilityError("kappa must exceed 1 so that K > sup psi")
-        if self.vartheta is not None and not 0 < self.vartheta < self.T:
-            raise AdmissibilityError(f"vartheta={self.vartheta} outside (0, T)")
-
-    @property
-    def obs_time(self) -> float:
-        return self.T / 2.0 if self.vartheta is None else self.vartheta
 
     def with_tau(self, tau: float) -> "WeightParams":
         return replace(self, tau=tau)
@@ -296,23 +289,15 @@ class GaussTimeBound:
     ratio: float
 
 
-def gauss_time_bound_check(weight: CarlemanWeight, p: float, x=None,
-                           phi_value: float | None = None,
-                           rel_tol: float = 1e-8) -> GaussTimeBound:
+def gauss_time_bound_check(weight: CarlemanWeight, p: float, x) -> GaussTimeBound:
     """Compare int_0^T (tau theta)^p exp(2 tau theta phi(x)) dt against
     tau^(p-1/2) exp(2 tau theta(T/2) phi(x)).
 
     The integral is evaluated in log space by step-halving trapezoid; the
-    ratio lhs/rhs stays bounded in tau, which the sweep tests assert.  The
-    spatial factor must be strictly negative (guaranteed by construction for
-    grid points; the guard exists for caller-supplied values).
+    ratio lhs/rhs stays bounded in tau, which the sweep tests assert.  phi < 0
+    everywhere, since K = kappa c0 > c0 >= psi.
     """
-    if phi_value is not None:
-        phi_x = float(phi_value)
-    else:
-        phi_x = float(weight.phi(np.atleast_2d(x))[0])
-    if phi_x >= 0.0:
-        raise AdmissibilityError(f"phi(x)={phi_x} must be negative for the mid-time bound")
+    phi_x = float(weight.phi(np.atleast_2d(x))[0])
     prm = weight.params
     tau = prm.tau
 
@@ -320,7 +305,7 @@ def gauss_time_bound_check(weight: CarlemanWeight, p: float, x=None,
         st = tau * weight.theta(t)
         return p * np.log(st) + 2.0 * st * phi_x
 
-    log_lhs = adaptive_log_integral(fn_log, 0.0, prm.T, rel_tol=rel_tol)
+    log_lhs = adaptive_log_integral(fn_log, 0.0, prm.T)
     log_rhs = (p - 0.5) * math.log(tau) + 2.0 * tau * float(weight.theta(prm.T / 2.0)) * phi_x
     return GaussTimeBound(tau, p, log_lhs, log_rhs, math.exp(log_lhs - log_rhs))
 

@@ -57,6 +57,7 @@ def test_interval_and_list_parsing():
     ("energy", "energy.runs=0"),
     ("carleman", "carleman.runs=0"),
     ("carleman", "carleman.feasibility_runs=0"),
+    ("carleman", "carleman.steps=1"),
     ("stability", "stability.runs=0"),
     ("verify-ops", "verify_ops.n_min=0"),
     ("verify-ops", "verify_ops.n_min=21"),

@@ -43,8 +43,8 @@ class WrongFrames:
     def __call__(self, t, X):
         return np.zeros(np.atleast_2d(X).shape[0])
 
-    def frames(self, times, X):
-        return np.zeros((len(times), 3))
+    def at(self, X):
+        return lambda t: np.zeros((len(t), 3))
 
 
 class WrongCalls:

@@ -9,7 +9,7 @@ from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.cli import main
 from carlstab.errors import (AdmissibilityError, CertificationError, EmptyMaskError,
                              GridError, SolverError)
-from carlstab.inverse import (AdmissibleSource, SeparableSource, SineTimeProfile,
+from carlstab.inverse import (AdmissibleSource, SeparableSource, SineTimeProfile, SourceRate,
                               _normal_equations, add_observation_noise, certify_separable,
                               certify_source, observe, random_bump, random_separable_source,
                               reconstruct_source, recover_coefficient, stability_quotient)
@@ -70,16 +70,16 @@ def test_general_mode_certifies_or_rejects():
     def dt_fn(t, X):
         return np.cos(np.pi * X[:, 0] / 4.0) * (math.pi * math.cos(2 * math.pi * t))
 
-    assert certify_source(g_fn, dt_fn, GRID, tg, 0.5) > 0
+    assert certify_source(g_fn, dt_fn, GRID, tg) > 0
 
     def bad_g(t, X):
-        return np.maximum(X[:, 0] - 0.5, 0.0)  # vanishes at vartheta on half the grid
+        return np.maximum(X[:, 0] - 0.5, 0.0)  # vanishes at T/2 on half the grid
 
     def bad_dt(t, X):
         return np.ones(X.shape[0])
 
     with pytest.raises(CertificationError):
-        certify_source(bad_g, bad_dt, GRID, tg, 0.5)
+        certify_source(bad_g, bad_dt, GRID, tg)
 
 
 def test_observation_zero_run():
@@ -109,11 +109,18 @@ def test_observation_norms_match_direct_sum():
     assert obs.weighted_y.value == pytest.approx(total, rel=1e-10)
 
 
-def test_observation_requires_frame_time():
-    coeffs, adm, traj, z = solved_pair(seed=22, steps=64)
-    w = CarlemanWeight(GRID, WeightParams(T=1.0, tau=3.0, vartheta=1 / 3), OMEGA0, OMEGA)
-    with pytest.raises(GridError):
-        observe(traj, z, w)
+@pytest.mark.parametrize("call", [
+    lambda traj, src: observe(traj, traj, make_weight()),
+    lambda traj, src: solve_z_system(traj, CoefficientFields.constant(1), src, SourceRate(src)),
+    lambda traj, src: certify_separable(src, GRID, traj.time_grid),
+    lambda traj, src: recover_coefficient(traj, traj, CoefficientFields.constant(1), alpha=0.0),
+], ids=["observe", "solve_z_system", "certify_separable", "recover_coefficient"])
+def test_mid_time_needs_even_steps(call):
+    # 63 steps leave no frame at T/2, where every observation is taken
+    src = random_separable_source(np.random.default_rng(22), GRID.d, 1.0)
+    traj = Trajectory(GRID, TimeGrid(1.0, 63), np.ones((64, g.primal(GRID).size)))
+    with pytest.raises(GridError, match="T/2"):
+        call(traj, src)
 
 
 def test_omega_monotonicity_of_observation():
@@ -135,7 +142,7 @@ def test_stability_quotient_zero_source():
         random_bump(np.random.default_rng(0), 1), SineTimeProfile(1.0, 0.0, 0.0, 1.0))
     adm = AdmissibleSource(g=lambda t, X: np.zeros(X.shape[0]),
                            dt_g=lambda t, X: np.zeros(X.shape[0]),
-                           c_g=0.0, alpha=0.5, vartheta=0.5)
+                           c_g=0.0)
     res = stability_quotient(traj, z, adm, make_weight())
     assert res.lhs == 0.0 and res.quotient == 0.0
 
@@ -166,8 +173,7 @@ def test_stability_quotient_scale_invariance():
         def __call__(self, t, X):
             return 3.0 * self.fn(t, X)
 
-    adm3 = AdmissibleSource(g=Scaled(adm.g), dt_g=Scaled(adm.dt_g), c_g=adm.c_g,
-                            alpha=adm.alpha, vartheta=adm.vartheta)
+    adm3 = AdmissibleSource(g=Scaled(adm.g), dt_g=Scaled(adm.dt_g), c_g=adm.c_g)
     traj3 = Trajectory(GRID, tg, 3.0 * traj.values)
     z3 = Trajectory(GRID, tg, 3.0 * z.values)
     res3 = stability_quotient(traj3, z3, adm3, make_weight())
@@ -221,7 +227,7 @@ def _forward_image(grid, coeffs, r, tg, obs, f):
     for m in range(tg.steps):
         frames.append(stepper.step(m, frames[-1], stepper.forcing(r_vals[m], r_vals[m + 1]) * f)[0])
     frames = np.array(frames)
-    return np.concatenate([math.sqrt(cell) * frames[tg.index_of(obs.vartheta)],
+    return np.concatenate([math.sqrt(cell) * frames[tg.mid],
                            (w * frames[:, obs.mask]).ravel()])
 
 
@@ -353,15 +359,6 @@ def test_observation_linearity_superposition():
     t12 = solve_forward(GRID, coeffs, s_sum, tg)
     gap = np.max(np.abs(t12.values - t1.values - t2.values))
     assert gap <= 1e-9 * max(1.0, np.max(np.abs(t12.values)))
-
-
-def test_outside_proof_regime_flagged():
-    coeffs, adm, traj, z = solved_pair(seed=81, steps=256)
-    w = CarlemanWeight(GRID, WeightParams(T=1.0, tau=3.0, vartheta=0.25), OMEGA0, OMEGA)
-    obs = observe(traj, z, w)
-    assert obs.outside_proof_regime
-    w_mid = CarlemanWeight(GRID, WeightParams(T=1.0, tau=3.0), OMEGA0, OMEGA)
-    assert not observe(traj, z, w_mid).outside_proof_regime
 
 
 def test_reconstruction_rejects_indefinite_normal_equations():

@@ -30,6 +30,9 @@ def test_time_grid_index_lookup():
     assert tg.index_of(0.0) == 0
     with pytest.raises(GridError):
         tg.index_of(0.3)
+    assert tg.mid == 4
+    with pytest.raises(GridError, match="T/2"):
+        TimeGrid(1.0, 7).mid
 
 
 def test_constant_coefficient_stencil_rows():
@@ -211,7 +214,7 @@ def test_energy_randomized_small(rng):
         d = int(r.integers(1, 3))
         grid = g.GridSpec(d, int(r.integers(5, 9)))
         coeffs = random_smooth_coefficients(r, d, 1.0, time_dependent=True,
-                                            b_amp=0.5, c_amp=1.0)
+                                            b_amp=0.5)
         pm = g.primal(grid)
         y0 = g.MeshFunction(pm, r.normal(size=pm.size))
 

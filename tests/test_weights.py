@@ -161,14 +161,6 @@ def test_params_validation():
         WeightParams(T=1.0, tau=2.0, lam=0.5)
 
 
-def test_gauss_bound_rejects_nonnegative_phi():
-    # phi < 0 holds at every real point by construction, so the guard is
-    # exercised with a caller-supplied value
-    w = make_weight()
-    with pytest.raises(AdmissibilityError):
-        gauss_time_bound_check(w, 0.0, phi_value=0.0)
-
-
 def test_gauss_bound_ratio_bounded_over_sweep():
     params = WeightParams(T=1.0, tau=50.0, delta=0.25)
     x = np.array([[0.4375]])
