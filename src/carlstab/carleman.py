@@ -28,10 +28,9 @@ Every space-time term is one call of `CarlemanWeight.space_time_term` on the
 `space_time_sum`: the exponential weight is formed in log space a chunk of
 whole frames at a time, and points below the representable range are skipped
 with a recorded mass bound.  The gamma factor of the mixed block multiplies
-the difference block before the sum.  The single-time terms (the endpoints
-and the pointwise bound) use the one-frame `weighted_square_sum`;
-`log_endpoint_term` is the exact log the decay study reads where the
-endpoint value underflows.
+the difference block before the sum.  The endpoint terms use the one-frame
+`weighted_square_sum`; `log_endpoint_term` is the exact log the decay study
+reads where the endpoint value underflows.
 
 The empirical constant of the inequality is the max ratio over a declared
 randomized corpus; no reference value exists, so the tests assert finiteness
@@ -51,7 +50,7 @@ from .coefficients import CoefficientFields, sample_frames
 from .errors import GridError, SolverError
 from .quadrature import ZERO_TERM, Term, log_weighted_square_sum, weighted_square_sum
 from .solver import Stepper, Trajectory
-from .weights import CarlemanWeight
+from .weights import CarlemanWeight, omega_mask
 
 LHS_KEYS = ("I_p", "J_p_gradient", "J_p_avg_gradient", "J_p_zeroth")
 RHS_KEYS = ("rhs_source", "rhs_local_omega", "rhs_time_endpoints")
@@ -149,7 +148,7 @@ def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int) -> dic
     right-hand side."""
     tg = traj.time_grid
     X = g.primal(traj.grid).physical
-    mask = weight.omega_mask(X)
+    mask = omega_mask(weight.omega, X)
     return {"rhs_source": weight.space_time_term(sample_frames(source, tg.times, X), X, p, tg),
             "rhs_local_omega": weight.space_time_term(traj.values[:, mask], X[mask], p + 3, tg),
             "rhs_time_endpoints": endpoint_term(traj, weight, p)}
@@ -203,40 +202,6 @@ def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
         p=p, admissible=admissible, terms=terms, lhs=lhs, rhs=rhs, ratio=ratio,
         skipped_bound=sum(t.skipped_bound for t in terms.values()),
     )
-
-
-@dataclass
-class PointwiseBound:
-    t: float
-    lhs_t: float
-    bound: float
-    initial_term: float
-    holds: bool
-
-
-def pointwise_time_bound(traj: Trajectory, weight: CarlemanWeight, p: int, t: float,
-                         constant: float, lhs_total: float) -> PointwiseBound:
-    """Mid-run weighted mass bound at a single frame time.
-
-    Compares int_W (s(t))^(p+1) |y(t)|^2 e^(2 s(t) phi) against
-    constant * (I_p + J_p) plus the matching weighted mass of the initial
-    frame; `constant` is the corpus-estimated factor, `lhs_total` the
-    already-computed I_p + J_p of the run.
-    """
-    tg = traj.time_grid
-    if not 0.0 < t <= tg.T:
-        raise GridError(f"time {t} outside (0, T]")
-    idx = tg.index_of(t)
-    pm = g.primal(traj.grid)
-    phi = weight.phi(pm.physical)
-    cell = traj.grid.h ** traj.grid.d
-    lhs_t = weighted_square_sum(traj.values[idx],
-                                weight.log_weight(float(t), phi, p + 1), cell).value
-    initial = weighted_square_sum(traj.values[0],
-                                  weight.log_weight(0.0, phi, p + 1), cell).value
-    bound = constant * lhs_total + initial
-    return PointwiseBound(t=float(t), lhs_t=lhs_t, bound=bound, initial_term=initial,
-                          holds=bool(lhs_t <= bound * (1.0 + 1e-8)))
 
 
 def feasibility_row(weight: CarlemanWeight, runs) -> dict:

@@ -1,8 +1,9 @@
 """Experiment configuration: one INI file, schema-validated, CLI-overridable.
 
 The schema holds exactly the knobs some suite reads: the converge grid, the
-horizon, the observation boxes, the weight parameters, each suite's corpus
-sizes, grids, step counts and advection amplitude, and the run seed, so a
+horizon, the observation boxes, the weight's lambda and delta (its other
+constants are fixed in `weights`; each suite sets its own tau), each suite's
+corpus sizes, grids, step counts and advection amplitude, and the run seed, so a
 run's snapshot (`Config.snapshot_text`) is all it takes to re-run it.  Each
 setting has one spelling, `section.key`, in the file or in a `--set
 section.key=value` override; no CLI flag duplicates one.  Validation failures
@@ -15,9 +16,9 @@ import configparser
 import io
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import AdmissibilityError, ConfigError
 from .grid import GridSpec
-from .weights import admissible
+from .weights import EPSILON, admissible, coupled_delta
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -57,13 +58,7 @@ SCHEMA = {
     },
     "weights": {
         "lambda": ("float", 2.0),
-        "c0": ("float", 2.0),
-        "kappa": ("float", 1.1),
-        "tau": ("float", 3.0),
         "delta": ("float", 0.5),
-        "epsilon": ("float", 0.5),
-        "tau0": ("float", 1.0),
-        "hat_margin": ("float", 0.1),
     },
     "verify_ops": {
         "fields": ("int", 200),
@@ -251,7 +246,7 @@ def _validate(cfg: Config):
         problems.append("domain.omega0: must be strictly inside domain.omega")
     if not 0 < cfg.get("weights", "delta") <= 0.5:
         problems.append("weights.delta: must be in (0, 1/2]")
-    for name in ("weights.lambda", "weights.tau", "stability.decay_lambda", "stability.tau1",
+    for name in ("weights.lambda", "stability.decay_lambda", "stability.tau1",
                  "carleman.feasibility_tau1"):
         if cfg.get(*name.split(".")) < 1:
             problems.append(f"{name}: must be >= 1")
@@ -284,34 +279,33 @@ def _check_stability_window(cfg: Config, problems: list):
     """
     n = min(cfg.get("stability", "grids"))
     h = GridSpec(cfg.get("grid", "d"), n).h
-    w = cfg["weights"]
     for end in ("tau_min", "tau_max"):
         tau = cfg.get("carleman", end)
-        ok, tau_floor, coupling = admissible(tau, h, cfg.get("time", "t_final"), w["delta"],
-                                             w["epsilon"], w["tau0"])
+        ok, tau_floor, coupling = admissible(tau, h, cfg.get("time", "t_final"),
+                                             cfg.get("weights", "delta"))
         if not ok:
             problems.append(
                 f"stability.grids: carleman.{end}={tau!r} is inadmissible on N={n}: need "
                 f"tau >= {tau_floor:.4g} and tau h / (delta T^2) = {coupling:.4g} <= "
-                f"weights.epsilon = {w['epsilon']!r}")
+                f"epsilon = {EPSILON!r}")
 
 
 def _check_decay_window(cfg: Config, problems: list):
     """On every decay grid the decay study's delta = tau1 h / (T^2 eps0) must lie
     in (0, 1/2], and its weight (tau = tau1) must be admissible."""
-    st, w = cfg["stability"], cfg["weights"]
+    st = cfg["stability"]
     T = cfg.get("time", "t_final")
     for n in st["decay_grids"]:
         h = GridSpec(cfg.get("grid", "d"), n).h
-        delta = st["tau1"] * h / (T ** 2 * st["eps0"])
-        if not 0 < delta <= 0.5:
-            problems.append(
-                f"stability.decay_grids: N={n} couples delta = stability.tau1 h / "
-                f"(T^2 stability.eps0) = {delta:.4g}, outside (0, 1/2]")
+        try:
+            delta = coupled_delta(T, h, st["tau1"], st["eps0"])
+        except AdmissibilityError as exc:
+            problems.append(f"stability.decay_grids: N={n} with stability.tau1 and "
+                            f"stability.eps0: {exc}")
             continue
-        ok, tau_floor, coupling = admissible(st["tau1"], h, T, delta, w["epsilon"], w["tau0"])
+        ok, tau_floor, coupling = admissible(st["tau1"], h, T, delta)
         if not ok:
             problems.append(
                 f"stability.tau1, stability.eps0: the decay weight is inadmissible on N={n}: "
                 f"need tau1 = {st['tau1']!r} >= {tau_floor:.4g} and tau1 h / (delta T^2) = "
-                f"eps0 = {coupling:.4g} <= weights.epsilon = {w['epsilon']!r}")
+                f"eps0 = {coupling:.4g} <= epsilon = {EPSILON!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,11 +66,9 @@ def _ge(name, value, bound) -> Assertion:
     return Assertion(name, float(value), float(bound), bool(value >= bound))
 
 
-def _weight_params(cfg: Config, **over) -> WeightParams:
+def _weight_params(cfg: Config, tau: float, **over) -> WeightParams:
     w = cfg["weights"]
-    base = dict(T=cfg.get("time", "t_final"), tau=w["tau"], lam=w["lambda"],
-                delta=w["delta"], c0=w["c0"], kappa=w["kappa"], epsilon=w["epsilon"],
-                tau0=w["tau0"], hat_margin=w["hat_margin"])
+    base = dict(T=cfg.get("time", "t_final"), tau=tau, lam=w["lambda"], delta=w["delta"])
     base.update(over)
     return WeightParams(**base)
 
@@ -348,9 +346,8 @@ def run_carleman(cfg: Config) -> SuiteResult:
         solver_work += [traj.diagnostics for traj, _, _ in runs]
         cell_deltas = list(ca["feasibility_deltas"])
         try:
-            coupled = coupled_delta(_weight_params(cfg), grid.h, ca["feasibility_tau1"],
-                                    ca["feasibility_eps0"])
-            cell_deltas.append(coupled.delta)
+            cell_deltas.append(coupled_delta(T, grid.h, ca["feasibility_tau1"],
+                                             ca["feasibility_eps0"]))
         except AdmissibilityError:
             pass  # coupling lands outside (0, 1/2] on this grid; plain cells remain
         for tau in [ca["feasibility_tau1"], *ca["feasibility_taus"]]:
@@ -457,8 +454,8 @@ def _decay_study(cfg: Config) -> tuple[list, list]:
     log_end, log_err, inv_h = [], [], []
     for n in st["decay_grids"]:
         grid = g.GridSpec(d, int(n))
-        base = _weight_params(cfg, tau=st["tau1"], lam=st["decay_lambda"])
-        params = coupled_delta(base, grid.h, st["tau1"], st["eps0"])
+        params = replace(_weight_params(cfg, st["tau1"], lam=st["decay_lambda"]),
+                         delta=coupled_delta(T, grid.h, st["tau1"], st["eps0"]))
         weight = _weight(cfg, grid, params)
         tg = TimeGrid(T, st["decay_steps"])
         y0 = g.sample(g.primal(grid), y_prof)
@@ -505,9 +502,7 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     adm = certify_separable(random_separable_source(rng, d, T), grid, tg)
     coeffs = random_smooth_coefficients(rng, d, T, time_dependent=False)
     traj = solve_forward(grid, coeffs, adm.g, tg)
-    z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-    weight = _weight(cfg, grid, _weight_params(cfg))
-    obs = observe(traj, z, weight)
+    obs = observe(traj, Box.cube(*cfg.get("domain", "omega"), d))
     rec = reconstruct_source(grid, coeffs, adm.r, tg, obs, beta=rc["beta"], truth=adm.f)
     rows.append(["source", grid.n, rc["beta"], 0.0, rec.relative_error])
 

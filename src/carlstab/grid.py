@@ -19,8 +19,7 @@ algebra in this package.
 
 Fields on the primal mesh follow the homogeneous Dirichlet convention: where
 an operator needs values on the face layer, the field is extended by zero.
-The difference/average operators pad their input themselves; `close` builds
-the extended field as a mesh function of its own.
+The difference/average operators pad their input themselves.
 """
 
 from __future__ import annotations
@@ -210,30 +209,6 @@ def require_mesh(u: MeshFunction, mesh: Mesh, what: str = "field"):
 
 def is_primal_axis(grid: GridSpec, coords_axis: tuple[int, ...]) -> bool:
     return coords_axis == _even_range(2, 2 * grid.n)
-
-
-def close(u: MeshFunction, axes=None) -> MeshFunction:
-    """Dirichlet zero-extension: append the face layer with value 0 along `axes`.
-
-    Each requested axis must currently carry the primal interior range; the
-    result carries the closed range [0, 2N+2] there.  The difference/average
-    operators pad a primal axis of their input the same way, by themselves.
-    """
-    grid = u.mesh.grid
-    if axes is None:
-        axes = [i for i in range(grid.d) if is_primal_axis(grid, u.mesh.coords[i])]
-    arr = u.array()
-    coords = list(u.mesh.coords)
-    for ax in axes:
-        grid.check_axis(ax)
-        if not is_primal_axis(grid, coords[ax]):
-            raise GridError(f"axis {ax} of {u.mesh.kind} is not the primal interior range")
-        pad = [(0, 0)] * grid.d
-        pad[ax] = (1, 1)
-        arr = np.pad(arr, pad, mode="constant")
-        coords[ax] = _even_range(0, 2 * grid.n + 2)
-    mesh = Mesh(grid, tuple(coords), kind=_derive_kind(grid, tuple(coords)))
-    return MeshFunction(mesh, arr)
 
 
 def _classify_axis(grid: GridSpec, c: tuple[int, ...]) -> str:

@@ -1,9 +1,9 @@
 """Observation operator, admissible sources, stability quotients, recovery.
 
-The observation of a run is the pair (full-domain snapshot at the mid time
-T/2, the frame `TimeGrid.mid`, and the trajectory restricted to the
-observation box), together with the weighted norms entering the stability
-estimate:
+The observation of a run is a measurement that takes no weight: the
+full-domain snapshot at the mid time T/2 (the frame `TimeGrid.mid`) and the
+trajectory restricted to the observation box omega.  The stability quotient
+weighs it with a Carleman weight:
 
     rhs_observed = ||y(T/2)||_{H^2_h} + ||e^{s phi} dt y||_{L^2_h(Q_omega)}
                  + ||e^{s phi} y||_{L^2_h(Q_omega)}
@@ -36,39 +36,24 @@ from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields, sample_frames
 from .errors import CertificationError, EmptyMaskError, SolverError
-from .quadrature import Term
 from .solver import Stepper, TimeGrid, Trajectory, apply_ah
-from .weights import CarlemanWeight
+from .weights import Box, CarlemanWeight, omega_mask
 
 
 @dataclass
 class Observation:
-    """Snapshot plus locally observed frames and their weighted norms."""
+    """The measured data: y(T/2) on the whole domain and y on omega x (0, T)."""
 
     snapshot: g.MeshFunction
-    snapshot_h2: float
     mask: np.ndarray
     local_y: np.ndarray          # (steps+1, |omega|)
-    weighted_y: Term
-    weighted_dt: Term
 
 
-def observe(traj: Trajectory, z_traj: Trajectory, weight: CarlemanWeight) -> Observation:
-    """Measure one run: mid-time snapshot and the histories restricted to the
-    weight's omega."""
-    tg = traj.time_grid
-    snapshot = traj.frame(tg.mid)
-    X = g.primal(traj.grid).physical
-    mask = weight.omega_mask(X)
-    local_y = traj.values[:, mask]
-    return Observation(
-        snapshot=snapshot,
-        snapshot_h2=ops.h2_norm(snapshot),
-        mask=mask,
-        local_y=local_y,
-        weighted_y=weight.space_time_term(local_y, X[mask], 0.0, tg),
-        weighted_dt=weight.space_time_term(z_traj.values[:, mask], X[mask], 0.0, tg),
-    )
+def observe(traj: Trajectory, omega: Box) -> Observation:
+    """Measure one run: the mid-time snapshot and the history on omega."""
+    snapshot = traj.frame(traj.time_grid.mid)
+    mask = omega_mask(omega, g.primal(traj.grid).physical)
+    return Observation(snapshot=snapshot, mask=mask, local_y=traj.values[:, mask])
 
 
 @dataclass(frozen=True)
@@ -205,25 +190,27 @@ class StabilityResult:
     log_error_term: float
     quotient: float
     reduced_quotient: float
-    initial_norm: float
 
 
 def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleSource,
                        weight: CarlemanWeight) -> StabilityResult:
     """Measure ||g(T/2)|| against the observed norms plus the mesh error term.
 
-    The reduced variant (time-independent coefficients) drops the weighted
+    The observation is taken on the weight's omega; its H^2 norm and both
+    weighted norms (of y and of z = dt y) are computed here.  The reduced variant (time-independent coefficients) drops the weighted
     zero-order observation and keeps only the initial time-derivative norm in
     the error term.
     """
     weight.require_admissible()
-    obs = observe(traj, z_traj, weight)
+    obs = observe(traj, weight.omega)
     pm = g.primal(traj.grid)
     tg = traj.time_grid
     lhs = ops.l2_norm(g.MeshFunction(pm, source.g(tg.times[tg.mid], pm.physical)))
-    w_dt = math.sqrt(max(obs.weighted_dt.value, 0.0))
-    w_y = math.sqrt(max(obs.weighted_y.value, 0.0))
-    rhs_observed = obs.snapshot_h2 + w_dt + w_y
+    X = pm.physical[obs.mask]
+    w_dt, w_y = (math.sqrt(max(weight.space_time_term(block, X, 0.0, tg).value, 0.0))
+                 for block in (z_traj.values[:, obs.mask], obs.local_y))
+    snapshot_h2 = ops.h2_norm(obs.snapshot)
+    rhs_observed = snapshot_h2 + w_dt + w_y
     y0 = ops.l2_norm(traj.frame(0))
     z0 = ops.l2_norm(z_traj.frame(0))
     log_pref = -2.0 * weight.params.tau * float(weight.theta(0.0)) * weight.mu0
@@ -232,11 +219,11 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
     denom = rhs_observed + err
     quotient = lhs / denom if denom > 0 else 0.0
     err_red = math.exp(log_pref) * z0 if log_pref > -745.0 else 0.0
-    reduced_rhs = obs.snapshot_h2 + w_dt + err_red
+    reduced_rhs = snapshot_h2 + w_dt + err_red
     reduced_quotient = lhs / reduced_rhs if reduced_rhs > 0 else 0.0
     return StabilityResult(
         lhs=lhs, rhs_observed=rhs_observed, rhs_error_term=err, log_error_term=log_err,
-        quotient=quotient, reduced_quotient=reduced_quotient, initial_norm=y0,
+        quotient=quotient, reduced_quotient=reduced_quotient,
     )
 
 

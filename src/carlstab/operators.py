@@ -10,7 +10,7 @@ Both consume the two neighbours at distance h/2, so the result lives on the
 in-between points of the input's axis-i family.  When the input carries the
 primal interior range on that axis, the documented Dirichlet convention
 applies: the field is first zero-extended to the face layer (padded by
-`_shift_core`, as `grid.close` would extend it), so primal -> dual_star(i),
+`_shift_core`), so primal -> dual_star(i),
 dual_star(i) -> primal, and mixed second differences land on the iterated
 dual mesh.
 
@@ -133,13 +133,6 @@ def h2_norm(u: g.MeshFunction) -> float:
         ad = avg_diff(u, i)
         total += inner(d2, d2) + inner(ad, ad)
     return float(np.sqrt(max(total, 0.0)))
-
-
-def norms(u: g.MeshFunction) -> dict:
-    out = {"l2_h": l2_norm(u), "linf_h": linf_norm(u)}
-    if u.mesh == g.primal(u.mesh.grid):
-        out["h2_h"] = h2_norm(u)
-    return out
 
 
 def ibp_diff_residual(u: g.MeshFunction, v: g.MeshFunction, axis: int) -> float:

