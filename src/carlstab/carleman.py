@@ -23,14 +23,23 @@ measured by second-order differencing of the frames, matching the accuracy
 of the trapezoidal solver.  Time integrals use the composite trapezoid on
 the solver's own frames.
 
-Every space-time term is one call of `CarlemanWeight.space_time_term` on the
-(frames x points) block of its field and its points, through the block kernel
-`space_time_sum`: the exponential weight is formed in log space a chunk of
-whole frames at a time, and points below the representable range are skipped
-with a recorded mass bound.  The gamma factor of the mixed block multiplies
-the difference block before the sum.  The endpoint terms use the one-frame
-`weighted_square_sum`; `log_endpoint_term` is the exact log the decay study
-reads where the endpoint value underflows.
+Every space-time term is one call of the block kernel `space_time_sum` on
+the squared (frames x points) block of its field: the exponential weight is
+formed in log space a chunk of whole frames at a time, and points below the
+representable range are skipped with a recorded mass bound.  The gamma factor
+of the mixed block multiplies the difference block before it is squared.  The
+endpoint terms use the one-frame `weighted_square_sum`; `log_endpoint_term` is
+the exact log the decay study reads where the endpoint value underflows.
+
+`verify_cells` evaluates one trajectory under a list of (weight, p) cells in
+one pass: each block (the dt frames, D_j y, the gamma-scaled D_i D_j y for
+i <= j, A_j D_j y, |y|^2 and the source frames) is built and squared once,
+summed under every cell, and dropped once nothing left to build derives from
+it, so no set of blocks is held per run; phi and s are formed once per
+(weight, mesh).  The corpus reads p = 0 and 1 of one weight from one pass,
+and the feasibility table (`feasibility_rows`) every admissible cell of a
+grid from one pass per run.  `verify_inequality`, `compute_lhs`,
+`compute_rhs` and `feasibility_row` are the one-cell views.
 
 The empirical constant of the inequality is the max ratio over a declared
 randomized corpus; no reference value exists, so the tests assert finiteness
@@ -48,7 +57,8 @@ from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields, sample_frames
 from .errors import GridError, SolverError
-from .quadrature import ZERO_TERM, Term, log_weighted_square_sum, weighted_square_sum
+from .quadrature import (ZERO_TERM, Term, log_weighted_square_sum, space_time_sum,
+                         weighted_square_sum)
 from .solver import Stepper, Trajectory
 from .weights import CarlemanWeight, omega_mask
 
@@ -82,47 +92,101 @@ class CarlemanReport:
                 "ratio": self.ratio}
 
 
+def _cell_terms(traj: Trajectory, cells: list, coeffs: CoefficientFields | None = None,
+                source=None) -> list[dict]:
+    """The space-time terms of every (weight, p) cell on one trajectory, one
+    dict per cell: the left-hand terms when `coeffs` is given, the right-hand
+    ones when `source` is.
+
+    Each block is built and squared once, summed under every cell, then
+    dropped; phi and s are formed once per (weight, mesh).  D_j y feeds
+    D_i D_j y for every i <= j, A_j D_j y and J_p; |y|^2 feeds J_p_zeroth and
+    the omega term.  The mixed terms are added in (i, j) order.
+    """
+    if not cells:
+        return []
+    grid, tg = traj.grid, traj.time_grid
+    pm = g.primal(grid)
+    X = pm.physical
+    cell = grid.h ** grid.d
+    s_of = {weight: weight.s(tg.times) for weight, _ in cells}
+    phis = {}
+
+    def weighted(sq, points, key, weight, power) -> Term:
+        """The squared block `sq` on `points` summed under one weight; `key`
+        names the points for the phi cache."""
+        if (weight, key) not in phis:
+            phis[weight, key] = weight.phi(points)
+        return space_time_sum(sq, phis[weight, key], s_of[weight], power, cell, tg.trap)
+
+    def summed(sq, points, key, offset) -> list:
+        """`weighted` under every cell, at power p + offset."""
+        return [weighted(sq, points, key, weight, p + offset) for weight, p in cells]
+
+    terms = [{} for _ in cells]
+    if coeffs is not None:
+        dt = traj.dt_frames()
+        i_time = summed(np.multiply(dt, dt, out=dt), X, pm, -1)
+        del dt
+        mixed, grads, avgs = {}, [], []
+        for j in range(grid.d):
+            dblock, dmesh = ops.diff_block(traj.values, pm, j)
+            for i in range(j + 1):
+                block, mesh_ij = ops.diff_block(dblock, dmesh, i)
+                Xij = mesh_ij.physical
+                gfac = sample_frames(coeffs.gamma[i], tg.times, Xij)
+                gfac *= gfac if i == j else sample_frames(coeffs.gamma[j], tg.times, Xij)
+                block *= np.sqrt(gfac, out=gfac)
+                del gfac
+                mixed[i, j] = summed(np.multiply(block, block, out=block), Xij, mesh_ij, -1)
+                del block
+            ablock, amesh = ops.avg_block(dblock, dmesh, j)
+            avgs.append(summed(np.multiply(ablock, ablock, out=ablock), amesh.physical,
+                               amesh, 1))
+            del ablock
+            grads.append(summed(np.multiply(dblock, dblock, out=dblock), dmesh.physical,
+                                dmesh, 1))
+            del dblock
+    sq_y = traj.values * traj.values
+    if coeffs is not None:
+        zeroth = summed(sq_y, X, pm, 3)
+        for k, term_k in enumerate(terms):
+            i_mixed = ZERO_TERM
+            for i in range(grid.d):
+                for j in range(i, grid.d):
+                    term = mixed[i, j][k]
+                    if i != j:  # ordered pairs (i,j) and (j,i) both appear in the sum
+                        term = term + term
+                    i_mixed = i_mixed + term
+            term_k.update({
+                "I_p_time": i_time[k],
+                "I_p_mixed": i_mixed,
+                "I_p": i_time[k] + i_mixed,
+                "J_p_gradient": sum((grad[k] for grad in grads), ZERO_TERM),
+                "J_p_avg_gradient": sum((avg[k] for avg in avgs), ZERO_TERM),
+                "J_p_zeroth": zeroth[k],
+            })
+    if source is not None:
+        local = {}      # omega -> (|y|^2 on its points, the points)
+        for weight, _ in cells:
+            if weight.omega not in local:
+                mask = omega_mask(weight.omega, X)
+                local[weight.omega] = (sq_y[:, mask], X[mask])
+        rhs_local = [weighted(*local[weight.omega], weight.omega, weight, p + 3)
+                     for weight, p in cells]
+        del sq_y, local
+        frames = sample_frames(source, tg.times, X)
+        rhs_source = summed(np.multiply(frames, frames, out=frames), X, pm, 0)
+        for k, (weight, p) in enumerate(cells):
+            terms[k].update({"rhs_source": rhs_source[k], "rhs_local_omega": rhs_local[k],
+                             "rhs_time_endpoints": endpoint_term(traj, weight, p)})
+    return terms
+
+
 def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWeight,
                 p: int) -> dict:
     """All left-hand terms; returns the named totals plus the I_p split."""
-    grid = traj.grid
-    pm = g.primal(grid)
-    tg = traj.time_grid
-    times = tg.times
-    i_time = weight.space_time_term(traj.dt_frames(), pm.physical, p - 1, tg)
-
-    i_mixed = ZERO_TERM
-    for i in range(grid.d):
-        for j in range(i, grid.d):
-            block, mesh_ij = ops.diff_block(traj.values, pm, j)
-            block, mesh_ij = ops.diff_block(block, mesh_ij, i)
-            X = mesh_ij.physical
-            gfac = sample_frames(coeffs.gamma[i], times, X)
-            gfac *= gfac if i == j else sample_frames(coeffs.gamma[j], times, X)
-            block *= np.sqrt(gfac, out=gfac)
-            term = weight.space_time_term(block, X, p - 1, tg)
-            if i != j:  # ordered pairs (i,j) and (j,i) both appear in the sum
-                term = term + term
-            i_mixed = i_mixed + term
-
-    j_grad = ZERO_TERM
-    j_avg = ZERO_TERM
-    for i in range(grid.d):
-        dblock, dmesh = ops.diff_block(traj.values, pm, i)
-        j_grad = j_grad + weight.space_time_term(dblock, dmesh.physical, p + 1, tg)
-        ablock, amesh = ops.avg_block(dblock, dmesh, i)
-        j_avg = j_avg + weight.space_time_term(ablock, amesh.physical, p + 1, tg)
-
-    j_zero = weight.space_time_term(traj.values, pm.physical, p + 3, tg)
-
-    return {
-        "I_p_time": i_time,
-        "I_p_mixed": i_mixed,
-        "I_p": i_time + i_mixed,
-        "J_p_gradient": j_grad,
-        "J_p_avg_gradient": j_avg,
-        "J_p_zeroth": j_zero,
-    }
+    return _cell_terms(traj, [(weight, p)], coeffs=coeffs)[0]
 
 
 def _endpoint_sums(traj: Trajectory, weight: CarlemanWeight, p: int, frame_sum) -> list:
@@ -146,12 +210,7 @@ def log_endpoint_term(traj: Trajectory, weight: CarlemanWeight, p: int) -> float
 def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int) -> dict:
     """Source, local-observation on the weight's omega, and endpoint terms of the
     right-hand side."""
-    tg = traj.time_grid
-    X = g.primal(traj.grid).physical
-    mask = omega_mask(weight.omega, X)
-    return {"rhs_source": weight.space_time_term(sample_frames(source, tg.times, X), X, p, tg),
-            "rhs_local_omega": weight.space_time_term(traj.values[:, mask], X[mask], p + 3, tg),
-            "rhs_time_endpoints": endpoint_term(traj, weight, p)}
+    return _cell_terms(traj, [(weight, p)], source=source)[0]
 
 
 def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source) -> float:
@@ -178,24 +237,12 @@ def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source) -
     return worst
 
 
-def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
-                      weight: CarlemanWeight, p: int) -> CarlemanReport:
-    """Evaluate both sides on one run and report the empirical ratio.
-
-    The ratio is recorded only for admissible parameters.  The run is taken
-    as given: `check_scheme_residual` is the guard against a mismatched
-    (trajectory, source, coefficients) triple.
-    """
-    if p not in (0, 1):
-        raise GridError(f"p must be 0 or 1, got {p}")
-    lhs_terms = compute_lhs(traj, coeffs, weight, p)
-    rhs_terms = compute_rhs(traj, source, weight, p)
-    terms = {**lhs_terms, **rhs_terms}
+def _report(weight: CarlemanWeight, p: int, terms: dict) -> CarlemanReport:
     for key, term in terms.items():
         if term.value < 0:
             raise SolverError(f"negative quadratic term {key}: {term.value}")
-    lhs = sum(lhs_terms[k].value for k in LHS_KEYS)
-    rhs = sum(rhs_terms[k].value for k in RHS_KEYS)
+    lhs = sum(terms[k].value for k in LHS_KEYS)
+    rhs = sum(terms[k].value for k in RHS_KEYS)
     admissible, _ = weight.admissibility()
     ratio = (lhs / rhs) if (admissible and rhs > 0.0) else None
     return CarlemanReport(
@@ -204,26 +251,60 @@ def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
     )
 
 
-def feasibility_row(weight: CarlemanWeight, runs) -> dict:
-    """One cell of the feasibility table at p = 0: the run with the largest ratio.
+def verify_cells(traj: Trajectory, source, coeffs: CoefficientFields,
+                 cells) -> list[CarlemanReport]:
+    """Evaluate both sides on one run under every (weight, p) cell of `cells`
+    and report each cell's empirical ratio, in the order of `cells`.
 
-    `runs` holds (trajectory, source, coefficients) triples on the weight's
-    grid; the first run wins a tie.  A cell outside the admissible window, or
-    one where no run has a ratio, keeps its term columns empty.  Columns
-    follow the CSV schema: h, tau, delta, lambda, p, I_p, J_p, rhs_source,
-    rhs_local, rhs_endpoint, ratio, admissible.
+    One pass over the run: each block is built once and summed for every
+    cell.  The ratio is recorded only for admissible parameters.  The run is
+    taken as given: `check_scheme_residual` is the guard against a mismatched
+    (trajectory, source, coefficients) triple.
     """
-    admissible, _ = weight.admissibility()
-    prm = weight.params
-    row = {"h": weight.grid.h, "tau": prm.tau, "delta": prm.delta, "lambda": prm.lam,
-           "p": 0, "I_p": "", "J_p": "", "rhs_source": "", "rhs_local": "",
-           "rhs_endpoint": "", "ratio": "", "admissible": admissible}
-    if admissible:
-        best = None
-        for traj, source, coeffs in runs:
-            rep = verify_inequality(traj, source, coeffs, weight, 0)
-            if rep.ratio is not None and (best is None or rep.ratio > best.ratio):
-                best = rep
-        if best is not None:
-            row.update(best.columns())
-    return row
+    cells = list(cells)
+    for _, p in cells:
+        if p not in (0, 1):
+            raise GridError(f"p must be 0 or 1, got {p}")
+    return [_report(weight, p, terms) for (weight, p), terms
+            in zip(cells, _cell_terms(traj, cells, coeffs, source))]
+
+
+def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
+                      weight: CarlemanWeight, p: int) -> CarlemanReport:
+    """`verify_cells` on the one cell (weight, p)."""
+    return verify_cells(traj, source, coeffs, [(weight, p)])[0]
+
+
+def feasibility_rows(weights: list, runs) -> list[dict]:
+    """The cells of the feasibility table at p = 0, one per weight: the run
+    with the largest ratio.
+
+    `runs` holds (trajectory, source, coefficients) triples on the weights'
+    grid; each run is evaluated once over every admissible cell, and the
+    first run wins a tie.  A cell outside the admissible window, or one where
+    no run has a ratio, keeps its term columns empty.  Columns follow the CSV
+    schema: h, tau, delta, lambda, p, I_p, J_p, rhs_source, rhs_local,
+    rhs_endpoint, ratio, admissible.
+    """
+    rows = []
+    for weight in weights:
+        prm = weight.params
+        rows.append({"h": weight.grid.h, "tau": prm.tau, "delta": prm.delta,
+                     "lambda": prm.lam, "p": 0, "I_p": "", "J_p": "", "rhs_source": "",
+                     "rhs_local": "", "rhs_endpoint": "", "ratio": "",
+                     "admissible": weight.admissibility()[0]})
+    live = [k for k, row in enumerate(rows) if row["admissible"]]
+    best = {}
+    for traj, source, coeffs in runs:
+        reps = verify_cells(traj, source, coeffs, [(weights[k], 0) for k in live])
+        for k, rep in zip(live, reps):
+            if rep.ratio is not None and (k not in best or rep.ratio > best[k].ratio):
+                best[k] = rep
+    for k, rep in best.items():
+        rows[k].update(rep.columns())
+    return rows
+
+
+def feasibility_row(weight: CarlemanWeight, runs) -> dict:
+    """`feasibility_rows` of the one weight."""
+    return feasibility_rows([weight], runs)[0]

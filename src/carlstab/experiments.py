@@ -19,8 +19,8 @@ import numpy as np
 
 from . import grid as g
 from . import operators as ops
-from .carleman import (check_scheme_residual, endpoint_term, feasibility_row,
-                       log_endpoint_term, verify_inequality)
+from .carleman import (check_scheme_residual, endpoint_term, feasibility_rows,
+                       log_endpoint_term, verify_cells)
 from .coefficients import CoefficientFields, random_smooth_coefficients
 from .config import Config
 from .errors import AdmissibilityError
@@ -293,10 +293,9 @@ def _carleman_worker(payload) -> tuple[list, dict]:
         diagnostics.append(traj.diagnostics)
         residual = check_scheme_residual(traj, coeffs, src)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
-        for p in (0, 1):
-            rep = verify_inequality(traj, src, coeffs, weight, p)
+        for rep in verify_cells(traj, src, coeffs, [(weight, 0), (weight, 1)]):
             rows.append({
-                "run_id": run_index, "N": int(n), "h": grid.h, "p": p,
+                "run_id": run_index, "N": int(n), "h": grid.h, "p": rep.p,
                 "tau": tau, "delta": weight.params.delta, "lambda": weight.params.lam,
                 **rep.columns(), "admissible": rep.admissible, "residual": residual,
             })
@@ -350,10 +349,10 @@ def run_carleman(cfg: Config) -> SuiteResult:
                                              ca["feasibility_eps0"]))
         except AdmissibilityError:
             pass  # coupling lands outside (0, 1/2] on this grid; plain cells remain
-        for tau in [ca["feasibility_tau1"], *ca["feasibility_taus"]]:
-            for delta in cell_deltas:
-                params = _weight_params(cfg, tau=float(tau), delta=float(delta))
-                fea_rows.append(feasibility_row(_weight(cfg, grid, params), runs))
+        fea_rows += feasibility_rows(
+            [_weight(cfg, grid, _weight_params(cfg, tau=float(tau), delta=float(delta)))
+             for tau in [ca["feasibility_tau1"], *ca["feasibility_taus"]]
+             for delta in cell_deltas], runs)
     for n in ca["feasibility_grids"]:
         h = g.GridSpec(d, int(n)).h
         n_adm = sum(1 for r in fea_rows if r["h"] == h and r["admissible"])

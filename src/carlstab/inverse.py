@@ -207,7 +207,7 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
     tg = traj.time_grid
     lhs = ops.l2_norm(g.MeshFunction(pm, source.g(tg.times[tg.mid], pm.physical)))
     X = pm.physical[obs.mask]
-    w_dt, w_y = (math.sqrt(max(weight.space_time_term(block, X, 0.0, tg).value, 0.0))
+    w_dt, w_y = (math.sqrt(max(weight.space_time_term(block * block, X, 0.0, tg).value, 0.0))
                  for block in (z_traj.values[:, obs.mask], obs.local_y))
     snapshot_h2 = ops.h2_norm(obs.snapshot)
     rhs_observed = snapshot_h2 + w_dt + w_y

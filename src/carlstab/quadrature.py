@@ -8,17 +8,27 @@ Weighted space-time sums of the form
 
     sum_m  w_m * cell * s_m^power * sum_x  f(t_m, x)^2 * exp(2 s_m phi(x))
 
-are evaluated by `space_time_sum` on the whole (frames x points) block of a
-trajectory-like field.  The block is walked in chunks of whole frames holding
-about CHUNK_POINTS points, which bounds the temporaries whatever the grid.
-Within a chunk the log weight is formed once per point, and points whose log
-weight sits below the underflow threshold are skipped (an upper bound on the
-skipped mass is recorded).  Each frame's value and skipped mass is a
-compensated pairwise row sum (`_row_sums`: a TwoSum cascade, vectorised over
-the chunk, whose order is fixed by the row width, so reruns and any worker
-count give the same bits; rows it cannot certify as exactly rounded go to
-math.fsum, so it equals fsum); the frames are then combined with the time
-weights by `exact_sum`.
+are evaluated by `space_time_sum` on the squared (frames x points) block
+f^2 of a trajectory-like field, so a caller that sums one block under
+several weights squares it once.  The block is walked in chunks of whole
+frames holding about CHUNK_POINTS points, which bounds the temporaries
+whatever the grid.  Within a chunk the log weight is formed once per point,
+and points whose log weight sits below the underflow threshold are skipped
+(an upper bound on the skipped mass is recorded).  Each frame's value and
+skipped mass is an exactly rounded row sum (`_row_sums`); the frames are
+then combined with the time weights by `exact_sum`.
+
+`_row_sums` splits every non-negative row by one error-free extraction
+against a power of two sigma = 2^(M+e), 2^M >= width + 2 and 2^e > the row
+max (Rump, Ogita & Oishi, "Accurate floating-point summation, part I", SIAM
+J. Sci. Comput. 31(1), 2008): the high parts q = (sigma + x) - sigma sum
+exactly in any order, the low parts r = x - q are exact, and the two sums
+meet in one TwoSum.  The error left in the float sum of r is at most
+width^2 2^(M+1-106) times the result, so the result is exactly rounded
+unless the TwoSum remainder lies within 4 times that of a rounding boundary.
+Such rows, rows whose max is below 2^-900 (not zero), and rows whose sigma
+would overflow go to math.fsum; every row therefore equals fsum, whatever the
+chunking, so reruns and any worker count give the same bits.
 
 `weighted_square_sum` is the same sum for a single frame; it serves the
 single-time terms and is the reference the block kernel is tested against.
@@ -91,16 +101,16 @@ def log_weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -
     return float(logsumexp(np.log(sq[nz]) + logw[nz])) + math.log(cell)
 
 
-def space_time_sum(block: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
+def space_time_sum(sq: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
                    cell: float, time_weights: np.ndarray) -> Term:
-    """sum_m w_m cell sum_x block[m, x]^2 s_m^power e^(2 s_m phi(x)), guarded.
+    """sum_m w_m cell sum_x sq[m, x] s_m^power e^(2 s_m phi(x)), guarded.
 
-    `block` is (frames, points); `phi` (one entry per point), `s` and
-    `time_weights` (one per frame) are float arrays.  Row sums are compensated pairwise
-    (`_row_sums`), so each frame gets the bits `weighted_square_sum` would.
+    `sq` is the squared (frames, points) block of a field; `phi` (one entry per
+    point), `s` and `time_weights` (one per frame) are float arrays.  Each row
+    sum is exactly rounded (`_row_sums`), so each frame gets the bits
+    `weighted_square_sum` would.
     """
-    block = np.asarray(block, dtype=np.float64)
-    n_frames = block.shape[0]
+    n_frames = sq.shape[0]
     if power != 0.0:
         shift = np.array([power * math.log(sm) for sm in s.tolist()])
     vals = np.empty(n_frames)
@@ -111,49 +121,67 @@ def space_time_sum(block: np.ndarray, phi: np.ndarray, s: np.ndarray, power: flo
         logw = (2.0 * s[a:b])[:, None] * phi
         if power != 0.0:
             logw += shift[a:b, None]
-        sq = block[a:b] * block[a:b]
         keep = logw >= SKIP_THRESHOLD
-        if not keep.all():
-            skips[a:b] = cell * _row_sums(np.where(keep, 0.0, sq)) * math.exp(SKIP_THRESHOLD)
         w = np.exp(logw, out=logw)
-        w[~keep] = 0.0
-        w *= sq
+        if not keep.all():
+            skips[a:b] = cell * _row_sums(np.where(keep, 0.0, sq[a:b])) * math.exp(SKIP_THRESHOLD)
+            w[~keep] = 0.0
+        w *= sq[a:b]
         vals[a:b] = cell * _row_sums(w)
     return Term(exact_sum(vals * time_weights), exact_sum(skips * time_weights))
+
+
+# rows whose max lies below this go to math.fsum: the extraction's error bound
+# is relative to the row's result, and must stay clear of the subnormal range
+_TINY_ROW_MAX = 2.0 ** -900
 
 
 def _row_sums(block: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a non-negative block, vectorised.
 
-    A pairwise TwoSum cascade over the zero-padded columns halves the partial
-    sums s and their exact errors level by level.  For non-negative rows the
-    summed errors e are within 2 (levels + 1)^2 u^2 s of exact, so fl(s + e) is
-    the exactly rounded sum unless s + e lies within 4 times that of a rounding
-    boundary; such rows (ties among them) go to math.fsum.
+    One error-free extraction per row: with 2^M >= width + 2 and 2^e > the row
+    max (the `frexp` exponent), sigma = 2^(M+e) splits each x into
+    q = (sigma + x) - sigma, a multiple of ulp(sigma) of at most 2^e, and the
+    exact remainder r = x - q, |r| <= ulp(sigma)/2.  The sum tau of the q is
+    exact in any order (every partial sum is a multiple of ulp(sigma) below
+    sigma); the float sum of the r is within width^2 2^(M+e-106) <=
+    width^2 2^(M+1-106) hi of exact.  hi = fl(tau + sum r) with its TwoSum
+    remainder lo is then the exactly rounded sum unless hi + lo lies within
+    4 width^2 2^(M+1-106) hi of a rounding boundary, ties included.  Those
+    rows, rows with 0 < max < 2^-900 and rows whose sigma overflows go to
+    math.fsum (an overflowing fsum reads inf); rows holding inf or nan keep
+    their plain sum.
     """
     width = block.shape[1]
-    levels = max(1, (width - 1).bit_length())
-    s = np.zeros((block.shape[0], 1 << levels))
-    s[:, :width] = block
-    e = None
-    while s.shape[1] > 1:
-        half = s.shape[1] // 2
-        a, b = s[:, :half], s[:, half:]
-        t = a + b
-        z = t - a
-        err = (a - (t - z)) + (b - z)      # TwoSum: t + err == a + b exactly
-        if e is not None:
-            err += e[:, :half] + e[:, half:]
-        s, e = t, err
-    s, e = s[:, 0], e[:, 0]
-    hi = s + e
-    lo = e - (hi - s)      # hi + lo == s + e exactly, as |e| <= |s|
-    ulp = np.where(lo >= 0.0, np.nextafter(hi, np.inf) - hi, hi - np.nextafter(hi, -np.inf))
-    slack = 8.0 * (levels + 1) ** 2 * 2.0 ** -106
-    risky = (lo != 0.0) & (np.abs(2.0 * np.abs(lo) - ulp) <= slack * hi)
+    high = (width + 1).bit_length()             # 2^high >= width + 2
+    top = block.max(axis=1)
+    finite = np.isfinite(top)
+    _, e = np.frexp(np.where(finite, top, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.ldexp(1.0, high + e)[:, None]
+        part = block + sigma
+        part -= sigma                           # q, the high parts
+        tau = part.sum(axis=1)
+        np.subtract(block, part, out=part)      # r, the exact low parts
+        low = part.sum(axis=1)
+        hi = tau + low
+        z = hi - tau
+        lo = (tau - (hi - z)) + (low - z)       # TwoSum: hi + lo == tau + low exactly
+        ulp = np.where(lo >= 0.0, np.nextafter(hi, np.inf) - hi,
+                       hi - np.nextafter(hi, -np.inf))
+        slack = 4.0 * width * width * 2.0 ** (high + 1 - 106)
+        risky = np.abs(2.0 * np.abs(lo) - ulp) <= slack * hi
+    risky |= (top > 0.0) & (top < _TINY_ROW_MAX)
+    risky |= np.isinf(sigma[:, 0])
+    risky &= finite
     for i in np.flatnonzero(risky).tolist():
-        hi[i] = math.fsum(block[i].tolist())
-    return np.where(np.isfinite(s), hi, s)
+        try:
+            hi[i] = math.fsum(block[i].tolist())
+        except OverflowError:
+            hi[i] = math.inf
+    if not finite.all():
+        hi[~finite] = block[~finite].sum(axis=1)
+    return hi
 
 
 def trapezoid_weights(n_frames: int, dt: float) -> np.ndarray:

@@ -7,9 +7,12 @@ The spatial operator on primal unknowns (homogeneous Dirichlet data) is
 assembled both as a sparse matrix (per-axis three-point stencils) and as a
 matrix-free application through the difference/average operators; the two
 routes agree to rounding and are cross-checked in the tests.  The matrix has
-one CSR pattern per (grid, advection), built on first use, and each time is
-one fill of its entries into their slots from one t -> values sampler per
-field; a SmoothField's, base + amp S(x) rho(t), evaluates amp S(x) once.
+one CSR pattern per (grid, advection), built and checked on first use, and
+each time is one fill of its entries into their slots from one t -> values
+sampler per field; a SmoothField's, base + amp S(x) rho(t), evaluates
+amp S(x) once.  A fill is a shallow copy of the pattern's template with new
+data: it shares the template's read-only index arrays and skips the CSR
+constructor's format checks.
 
 Time integration is ours: one `Stepper` owns the trapezoidal step
 
@@ -141,7 +144,9 @@ def central_time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pattern(grid: g.GridSpec, advection: bool):
-    """CSR (indptr, indices) of A_h, and the slot of each entry `_fill` emits."""
+    """A checked CSR template of A_h's pattern, and the slot of each entry
+    `_fill` emits.  The template's index arrays are shared by every fill and
+    read-only, so an in-place change raises instead of corrupting the cache."""
     pm = g.primal(grid)
     size = pm.size
     idx = np.arange(size, dtype=np.int64).reshape(pm.shape)
@@ -152,7 +157,11 @@ def _pattern(grid: g.GridSpec, advection: bool):
         keys += [up * size + dn, dn * size + up] * (2 if advection else 1)
     uniq, slot = np.unique(np.concatenate(keys + [idx.ravel() * (size + 1)]), return_inverse=True)
     indptr = np.searchsorted(uniq, np.arange(size + 1) * size)
-    return indptr.astype(np.int32), (uniq % size).astype(np.int32), slot
+    template = sp.csr_matrix((np.zeros(uniq.size), (uniq % size).astype(np.int32),
+                              indptr.astype(np.int32)), shape=(size, size))
+    template.indices.flags.writeable = False
+    template.indptr.flags.writeable = False
+    return template, slot
 
 
 def _field_samplers(grid: g.GridSpec, coeffs: CoefficientFields) -> list:
@@ -178,9 +187,9 @@ def _fill(grid: g.GridSpec, samplers: list, t: float) -> sp.csr_matrix:
     """
     vals = [at(t) for at in samplers]
     gammas, bs, c = vals[:grid.d], vals[grid.d:-1] or None, vals[-1]
-    indptr, indices, slot = _pattern(grid, bs is not None)
+    template, slot = _pattern(grid, bs is not None)
     shape, h = g.primal(grid).shape, grid.h
-    data, diag = [], np.zeros(indptr.size - 1)
+    data, diag = [], np.zeros(template.shape[0])
     for ax, gam in enumerate(gammas):
         if np.any(gam <= 0.0):
             k = int(np.argmin(gam))
@@ -196,8 +205,9 @@ def _fill(grid: g.GridSpec, samplers: list, t: float) -> sp.csr_matrix:
             data += [(-b[lo] / (2.0 * h)).ravel(), (b[hi] / (2.0 * h)).ravel()]
     diag -= c
     data.append(diag)
-    vals = np.bincount(slot, weights=np.concatenate(data), minlength=indices.size)
-    return sp.csr_matrix((vals, indices.copy(), indptr.copy()), shape=(diag.size, diag.size))
+    A = copy.copy(template)     # shares the checked index arrays, skips the checks
+    A.data = np.bincount(slot, weights=np.concatenate(data), minlength=template.nnz)
+    return A
 
 
 def assemble_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float) -> sp.csr_matrix:
@@ -297,7 +307,7 @@ class Stepper:
         self._last_sweeps = 0   # sweeps the previous step needed
         self._samplers = _field_samplers(grid, coeffs)
         # `_pattern` emits the diagonal entries last
-        self._diag = _pattern(grid, coeffs.b is not None)[2][-g.primal(grid).size:]
+        self._diag = _pattern(grid, coeffs.b is not None)[1][-g.primal(grid).size:]
 
     def forcing(self, g0, g1):
         """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""

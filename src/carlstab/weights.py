@@ -229,11 +229,12 @@ class CarlemanWeight:
     def s(self, t):
         return self.params.tau * self.theta(t)
 
-    def space_time_term(self, block: np.ndarray, points: np.ndarray, power: float,
+    def space_time_term(self, sq: np.ndarray, points: np.ndarray, power: float,
                         time_grid) -> Term:
-        """sum_m w_m h^d sum_x block[m, x]^2 (s_m)^power e^(2 s_m phi(x)): one row
-        per frame of `time_grid` (trapezoid weights w_m), one column per point."""
-        return space_time_sum(block, self.phi(points), self.s(time_grid.times), power,
+        """sum_m w_m h^d sum_x sq[m, x] (s_m)^power e^(2 s_m phi(x)) of a squared
+        block: one row per frame of `time_grid` (trapezoid weights w_m), one
+        column per point."""
+        return space_time_sum(sq, self.phi(points), self.s(time_grid.times), power,
                               self.grid.h ** self.grid.d, time_grid.trap)
 
     def log_weight(self, t, phi_values: np.ndarray, power: float = 0.0) -> np.ndarray:

@@ -6,16 +6,17 @@ import pytest
 from scipy.special import logsumexp
 
 from carlstab import grid as g
+from carlstab import operators as ops
 from carlstab.carleman import (LHS_KEYS, check_scheme_residual, compute_lhs,
-                               compute_rhs, endpoint_term, feasibility_row, log_endpoint_term,
-                               verify_inequality)
+                               compute_rhs, endpoint_term, feasibility_row, feasibility_rows,
+                               log_endpoint_term, verify_cells, verify_inequality)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.config import parse_config
 from carlstab.errors import GridError, SolverError
 from carlstab.experiments import _carleman_worker
 from carlstab.inverse import (FourierBump, SeparableSource, SineTimeProfile, random_bump,
                               random_separable_source)
-from carlstab.quadrature import weighted_square_sum
+from carlstab.quadrature import ZERO_TERM, Term, exact_sum, weighted_square_sum
 from carlstab.solver import TimeGrid, Trajectory, solve_forward
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
@@ -376,3 +377,97 @@ def test_carleman_worker_d3_smoke():
         for key in ("I_p", "J_p", "rhs_source", "rhs_local", "rhs_endpoint"):
             assert math.isfinite(row[key]) and row[key] > 0.0, key
         assert row["residual"] <= 1e-6
+
+
+def per_frame_terms(traj, source, coeffs, weight, p) -> dict:
+    """Every term of one (weight, p) cell, frame by frame: the fields through
+    `ops.second_diff`, `diff` and `avg_diff`, each frame through
+    `weighted_square_sum` on the weight's `log_weight`, the frames combined
+    with the trapezoid weights by exactly rounded sums."""
+    grid, tg = traj.grid, traj.time_grid
+    pm = g.primal(grid)
+    X = pm.physical
+    cell = grid.h ** grid.d
+    frames = [traj.frame(m) for m in range(tg.steps + 1)]
+    times = [float(t) for t in tg.times]
+
+    def term(fields, points, power) -> Term:
+        phi = weight.phi(points)
+        parts = [weighted_square_sum(f, weight.log_weight(t, phi, power), cell)
+                 for t, f in zip(times, fields)]
+        return Term(exact_sum(np.array([q.value for q in parts]) * tg.trap),
+                    exact_sum(np.array([q.skipped_bound for q in parts]) * tg.trap))
+
+    i_mixed = ZERO_TERM
+    for i in range(grid.d):
+        for j in range(i, grid.d):
+            fields = []
+            for t, u in zip(times, frames):
+                d2 = ops.second_diff(u, i, j)
+                Xij = d2.mesh.physical
+                gam = coeffs.gamma[i](t, Xij) * coeffs.gamma[j](t, Xij)
+                fields.append(d2.values * np.sqrt(gam))
+            t_ij = term(fields, Xij, p - 1)
+            i_mixed = i_mixed + (t_ij + t_ij if i != j else t_ij)
+    i_time = term(traj.dt_frames(), X, p - 1)
+    mask = weight.omega.mask(X)
+    return {
+        "I_p_time": i_time,
+        "I_p_mixed": i_mixed,
+        "I_p": i_time + i_mixed,
+        "J_p_gradient": sum((term([ops.diff(u, i).values for u in frames],
+                                  g.dual_star(grid, i).physical, p + 1)
+                             for i in range(grid.d)), ZERO_TERM),
+        "J_p_avg_gradient": sum((term([ops.avg_diff(u, i).values for u in frames], X, p + 1)
+                                 for i in range(grid.d)), ZERO_TERM),
+        "J_p_zeroth": term(traj.values, X, p + 3),
+        "rhs_source": term([source(t, X) for t in times], X, p),
+        "rhs_local_omega": term(traj.values[:, mask], X[mask], p + 3),
+        "rhs_time_endpoints": endpoint_term(traj, weight, p),
+    }
+
+
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)])
+def test_verify_cells_matches_per_frame_reference(d, n):
+    grid, coeffs, src, traj = solved_run(seed=40 + d, n=n, steps=32, d=d, b_amp=0.3)
+    w0 = make_weight(grid=grid, d=d)
+    w1 = make_weight(grid=grid, tau=8.0, lam=3.0, d=d)   # skips points on every frame
+    cells = [(w0, 0), (w0, 1), (w1, 0)]
+    reports = verify_cells(traj, src, coeffs, cells)
+    assert [rep.p for rep in reports] == [0, 1, 0]
+    assert reports[2].skipped_bound > 0.0
+    for (weight, p), rep in zip(cells, reports):
+        want = per_frame_terms(traj, src, coeffs, weight, p)
+        assert list(rep.terms) == list(want)
+        for key, term in want.items():
+            assert rep.terms[key].value == pytest.approx(term.value, rel=1e-14, abs=0.0), key
+            assert rep.terms[key].skipped_bound == term.skipped_bound, key
+
+    # every cell of the pass equals its one-cell evaluation bit for bit
+    for (weight, p), rep in zip(cells, reports):
+        one = verify_inequality(traj, src, coeffs, weight, p)
+        assert (rep.p, rep.admissible, rep.lhs, rep.rhs, rep.ratio, rep.skipped_bound) == \
+            (one.p, one.admissible, one.lhs, one.rhs, one.ratio, one.skipped_bound)
+        assert rep.terms == one.terms
+        assert rep.terms == {**compute_lhs(traj, coeffs, weight, p),
+                             **compute_rhs(traj, src, weight, p)}
+
+
+def test_verify_cells_of_no_cell_and_a_bad_p():
+    grid, coeffs, src, traj = solved_run(seed=13, steps=64)
+    assert verify_cells(traj, src, coeffs, []) == []
+    with pytest.raises(GridError):
+        verify_cells(traj, src, coeffs, [(make_weight(), 0), (make_weight(), 2)])
+
+
+def test_feasibility_rows_equal_their_one_cell_rows():
+    runs = []
+    for seed in (25, 31):
+        _, coeffs, src, traj = solved_run(seed=seed, steps=64)
+        runs.append((traj, src, coeffs))
+    weights = [make_weight(tau=3.0), make_weight(tau=40.0, delta=0.25),
+               make_weight(tau=4.0, delta=0.5), make_weight(tau=3.0)]
+    rows = feasibility_rows(weights, runs)
+    assert rows == [feasibility_row(w, runs) for w in weights]
+    assert [row["admissible"] for row in rows] == [True, False, True, True]
+    assert rows[1]["ratio"] == "" and rows[0] == rows[3]

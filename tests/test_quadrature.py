@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from carlstab import grid as g
+from carlstab import quadrature
 from carlstab.quadrature import (CHUNK_POINTS, Term, _row_sums, exact_sum, space_time_sum,
                                  weighted_square_sum)
 from carlstab.solver import TimeGrid
@@ -43,7 +44,7 @@ def both(block, grid, tg, power, weight=None):
     weight = weight or make_weight(grid)
     phi = weight.phi(g.primal(grid).physical)
     cell = grid.h ** grid.d
-    return (space_time_sum(block, phi, weight.s(tg.times), power, cell, tg.trap),
+    return (space_time_sum(block * block, phi, weight.s(tg.times), power, cell, tg.trap),
             per_frame_reference(block, phi, weight, tg, power, cell))
 
 
@@ -137,3 +138,88 @@ def test_row_sums_round_ties_like_fsum():
                       [1.0, 3.0 * u, u ** 2], [0.5, 0.5 * u, 0.5 * u ** 2]])
     assert_rows_equal_fsum(block)
     assert _row_sums(block)[0] == 1.0 + 2.0 * u
+
+
+@pytest.mark.parametrize("width", [1025, 4097])
+def test_row_sums_equal_fsum_just_above_a_power_of_two(width):
+    # 2^M >= width + 2 takes the next power of two: the widest extraction margin
+    rng = np.random.default_rng(width)
+    for span in (50.0, 600.0):
+        block = rng.uniform(size=(40, width)) * np.exp(-span * rng.uniform(size=(40, width)))
+        block[3] = 1.0
+        assert_rows_equal_fsum(block)
+
+
+def test_row_sums_keep_the_plain_sum_of_non_finite_rows():
+    rng = np.random.default_rng(12)
+    block = rng.uniform(size=(5, 63))
+    block[1, 7] = np.inf
+    block[2, 0] = np.nan
+    block[3, 5], block[3, 40] = np.inf, np.nan
+    got = _row_sums(block)
+    assert got[1] == np.inf and np.isnan(got[2]) and np.isnan(got[3])
+    for k in (0, 4):
+        assert got[k] == math.fsum(block[k].tolist())
+
+
+def test_row_sums_overflowing_row_reads_inf():
+    big = np.finfo(np.float64).max
+    block = np.array([[big, big, 0.0], [big, 0.0, 0.0], [0.5 * big, 0.25 * big, 0.125 * big]])
+    got = _row_sums(block)
+    assert got[0] == np.inf
+    assert got[1] == big and got[2] == math.fsum(block[2].tolist())
+
+
+def test_row_sums_equal_fsum_on_subnormal_and_near_cut_rows():
+    rng = np.random.default_rng(13)
+    width = 255
+    block = rng.uniform(size=(8, width))
+    tiny = np.finfo(np.float64).tiny
+    # normal values mixed with subnormal ones
+    block[0, ::3] = np.ldexp(rng.integers(1, 1 << 40, width)[::3].astype(np.float64), -1074)
+    block[1] = np.ldexp(rng.integers(1, 1 << 52, width).astype(np.float64), -1074)
+    block[1, 0] = 4.0 * tiny
+    # row maxima just below, at and just above the 2^-900 cut
+    for row, top in ((2, np.nextafter(2.0 ** -900, 0.0)), (3, 2.0 ** -900),
+                     (4, np.nextafter(2.0 ** -900, 1.0)), (5, 2.0 ** -899)):
+        block[row] = top * rng.uniform(size=width)
+        block[row, 17] = top
+    block[6] = 2.0 ** -1000 * rng.uniform(size=width)
+    assert_rows_equal_fsum(block)
+
+
+class CountingMath:
+    """The math module, counting fsum calls."""
+
+    def __init__(self):
+        self.fsum_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, values):
+        self.fsum_calls += 1
+        return math.fsum(values)
+
+
+def test_row_sums_rarely_fall_back_to_fsum_on_kernel_chunks(monkeypatch):
+    # the blocks of test_row_sums_equal_fsum_on_kernel_chunks: at most 1 % of
+    # their rows may need math.fsum
+    counting = CountingMath()
+    monkeypatch.setattr(quadrature, "math", counting)
+    grid = g.GridSpec(2, 31)
+    npts = g.primal(grid).size
+    rows = CHUNK_POINTS // npts
+    weight = make_weight(grid, tau=8.0, lam=3.0)
+    phi = weight.phi(g.primal(grid).physical)
+    s = weight.s(TimeGrid(1.0, 256).times)[100:100 + rows]
+    block = np.random.default_rng(5).normal(size=(rows, npts)) ** 2
+    blocks = [block * np.exp(2.0 * s[:, None] * phi),
+              np.random.default_rng(6).uniform(size=(rows, npts))]
+    for blk in blocks:
+        assert_rows_equal_fsum(blk)
+    assert counting.fsum_calls <= 0.01 * rows * len(blocks)
+    # the counter sees the fallback: an exact tie must go to fsum
+    before = counting.fsum_calls
+    assert _row_sums(np.array([[1.0, 2.0 ** -53]]))[0] == 1.0
+    assert counting.fsum_calls == before + 1

@@ -463,3 +463,24 @@ def test_cached_fill_rejects_nonpositive_diffusion_with_location():
         else:
             stepper._operator(m)
     assert 0 < rejected < len(stepper.times)
+
+
+@pytest.mark.parametrize("d,n,b_amp", [(1, 15, 0.0), (2, 7, 0.3), (3, 5, 0.3)])
+def test_fill_equals_the_constructor_built_matrix(rng, d, n, b_amp):
+    grid = g.GridSpec(d, n)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=b_amp)
+    A, B = (assemble_ah(grid, coeffs, t) for t in (0.25, 0.75))
+    want = sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
+    want.check_format(full_check=True)
+    assert type(A) is type(want) and A.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(A, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    assert A.has_sorted_indices and A.has_canonical_format
+    # the fills share the pattern's index arrays, which refuse in-place changes
+    assert np.shares_memory(A.indices, B.indices) and np.shares_memory(A.indptr, B.indptr)
+    assert not np.shares_memory(A.data, B.data)
+    with pytest.raises(ValueError):
+        A.indices[0] = 1
+    with pytest.raises(ValueError):
+        B.indptr[-1] = 0
