@@ -7,7 +7,11 @@ advection (`b_amp=0.3`); the time-independent case is the small repeated
 operator of the stability corpus and the reconstruction.  For each case the
 script prints milliseconds per step (assembly and factorisations included,
 median over `--repeat` marches), and the factorisations and refinement sweeps
-of one march, which repeat exactly for a given seed.
+of one march, which repeat exactly for a given seed.  It also prints two
+kernel costs of the same stepper, medians over `--repeat`: microseconds per
+frame for `Stepper._frame` to hand out the data of A, L and R at every frame
+of the march in order (block fills included), and microseconds per product
+R_m y of one state.
 
     python scripts/bench_steps.py [--repeat 3] [--seed 0] [--json FILE]
 
@@ -32,24 +36,45 @@ import numpy as np  # noqa: E402
 from carlstab import grid as g  # noqa: E402
 from carlstab.coefficients import random_smooth_coefficients  # noqa: E402
 from carlstab.inverse import random_separable_source  # noqa: E402
-from carlstab.solver import TimeGrid, solve_forward  # noqa: E402
+from carlstab.solver import Stepper, TimeGrid, solve_forward  # noqa: E402
 
 # (d, N, steps, time-dependent)
 CASES = [(1, 31, 256, True), (2, 31, 256, True), (2, 63, 256, True), (3, 15, 64, True),
          (1, 15, 4096, False)]
+PRODUCTS = 2000     # products timed per repeat
+
+
+def draw(d: int, n: int, time_dependent: bool, seed: int):
+    rng = np.random.default_rng(seed)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent,
+                                        b_amp=0.3 if time_dependent else 0.0)
+    return rng, g.GridSpec(d, n), coeffs
 
 
 def march(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, dict]:
-    rng = np.random.default_rng(seed)
-    grid = g.GridSpec(d, n)
-    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent,
-                                        b_amp=0.3 if time_dependent else 0.0)
+    rng, grid, coeffs = draw(d, n, time_dependent, seed)
     src = random_separable_source(rng, d, 1.0)
     pm = g.primal(grid)
     y0 = g.MeshFunction(pm, rng.normal(size=pm.size))
     start = time.perf_counter()
     traj = solve_forward(grid, coeffs, src, TimeGrid(1.0, steps), y_ini=y0)
     return time.perf_counter() - start, traj.diagnostics
+
+
+def kernels(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, float]:
+    """Seconds per frame handed out by `Stepper._frame` over a whole march, and
+    seconds per product R_m y of one state."""
+    rng, grid, coeffs = draw(d, n, time_dependent, seed)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, steps))
+    start = time.perf_counter()
+    for m in range(steps + 1):
+        stepper._frame(m)
+    per_frame = (time.perf_counter() - start) / (steps + 1)
+    R, y = stepper._frame(steps)[2], rng.normal(size=g.primal(grid).size)
+    start = time.perf_counter()
+    for _ in range(PRODUCTS):
+        stepper._product(R, y)
+    return per_frame, (time.perf_counter() - start) / PRODUCTS
 
 
 def main() -> int:
@@ -60,20 +85,26 @@ def main() -> int:
     args = ap.parse_args()
     rows = []
     print(f"{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'ms/step':>8} "
-          f"{'factorisations':>14} {'sweeps':>6} {'sweeps/step':>11}")
+          f"{'factorisations':>14} {'sweeps':>6} {'sweeps/step':>11} {'us/frame':>9} "
+          f"{'us/product':>10}")
     for d, n, steps, time_dependent in CASES:
-        times, diag = [], None
+        times, frames, products, diag = [], [], [], None
         for _ in range(args.repeat):
             elapsed, diag = march(d, n, steps, time_dependent, args.seed)
             times.append(elapsed)
+            per_frame, per_product = kernels(d, n, steps, time_dependent, args.seed)
+            frames.append(per_frame)
+            products.append(per_product)
         ms = 1e3 * statistics.median(times) / steps
         row = {"d": d, "N": n, "steps": steps, "time_dependent": time_dependent,
                "ms_per_step": ms, "factorisations": diag["factorisations"],
-               "sweeps": diag["sweeps"]}
+               "sweeps": diag["sweeps"], "us_per_frame": 1e6 * statistics.median(frames),
+               "us_per_product": 1e6 * statistics.median(products)}
         rows.append(row)
         kind = "time-dependent" if time_dependent else "time-independent"
         print(f"{d:>2} {n:>3} {steps:>5} {kind:>16} {ms:>8.3f} {row['factorisations']:>14} "
-              f"{row['sweeps']:>6} {row['sweeps'] / steps:>11.2f}", flush=True)
+              f"{row['sweeps']:>6} {row['sweeps'] / steps:>11.2f} {row['us_per_frame']:>9.2f} "
+              f"{row['us_per_product']:>10.2f}", flush=True)
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
     return 0

@@ -51,13 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields, sample_frames
 from .errors import GridError, SolverError
-from .quadrature import (ZERO_TERM, Term, log_weighted_square_sum, space_time_sum,
+from .quadrature import (ZERO_TERM, Term, log_weighted_square_sum, logsumexp, space_time_sum,
                          weighted_square_sum)
 from .solver import Stepper, Trajectory
 from .weights import CarlemanWeight, omega_mask

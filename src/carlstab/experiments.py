@@ -336,6 +336,8 @@ def run_carleman(cfg: Config) -> SuiteResult:
                                   time_dependent=True, b_amp=ca["b_amp"],
                                   tau_range=(ca["tau_min"], ca["tau_max"]))
                  for i in range(ca["feasibility_runs"])]
+    # tau1 may repeat a listed tau (it does at the defaults): one set of cells per tau
+    fea_taus = list(dict.fromkeys([ca["feasibility_tau1"], *ca["feasibility_taus"]]))
     fea_rows = []
     for n in ca["feasibility_grids"]:
         grid = g.GridSpec(d, int(n))
@@ -351,8 +353,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
             pass  # coupling lands outside (0, 1/2] on this grid; plain cells remain
         fea_rows += feasibility_rows(
             [_weight(cfg, grid, _weight_params(cfg, tau=float(tau), delta=float(delta)))
-             for tau in [ca["feasibility_tau1"], *ca["feasibility_taus"]]
-             for delta in cell_deltas], runs)
+             for tau in fea_taus for delta in dict.fromkeys(cell_deltas)], runs)
     for n in ca["feasibility_grids"]:
         h = g.GridSpec(d, int(n)).h
         n_adm = sum(1 for r in fea_rows if r["h"] == h and r["admissible"])

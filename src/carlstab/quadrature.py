@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import QuadratureError
 
@@ -87,6 +86,25 @@ def weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> Te
     val = cell * exact_sum(sq[keep] * np.exp(logw[keep]))
     skipped = cell * exact_sum(sq[~keep]) * math.exp(SKIP_THRESHOLD)
     return Term(val, skipped)
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-D float array, bitwise as scipy.special's
+    (1.17) without importing it: the maxima are split out of the sum,
+    log1p(s/m) + log(m) + max with m of them, and where that is not finite
+    the plain log(sum(exp(a))) stands.  An empty array gives -inf."""
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        plain = np.log(np.sum(np.exp(a), keepdims=True))
+        a_max = np.max(a, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    return float(np.where(np.isfinite(out), out, plain)[0])
 
 
 def log_weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> float:

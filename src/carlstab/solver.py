@@ -7,12 +7,9 @@ The spatial operator on primal unknowns (homogeneous Dirichlet data) is
 assembled both as a sparse matrix (per-axis three-point stencils) and as a
 matrix-free application through the difference/average operators; the two
 routes agree to rounding and are cross-checked in the tests.  The matrix has
-one CSR pattern per (grid, advection), built and checked on first use, and
-each time is one fill of its entries into their slots from one t -> values
-sampler per field; a SmoothField's, base + amp S(x) rho(t), evaluates
-amp S(x) once.  A fill is a shallow copy of the pattern's template with new
-data: it shares the template's read-only index arrays and skips the CSR
-constructor's format checks.
+one CSR pattern per (grid, advection), built and checked on first use; one
+vectorised fill writes its (K, nnz) data at K times from one sampler per
+field (a SmoothField, base + amp S(x) rho(t), evaluates amp S(x) once).
 
 Time integration is ours: one `Stepper` owns the trapezoidal step
 
@@ -21,8 +18,8 @@ Time integration is ours: one `Stepper` owns the trapezoidal step
 and its residual; the forward solve, the z-system march, the reconstruction's
 normal equations and the scheme residual check all run through it.  A step
 takes one state or a block of states as columns, so a linear map of the
-forcing marches all its columns at once.  Each frame stores L and R, scaled
-from A's entries on A's pattern, so applying either is one sparse product.
+forcing marches all its columns at once.  A stepper holds A, L and R for a
+block of frames and applies L or R by scipy's CSR kernel, no matrix per frame.
 Every step solves the same way: with one sparse LU factor of L taken at
 some frame, in SuperLU's minimum-degree ordering of L^T + L (about half the
 fill of the default column ordering at d >= 2), followed by iterative
@@ -46,7 +43,6 @@ the heat flow is ill posed).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,6 +50,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from . import grid as g
 from . import operators as ops
@@ -67,6 +64,9 @@ REFINE_SWEEPS = 8
 # a lower threshold refactorises more often than it saves in sweeps on the
 # costliest factor measured (d = 3, N = 15); see scripts/bench_steps.py
 REFRESH_SWEEPS = 7
+# bytes of the A, L and R data a time-dependent Stepper holds for one block of frames;
+# twice this saves little per frame and adds ~0.5 MB of fill temporaries to a d = 1 peak RSS
+FRAME_BLOCK_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def central_time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pattern(grid: g.GridSpec, advection: bool):
     """A checked CSR template of A_h's pattern, and the slot of each entry
-    `_fill` emits.  The template's index arrays are shared by every fill and
-    read-only, so an in-place change raises instead of corrupting the cache."""
+    `_fill_block` emits.  The template's index arrays are shared by every fill
+    and read-only, so an in-place change raises instead of corrupting the cache."""
     pm = g.primal(grid)
     size = pm.size
     idx = np.arange(size, dtype=np.int64).reshape(pm.shape)
@@ -164,55 +164,67 @@ def _pattern(grid: g.GridSpec, advection: bool):
     return template, slot
 
 
+def _frame_slots(slot: np.ndarray, nnz: int, K: int) -> np.ndarray:
+    """The slots `slot` in each of K frames of nnz entries laid end to end."""
+    return slot if K == 1 else (slot + nnz * np.arange(K)[:, None]).ravel()
+
+
 def _field_samplers(grid: g.GridSpec, coeffs: CoefficientFields) -> list:
-    """One t -> values sampler per field on its mesh: gamma_i on dual_star(i),
-    then b_i and c on the primal mesh.  A field with `at` samples its spatial
-    part once; any other goes through `sample_frames`."""
+    """One sampler per field, a time or a column of times to values: gamma_i on
+    dual_star(i), then b_i and c on the primal mesh.  A field with `at`
+    samples its spatial part once; any other goes through `sample_frames`."""
     if coeffs.d != grid.d:
         raise GridError(f"coefficients for d={coeffs.d} used with grid d={grid.d}")
     fields = (*coeffs.gamma, *(coeffs.b or ()), coeffs.c)
     points = [g.dual_star(grid, ax).physical for ax in range(grid.d)]
     points += [g.primal(grid).physical] * (len(fields) - grid.d)
-    return [f.at(X) if hasattr(f, "at") else (lambda t, f=f, X=X: sample_frames(f, (t,), X)[0])
+    return [f.at(X) if hasattr(f, "at") else (lambda t, f=f, X=X: sample_frames(f, np.ravel(t), X))
             for f, X in zip(fields, points)]
 
 
-def _fill(grid: g.GridSpec, samplers: list, t: float) -> sp.csr_matrix:
-    """A_h at time t from the `_field_samplers` of its coefficients, scattered
-    onto the fixed pattern.
+def _fill_block(grid: g.GridSpec, samplers: list, times) -> tuple[np.ndarray, list]:
+    """A_h's CSR data at K times, shape (K, nnz), from its `_field_samplers`,
+    and per time the message rejecting its non-positive diffusion, or None.
 
     Per axis: the stencil [gamma_-, -(gamma_+ + gamma_-), gamma_+]/h^2, then the
-    advection -b (y_+ - y_-)/(2h); the zero-order part is diagonal.  Rejects
-    non-positive diffusion with its location and t.
+    advection -b (y_+ - y_-)/(2h); the zero-order part is diagonal.  One time
+    samples as a scalar (faster).  One `np.bincount` over the frames' slots in
+    turn gives each entry the bits of a fill of its frame alone.
     """
-    vals = [at(t) for at in samplers]
+    K = len(times)
+    t = times[:, None] if K > 1 else float(times[0])
+    vals = [at(t).reshape(K, -1) for at in samplers]
     gammas, bs, c = vals[:grid.d], vals[grid.d:-1] or None, vals[-1]
     template, slot = _pattern(grid, bs is not None)
     shape, h = g.primal(grid).shape, grid.h
-    data, diag = [], np.zeros(template.shape[0])
+    parts, diag, bad = [], np.zeros((K, template.shape[0])), [None] * K
     for ax, gam in enumerate(gammas):
-        if np.any(gam <= 0.0):
-            k = int(np.argmin(gam))
-            raise GridError(f"non-positive diffusion gamma_{ax}={gam[k]:.4g} "
-                            f"at x={g.dual_star(grid, ax).physical[k]}, t={t}")
-        lo, hi = g.axis_index(grid.d, ax, slice(None, -1), slice(1, None))
-        gam = gam.reshape(g.dual_star(grid, ax).shape)
+        star = g.dual_star(grid, ax)
+        for k in np.flatnonzero((gam <= 0.0).any(axis=1)).tolist():
+            j = int(np.argmin(gam[k]))
+            bad[k] = bad[k] or (f"non-positive diffusion gamma_{ax}={gam[k, j]:.4g} "
+                                f"at x={star.physical[j]}, t={float(times[k])}")
+        lo, hi = g.axis_index(grid.d + 1, ax + 1, slice(None, -1), slice(1, None))
+        gam = gam.reshape((K, *star.shape))
         g_minus, g_plus = gam[lo], gam[hi]
-        diag += (-(g_plus + g_minus) / (h * h)).ravel()
-        data += [(g_plus[lo] / (h * h)).ravel(), (g_minus[hi] / (h * h)).ravel()]
+        diag += (-(g_plus + g_minus) / (h * h)).reshape(K, -1)
+        parts += [g_plus[lo] / (h * h), g_minus[hi] / (h * h)]
         if bs is not None:
-            b = bs[ax].reshape(shape)
-            data += [(-b[lo] / (2.0 * h)).ravel(), (b[hi] / (2.0 * h)).ravel()]
+            b = bs[ax].reshape((K, *shape))
+            parts += [-b[lo] / (2.0 * h), b[hi] / (2.0 * h)]
     diag -= c
-    data.append(diag)
-    A = copy.copy(template)     # shares the checked index arrays, skips the checks
-    A.data = np.bincount(slot, weights=np.concatenate(data), minlength=template.nnz)
-    return A
+    weights = np.concatenate([part.reshape(K, -1) for part in parts + [diag]], axis=1)
+    return np.bincount(_frame_slots(slot, template.nnz, K), weights=weights.ravel(),
+                       minlength=K * template.nnz).reshape(K, -1), bad
 
 
 def assemble_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float) -> sp.csr_matrix:
-    """Sparse matrix of A_h on primal unknowns at time t."""
-    return _fill(grid, _field_samplers(grid, coeffs), t)
+    """Sparse matrix of A_h on primal unknowns at time t (a one-time block)."""
+    data, bad = _fill_block(grid, _field_samplers(grid, coeffs), np.array([float(t)]))
+    if bad[0]:
+        raise GridError(bad[0])
+    template = _pattern(grid, coeffs.b is not None)[0]
+    return sp.csr_matrix((data[0], template.indices, template.indptr), shape=template.shape)
 
 
 def apply_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
@@ -270,11 +282,11 @@ class Stepper:
         L_m = I - dt/2 A(t_{m+1}),    R_m = I + dt/2 A(t_m).
 
     y and f are one state of shape (n,) or a block of states of shape (n, k),
-    one per column.  Each frame keeps A and both shifted matrices I -+ dt/2 A,
-    scaled from A's entries on its own pattern, so R_m y and each residual are
-    one sparse product.  Time-independent coefficients are assembled once;
-    otherwise only the two most recent frames are kept.  Each is filled from
-    samplers built once per stepper, the same fill `assemble_ah` runs.
+    one per column.  The stepper holds the CSR data of A and I -+ dt/2 A for
+    frames [m0, m0 + K), K in FRAME_BLOCK_BYTES (127 at d = 1, N = 15; 5 at
+    d = 2, N = 15; 1 if time-independent), filled in one pass from the first
+    frame asked for outside; a frame with non-positive diffusion raises when
+    asked for.  Products call `csr_matvec(s)` as `csr_matrix @ x` does.
 
     Solve policy, the same for every dimension and coefficient: the stepper
     keeps one `splu` factor of L, in a minimum-degree ordering of the pattern
@@ -302,49 +314,57 @@ class Stepper:
         self.factorisations = 0
         self.sweeps = 0
         self.linear_solves = 0
-        self._ops = {}          # frame -> (A, L, R)
         self._lu = None         # (frame of L, its LU factor)
         self._last_sweeps = 0   # sweeps the previous step needed
         self._samplers = _field_samplers(grid, coeffs)
-        # `_pattern` emits the diagonal entries last
-        self._diag = _pattern(grid, coeffs.b is not None)[1][-g.primal(grid).size:]
+        self._template, slot = _pattern(grid, coeffs.b is not None)
+        self._diag = slot[-g.primal(grid).size:]   # `_fill_block` emits the diagonal last
+        self._frames = 1 if coeffs.time_independent else \
+            max(1, FRAME_BLOCK_BYTES // (3 * self._template.data.nbytes))
+        self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): (A, L, R)
 
     def forcing(self, g0, g1):
         """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
         return self.half_dt * (g0 + g1)
 
     def _frame(self, m: int) -> tuple:
-        """(A, I - dt/2 A, I + dt/2 A) at frame m."""
+        """The CSR data of (A, I - dt/2 A, I + dt/2 A) at frame m, filling the
+        block from m if m is not held."""
         if self.coeffs.time_independent:
             m = 0
-        entry = self._ops.get(m)
-        if entry is None:
-            if len(self._ops) == 2:
-                # every caller asks for frame m before frame m + 1: the older entry
-                # is the frame a forward march has passed
-                del self._ops[next(iter(self._ops))]
-            A = _fill(self.grid, self._samplers, float(self.times[m]))
-            entry = self._ops[m] = (A, self._shifted(A, -self.half_dt),
-                                    self._shifted(A, self.half_dt))
-        return entry
-
-    def _shifted(self, A: sp.csr_matrix, scale: float) -> sp.csr_matrix:
-        """I + scale A on the pattern of A, which holds the diagonal.  A shallow
-        copy shares A's index arrays and skips the constructor's format checks."""
-        M = copy.copy(A)
-        M.data = scale * A.data
-        M.data[self._diag] += 1.0
-        return M
+        k = m - self._m0
+        if not 0 <= k < len(self._bad):
+            A, self._bad = _fill_block(self.grid, self._samplers,
+                                       self.times[m:m + self._frames])
+            L, R = shifted = np.multiply.outer([-self.half_dt, self.half_dt], A)
+            shifted.reshape(-1)[_frame_slots(self._diag, A.shape[1], 2 * len(A))] += 1.0
+            self._m0, self._block, k = m, (A, L, R), 0
+        if self._bad[k]:
+            raise GridError(self._bad[k])
+        return tuple(data[k] for data in self._block)
 
     def _operator(self, m: int) -> sp.csr_matrix:
         """A_h at frame m."""
-        return self._frame(m)[0]
+        t = self._template
+        return sp.csr_matrix((self._frame(m)[0], t.indices, t.indptr), shape=t.shape)
 
-    def _factorise(self, frame: int, L: sp.csr_matrix):
+    def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """`data` on A's pattern times x by the kernel `csr_matrix @ x` calls."""
+        out, n = np.zeros(x.shape), x.shape[0]
+        args = (self._template.indptr, self._template.indices, data, x.ravel(), out.ravel())
+        if x.size == n:
+            _sparsetools.csr_matvec(n, n, *args)
+        else:
+            _sparsetools.csr_matvecs(n, n, x.size // n, *args)
+        return out
+
+    def _factorise(self, frame: int, L: np.ndarray):
         self.factorisations += 1
-        self._lu = (frame, spla.splu(L.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+        t = self._template
+        L = sp.csr_matrix((L, t.indices, t.indptr), shape=t.shape).tocsc()
+        self._lu = (frame, spla.splu(L, permc_spec="MMD_AT_PLUS_A"))
 
-    def _refine(self, L: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    def _refine(self, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """Solve with the current factor, then refine against L."""
         solve = self._lu[1].solve
         if rhs.ndim == 1:
@@ -361,7 +381,7 @@ class Stepper:
         x = solve(rhs)
         sweeps = 0
         while True:
-            r = rhs - L @ x
+            r = rhs - self._product(L, x)
             res = worst(r)
             if res <= REFINE_TOL or sweeps == REFINE_SWEEPS or not math.isfinite(res):
                 break
@@ -391,12 +411,12 @@ class Stepper:
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """y_{m+1} and the largest relative residual of its linear solves."""
-        return self._solve(m, self._frame(m)[2] @ y + f)
+        return self._solve(m, self._product(self._frame(m)[2], y) + f)
 
     def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
         """L_m y1 - R_m y0 - f: zero up to the solve tolerance on a true step."""
-        rhs = self._frame(m)[2] @ y0 + f
-        return self._frame(m + 1)[1] @ y1 - rhs
+        rhs = self._product(self._frame(m)[2], y0) + f
+        return self._product(self._frame(m + 1)[1], y1) - rhs
 
 
 def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,

@@ -159,6 +159,18 @@ def test_feasibility_csv_header_schema(tmp_path):
     assert sheader == "run_id,h,N,d,tau,delta,lambda,lhs,rhs_observed,rhs_error_term,quotient,seed"
 
 
+def test_feasibility_cells_appear_once(tmp_path):
+    # tau1 = 2.5 repeats the first listed tau at the defaults; 4.0 is listed twice here
+    out = tmp_path / "fs"
+    assert main(["carleman", "--set", "carleman.runs=1", "--set", "carleman.steps=64",
+                 "--set", "carleman.feasibility_grids=15", "--set", "carleman.feasibility_runs=1",
+                 "--set", "carleman.feasibility_taus=2.5,4.0,4.0,8.0", "--out", str(out)]) == 0
+    lines = (out / "feasibility.csv").read_text().splitlines()
+    cells = [(c[0], c[1], c[2], c[4]) for c in (line.split(",") for line in lines[1:])]
+    assert len(cells) == len(set(cells))
+    assert sorted({float(tau) for _, tau, _, _ in cells}) == [2.5, 4.0, 8.0]
+
+
 def test_worker_pool_matches_serial(tmp_path):
     base = ["stability", "--set", "stability.runs=3", "--set", "stability.steps=64",
             "--set", "stability.decay_grids=15,31", "--set", "stability.decay_steps=64"]

@@ -3,7 +3,8 @@
 The reference evaluates each frame with `weighted_square_sum` on the weight's
 own `log_weight` and combines the frames with the time weights by exactly
 rounded sums, for the value and for the skipped mass.  The kernel's row sums,
-`_row_sums`, are pinned bit for bit to math.fsum.
+`_row_sums`, are pinned bit for bit to math.fsum, and the numpy `logsumexp`
+to scipy.special's.
 """
 
 import math
@@ -223,3 +224,26 @@ def test_row_sums_rarely_fall_back_to_fsum_on_kernel_chunks(monkeypatch):
     before = counting.fsum_calls
     assert _row_sums(np.array([[1.0, 2.0 ** -53]]))[0] == 1.0
     assert counting.fsum_calls == before + 1
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(5)
+    cases = [rng.normal(scale=s, size=n) for s in (1.0, 30.0, 400.0) for n in (1, 2, 7, 64, 1000)]
+    cases += [rng.normal(size=50) - 800.0, rng.normal(size=50) + 700.0,
+              np.array([1.5, 1.5, 0.25]), np.array([3.0] * 9),
+              np.array([-2.0, 4.0, 4.0, 4.0, -9.0]),
+              np.array([-np.inf, 0.5, -np.inf, 2.0]), np.array([-np.inf, 0.5, 0.5]),
+              np.array([-np.inf, -np.inf]), np.array([-np.inf]),
+              np.array([np.inf, 1.0]), np.array([np.inf, np.inf]), np.array([np.inf, -np.inf]),
+              np.array([np.nan, 1.0]), np.array([1.0, np.nan, np.inf]),
+              np.array([710.0, 709.0]), np.array([-745.5, -746.0]), np.array([]), [0.5, 2.0]]
+    return cases
+
+
+def test_logsumexp_equals_scipy_bitwise():
+    special = pytest.importorskip("scipy.special")
+    for k, a in enumerate(_logsumexp_cases()):
+        want = float(special.logsumexp(a))
+        got = quadrature.logsumexp(a)
+        assert type(got) is float, k
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (k, got, want)

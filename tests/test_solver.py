@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carlstab import grid as g
+from carlstab import solver
 from carlstab.coefficients import (CoefficientFields, ConstantField, FieldTimeDerivative,
                                    SmoothField, random_smooth_coefficients)
 from carlstab.errors import GridError, SolverError
@@ -484,3 +485,49 @@ def test_fill_equals_the_constructor_built_matrix(rng, d, n, b_amp):
         A.indices[0] = 1
     with pytest.raises(ValueError):
         B.indptr[-1] = 0
+
+
+@pytest.mark.parametrize("mode", ["one-frame-blocks", "five-frame-blocks", "time-independent"])
+@pytest.mark.parametrize("b_amp", [0.0, 0.3], ids=["no-advection", "advection"])
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)], ids=["d1", "d2", "d3"])
+def test_block_frames_match_coo_reference_bitwise(monkeypatch, rng, d, n, b_amp, mode):
+    # 17 frames in blocks of 5 are [0, 5), [5, 10), [10, 15) and the partial [15, 17)
+    grid = g.GridSpec(d, n)
+    frame_bytes = 3 * 8 * solver._pattern(grid, b_amp > 0)[0].nnz
+    monkeypatch.setattr(solver, "FRAME_BLOCK_BYTES", frame_bytes * (1 if "one" in mode else 5))
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=mode != "time-independent",
+                                        b_amp=b_amp)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
+    eye = sp.identity(g.primal(grid).size, format="csr")
+    # forward through every block edge, then frames outside the block held
+    for m in [*range(17), 12, 3, 16, 0]:
+        want = reference_assemble_ah(grid, coeffs, float(stepper.times[m]))
+        assert_same_csr(stepper._operator(m), want)
+        _, L, R = (sp.csr_matrix((data.copy(), want.indices, want.indptr), shape=want.shape)
+                   for data in stepper._frame(m))
+        assert np.array_equal(L.toarray(), (eye - stepper.half_dt * want).toarray())
+        assert np.array_equal(R.toarray(), (eye + stepper.half_dt * want).toarray())
+    if mode == "one-frame-blocks":
+        assert stepper._frames == 1
+    elif mode == "five-frame-blocks":
+        assert stepper._frames == 5 and (stepper._m0, len(stepper._bad)) == (0, 5)
+    else:
+        assert len(stepper._bad) == 1
+
+
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7)], ids=["d1", "d2"])
+def test_direct_product_equals_csr_matmul_bitwise(rng, d, n):
+    grid = g.GridSpec(d, n)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=0.3)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
+    size = g.primal(grid).size
+    states = [rng.normal(size=size), rng.normal(size=2 * size)[::2], rng.normal(size=(size, 1)),
+              rng.normal(size=(size, 4)), np.asfortranarray(rng.normal(size=(size, 4))),
+              rng.normal(size=(size, 8))[:, ::2], rng.normal(size=(size, size))]
+    for m in (0, 9, 16):
+        for data in stepper._frame(m):
+            M = sp.csr_matrix((data.copy(), stepper._template.indices.copy(),
+                               stepper._template.indptr.copy()), shape=(size, size))
+            for x in states:
+                got, want = stepper._product(data, x), M @ x
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
