@@ -321,27 +321,27 @@ class Stepper:
         self._diag = slot[-g.primal(grid).size:]   # `_fill_block` emits the diagonal last
         self._frames = 1 if coeffs.time_independent else \
             max(1, FRAME_BLOCK_BYTES // (3 * self._template.data.nbytes))
-        self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): (A, L, R)
+        self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): A, L, R
 
     def forcing(self, g0, g1):
         """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
         return self.half_dt * (g0 + g1)
 
-    def _frame(self, m: int) -> tuple:
-        """The CSR data of (A, I - dt/2 A, I + dt/2 A) at frame m, filling the
-        block from m if m is not held."""
+    def _frame(self, m: int) -> np.ndarray:
+        """The CSR data of A, I - dt/2 A and I + dt/2 A at frame m as rows of a
+        (3, nnz) view, filling the block from m if m is not held."""
         if self.coeffs.time_independent:
             m = 0
         k = m - self._m0
         if not 0 <= k < len(self._bad):
             A, self._bad = _fill_block(self.grid, self._samplers,
                                        self.times[m:m + self._frames])
-            L, R = shifted = np.multiply.outer([-self.half_dt, self.half_dt], A)
-            shifted.reshape(-1)[_frame_slots(self._diag, A.shape[1], 2 * len(A))] += 1.0
-            self._m0, self._block, k = m, (A, L, R), 0
+            self._block = np.multiply.outer([1.0, -self.half_dt, self.half_dt], A)
+            self._block[1:].reshape(-1)[_frame_slots(self._diag, A.shape[1], 2 * len(A))] += 1.0
+            self._m0, k = m, 0
         if self._bad[k]:
             raise GridError(self._bad[k])
-        return tuple(data[k] for data in self._block)
+        return self._block[:, k]
 
     def _operator(self, m: int) -> sp.csr_matrix:
         """A_h at frame m."""
