@@ -319,7 +319,7 @@ class Stepper:
         self._samplers = _field_samplers(grid, coeffs)
         self._template, slot = _pattern(grid, coeffs.b is not None)
         self._diag = slot[-g.primal(grid).size:]   # `_fill_block` emits the diagonal last
-        self._frames = 1 if coeffs.time_independent else \
+        self._block_frames = 1 if coeffs.time_independent else \
             max(1, FRAME_BLOCK_BYTES // (3 * self._template.data.nbytes))
         self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): A, L, R
 
@@ -335,7 +335,7 @@ class Stepper:
         k = m - self._m0
         if not 0 <= k < len(self._bad):
             A, self._bad = _fill_block(self.grid, self._samplers,
-                                       self.times[m:m + self._frames])
+                                       self.times[m:m + self._block_frames])
             self._block = np.multiply.outer([1.0, -self.half_dt, self.half_dt], A)
             self._block[1:].reshape(-1)[_frame_slots(self._diag, A.shape[1], 2 * len(A))] += 1.0
             self._m0, k = m, 0

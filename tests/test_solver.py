@@ -508,9 +508,9 @@ def test_block_frames_match_coo_reference_bitwise(monkeypatch, rng, d, n, b_amp,
         assert np.array_equal(L.toarray(), (eye - stepper.half_dt * want).toarray())
         assert np.array_equal(R.toarray(), (eye + stepper.half_dt * want).toarray())
     if mode == "one-frame-blocks":
-        assert stepper._frames == 1
+        assert stepper._block_frames == 1
     elif mode == "five-frame-blocks":
-        assert stepper._frames == 5 and (stepper._m0, len(stepper._bad)) == (0, 5)
+        assert stepper._block_frames == 5 and (stepper._m0, len(stepper._bad)) == (0, 5)
     else:
         assert len(stepper._bad) == 1
 
