@@ -1,12 +1,8 @@
 #!/usr/bin/env python3
 """Cost of the Carleman-weighted sums at fixed shapes.
 
-Three tables, each a median over `--repeat` timed calls after one warm-up:
+Two tables, each a median over `--repeat` timed calls after one warm-up:
 
-* `_row_sums`: milliseconds per call on the chunk shapes `space_time_sum`
-  hands over (34 x 961 at d = 2, N = 31; 145 x 225 at d = 2, N = 15;
-  33 x 992 on the dual_star meshes at d = 2, N = 31), filled with weighted
-  squares of random normals;
 * `space_time_sum`: milliseconds for one term at d = 2, N = 31, 256 steps,
   squaring included;
 * `verify_cells`: milliseconds for one pass over a d = 2, N = 31, 256-step
@@ -37,11 +33,10 @@ from carlstab import grid as g  # noqa: E402
 from carlstab.carleman import verify_cells  # noqa: E402
 from carlstab.coefficients import random_smooth_coefficients  # noqa: E402
 from carlstab.inverse import random_bump, random_separable_source  # noqa: E402
-from carlstab.quadrature import _row_sums, space_time_sum  # noqa: E402
+from carlstab.quadrature import space_time_sum  # noqa: E402
 from carlstab.solver import TimeGrid, solve_forward  # noqa: E402
 from carlstab.weights import Box, CarlemanWeight, WeightParams  # noqa: E402
 
-ROW_SHAPES = [(34, 961), (145, 225), (33, 992)]
 # (tau, delta) of the cells; the first serves the 2-cell pass at p = 0 and 1
 CELLS = [(2.5, 0.5), (2.5, 0.25), (4.0, 0.5), (4.0, 0.25), (8.0, 0.5)]
 
@@ -69,20 +64,13 @@ def main() -> int:
     ap.add_argument("--json", help="also write the tables to this file")
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    out = {"row_sums_ms": {}, "space_time_sum_ms": None, "verify_cells_ms": {}}
+    out = {"space_time_sum_ms": None, "verify_cells_ms": {}}
 
     grid = g.GridSpec(2, 31)
     tg = TimeGrid(1.0, 256)
     w = weight(grid, *CELLS[0])
     phi = w.phi(g.primal(grid).physical)
     s = w.s(tg.times)
-    for rows, width in ROW_SHAPES:
-        logw = 2.0 * s[100:100 + rows, None] * w.phi(rng.uniform(size=(width, 2)))
-        block = rng.normal(size=(rows, width)) ** 2 * np.exp(logw)
-        ms = median_ms(lambda: _row_sums(block), 20 * args.repeat)
-        out["row_sums_ms"][f"{rows}x{width}"] = ms
-        print(f"_row_sums {rows:>4} x {width:<4} {ms:8.3f} ms", flush=True)
-
     block = rng.normal(size=(tg.steps + 1, phi.size))
     ms = median_ms(lambda: space_time_sum(block * block, phi, s, 1.0, grid.h ** 2, tg.trap),
                    args.repeat)

@@ -90,6 +90,14 @@ class CarlemanReport:
                 "rhs_endpoint": terms["rhs_time_endpoints"].value,
                 "ratio": self.ratio}
 
+    @property
+    def skipped_rel(self) -> float:
+        """skipped_bound relative to lhs + rhs (inf if nothing else is left)."""
+        if not self.skipped_bound:
+            return 0.0
+        total = self.lhs + self.rhs
+        return self.skipped_bound / total if total > 0.0 else np.inf
+
 
 def _cell_terms(traj: Trajectory, cells: list, coeffs: CoefficientFields | None = None,
                 source=None) -> list[dict]:
@@ -283,7 +291,8 @@ def feasibility_rows(weights: list, runs) -> list[dict]:
     first run wins a tie.  A cell outside the admissible window, or one where
     no run has a ratio, keeps its term columns empty.  Columns follow the CSV
     schema: h, tau, delta, lambda, p, I_p, J_p, rhs_source, rhs_local,
-    rhs_endpoint, ratio, admissible.
+    rhs_endpoint, ratio, admissible; `skipped_rel`, outside it, is the largest
+    `CarlemanReport.skipped_rel` over the cell's runs.
     """
     rows = []
     for weight in weights:
@@ -291,12 +300,13 @@ def feasibility_rows(weights: list, runs) -> list[dict]:
         rows.append({"h": weight.grid.h, "tau": prm.tau, "delta": prm.delta,
                      "lambda": prm.lam, "p": 0, "I_p": "", "J_p": "", "rhs_source": "",
                      "rhs_local": "", "rhs_endpoint": "", "ratio": "",
-                     "admissible": weight.admissibility()[0]})
+                     "admissible": weight.admissibility()[0], "skipped_rel": 0.0})
     live = [k for k, row in enumerate(rows) if row["admissible"]]
     best = {}
     for traj, source, coeffs in runs:
         reps = verify_cells(traj, source, coeffs, [(weights[k], 0) for k in live])
         for k, rep in zip(live, reps):
+            rows[k]["skipped_rel"] = max(rows[k]["skipped_rel"], rep.skipped_rel)
             if rep.ratio is not None and (k not in best or rep.ratio > best[k].ratio):
                 best[k] = rep
     for k, rep in best.items():

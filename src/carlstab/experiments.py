@@ -298,6 +298,7 @@ def _carleman_worker(payload) -> tuple[list, dict]:
                 "run_id": run_index, "N": int(n), "h": grid.h, "p": rep.p,
                 "tau": tau, "delta": weight.params.delta, "lambda": weight.params.lam,
                 **rep.columns(), "admissible": rep.admissible, "residual": residual,
+                "skipped_rel": rep.skipped_rel,
             })
     return rows, _solver_work(diagnostics)
 
@@ -372,7 +373,9 @@ def run_carleman(cfg: Config) -> SuiteResult:
         "carleman_corpus": (corpus_header, [[r[k] for k in corpus_header] for r in rows]),
         "feasibility": (fea_header, [[r[k] for k in fea_header] for r in fea_rows]),
     }
-    return SuiteResult("carleman", assertions, tables, extras=_solver_work(solver_work))
+    extras = {**_solver_work(solver_work),
+              "max_skipped_rel": max((r["skipped_rel"] for r in rows + fea_rows), default=0.0)}
+    return SuiteResult("carleman", assertions, tables, extras=extras)
 
 
 # stability corpus and decay ---------------------------------------------------

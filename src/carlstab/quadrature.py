@@ -1,8 +1,9 @@
 """Compensated summation and underflow-safe weighted quadrature.
 
-All discrete integrals in the package funnel through `exact_sum`, which is an
-exactly-rounded float sum (math.fsum): identity residuals tested at the
-1e-12 * scale level must not be polluted by naive accumulation.
+Every reduction in the package is deterministic and order-fixed.  The
+discrete integrals of `operators` and the totals over frames go through
+`exact_sum`, an exactly rounded float sum (math.fsum): identity residuals
+tested at the 1e-12 * scale level must not be polluted by naive accumulation.
 
 Weighted space-time sums of the form
 
@@ -15,26 +16,17 @@ frames holding about CHUNK_POINTS points, which bounds the temporaries
 whatever the grid.  Within a chunk the log weight is formed once per point,
 and points whose log weight sits below the underflow threshold are skipped
 (an upper bound on the skipped mass is recorded).  Each frame's value and
-skipped mass is an exactly rounded row sum (`_row_sums`); the frames are
-then combined with the time weights by `exact_sum`.
+skipped mass is numpy's sum of one contiguous row, which depends only on the
+row, not on the chunk that holds it; the summands are non-negative, so it is
+within (width - 1) 2^-53 of the exact sum relative (Higham, "The accuracy of
+floating point summation", SIAM J. Sci. Comput. 14(4), 1993).  The frames
+are then combined with the time weights by `exact_sum`.
 
-`_row_sums` splits every non-negative row by one error-free extraction
-against a power of two sigma = 2^(M+e), 2^M >= width + 2 and 2^e > the row
-max (Rump, Ogita & Oishi, "Accurate floating-point summation, part I", SIAM
-J. Sci. Comput. 31(1), 2008): the high parts q = (sigma + x) - sigma sum
-exactly in any order, the low parts r = x - q are exact, and the two sums
-meet in one TwoSum.  The error left in the float sum of r is at most
-width^2 2^(M+1-106) times the result, so the result is exactly rounded
-unless the TwoSum remainder lies within 4 times that of a rounding boundary.
-Such rows, rows whose max is below 2^-900 (not zero), and rows whose sigma
-would overflow go to math.fsum; every row therefore equals fsum, whatever the
-chunking, so reruns and any worker count give the same bits.
-
-`weighted_square_sum` is the same sum for a single frame; it serves the
-single-time terms and is the reference the block kernel is tested against.
-`log_weighted_square_sum` is the exact log of one frame's sum, which survives
-even where the plain value underflows to zero; the exponential-decay study
-depends on it.
+`weighted_square_sum` is the same sum for a single frame through math.fsum;
+it serves the single-time terms and is the reference the block kernel is
+tested against.  `log_weighted_square_sum` is the exact log of one frame's
+sum, which survives even where the plain value underflows to zero; the
+exponential-decay study depends on it.
 """
 
 from __future__ import annotations
@@ -125,12 +117,12 @@ def space_time_sum(sq: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
 
     `sq` is the squared (frames, points) block of a field; `phi` (one entry per
     point), `s` and `time_weights` (one per frame) are float arrays.  Each row
-    sum is exactly rounded (`_row_sums`), so each frame gets the bits
-    `weighted_square_sum` would.
+    sum is numpy's sum of the contiguous row, so each frame's bits do not
+    depend on CHUNK_POINTS.
     """
     n_frames = sq.shape[0]
     if power != 0.0:
-        shift = np.array([power * math.log(sm) for sm in s.tolist()])
+        shift = power * np.log(s)
     vals = np.empty(n_frames)
     skips = np.zeros(n_frames)
     rows = max(1, CHUNK_POINTS // max(1, phi.size))
@@ -142,64 +134,11 @@ def space_time_sum(sq: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
         keep = logw >= SKIP_THRESHOLD
         w = np.exp(logw, out=logw)
         if not keep.all():
-            skips[a:b] = cell * _row_sums(np.where(keep, 0.0, sq[a:b])) * math.exp(SKIP_THRESHOLD)
+            skips[a:b] = cell * np.where(keep, 0.0, sq[a:b]).sum(axis=1) * math.exp(SKIP_THRESHOLD)
             w[~keep] = 0.0
         w *= sq[a:b]
-        vals[a:b] = cell * _row_sums(w)
+        vals[a:b] = cell * w.sum(axis=1)
     return Term(exact_sum(vals * time_weights), exact_sum(skips * time_weights))
-
-
-# rows whose max lies below this go to math.fsum: the extraction's error bound
-# is relative to the row's result, and must stay clear of the subnormal range
-_TINY_ROW_MAX = 2.0 ** -900
-
-
-def _row_sums(block: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a non-negative block, vectorised.
-
-    One error-free extraction per row: with 2^M >= width + 2 and 2^e > the row
-    max (the `frexp` exponent), sigma = 2^(M+e) splits each x into
-    q = (sigma + x) - sigma, a multiple of ulp(sigma) of at most 2^e, and the
-    exact remainder r = x - q, |r| <= ulp(sigma)/2.  The sum tau of the q is
-    exact in any order (every partial sum is a multiple of ulp(sigma) below
-    sigma); the float sum of the r is within width^2 2^(M+e-106) <=
-    width^2 2^(M+1-106) hi of exact.  hi = fl(tau + sum r) with its TwoSum
-    remainder lo is then the exactly rounded sum unless hi + lo lies within
-    4 width^2 2^(M+1-106) hi of a rounding boundary, ties included.  Those
-    rows, rows with 0 < max < 2^-900 and rows whose sigma overflows go to
-    math.fsum (an overflowing fsum reads inf); rows holding inf or nan keep
-    their plain sum.
-    """
-    width = block.shape[1]
-    high = (width + 1).bit_length()             # 2^high >= width + 2
-    top = block.max(axis=1)
-    finite = np.isfinite(top)
-    _, e = np.frexp(np.where(finite, top, 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.ldexp(1.0, high + e)[:, None]
-        part = block + sigma
-        part -= sigma                           # q, the high parts
-        tau = part.sum(axis=1)
-        np.subtract(block, part, out=part)      # r, the exact low parts
-        low = part.sum(axis=1)
-        hi = tau + low
-        z = hi - tau
-        lo = (tau - (hi - z)) + (low - z)       # TwoSum: hi + lo == tau + low exactly
-        ulp = np.where(lo >= 0.0, np.nextafter(hi, np.inf) - hi,
-                       hi - np.nextafter(hi, -np.inf))
-        slack = 4.0 * width * width * 2.0 ** (high + 1 - 106)
-        risky = np.abs(2.0 * np.abs(lo) - ulp) <= slack * hi
-    risky |= (top > 0.0) & (top < _TINY_ROW_MAX)
-    risky |= np.isinf(sigma[:, 0])
-    risky &= finite
-    for i in np.flatnonzero(risky).tolist():
-        try:
-            hi[i] = math.fsum(block[i].tolist())
-        except OverflowError:
-            hi[i] = math.inf
-    if not finite.all():
-        hi[~finite] = block[~finite].sum(axis=1)
-    return hi
 
 
 def trapezoid_weights(n_frames: int, dt: float) -> np.ndarray:

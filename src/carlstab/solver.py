@@ -343,11 +343,6 @@ class Stepper:
             raise GridError(self._bad[k])
         return self._block[:, k]
 
-    def _operator(self, m: int) -> sp.csr_matrix:
-        """A_h at frame m."""
-        t = self._template
-        return sp.csr_matrix((self._frame(m)[0], t.indices, t.indptr), shape=t.shape)
-
     def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
         """`data` on A's pattern times x by the kernel `csr_matrix @ x` calls."""
         out, n = np.zeros(x.shape), x.shape[0]

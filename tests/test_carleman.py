@@ -288,7 +288,18 @@ def test_feasibility_map_single_cell_and_inadmissible():
 
     row_bad = feasibility_row(make_weight(tau=40.0, delta=0.25), runs)
     assert not row_bad["admissible"]
-    assert row_bad["ratio"] == "" and row_bad["I_p"] == ""
+    assert row_bad["ratio"] == "" and row_bad["I_p"] == "" and row_bad["skipped_rel"] == 0.0
+
+    # skipped mass relative to lhs + rhs, outside the CSV columns; at lambda = 3
+    # every term underflows, so the skipped mass is all there is
+    rep = verify_inequality(traj, src, coeffs, make_weight(tau=3.0, delta=0.5), 0)
+    assert row["skipped_rel"] == rep.skipped_rel
+    rep = verify_inequality(traj, src, coeffs, make_weight(tau=8.0), 0)
+    assert rep.skipped_rel == rep.skipped_bound / (rep.lhs + rep.rhs) > 0.0
+    w = make_weight(tau=4.0, lam=3.0)
+    rep = verify_inequality(traj, src, coeffs, w, 0)
+    assert rep.admissible and rep.lhs == rep.rhs == 0.0 < rep.skipped_bound
+    assert rep.skipped_rel == math.inf == feasibility_row(w, runs)["skipped_rel"]
 
 
 def test_feasibility_row_carries_the_largest_ratio_first_on_tie():
@@ -436,12 +447,17 @@ def test_verify_cells_matches_per_frame_reference(d, n):
     reports = verify_cells(traj, src, coeffs, cells)
     assert [rep.p for rep in reports] == [0, 1, 0]
     assert reports[2].skipped_bound > 0.0
+    # the kernel's row sums are float sums of non-negative terms: within
+    # (width - 1) 2^-53 of fsum relative, width at most (n + 1)^d, plus 8 ulps
+    # for the scalings around them
+    skip_rel = ((n + 1) ** d + 7) * 2.0 ** -53
     for (weight, p), rep in zip(cells, reports):
         want = per_frame_terms(traj, src, coeffs, weight, p)
         assert list(rep.terms) == list(want)
         for key, term in want.items():
             assert rep.terms[key].value == pytest.approx(term.value, rel=1e-14, abs=0.0), key
-            assert rep.terms[key].skipped_bound == term.skipped_bound, key
+            assert rep.terms[key].skipped_bound == pytest.approx(term.skipped_bound,
+                                                                 rel=skip_rel, abs=0.0), key
 
     # every cell of the pass equals its one-cell evaluation bit for bit
     for (weight, p), rep in zip(cells, reports):

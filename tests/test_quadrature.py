@@ -2,9 +2,10 @@
 
 The reference evaluates each frame with `weighted_square_sum` on the weight's
 own `log_weight` and combines the frames with the time weights by exactly
-rounded sums, for the value and for the skipped mass.  The kernel's row sums,
-`_row_sums`, are pinned bit for bit to math.fsum, and the numpy `logsumexp`
-to scipy.special's.
+rounded sums, for the value and for the skipped mass.  The kernel's row sums
+are held to the error bound of a float sum of non-negative terms against
+math.fsum, and its terms are pinned bit for bit across chunkings; the numpy
+`logsumexp` is pinned to scipy.special's.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 
 from carlstab import grid as g
 from carlstab import quadrature
-from carlstab.quadrature import (CHUNK_POINTS, Term, _row_sums, exact_sum, space_time_sum,
+from carlstab.quadrature import (CHUNK_POINTS, Term, exact_sum, space_time_sum,
                                  weighted_square_sum)
 from carlstab.solver import TimeGrid
 from carlstab.weights import Box, CarlemanWeight, WeightParams
@@ -36,9 +37,17 @@ def per_frame_reference(block, phi, weight, tg, power, cell) -> Term:
     return Term(exact_sum(np.asarray(vals) * tw), exact_sum(np.asarray(skips) * tw))
 
 
-def assert_pinned(got: Term, want: Term):
+def float_sum_rel(width: int) -> float:
+    """Relative distance allowed between a term and its per-frame reference:
+    (width - 1) 2^-53 for a float sum of `width` non-negative terms against
+    math.fsum, plus 8 ulps for the roundings of the scalings around it."""
+    return (width + 7) * 2.0 ** -53
+
+
+def assert_pinned(got: Term, want: Term, width: int):
     assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
-    assert got.skipped_bound == want.skipped_bound
+    assert got.skipped_bound == pytest.approx(want.skipped_bound, rel=float_sum_rel(width),
+                                              abs=0.0)
 
 
 def both(block, grid, tg, power, weight=None):
@@ -57,7 +66,7 @@ def test_kernel_matches_per_frame_reference(d, n, power):
     rng = np.random.default_rng(100 * d + n)
     block = rng.normal(size=(tg.steps + 1, g.primal(grid).size))
     got, want = both(block, grid, tg, power)
-    assert_pinned(got, want)
+    assert_pinned(got, want, block.shape[1])
     assert got.value > 0.0
 
 
@@ -70,7 +79,7 @@ def test_kernel_spans_chunks_with_a_ragged_last_chunk():
     assert n_frames * npts > CHUNK_POINTS and n_frames % rows != 0
     block = np.random.default_rng(7).normal(size=(n_frames, npts))
     got, want = both(block, grid, tg, 4)
-    assert_pinned(got, want)
+    assert_pinned(got, want, block.shape[1])
 
 
 def test_zero_frames_and_zero_block():
@@ -80,10 +89,10 @@ def test_zero_frames_and_zero_block():
     block[0] = 0.0
     block[10:13] = 0.0
     got, want = both(block, grid, tg, 1)
-    assert_pinned(got, want)
+    assert_pinned(got, want, block.shape[1])
 
     got, want = both(np.zeros_like(block), grid, tg, 1)
-    assert_pinned(got, want)
+    assert_pinned(got, want, block.shape[1])
     assert got.value == 0.0 and got.skipped_bound == 0.0
 
 
@@ -93,137 +102,52 @@ def test_underflow_guard_matches_per_frame_reference():
     tg = TimeGrid(1.0, 16)
     block = np.ones((17, 15))
     got, want = both(block, grid, tg, 3, weight=make_weight(grid, tau=8.0, lam=3.0))
-    assert_pinned(got, want)
+    assert_pinned(got, want, block.shape[1])
     assert got.skipped_bound > 0.0
 
 
-def assert_rows_equal_fsum(block):
-    want = np.array([math.fsum(row.tolist()) for row in block])
-    got = _row_sums(block)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+def kernel_row_sums(block) -> np.ndarray:
+    """Each row of a non-negative block as the kernel sums it: one frame at
+    unit weight (phi = 0, s = 1, power 0, cell and time weight 1)."""
+    one = np.ones(1)
+    return np.array([space_time_sum(row[None], np.zeros(row.size), one, 0.0, 1.0, one).value
+                     for row in block])
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 31, 63, 961])
-def test_row_sums_equal_fsum_bitwise(width):
+@pytest.mark.parametrize("width", [1, 2, 3, 31, 63, 961, 1025, 4097])
+def test_kernel_rows_within_float_sum_bound_of_fsum(width):
     rng = np.random.default_rng(width)
-    rows = 300
+    rows = 40
     for span in (50.0, 600.0):
         # non-negative summands spanning e^-span..1 within each row
         block = rng.uniform(size=(rows, width)) * np.exp(-span * rng.uniform(size=(rows, width)))
         block[0] = 0.0
         block[1] = np.ldexp(rng.integers(0, 1 << 20, width).astype(np.float64), -1074)
         block[2] = np.exp(-span) * np.ones(width)
-        assert 0.0 < block[1].max() < np.finfo(np.float64).tiny
-        assert_rows_equal_fsum(block)
-
-
-def test_row_sums_equal_fsum_on_kernel_chunks():
-    # the shape `space_time_sum` hands over at d = 2, N = 31, with its weights
-    grid = g.GridSpec(2, 31)
-    npts = g.primal(grid).size
-    rows = CHUNK_POINTS // npts
-    assert (rows, npts) == (34, 961)
-    weight = make_weight(grid, tau=8.0, lam=3.0)
-    phi = weight.phi(g.primal(grid).physical)
-    s = weight.s(TimeGrid(1.0, 256).times)[100:100 + rows]
-    block = np.random.default_rng(5).normal(size=(rows, npts)) ** 2
-    assert_rows_equal_fsum(block * np.exp(2.0 * s[:, None] * phi))
-    assert_rows_equal_fsum(np.random.default_rng(6).uniform(size=(rows, npts)))
-
-
-def test_row_sums_round_ties_like_fsum():
-    # the cascade's partial sum is a tie that a summand below its precision breaks
-    u = 2.0 ** -53
-    block = np.array([[1.0, u, u ** 2], [1.0, u, 0.0], [u ** 2, u, 1.0], [2.0, u, u ** 2],
-                      [1.0, 3.0 * u, u ** 2], [0.5, 0.5 * u, 0.5 * u ** 2]])
-    assert_rows_equal_fsum(block)
-    assert _row_sums(block)[0] == 1.0 + 2.0 * u
-
-
-@pytest.mark.parametrize("width", [1025, 4097])
-def test_row_sums_equal_fsum_just_above_a_power_of_two(width):
-    # 2^M >= width + 2 takes the next power of two: the widest extraction margin
-    rng = np.random.default_rng(width)
-    for span in (50.0, 600.0):
-        block = rng.uniform(size=(40, width)) * np.exp(-span * rng.uniform(size=(40, width)))
         block[3] = 1.0
-        assert_rows_equal_fsum(block)
+        assert 0.0 < block[1].max() < np.finfo(np.float64).tiny
+        want = np.array([math.fsum(row.tolist()) for row in block])
+        got = kernel_row_sums(block)
+        assert np.all(np.abs(got - want) <= (width - 1) * 2.0 ** -53 * want), (width, span)
 
 
-def test_row_sums_keep_the_plain_sum_of_non_finite_rows():
-    rng = np.random.default_rng(12)
-    block = rng.uniform(size=(5, 63))
-    block[1, 7] = np.inf
-    block[2, 0] = np.nan
-    block[3, 5], block[3, 40] = np.inf, np.nan
-    got = _row_sums(block)
-    assert got[1] == np.inf and np.isnan(got[2]) and np.isnan(got[3])
-    for k in (0, 4):
-        assert got[k] == math.fsum(block[k].tolist())
-
-
-def test_row_sums_overflowing_row_reads_inf():
-    big = np.finfo(np.float64).max
-    block = np.array([[big, big, 0.0], [big, 0.0, 0.0], [0.5 * big, 0.25 * big, 0.125 * big]])
-    got = _row_sums(block)
-    assert got[0] == np.inf
-    assert got[1] == big and got[2] == math.fsum(block[2].tolist())
-
-
-def test_row_sums_equal_fsum_on_subnormal_and_near_cut_rows():
-    rng = np.random.default_rng(13)
-    width = 255
-    block = rng.uniform(size=(8, width))
-    tiny = np.finfo(np.float64).tiny
-    # normal values mixed with subnormal ones
-    block[0, ::3] = np.ldexp(rng.integers(1, 1 << 40, width)[::3].astype(np.float64), -1074)
-    block[1] = np.ldexp(rng.integers(1, 1 << 52, width).astype(np.float64), -1074)
-    block[1, 0] = 4.0 * tiny
-    # row maxima just below, at and just above the 2^-900 cut
-    for row, top in ((2, np.nextafter(2.0 ** -900, 0.0)), (3, 2.0 ** -900),
-                     (4, np.nextafter(2.0 ** -900, 1.0)), (5, 2.0 ** -899)):
-        block[row] = top * rng.uniform(size=width)
-        block[row, 17] = top
-    block[6] = 2.0 ** -1000 * rng.uniform(size=width)
-    assert_rows_equal_fsum(block)
-
-
-class CountingMath:
-    """The math module, counting fsum calls."""
-
-    def __init__(self):
-        self.fsum_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-    def fsum(self, values):
-        self.fsum_calls += 1
-        return math.fsum(values)
-
-
-def test_row_sums_rarely_fall_back_to_fsum_on_kernel_chunks(monkeypatch):
-    # the blocks of test_row_sums_equal_fsum_on_kernel_chunks: at most 1 % of
-    # their rows may need math.fsum
-    counting = CountingMath()
-    monkeypatch.setattr(quadrature, "math", counting)
+@pytest.mark.parametrize("power", [0, 1.5])
+def test_kernel_term_is_bitwise_the_same_under_any_chunking(monkeypatch, power):
+    # d = 2, N = 31 with a weight that skips some points on every frame; chunks of
+    # 1, 3, 7 and 34 frames (the default) and the whole block at once
     grid = g.GridSpec(2, 31)
     npts = g.primal(grid).size
-    rows = CHUNK_POINTS // npts
-    weight = make_weight(grid, tau=8.0, lam=3.0)
+    tg = TimeGrid(1.0, 256)
+    weight = make_weight(grid, tau=6.0)
     phi = weight.phi(g.primal(grid).physical)
-    s = weight.s(TimeGrid(1.0, 256).times)[100:100 + rows]
-    block = np.random.default_rng(5).normal(size=(rows, npts)) ** 2
-    blocks = [block * np.exp(2.0 * s[:, None] * phi),
-              np.random.default_rng(6).uniform(size=(rows, npts))]
-    for blk in blocks:
-        assert_rows_equal_fsum(blk)
-    assert counting.fsum_calls <= 0.01 * rows * len(blocks)
-    # the counter sees the fallback: an exact tie must go to fsum
-    before = counting.fsum_calls
-    assert _row_sums(np.array([[1.0, 2.0 ** -53]]))[0] == 1.0
-    assert counting.fsum_calls == before + 1
+    sq = np.random.default_rng(9).normal(size=(tg.steps + 1, npts)) ** 2
+    terms = []
+    for chunk in (1, 3 * npts, 7 * npts, CHUNK_POINTS, sq.size):
+        monkeypatch.setattr(quadrature, "CHUNK_POINTS", chunk)
+        term = space_time_sum(sq, phi, weight.s(tg.times), power, grid.h ** 2, tg.trap)
+        terms.append(np.array([term.value, term.skipped_bound]).tobytes())
+    assert term.value > 0.0 and term.skipped_bound > 0.0
+    assert terms == [terms[0]] * len(terms)
 
 
 def _logsumexp_cases():
