@@ -4,8 +4,10 @@ The reference evaluates each frame with `weighted_square_sum` on the weight's
 own `log_weight` and combines the frames with the time weights by exactly
 rounded sums, for the value and for the skipped mass.  The kernel's row sums
 are held to the error bound of a float sum of non-negative terms against
-math.fsum, and its terms are pinned bit for bit across chunkings; the numpy
-`logsumexp` is pinned to scipy.special's.
+math.fsum, and to math.fsum bit for bit where no partial sum or only the one
+addition rounds; non-finite and overflowing rows keep the plain sum.  Its
+terms are pinned bit for bit across chunkings; the numpy `logsumexp` is
+pinned to scipy.special's.
 """
 
 import math
@@ -129,6 +131,70 @@ def test_kernel_rows_within_float_sum_bound_of_fsum(width):
         want = np.array([math.fsum(row.tolist()) for row in block])
         got = kernel_row_sums(block)
         assert np.all(np.abs(got - want) <= (width - 1) * 2.0 ** -53 * want), (width, span)
+
+
+def assert_rows_equal_fsum(block):
+    want = np.array([math.fsum(row.tolist()) for row in block])
+    got = kernel_row_sums(block)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_row_sums_equal_fsum_bitwise(width):
+    # a row of one or two summands takes a single rounding, so the kernel's
+    # row sum is the exactly rounded one
+    rng = np.random.default_rng(width)
+    rows = 300
+    for span in (50.0, 600.0):
+        block = rng.uniform(size=(rows, width)) * np.exp(-span * rng.uniform(size=(rows, width)))
+        block[0] = 0.0
+        block[1] = np.ldexp(rng.integers(0, 1 << 20, width).astype(np.float64), -1074)
+        block[2] = np.exp(-span) * np.ones(width)
+        assert 0.0 < block[1].max() < np.finfo(np.float64).tiny
+        assert_rows_equal_fsum(block)
+
+
+def test_row_sums_equal_fsum_on_subnormal_and_near_cut_rows():
+    # rows whose every partial sum is representable: subnormal summands, and
+    # multiples of 2^-20 of a row maximum 2^-1000, 2^-900 or 2^-899.  The
+    # kernel must then reproduce the exact sum bit for bit: nothing in its
+    # scaling may flush or round the tiny summands.
+    rng = np.random.default_rng(13)
+    width = 255
+    block = np.empty((5, width))
+    block[0] = np.ldexp(rng.integers(1, 1 << 40, width).astype(np.float64), -1074)
+    # a normal value among even multiples of 2^-1074: still representable sums
+    block[1] = np.ldexp(rng.integers(1, 1 << 20, width).astype(np.float64), -1073)
+    block[1, 0] = 2.0 * np.finfo(np.float64).tiny
+    for row, top in ((2, 2.0 ** -1000), (3, 2.0 ** -900), (4, 2.0 ** -899)):
+        block[row] = top * np.ldexp(rng.integers(0, 1 << 20, width).astype(np.float64), -20)
+        block[row, 17] = top
+    assert 0.0 < block[0].max() < np.finfo(np.float64).tiny
+    assert_rows_equal_fsum(block)
+
+
+def test_row_sums_keep_the_plain_sum_of_non_finite_rows():
+    rng = np.random.default_rng(12)
+    block = rng.uniform(size=(5, 63))
+    block[1, 7] = np.inf
+    block[2, 0] = np.nan
+    block[3, 5], block[3, 40] = np.inf, np.nan
+    got = kernel_row_sums(block)
+    assert got[1] == np.inf and np.isnan(got[2]) and np.isnan(got[3])
+    for k in (0, 4):
+        assert got[k] == block[k].sum()
+        want = math.fsum(block[k].tolist())
+        assert abs(got[k] - want) <= 62 * 2.0 ** -53 * want
+
+
+def test_row_sums_overflowing_row_reads_inf():
+    big = np.finfo(np.float64).max
+    block = np.array([[big, big, 0.0], [big, 0.0, 0.0], [0.5 * big, 0.25 * big, 0.125 * big]])
+    with np.errstate(over="ignore"):
+        got = kernel_row_sums(block)
+    assert got[0] == np.inf
+    assert got[1] == big and got[2] == math.fsum(block[2].tolist())
 
 
 @pytest.mark.parametrize("power", [0, 1.5])
