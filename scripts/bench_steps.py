@@ -39,8 +39,8 @@ from carlstab.inverse import random_separable_source  # noqa: E402
 from carlstab.solver import Stepper, TimeGrid, solve_forward  # noqa: E402
 
 # (d, N, steps, time-dependent)
-CASES = [(1, 31, 256, True), (2, 31, 256, True), (2, 63, 256, True), (3, 15, 64, True),
-         (1, 15, 4096, False)]
+CASES = [(1, 15, 256, True), (1, 31, 256, True), (1, 63, 256, True), (2, 31, 256, True),
+         (2, 63, 256, True), (3, 15, 64, True), (1, 15, 4096, False)]
 PRODUCTS = 2000     # products timed per repeat
 
 

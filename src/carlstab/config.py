@@ -264,30 +264,32 @@ def _validate(cfg: Config):
     if cfg.get("stability", "eps0") <= 0:
         problems.append("stability.eps0: must be positive")
     if not problems:
-        _check_stability_window(cfg, problems)
+        _check_tau_window(cfg, problems)
         _check_decay_window(cfg, problems)
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
-def _check_stability_window(cfg: Config, problems: list):
-    """Every tau the stability corpus draws must be admissible on every grid.
+def _check_tau_window(cfg: Config, problems: list):
+    """Every tau the two corpora draw must be admissible on every grid they run.
 
-    The corpus draws tau from [carleman.tau_min, carleman.tau_max]; the floor
-    binds at tau_min and the coupling tau h / (delta T^2) grows with tau and h,
-    so both ends on the coarsest grid decide.
+    The carleman and stability corpora draw tau from [carleman.tau_min,
+    carleman.tau_max]; the floor binds at tau_min and the coupling
+    tau h / (delta T^2) grows with tau and h, so both ends on the coarsest grid
+    of each corpus decide.
     """
-    n = min(cfg.get("stability", "grids"))
-    h = GridSpec(cfg.get("grid", "d"), n).h
-    for end in ("tau_min", "tau_max"):
-        tau = cfg.get("carleman", end)
-        ok, tau_floor, coupling = admissible(tau, h, cfg.get("time", "t_final"),
-                                             cfg.get("weights", "delta"))
-        if not ok:
-            problems.append(
-                f"stability.grids: carleman.{end}={tau!r} is inadmissible on N={n}: need "
-                f"tau >= {tau_floor:.4g} and tau h / (delta T^2) = {coupling:.4g} <= "
-                f"epsilon = {EPSILON!r}")
+    for section in ("stability", "carleman"):
+        n = min(cfg.get(section, "grids"))
+        h = GridSpec(cfg.get("grid", "d"), n).h
+        for end in ("tau_min", "tau_max"):
+            tau = cfg.get("carleman", end)
+            ok, tau_floor, coupling = admissible(tau, h, cfg.get("time", "t_final"),
+                                                 cfg.get("weights", "delta"))
+            if not ok:
+                problems.append(
+                    f"{section}.grids: carleman.{end}={tau!r} is inadmissible on N={n}: need "
+                    f"tau >= {tau_floor:.4g} and tau h / (delta T^2) = {coupling:.4g} <= "
+                    f"epsilon = {EPSILON!r}")
 
 
 def _check_decay_window(cfg: Config, problems: list):

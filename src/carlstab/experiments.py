@@ -92,6 +92,16 @@ def _grid_stability(label: str, finite_name: str, per_grid: list) -> list:
     return out
 
 
+def _solver_work(diagnostics: list) -> dict:
+    """Solver work of several marches from their `Trajectory.diagnostics`, or
+    from earlier merges: counters summed, the largest linear residual kept."""
+    work = {key: sum(d[key] for d in diagnostics)
+            for key in ("factorisations", "sweeps", "linear_solves")}
+    work["max_linear_residual"] = max((d["max_linear_residual"] for d in diagnostics),
+                                      default=0.0)
+    return work
+
+
 # identities ---------------------------------------------------------------
 
 
@@ -224,6 +234,7 @@ def run_energy(cfg: Config) -> SuiteResult:
     violations = 0
     margins = []
     rows = []
+    diagnostics = []
     for k in range(en["runs"]):
         rng = run_rng(seed, SUITE_IDS["energy"], k)
         d = int(rng.integers(1, 3))
@@ -236,6 +247,7 @@ def run_energy(cfg: Config) -> SuiteResult:
         src = random_separable_source(rng, d, 1.0)
         tg = TimeGrid(1.0, en["steps"])
         traj = solve_forward(grid, coeffs, src, tg, y_ini=y0)
+        diagnostics.append(traj.diagnostics)
         for t0, t1 in ((0.0, 1.0), (0.25, 0.75), (0.5, 0.9375)):
             rep = energy_check(traj, coeffs, src, t0, t1)
             violations += int(not rep.holds)
@@ -245,7 +257,7 @@ def run_energy(cfg: Config) -> SuiteResult:
     assertions = [_le("energy_violations", violations, 0)]
     header = ["run_id", "d", "n", "t0", "t1", "lhs", "rhs", "c_tilde", "holds"]
     return SuiteResult("energy", assertions, {"energy": (header, rows)},
-                       extras={"min_margin": min(margins)})
+                       extras={"min_margin": min(margins), **_solver_work(diagnostics)})
 
 
 # weighted-inequality corpus --------------------------------------------------
@@ -261,16 +273,6 @@ def _draw_corpus_run(rng: np.random.Generator, cfg: Config, time_dependent: bool
     y_prof = random_bump(rng, d)
     src = random_separable_source(rng, d, T)
     return tau, coeffs, y_prof, src
-
-
-def _solver_work(diagnostics: list) -> dict:
-    """Solver work of several marches from their `Trajectory.diagnostics`, or
-    from earlier merges: counters summed, the largest linear residual kept."""
-    work = {key: sum(d[key] for d in diagnostics)
-            for key in ("factorisations", "sweeps", "linear_solves")}
-    work["max_linear_residual"] = max((d["max_linear_residual"] for d in diagnostics),
-                                      default=0.0)
-    return work
 
 
 def _carleman_worker(payload) -> tuple[list, dict]:
@@ -373,15 +375,19 @@ def run_carleman(cfg: Config) -> SuiteResult:
         "carleman_corpus": (corpus_header, [[r[k] for k in corpus_header] for r in rows]),
         "feasibility": (fea_header, [[r[k] for k in fea_header] for r in fea_rows]),
     }
+    skipped = [r["skipped_rel"] for r in rows + fea_rows]
     extras = {**_solver_work(solver_work),
-              "max_skipped_rel": max((r["skipped_rel"] for r in rows + fea_rows), default=0.0)}
+              # a cell whose every term fell below the underflow guard (lhs = rhs = 0)
+              # has no relative skipped mass: it is counted instead
+              "max_skipped_rel": max((v for v in skipped if v < math.inf), default=0.0),
+              "fully_skipped_cells": skipped.count(math.inf)}
     return SuiteResult("carleman", assertions, tables, extras=extras)
 
 
 # stability corpus and decay ---------------------------------------------------
 
 
-def _stability_worker(payload) -> list:
+def _stability_worker(payload) -> tuple[list, dict]:
     cfg_values, run_index = payload
     cfg = Config(cfg_values)
     seed = cfg.get("run", "seed")
@@ -392,13 +398,14 @@ def _stability_worker(payload) -> list:
     tau, coeffs, _, src = _draw_corpus_run(rng, cfg, time_dependent=False, b_amp=0.0,
                                            tau_range=(cfg.get("carleman", "tau_min"),
                                                       cfg.get("carleman", "tau_max")))
-    rows = []
+    rows, marches = [], []
     for n in st["grids"]:
         grid = g.GridSpec(d, int(n))
         tg = TimeGrid(T, st["steps"])
         adm = certify_separable(src, grid, tg)
         traj = solve_forward(grid, coeffs, adm.g, tg)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
+        marches.append((traj.diagnostics, z.diagnostics))
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
         res = stability_quotient(traj, z, adm, weight)
         rows.append({
@@ -410,7 +417,14 @@ def _stability_worker(payload) -> list:
             "reduced_quotient": res.reduced_quotient,
             "c_g": adm.c_g,
         })
-    return rows
+    return rows, _march_health(marches)
+
+
+def _march_health(marches: list) -> dict:
+    """From the diagnostics of (y, z) trajectory pairs: the `_solver_work` of the
+    forward marches and the largest `cross_check_rel` of the z-systems."""
+    return {**_solver_work([y for y, _ in marches]),
+            "max_cross_check_rel": max(z["cross_check_rel"] for _, z in marches)}
 
 
 def run_stability(cfg: Config) -> SuiteResult:
@@ -418,7 +432,8 @@ def run_stability(cfg: Config) -> SuiteResult:
     st = cfg["stability"]
     workers = cfg.get("run", "workers")
     payloads = [(cfg.values, k) for k in range(st["runs"])]
-    rows = [row for batch in _map_runs(_stability_worker, payloads, workers) for row in batch]
+    results = _map_runs(_stability_worker, payloads, workers)    # in run-id order
+    rows = [row for batch, _ in results for row in batch]
     rows.sort(key=lambda r: (r["run_id"], r["N"]))
 
     assertions = []
@@ -426,8 +441,9 @@ def run_stability(cfg: Config) -> SuiteResult:
         per_grid = [[r[key] for r in rows if r["N"] == n] for n in st["grids"]]
         assertions.extend(_grid_stability(key, f"{key}_finite", per_grid))
 
-    decay_rows, decay_assertions = _decay_study(cfg)
+    decay_rows, decay_assertions, decay_health = _decay_study(cfg)
     assertions.extend(decay_assertions)
+    health = [h for _, h in results] + [decay_health]
 
     header = ["run_id", "h", "N", "d", "tau", "delta", "lambda", "lhs", "rhs_observed",
               "rhs_error_term", "quotient", "seed"]
@@ -439,11 +455,14 @@ def run_stability(cfg: Config) -> SuiteResult:
         "stability_extra": (extra_header, [[r[k] for k in extra_header] for r in rows]),
         "decay": (decay_header, decay_rows),
     }
-    return SuiteResult("stability", assertions, tables)
+    extras = {**_solver_work(health),
+              "max_cross_check_rel": max(h["max_cross_check_rel"] for h in health)}
+    return SuiteResult("stability", assertions, tables, extras=extras)
 
 
-def _decay_study(cfg: Config) -> tuple[list, list]:
-    """Mesh-coupled delta: endpoint and error terms vs 1/h, fitted in log space."""
+def _decay_study(cfg: Config) -> tuple[list, list, dict]:
+    """Mesh-coupled delta: endpoint and error terms vs 1/h, fitted in log space;
+    also the `_march_health` of its marches."""
     st = cfg["stability"]
     d = cfg.get("grid", "d")
     T = cfg.get("time", "t_final")
@@ -453,7 +472,7 @@ def _decay_study(cfg: Config) -> tuple[list, list]:
     src = random_separable_source(rng, d, T)
     coeffs = random_smooth_coefficients(run_rng(seed, SUITE_IDS["decay"], 1), d, T,
                                         time_dependent=False)
-    rows = []
+    rows, marches = [], []
     log_end, log_err, inv_h = [], [], []
     for n in st["decay_grids"]:
         grid = g.GridSpec(d, int(n))
@@ -465,6 +484,7 @@ def _decay_study(cfg: Config) -> tuple[list, list]:
         adm = certify_separable(src, grid, tg)
         traj = solve_forward(grid, coeffs, adm.g, tg, y_ini=y0)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
+        marches.append((traj.diagnostics, z.diagnostics))
         log_endpoint = log_endpoint_term(traj, weight, 0)
         res = stability_quotient(traj, z, adm, weight)
         rows.append([int(n), grid.h, 1.0 / grid.h, params.tau, params.delta, params.lam,
@@ -484,7 +504,7 @@ def _decay_study(cfg: Config) -> tuple[list, list]:
         assertions.append(_le(f"decay_{name}_slope_negative", max(slopes), 0.0))
         spread = max(abs(s - slopes[0]) for s in slopes) / abs(slopes[0])
         assertions.append(_le(f"decay_{name}_slope_spread", spread, 0.2))
-    return rows, assertions
+    return rows, assertions, _march_health(marches)
 
 
 # reconstruction ----------------------------------------------------------------

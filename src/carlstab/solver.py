@@ -20,16 +20,18 @@ normal equations and the scheme residual check all run through it.  A step
 takes one state or a block of states as columns, so a linear map of the
 forcing marches all its columns at once.  A stepper holds A, L and R for a
 block of frames and applies L or R by scipy's CSR kernel, no matrix per frame.
-Every step solves the same way: with one sparse LU factor of L taken at
-some frame, in SuperLU's minimum-degree ordering of L^T + L (about half the
-fill of the default column ordering at d >= 2), followed by iterative
-refinement against the current L_m until the worst column's relative
-residual is at most REFINE_TOL, for at most REFINE_SWEEPS sweeps; a factor
-of another frame that misses the target is replaced by one of L_m, and so is
-one whose previous step needed more than REFRESH_SWEEPS sweeps.  Both
-rules read only the data.  Time-independent coefficients factorise once,
-and that exact factor meets the target without a sweep.  Every column must
-reach relative residual LINEAR_RESIDUAL_TOL = 1e-10 or the step raises.
+The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and each
+step solves it exactly by one Gaussian elimination, LAPACK's dgtsv.  At
+d >= 2 a step solves with one sparse LU factor of L taken at some frame, in
+SuperLU's minimum-degree ordering of L^T + L (about half the fill of the
+default column ordering), followed by iterative refinement against the
+current L_m until the worst column's relative residual is at most
+REFINE_TOL, for at most REFINE_SWEEPS sweeps; a factor of another frame that
+misses the target is replaced by one of L_m, and so is one whose previous
+step needed more than REFRESH_SWEEPS sweeps.  Both rules read only the data.
+Time-independent coefficients factorise once, and that exact factor meets
+the target without a sweep.  Every column must reach relative residual
+LINEAR_RESIDUAL_TOL = 1e-10 or the step raises.
 
 The differentiated system for z ~ dt y carries the data at the mid time
 
@@ -50,6 +52,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse import _sparsetools
 
 from . import grid as g
@@ -274,6 +277,28 @@ def apply_bh(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
     return g.MeshFunction(pm, out)
 
 
+def _tridiagonal_slots(diag: np.ndarray) -> tuple:
+    """Slots of the sub-, main and super-diagonal of a d = 1 pattern, given the
+    diagonal's: row i holds columns i - 1, i, i + 1 in turn.  f2py's dgtsv wants
+    off-diagonals of length max(n - 1, 1); at n = 1 LAPACK reads none, so the
+    diagonal's one slot stands in for both."""
+    if diag.size == 1:
+        return diag, diag, diag
+    return diag[1:] - 1, diag, diag[:-1] + 1
+
+
+def _worst_relative(rhs: np.ndarray):
+    """The largest relative 2-norm over the columns of a residual of L x = rhs,
+    as a function of the residual; a zero column counts its residual absolutely
+    (a zero rhs solves exactly to zero)."""
+    if rhs.ndim == 1:
+        scale = math.sqrt(rhs @ rhs) or 1.0
+        return lambda r: math.sqrt(r @ r) / scale
+    norms = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
+    scale = np.where(norms > 0.0, norms, 1.0)
+    return lambda r: float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r)) / scale))
+
+
 class Stepper:
     """The implicit time step of dt y = A_h(t) y + g on one time grid.
 
@@ -288,23 +313,27 @@ class Stepper:
     frame asked for outside; a frame with non-positive diffusion raises when
     asked for.  Products call `csr_matvec(s)` as `csr_matrix @ x` does.
 
-    Solve policy, the same for every dimension and coefficient: the stepper
-    keeps one `splu` factor of L, in a minimum-degree ordering of the pattern
-    of L^T + L, at the frame it was taken.  A step solves with it, then
-    refines, x += LU^{-1}(rhs - L_m x), until the largest relative residual
-    over the columns is at most REFINE_TOL or REFINE_SWEEPS sweeps are spent.
-    If the target is missed and the factor belongs to another frame, L_m is
-    factorised and the step is solved again from scratch.  A step that follows
-    one which needed more than REFRESH_SWEEPS sweeps factorises its own L_m
-    before solving, so a drifting factor is replaced before it runs into the
-    cap.  The rule reads only the data, so a rerun repeats every
-    factorisation.  A time-independent march factorises once and its exact
-    factor needs no sweep; a time-dependent one factorises whenever its
-    coefficients have drifted too far for the lagged factor.  Every column
+    Solve policy, chosen by the dimension with no option.  At d = 1, L_m is
+    tridiagonal: each step hands its three diagonals to LAPACK's dgtsv, one
+    Gaussian elimination with partial pivoting that solves the state or the
+    whole block exactly, and keeps no factor; an exactly singular L_m raises.
+    At d >= 2 the stepper keeps one `splu` factor of L, in a minimum-degree
+    ordering of the pattern of L^T + L, at the frame it was taken.  A step
+    solves with it, then refines, x += LU^{-1}(rhs - L_m x), until the largest
+    relative residual over the columns is at most REFINE_TOL or REFINE_SWEEPS
+    sweeps are spent.  If the target is missed and the factor belongs to
+    another frame, L_m is factorised and the step is solved again from
+    scratch.  A step that follows one which needed more than REFRESH_SWEEPS
+    sweeps factorises its own L_m before solving, so a drifting factor is
+    replaced before it runs into the cap.  The rule reads only the data, so a
+    rerun repeats every factorisation.  A time-independent march factorises
+    once and its exact factor needs no sweep; a time-dependent one factorises
+    whenever its coefficients have drifted too far for the lagged factor.
+    At every dimension, every column
     must reach relative residual LINEAR_RESIDUAL_TOL and a finite state, or
     the step raises; the residual reported is the largest over the columns.
     `factorisations`, `sweeps` and `linear_solves` (one per step) count the
-    work done.
+    work done; at d = 1 every step is one factorisation and no sweep.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
@@ -319,6 +348,7 @@ class Stepper:
         self._samplers = _field_samplers(grid, coeffs)
         self._template, slot = _pattern(grid, coeffs.b is not None)
         self._diag = slot[-g.primal(grid).size:]   # `_fill_block` emits the diagonal last
+        self._bands = _tridiagonal_slots(self._diag) if grid.d == 1 else None
         self._block_frames = 1 if coeffs.time_independent else \
             max(1, FRAME_BLOCK_BYTES // (3 * self._template.data.nbytes))
         self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): A, L, R
@@ -362,17 +392,7 @@ class Stepper:
     def _refine(self, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """Solve with the current factor, then refine against L."""
         solve = self._lu[1].solve
-        if rhs.ndim == 1:
-            scale = math.sqrt(rhs @ rhs) or 1.0     # a zero rhs solves exactly to zero
-
-            def worst(r):
-                return math.sqrt(r @ r) / scale
-        else:
-            norms = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
-            scale = np.where(norms > 0.0, norms, 1.0)
-
-            def worst(r):
-                return float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r)) / scale))
+        worst = _worst_relative(rhs)
         x = solve(rhs)
         sweeps = 0
         while True:
@@ -386,11 +406,8 @@ class Stepper:
         self._last_sweeps = sweeps
         return x, res
 
-    def _solve(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """x with L_m x = rhs, and its largest relative residual over the columns."""
-        self.linear_solves += 1
-        frame = 0 if self.coeffs.time_independent else m + 1
-        L = self._frame(frame)[1]
+    def _lagged(self, frame: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solve with the lagged factor and refine, refactorising by the policy's rules."""
         if self._lu is None or (self._lu[0] != frame and self._last_sweeps > REFRESH_SWEEPS):
             self._factorise(frame, L)
         x, res = self._refine(L, rhs)
@@ -398,6 +415,27 @@ class Stepper:
         if not res <= REFINE_TOL and self._lu[0] != frame:
             self._factorise(frame, L)
             x, res = self._refine(L, rhs)
+        return x, res
+
+    def _tridiagonal(self, m: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solve the tridiagonal L (d = 1) exactly by dgtsv: one factorisation, no sweep."""
+        self.factorisations += 1
+        lower, diag, upper = (L[slots] for slots in self._bands)
+        x, info = dgtsv(lower, diag, upper, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
+        if info > 0:
+            raise SolverError(f"singular L at step {m + 1} (t={float(self.times[m + 1])}): "
+                              f"zero pivot in row {info}")
+        return x, _worst_relative(rhs)(rhs - self._product(L, x))
+
+    def _solve(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """x with L_m x = rhs, and its largest relative residual over the columns."""
+        self.linear_solves += 1
+        frame = 0 if self.coeffs.time_independent else m + 1
+        L = self._frame(frame)[1]
+        if self._bands is None:
+            x, res = self._lagged(frame, L, rhs)
+        else:
+            x, res = self._tridiagonal(m, L, rhs)
         if not np.isfinite(x).all():
             raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
         if res > LINEAR_RESIDUAL_TOL:

@@ -378,9 +378,10 @@ def test_log_endpoint_term_survives_underflow():
 
 def test_carleman_worker_d3_smoke():
     # finiteness only: at N = 7 no feasibility cell is admissible, so the suite's
-    # exit code says nothing here
+    # exit code says nothing here; tau = 2 is the one corpus tau admissible on N = 7
     cfg = parse_config(overrides=["grid.d=3", "carleman.grids=7", "carleman.steps=64",
-                                  "carleman.runs=1"])
+                                  "carleman.runs=1", "carleman.tau_min=2",
+                                  "carleman.tau_max=2"])
     rows, solver = _carleman_worker((cfg.values, 0))
     assert solver["linear_solves"] == 64 and solver["max_linear_residual"] <= 1e-10
     assert [(row["N"], row["p"]) for row in rows] == [(7, 0), (7, 1)]

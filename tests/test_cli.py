@@ -40,9 +40,9 @@ def test_missing_config_file_exits_two():
 
 
 def test_interval_and_list_parsing():
-    cfg = parse_config(None, ["domain.omega=0.25:0.75", "carleman.grids=7,15"])
+    cfg = parse_config(None, ["domain.omega=0.25:0.75", "carleman.grids=15,31"])
     assert cfg.get("domain", "omega") == (0.25, 0.75)
-    assert cfg.get("carleman", "grids") == (7, 15)
+    assert cfg.get("carleman", "grids") == (15, 31)
 
 
 @pytest.mark.parametrize("suite,override", [
@@ -72,6 +72,7 @@ def test_interval_and_list_parsing():
     ("converge", "converge.temporal_steps=0,64"),
     ("reconstruct", "reconstruct.beta=-1"),
     ("stability", "stability.grids=7,15"),
+    ("carleman", "carleman.grids=7,15"),
     ("stability", "stability.decay_grids=3,15"),
     ("stability", "stability.eps0=0.6"),
     ("stability", "stability.tau1=1.5"),
@@ -178,6 +179,11 @@ def test_worker_pool_matches_serial(tmp_path):
     assert main(base + ["--set", "run.workers=3", "--out", str(tmp_path / "pool")]) == 0
     for f in ("stability.csv", "decay.csv"):
         assert (tmp_path / "serial" / f).read_bytes() == (tmp_path / "pool" / f).read_bytes()
+    # the solver health merges in run-id order, whoever ran the runs: one step per
+    # forward frame of 3 runs on 2 grids and of the 2 decay grids
+    serial, pool = (json.loads((tmp_path / run / "summary.json").read_text())["extras"]
+                    for run in ("serial", "pool"))
+    assert serial == pool and serial["linear_solves"] == 3 * 2 * 64 + 2 * 64
 
 
 class _ReadRecorder(dict):
@@ -196,7 +202,7 @@ TINY = ["grid.n=7", "verify_ops.fields=2", "verify_ops.n_max=4",
         "converge.spatial_grids=3,7", "converge.spatial_steps=8",
         "converge.temporal_steps=4,8", "converge.manufactured_steps=8",
         "energy.runs=1", "energy.steps=16",
-        "carleman.runs=1", "carleman.grids=7,15", "carleman.steps=16",
+        "carleman.runs=1", "carleman.grids=15,31", "carleman.steps=16",
         "carleman.feasibility_grids=15", "carleman.feasibility_runs=1",
         "stability.runs=1", "stability.grids=15,31", "stability.steps=16",
         "stability.decay_grids=15,31", "stability.decay_steps=16",

@@ -301,13 +301,23 @@ def test_forward_map_adjoint_identity(rng, time_dependent, b_amp):
 
 
 def test_forward_map_factorises_once(rng):
-    coeffs, r, tg, obs = _reconstruction_setup(rng, False, 0.0)
-    _, _, stepper = _normal_equations(GRID, coeffs, r, tg, obs)
-    assert stepper.factorisations == 1
-    assert stepper.linear_solves == 256
-    # time-dependent coefficients refactorise L_m only when the lagged factor misses
-    coeffs, r, tg, obs = _reconstruction_setup(rng, True, 0.7)
-    _, _, stepper = _normal_equations(GRID, coeffs, r, tg, obs)
+    # d = 1: one exact tridiagonal elimination per step, no refinement
+    for time_dependent, b_amp in ((False, 0.0), (True, 0.7)):
+        coeffs, r, tg, obs = _reconstruction_setup(rng, time_dependent, b_amp)
+        _, _, stepper = _normal_equations(GRID, coeffs, r, tg, obs)
+        assert (stepper.factorisations, stepper.sweeps, stepper.linear_solves) == (256, 0, 256)
+    # d = 2, the lagged LU: time-independent coefficients factorise once, time-dependent
+    # ones refactorise L_m only when the lagged factor misses
+    grid = g.GridSpec(2, 7)
+    tg = TimeGrid(1.0, 256)
+    obs = observe(Trajectory(grid, tg, np.zeros((257, g.primal(grid).size))),
+                  Box.cube(0.2, 0.8, 2))
+    r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
+    coeffs = random_smooth_coefficients(rng, 2, 1.0)
+    _, _, stepper = _normal_equations(grid, coeffs, r, tg, obs)
+    assert (stepper.factorisations, stepper.sweeps, stepper.linear_solves) == (1, 0, 256)
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.7)
+    _, _, stepper = _normal_equations(grid, coeffs, r, tg, obs)
     assert 1 <= stepper.factorisations < 256
     assert stepper.linear_solves == 256
 

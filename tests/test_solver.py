@@ -241,7 +241,10 @@ def test_linear_solver_residual_contract(rng):
         traj = solve_forward(grid, coeffs, zero if zero_source else src, tg, y_ini=y0)
         assert traj.diagnostics["max_linear_residual"] <= 1e-10
         assert traj.diagnostics["linear_solves"] == 256
-        if time_dependent:
+        if grid.d == 1:
+            # one exact tridiagonal elimination per step
+            assert (traj.diagnostics["factorisations"], traj.diagnostics["sweeps"]) == (256, 0)
+        elif time_dependent:
             assert 1 <= traj.diagnostics["factorisations"] < 256
         else:
             assert (traj.diagnostics["factorisations"], traj.diagnostics["sweeps"]) == (1, 0)
@@ -294,7 +297,9 @@ def test_direct_steps_match_krylov_oracle(rng, d, n, time_dependent, b_amp):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), m
         y = got
     assert stepper.linear_solves == steps
-    if time_dependent:
+    if d == 1:
+        assert (stepper.factorisations, stepper.sweeps) == (steps, 0)
+    elif time_dependent:
         assert 1 <= stepper.factorisations < steps
     else:
         assert (stepper.factorisations, stepper.sweeps) == (1, 0)
@@ -318,8 +323,12 @@ def test_block_step_matches_column_steps(rng, d):
         assert res <= 1e-10
         y = got
     assert block.linear_solves == 3
-    assert block.factorisations < 3
-    assert column.factorisations < 9
+    if d == 1:
+        assert (block.factorisations, block.sweeps) == (3, 0)
+        assert (column.factorisations, column.sweeps) == (9, 0)
+    else:
+        assert block.factorisations < 3
+        assert column.factorisations < 9
 
 
 class _PerturbedLU:
@@ -338,18 +347,71 @@ class _PerturbedLU:
         return x
 
 
+_dgtsv = solver.dgtsv
+
+
+def _perturbed_dgtsv(*args, **kw):
+    """dgtsv with its solution 3 times too large in the last column."""
+    *factors, x, info = _dgtsv(*args, **kw)
+    x.reshape(x.shape[0], -1)[:, -1] *= 3.0
+    return (*factors, x, info)
+
+
 def test_direct_solve_enforces_residual_contract(rng, monkeypatch):
+    # d = 1 solves by dgtsv, d = 2 by the lagged LU: each kernel gets a faulty last column
+    monkeypatch.setattr(solver, "dgtsv", _perturbed_dgtsv)
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, **kw: _PerturbedLU(splu(A, **kw)))
-    coeffs = random_smooth_coefficients(rng, 1, 1.0)
-    stepper = Stepper(GRID, coeffs, TimeGrid(1.0, 16))
-    y, f = rng.normal(size=(2, 15))
-    with pytest.raises(SolverError, match="residual"):
-        stepper.step(0, y, f)
-    # only the last of three columns is off: the block's residual is the worst column's
-    y, f = rng.normal(size=(2, 15, 3))
-    with pytest.raises(SolverError, match="residual"):
-        stepper.step(0, y, f)
+    for grid in (GRID, g.GridSpec(2, 5)):
+        size = g.primal(grid).size
+        stepper = Stepper(grid, random_smooth_coefficients(rng, grid.d, 1.0), TimeGrid(1.0, 16))
+        y, f = rng.normal(size=(2, size))
+        with pytest.raises(SolverError, match="residual"):
+            stepper.step(0, y, f)
+        # only the last of three columns is off: the block's residual is the worst column's
+        y, f = rng.normal(size=(2, size, 3))
+        with pytest.raises(SolverError, match="residual"):
+            stepper.step(0, y, f)
+
+
+def test_tridiagonal_solve_rejects_singular_step(rng):
+    # L = I with a zero last pivot, and a rhs whose last entry is zero: dgtsv reports the
+    # pivot and leaves x = rhs, which meets L x = rhs exactly, so only the pivot check raises
+    stepper = Stepper(GRID, random_smooth_coefficients(rng, 1, 1.0), TimeGrid(1.0, 16))
+    L = stepper._frame(0)[1]
+    L[:] = 0.0
+    L[stepper._diag[:-1]] = 1.0
+    f = rng.normal(size=15)
+    f[-1] = 0.0
+    with pytest.raises(SolverError, match="singular"):
+        stepper.step(0, np.zeros(15), f)
+
+
+def test_one_point_grid_marches(rng):
+    # n = 1: f2py's dgtsv rejects empty off-diagonals
+    grid = g.GridSpec(1, 1)
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True, b_amp=0.8)
+    tg = TimeGrid(1.0, 16)
+    traj = solve_forward(grid, coeffs, product_sine_source, tg,
+                         y_ini=g.MeshFunction(g.primal(grid), np.ones(1)))
+    assert traj.diagnostics["max_linear_residual"] <= 1e-15
+    stepper = Stepper(grid, coeffs, tg)
+    y, f = rng.normal(size=(2, 1, 3))
+    x, res = stepper.step(3, y, f)
+    A0, A1 = (assemble_ah(grid, coeffs, float(t)).toarray()[0, 0] for t in tg.times[3:5])
+    want = (y + stepper.half_dt * A0 * y + f) / (1.0 - stepper.half_dt * A1)
+    assert np.allclose(x, want, rtol=1e-15, atol=0.0) and res <= 1e-15
+
+
+@pytest.mark.parametrize("time_dependent", [False, True], ids=["time-independent", "time-dependent"])
+def test_d1_steps_make_no_sparse_lu(rng, monkeypatch, time_dependent):
+    def no_splu(*args, **kw):
+        raise AssertionError("splu called at d = 1")
+
+    monkeypatch.setattr(spla, "splu", no_splu)
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent, b_amp=0.8)
+    traj = solve_forward(GRID, coeffs, product_sine_source, TimeGrid(1.0, 64))
+    assert traj.diagnostics["linear_solves"] == 64
 
 
 def test_solve_forward_rejects_wrong_initial_mesh():
