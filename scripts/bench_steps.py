@@ -9,7 +9,7 @@ script prints milliseconds per step (assembly and factorisations included,
 median over `--repeat` marches), and the factorisations and refinement sweeps
 of one march, which repeat exactly for a given seed.  It also prints two
 kernel costs of the same stepper, medians over `--repeat`: microseconds per
-frame for `Stepper._frame` to hand out the data of A, L and R at every frame
+frame for `Stepper._frame` to hand out the data of L and R at every frame
 of the march in order (block fills included), and microseconds per product
 R_m y of one state.
 
@@ -70,7 +70,7 @@ def kernels(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tupl
     for m in range(steps + 1):
         stepper._frame(m)
     per_frame = (time.perf_counter() - start) / (steps + 1)
-    R, y = stepper._frame(steps)[2], rng.normal(size=g.primal(grid).size)
+    R, y = stepper._frame(steps)[1], rng.normal(size=g.primal(grid).size)
     start = time.perf_counter()
     for _ in range(PRODUCTS):
         stepper._product(R, y)

@@ -38,8 +38,7 @@ summed under every cell, and dropped once nothing left to build derives from
 it, so no set of blocks is held per run; phi and s are formed once per
 (weight, mesh).  The corpus reads p = 0 and 1 of one weight from one pass,
 and the feasibility table (`feasibility_rows`) every admissible cell of a
-grid from one pass per run.  `verify_inequality`, `compute_lhs`,
-`compute_rhs` and `feasibility_row` are the one-cell views.
+grid from one pass per run.
 
 The empirical constant of the inequality is the max ratio over a declared
 randomized corpus; no reference value exists, so the tests assert finiteness
@@ -99,11 +98,9 @@ class CarlemanReport:
         return self.skipped_bound / total if total > 0.0 else np.inf
 
 
-def _cell_terms(traj: Trajectory, cells: list, coeffs: CoefficientFields | None = None,
-                source=None) -> list[dict]:
-    """The space-time terms of every (weight, p) cell on one trajectory, one
-    dict per cell: the left-hand terms when `coeffs` is given, the right-hand
-    ones when `source` is.
+def _cell_terms(traj: Trajectory, cells: list, coeffs: CoefficientFields,
+                source) -> list[dict]:
+    """Every term of every (weight, p) cell on one trajectory, one dict per cell.
 
     Each block is built and squared once, summed under every cell, then
     dropped; phi and s are formed once per (weight, mesh).  D_j y feeds
@@ -130,70 +127,61 @@ def _cell_terms(traj: Trajectory, cells: list, coeffs: CoefficientFields | None 
         """`weighted` under every cell, at power p + offset."""
         return [weighted(sq, points, key, weight, p + offset) for weight, p in cells]
 
-    terms = [{} for _ in cells]
-    if coeffs is not None:
-        dt = traj.dt_frames()
-        i_time = summed(np.multiply(dt, dt, out=dt), X, pm, -1)
-        del dt
-        mixed, grads, avgs = {}, [], []
-        for j in range(grid.d):
-            dblock, dmesh = ops.diff_block(traj.values, pm, j)
-            for i in range(j + 1):
-                block, mesh_ij = ops.diff_block(dblock, dmesh, i)
-                Xij = mesh_ij.physical
-                gfac = sample_frames(coeffs.gamma[i], tg.times, Xij)
-                gfac *= gfac if i == j else sample_frames(coeffs.gamma[j], tg.times, Xij)
-                block *= np.sqrt(gfac, out=gfac)
-                del gfac
-                mixed[i, j] = summed(np.multiply(block, block, out=block), Xij, mesh_ij, -1)
-                del block
-            ablock, amesh = ops.avg_block(dblock, dmesh, j)
-            avgs.append(summed(np.multiply(ablock, ablock, out=ablock), amesh.physical,
-                               amesh, 1))
-            del ablock
-            grads.append(summed(np.multiply(dblock, dblock, out=dblock), dmesh.physical,
-                                dmesh, 1))
-            del dblock
+    dt = traj.dt_frames()
+    i_time = summed(np.multiply(dt, dt, out=dt), X, pm, -1)
+    del dt
+    mixed, grads, avgs = {}, [], []
+    for j in range(grid.d):
+        dblock, dmesh = ops.diff_block(traj.values, pm, j)
+        for i in range(j + 1):
+            block, mesh_ij = ops.diff_block(dblock, dmesh, i)
+            Xij = mesh_ij.physical
+            gfac = sample_frames(coeffs.gamma[i], tg.times, Xij)
+            gfac *= gfac if i == j else sample_frames(coeffs.gamma[j], tg.times, Xij)
+            block *= np.sqrt(gfac, out=gfac)
+            del gfac
+            mixed[i, j] = summed(np.multiply(block, block, out=block), Xij, mesh_ij, -1)
+            del block
+        ablock, amesh = ops.avg_block(dblock, dmesh, j)
+        avgs.append(summed(np.multiply(ablock, ablock, out=ablock), amesh.physical,
+                           amesh, 1))
+        del ablock
+        grads.append(summed(np.multiply(dblock, dblock, out=dblock), dmesh.physical,
+                            dmesh, 1))
+        del dblock
     sq_y = traj.values * traj.values
-    if coeffs is not None:
-        zeroth = summed(sq_y, X, pm, 3)
-        for k, term_k in enumerate(terms):
-            i_mixed = ZERO_TERM
-            for i in range(grid.d):
-                for j in range(i, grid.d):
-                    term = mixed[i, j][k]
-                    if i != j:  # ordered pairs (i,j) and (j,i) both appear in the sum
-                        term = term + term
-                    i_mixed = i_mixed + term
-            term_k.update({
-                "I_p_time": i_time[k],
-                "I_p_mixed": i_mixed,
-                "I_p": i_time[k] + i_mixed,
-                "J_p_gradient": sum((grad[k] for grad in grads), ZERO_TERM),
-                "J_p_avg_gradient": sum((avg[k] for avg in avgs), ZERO_TERM),
-                "J_p_zeroth": zeroth[k],
-            })
-    if source is not None:
-        local = {}      # omega -> (|y|^2 on its points, the points)
-        for weight, _ in cells:
-            if weight.omega not in local:
-                mask = omega_mask(weight.omega, X)
-                local[weight.omega] = (sq_y[:, mask], X[mask])
-        rhs_local = [weighted(*local[weight.omega], weight.omega, weight, p + 3)
-                     for weight, p in cells]
-        del sq_y, local
-        frames = sample_frames(source, tg.times, X)
-        rhs_source = summed(np.multiply(frames, frames, out=frames), X, pm, 0)
-        for k, (weight, p) in enumerate(cells):
-            terms[k].update({"rhs_source": rhs_source[k], "rhs_local_omega": rhs_local[k],
-                             "rhs_time_endpoints": endpoint_term(traj, weight, p)})
+    zeroth = summed(sq_y, X, pm, 3)
+    local = {}      # omega -> (|y|^2 on its points, the points)
+    for weight, _ in cells:
+        if weight.omega not in local:
+            mask = omega_mask(weight.omega, X)
+            local[weight.omega] = (sq_y[:, mask], X[mask])
+    rhs_local = [weighted(*local[weight.omega], weight.omega, weight, p + 3)
+                 for weight, p in cells]
+    del sq_y, local
+    frames = sample_frames(source, tg.times, X)
+    rhs_source = summed(np.multiply(frames, frames, out=frames), X, pm, 0)
+    terms = []
+    for k, (weight, p) in enumerate(cells):
+        i_mixed = ZERO_TERM
+        for i in range(grid.d):
+            for j in range(i, grid.d):
+                term = mixed[i, j][k]
+                if i != j:  # ordered pairs (i,j) and (j,i) both appear in the sum
+                    term = term + term
+                i_mixed = i_mixed + term
+        terms.append({
+            "I_p_time": i_time[k],
+            "I_p_mixed": i_mixed,
+            "I_p": i_time[k] + i_mixed,
+            "J_p_gradient": sum((grad[k] for grad in grads), ZERO_TERM),
+            "J_p_avg_gradient": sum((avg[k] for avg in avgs), ZERO_TERM),
+            "J_p_zeroth": zeroth[k],
+            "rhs_source": rhs_source[k],
+            "rhs_local_omega": rhs_local[k],
+            "rhs_time_endpoints": endpoint_term(traj, weight, p),
+        })
     return terms
-
-
-def compute_lhs(traj: Trajectory, coeffs: CoefficientFields, weight: CarlemanWeight,
-                p: int) -> dict:
-    """All left-hand terms; returns the named totals plus the I_p split."""
-    return _cell_terms(traj, [(weight, p)], coeffs=coeffs)[0]
 
 
 def _endpoint_sums(traj: Trajectory, weight: CarlemanWeight, p: int, frame_sum) -> list:
@@ -212,12 +200,6 @@ def endpoint_term(traj: Trajectory, weight: CarlemanWeight, p: int) -> Term:
 def log_endpoint_term(traj: Trajectory, weight: CarlemanWeight, p: int) -> float:
     """log of the endpoint term's value, finite where that value underflows to 0."""
     return float(logsumexp(_endpoint_sums(traj, weight, p, log_weighted_square_sum)))
-
-
-def compute_rhs(traj: Trajectory, source, weight: CarlemanWeight, p: int) -> dict:
-    """Source, local-observation on the weight's omega, and endpoint terms of the
-    right-hand side."""
-    return _cell_terms(traj, [(weight, p)], source=source)[0]
 
 
 def check_scheme_residual(traj: Trajectory, coeffs: CoefficientFields, source) -> float:
@@ -276,12 +258,6 @@ def verify_cells(traj: Trajectory, source, coeffs: CoefficientFields,
             in zip(cells, _cell_terms(traj, cells, coeffs, source))]
 
 
-def verify_inequality(traj: Trajectory, source, coeffs: CoefficientFields,
-                      weight: CarlemanWeight, p: int) -> CarlemanReport:
-    """`verify_cells` on the one cell (weight, p)."""
-    return verify_cells(traj, source, coeffs, [(weight, p)])[0]
-
-
 def feasibility_rows(weights: list, runs) -> list[dict]:
     """The cells of the feasibility table at p = 0, one per weight: the run
     with the largest ratio.
@@ -312,8 +288,3 @@ def feasibility_rows(weights: list, runs) -> list[dict]:
     for k, rep in best.items():
         rows[k].update(rep.columns())
     return rows
-
-
-def feasibility_row(weight: CarlemanWeight, runs) -> dict:
-    """`feasibility_rows` of the one weight."""
-    return feasibility_rows([weight], runs)[0]

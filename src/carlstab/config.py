@@ -1,9 +1,10 @@
 """Experiment configuration: one INI file, schema-validated, CLI-overridable.
 
 The schema holds exactly the knobs some suite reads: the converge grid, the
-horizon, the observation boxes, the weight's lambda and delta (its other
-constants are fixed in `weights`; each suite sets its own tau), each suite's
-corpus sizes, grids, step counts and advection amplitude, and the run seed, so a
+horizon, the observation boxes, the weight's lambda and delta and the one mesh
+coupling tau1 / (T^2 delta) = eps0 / h (its other constants are fixed in
+`weights`; each suite sets its own tau), each suite's corpus sizes, grids, step
+counts and advection amplitude, and the run seed, so a
 run's snapshot (`Config.snapshot_text`) is all it takes to re-run it.  Each
 setting has one spelling, `section.key`, in the file or in a `--set
 section.key=value` override; no CLI flag duplicates one.  Validation failures
@@ -59,6 +60,8 @@ SCHEMA = {
     "weights": {
         "lambda": ("float", 2.0),
         "delta": ("float", 0.5),
+        "tau1": ("float", 2.5),
+        "eps0": ("float", 0.5),
     },
     "verify_ops": {
         "fields": ("int", 200),
@@ -88,8 +91,6 @@ SCHEMA = {
         "feasibility_taus": ("float_list", (2.5, 4.0, 8.0)),
         "feasibility_deltas": ("float_list", (0.125, 0.25, 0.5)),
         "feasibility_runs": ("int", 2),
-        "feasibility_tau1": ("float", 2.5),
-        "feasibility_eps0": ("float", 0.5),
     },
     "stability": {
         "runs": ("int", 50),
@@ -97,8 +98,6 @@ SCHEMA = {
         "steps": ("int", 256),
         "decay_grids": ("int_list", (15, 31, 63)),
         "decay_steps": ("int", 256),
-        "tau1": ("float", 2.5),
-        "eps0": ("float", 0.5),
         "decay_lambda": ("float", 1.0),
     },
     "reconstruct": {
@@ -246,8 +245,7 @@ def _validate(cfg: Config):
         problems.append("domain.omega0: must be strictly inside domain.omega")
     if not 0 < cfg.get("weights", "delta") <= 0.5:
         problems.append("weights.delta: must be in (0, 1/2]")
-    for name in ("weights.lambda", "stability.decay_lambda", "stability.tau1",
-                 "carleman.feasibility_tau1"):
+    for name in ("weights.lambda", "weights.tau1", "stability.decay_lambda"):
         if cfg.get(*name.split(".")) < 1:
             problems.append(f"{name}: must be >= 1")
     if min(cfg.get("carleman", "feasibility_taus"), default=1) < 1:
@@ -261,8 +259,8 @@ def _validate(cfg: Config):
     elif cfg.get("reconstruct", "beta") == 0 and cfg.get("reconstruct", "noise") > 0:
         problems.append("reconstruct.beta: must be > 0 when reconstruct.noise > 0 "
                         "(the noisy sweep steps beta in decades from it)")
-    if cfg.get("stability", "eps0") <= 0:
-        problems.append("stability.eps0: must be positive")
+    if cfg.get("weights", "eps0") <= 0:
+        problems.append("weights.eps0: must be positive")
     if not problems:
         _check_tau_window(cfg, problems)
         _check_decay_window(cfg, problems)
@@ -295,19 +293,19 @@ def _check_tau_window(cfg: Config, problems: list):
 def _check_decay_window(cfg: Config, problems: list):
     """On every decay grid the decay study's delta = tau1 h / (T^2 eps0) must lie
     in (0, 1/2], and its weight (tau = tau1) must be admissible."""
-    st = cfg["stability"]
+    w = cfg["weights"]
     T = cfg.get("time", "t_final")
-    for n in st["decay_grids"]:
+    for n in cfg.get("stability", "decay_grids"):
         h = GridSpec(cfg.get("grid", "d"), n).h
         try:
-            delta = coupled_delta(T, h, st["tau1"], st["eps0"])
+            delta = coupled_delta(T, h, w["tau1"], w["eps0"])
         except AdmissibilityError as exc:
-            problems.append(f"stability.decay_grids: N={n} with stability.tau1 and "
-                            f"stability.eps0: {exc}")
+            problems.append(f"stability.decay_grids: N={n} with weights.tau1 and "
+                            f"weights.eps0: {exc}")
             continue
-        ok, tau_floor, coupling = admissible(st["tau1"], h, T, delta)
+        ok, tau_floor, coupling = admissible(w["tau1"], h, T, delta)
         if not ok:
             problems.append(
-                f"stability.tau1, stability.eps0: the decay weight is inadmissible on N={n}: "
-                f"need tau1 = {st['tau1']!r} >= {tau_floor:.4g} and tau1 h / (delta T^2) = "
+                f"weights.tau1, weights.eps0: the decay weight is inadmissible on N={n}: "
+                f"need tau1 = {w['tau1']!r} >= {tau_floor:.4g} and tau1 h / (delta T^2) = "
                 f"eps0 = {coupling:.4g} <= epsilon = {EPSILON!r}")

@@ -339,8 +339,9 @@ def run_carleman(cfg: Config) -> SuiteResult:
                                   time_dependent=True, b_amp=ca["b_amp"],
                                   tau_range=(ca["tau_min"], ca["tau_max"]))
                  for i in range(ca["feasibility_runs"])]
+    w = cfg["weights"]
     # tau1 may repeat a listed tau (it does at the defaults): one set of cells per tau
-    fea_taus = list(dict.fromkeys([ca["feasibility_tau1"], *ca["feasibility_taus"]]))
+    fea_taus = list(dict.fromkeys([w["tau1"], *ca["feasibility_taus"]]))
     fea_rows = []
     for n in ca["feasibility_grids"]:
         grid = g.GridSpec(d, int(n))
@@ -350,8 +351,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
         solver_work += [traj.diagnostics for traj, _, _ in runs]
         cell_deltas = list(ca["feasibility_deltas"])
         try:
-            cell_deltas.append(coupled_delta(T, grid.h, ca["feasibility_tau1"],
-                                             ca["feasibility_eps0"]))
+            cell_deltas.append(coupled_delta(T, grid.h, w["tau1"], w["eps0"]))
         except AdmissibilityError:
             pass  # coupling lands outside (0, 1/2] on this grid; plain cells remain
         fea_rows += feasibility_rows(
@@ -463,7 +463,7 @@ def run_stability(cfg: Config) -> SuiteResult:
 def _decay_study(cfg: Config) -> tuple[list, list, dict]:
     """Mesh-coupled delta: endpoint and error terms vs 1/h, fitted in log space;
     also the `_march_health` of its marches."""
-    st = cfg["stability"]
+    st, w = cfg["stability"], cfg["weights"]
     d = cfg.get("grid", "d")
     T = cfg.get("time", "t_final")
     seed = cfg.get("run", "seed")
@@ -476,8 +476,8 @@ def _decay_study(cfg: Config) -> tuple[list, list, dict]:
     log_end, log_err, inv_h = [], [], []
     for n in st["decay_grids"]:
         grid = g.GridSpec(d, int(n))
-        params = replace(_weight_params(cfg, st["tau1"], lam=st["decay_lambda"]),
-                         delta=coupled_delta(T, grid.h, st["tau1"], st["eps0"]))
+        params = replace(_weight_params(cfg, w["tau1"], lam=st["decay_lambda"]),
+                         delta=coupled_delta(T, grid.h, w["tau1"], w["eps0"]))
         weight = _weight(cfg, grid, params)
         tg = TimeGrid(T, st["decay_steps"])
         y0 = g.sample(g.primal(grid), y_prof)

@@ -18,8 +18,8 @@ Time integration is ours: one `Stepper` owns the trapezoidal step
 and its residual; the forward solve, the z-system march, the reconstruction's
 normal equations and the scheme residual check all run through it.  A step
 takes one state or a block of states as columns, so a linear map of the
-forcing marches all its columns at once.  A stepper holds A, L and R for a
-block of frames and applies L or R by scipy's CSR kernel, no matrix per frame.
+forcing marches all its columns at once.  A stepper holds L and R for a block
+of frames and applies either by scipy's CSR kernel, no matrix per frame.
 The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and each
 step solves it exactly by one Gaussian elimination, LAPACK's dgtsv.  At
 d >= 2 a step solves with one sparse LU factor of L taken at some frame, in
@@ -67,7 +67,7 @@ REFINE_SWEEPS = 8
 # a lower threshold refactorises more often than it saves in sweeps on the
 # costliest factor measured (d = 3, N = 15); see scripts/bench_steps.py
 REFRESH_SWEEPS = 7
-# bytes of the A, L and R data a time-dependent Stepper holds for one block of frames;
+# bytes of the L and R data a time-dependent Stepper holds for one block of frames;
 # twice this saves little per frame and adds ~0.5 MB of fill temporaries to a d = 1 peak RSS
 FRAME_BLOCK_BYTES = 128 << 10
 
@@ -307,9 +307,9 @@ class Stepper:
         L_m = I - dt/2 A(t_{m+1}),    R_m = I + dt/2 A(t_m).
 
     y and f are one state of shape (n,) or a block of states of shape (n, k),
-    one per column.  The stepper holds the CSR data of A and I -+ dt/2 A for
-    frames [m0, m0 + K), K in FRAME_BLOCK_BYTES (127 at d = 1, N = 15; 5 at
-    d = 2, N = 15; 1 if time-independent), filled in one pass from the first
+    one per column.  The stepper holds the CSR data of I -+ dt/2 A for frames
+    [m0, m0 + K), K in FRAME_BLOCK_BYTES (190 at d = 1, N = 15; 7 at d = 2,
+    N = 15; 1 if time-independent), filled in one pass from the first
     frame asked for outside; a frame with non-positive diffusion raises when
     asked for.  Products call `csr_matvec(s)` as `csr_matrix @ x` does.
 
@@ -350,24 +350,24 @@ class Stepper:
         self._diag = slot[-g.primal(grid).size:]   # `_fill_block` emits the diagonal last
         self._bands = _tridiagonal_slots(self._diag) if grid.d == 1 else None
         self._block_frames = 1 if coeffs.time_independent else \
-            max(1, FRAME_BLOCK_BYTES // (3 * self._template.data.nbytes))
-        self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): A, L, R
+            max(1, FRAME_BLOCK_BYTES // (2 * self._template.data.nbytes))
+        self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): L, R
 
     def forcing(self, g0, g1):
         """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
         return self.half_dt * (g0 + g1)
 
     def _frame(self, m: int) -> np.ndarray:
-        """The CSR data of A, I - dt/2 A and I + dt/2 A at frame m as rows of a
-        (3, nnz) view, filling the block from m if m is not held."""
+        """The CSR data of I - dt/2 A and I + dt/2 A at frame m as rows of a
+        (2, nnz) view, filling the block from m if m is not held."""
         if self.coeffs.time_independent:
             m = 0
         k = m - self._m0
         if not 0 <= k < len(self._bad):
             A, self._bad = _fill_block(self.grid, self._samplers,
                                        self.times[m:m + self._block_frames])
-            self._block = np.multiply.outer([1.0, -self.half_dt, self.half_dt], A)
-            self._block[1:].reshape(-1)[_frame_slots(self._diag, A.shape[1], 2 * len(A))] += 1.0
+            self._block = np.multiply.outer([-self.half_dt, self.half_dt], A)
+            self._block.reshape(-1)[_frame_slots(self._diag, A.shape[1], 2 * len(A))] += 1.0
             self._m0, k = m, 0
         if self._bad[k]:
             raise GridError(self._bad[k])
@@ -431,7 +431,7 @@ class Stepper:
         """x with L_m x = rhs, and its largest relative residual over the columns."""
         self.linear_solves += 1
         frame = 0 if self.coeffs.time_independent else m + 1
-        L = self._frame(frame)[1]
+        L = self._frame(frame)[0]
         if self._bands is None:
             x, res = self._lagged(frame, L, rhs)
         else:
@@ -444,12 +444,12 @@ class Stepper:
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """y_{m+1} and the largest relative residual of its linear solves."""
-        return self._solve(m, self._product(self._frame(m)[2], y) + f)
+        return self._solve(m, self._product(self._frame(m)[1], y) + f)
 
     def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
         """L_m y1 - R_m y0 - f: zero up to the solve tolerance on a true step."""
-        rhs = self._product(self._frame(m)[2], y0) + f
-        return self._product(self._frame(m + 1)[1], y1) - rhs
+        rhs = self._product(self._frame(m)[1], y0) + f
+        return self._product(self._frame(m + 1)[0], y1) - rhs
 
 
 def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,

@@ -7,9 +7,8 @@ from scipy.special import logsumexp
 
 from carlstab import grid as g
 from carlstab import operators as ops
-from carlstab.carleman import (LHS_KEYS, check_scheme_residual, compute_lhs,
-                               compute_rhs, endpoint_term, feasibility_row, feasibility_rows,
-                               log_endpoint_term, verify_cells, verify_inequality)
+from carlstab.carleman import (LHS_KEYS, RHS_KEYS, check_scheme_residual, endpoint_term,
+                               feasibility_rows, log_endpoint_term, verify_cells)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.config import parse_config
 from carlstab.errors import GridError, SolverError
@@ -23,6 +22,10 @@ from carlstab.weights import Box, CarlemanWeight, WeightParams
 GRID = g.GridSpec(1, 15)
 OMEGA = Box.cube(0.2, 0.8, 1)
 OMEGA0 = Box.cube(0.35, 0.65, 1)
+
+
+def zero_source(t, X):
+    return np.zeros(X.shape[0])
 
 
 def make_weight(grid=GRID, tau=3.0, delta=0.5, lam=2.0, d=1):
@@ -46,10 +49,8 @@ def test_zero_trajectory_all_terms_zero():
     traj = Trajectory(GRID, tg, np.zeros((33, 15)))
     w = make_weight()
     co = CoefficientFields.constant(1)
-    lhs = compute_lhs(traj, co, w, 0)
-    assert all(term.value == 0.0 for term in lhs.values())
-    rhs = compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0)
-    assert all(term.value == 0.0 for term in rhs.values())
+    terms = verify_cells(traj, zero_source, co, [(w, 0)])[0].terms
+    assert all(term.value == 0.0 for term in terms.values())
 
 
 def test_frozen_mode_time_term_vanishes_and_oracle_agreement():
@@ -59,7 +60,7 @@ def test_frozen_mode_time_term_vanishes_and_oracle_agreement():
     traj = Trajectory(GRID, tg, np.tile(u0, (65, 1)))
     w = make_weight()
     co = CoefficientFields.constant(1)
-    lhs = compute_lhs(traj, co, w, 0)
+    lhs = verify_cells(traj, zero_source, co, [(w, 0)])[0].terms
     assert lhs["I_p_time"].value <= 1e-40 * lhs["J_p_zeroth"].value
 
     # direct-summation oracle for the zero-order term (pure python)
@@ -85,14 +86,14 @@ def test_frozen_mode_time_term_vanishes_and_oracle_agreement():
 def test_scaling_homogeneity_and_ratio_invariance():
     grid, coeffs, src, traj = solved_run()
     w = make_weight()
-    rep1 = verify_inequality(traj, src, coeffs, w, 0)
+    rep1 = verify_cells(traj, src, coeffs, [(w, 0)])[0]
 
     scaled = Trajectory(GRID, traj.time_grid, 2.0 * traj.values)
 
     def scaled_src(t, X):
         return 2.0 * src(t, X)
 
-    rep2 = verify_inequality(scaled, scaled_src, coeffs, w, 0)
+    rep2 = verify_cells(scaled, scaled_src, coeffs, [(w, 0)])[0]
     for key in LHS_KEYS + ("rhs_source", "rhs_local_omega", "rhs_time_endpoints"):
         assert rep2.terms[key].value == pytest.approx(4.0 * rep1.terms[key].value, rel=1e-12)
     assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-12)
@@ -105,7 +106,7 @@ def test_rhs_trivial_cases():
     vals[10] = np.sin(np.pi * pm.physical[:, 0])  # interior frame only
     traj = Trajectory(GRID, tg, vals)
     w = make_weight()
-    rhs = compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0)
+    rhs = verify_cells(traj, zero_source, CoefficientFields.constant(1), [(w, 0)])[0].terms
     assert rhs["rhs_source"].value == 0.0
     assert rhs["rhs_time_endpoints"].value == 0.0
     assert rhs["rhs_local_omega"].value > 0.0
@@ -114,12 +115,12 @@ def test_rhs_trivial_cases():
 def test_rhs_source_homogeneity():
     grid, coeffs, src, traj = solved_run(seed=5)
     w = make_weight()
-    r1 = compute_rhs(traj, src, w, 0)
+    r1 = verify_cells(traj, src, coeffs, [(w, 0)])[0].terms
 
     def double_src(t, X):
         return 2.0 * src(t, X)
 
-    r2 = compute_rhs(traj, double_src, w, 0)
+    r2 = verify_cells(traj, double_src, coeffs, [(w, 0)])[0].terms
     assert r2["rhs_source"].value == pytest.approx(4.0 * r1["rhs_source"].value, rel=1e-12)
     assert r2["rhs_local_omega"].value == r1["rhs_local_omega"].value
 
@@ -127,7 +128,7 @@ def test_rhs_source_homogeneity():
 def test_rhs_direct_summation_oracle():
     grid, coeffs, src, traj = solved_run(seed=11, steps=64)
     w = make_weight()
-    rhs = compute_rhs(traj, src, w, 0)
+    rhs = verify_cells(traj, src, coeffs, [(w, 0)])[0].terms
     pm = g.primal(grid)
     tg = traj.time_grid
     mask = OMEGA.mask(pm.physical)
@@ -147,13 +148,13 @@ def test_rhs_direct_summation_oracle():
 def test_verify_inequality_reports_and_admissibility_gate():
     grid, coeffs, src, traj = solved_run(seed=7)
     w = make_weight(tau=3.0)
-    rep = verify_inequality(traj, src, coeffs, w, 0)
+    rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
     assert rep.admissible and rep.ratio is not None and math.isfinite(rep.ratio)
     assert check_scheme_residual(traj, coeffs, src) <= 1e-6
     assert all(rep.terms[k].value >= 0 for k in rep.terms)
 
     w_bad = make_weight(tau=12.0)  # coupling 12/8 > epsilon
-    rep_bad = verify_inequality(traj, src, coeffs, w_bad, 0)
+    rep_bad = verify_cells(traj, src, coeffs, [(w_bad, 0)])[0]
     assert not rep_bad.admissible
     assert rep_bad.ratio is None
 
@@ -172,7 +173,7 @@ def test_verify_inequality_p_validation():
     grid, coeffs, src, traj = solved_run(seed=13, steps=64)
     w = make_weight()
     with pytest.raises(GridError):
-        verify_inequality(traj, src, coeffs, w, 2)
+        verify_cells(traj, src, coeffs, [(w, 2)])
 
 
 @dataclass
@@ -212,7 +213,7 @@ def pointwise_time_bound(traj: Trajectory, weight: CarlemanWeight, p: int, t: fl
 def test_pointwise_time_bound():
     grid, coeffs, src, traj = solved_run(seed=17, steps=64)
     w = make_weight()
-    rep = verify_inequality(traj, src, coeffs, w, 0)
+    rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
     pb = pointwise_time_bound(traj, w, 0, 0.5, constant=10.0, lhs_total=rep.lhs)
     assert pb.lhs_t >= 0 and math.isfinite(pb.bound)
 
@@ -243,7 +244,7 @@ def test_pointwise_bound_corpus_zero_initial():
         src = SeparableSource(random_bump(rng, 1), SineTimeProfile(1.0, 0.5, 0.3, 1.0))
         traj = solve_forward(GRID, coeffs, src, TimeGrid(1.0, 128))
         w = make_weight()
-        rep = verify_inequality(traj, src, coeffs, w, 0)
+        rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
         for t in (0.25, 0.5, 0.75, 1.0):
             pb = pointwise_time_bound(traj, w, 0, t, constant=1.0, lhs_total=rep.lhs)
             assert pb.initial_term == 0.0
@@ -266,13 +267,13 @@ def test_axis_swap_invariance_d2():
                   * (1 + 0.3 * np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])))
     traj = solve_forward(grid, co, src, TimeGrid(1.0, 64), y_ini=y0)
     w = make_weight(grid=grid, d=2)
-    rep = verify_inequality(traj, src, co, w, 0)
+    rep = verify_cells(traj, src, co, [(w, 0)])[0]
 
     # swap the two axes of every frame
     shape = pm.shape
     swapped_vals = np.stack([fr.reshape(shape).T.ravel() for fr in traj.values])
     swapped = Trajectory(grid, traj.time_grid, swapped_vals)
-    rep_swapped = verify_inequality(swapped, src, co, w, 0)
+    rep_swapped = verify_cells(swapped, src, co, [(w, 0)])[0]
     for key in LHS_KEYS:
         assert rep_swapped.terms[key].value == pytest.approx(rep.terms[key].value, rel=1e-10)
 
@@ -281,25 +282,25 @@ def test_feasibility_map_single_cell_and_inadmissible():
     grid, coeffs, src, traj = solved_run(seed=25, steps=64)
     runs = [(traj, src, coeffs)]
 
-    row = feasibility_row(make_weight(tau=3.0, delta=0.5), runs)
+    row = feasibility_rows([make_weight(tau=3.0, delta=0.5)], runs)[0]
     assert row["admissible"] and math.isfinite(row["ratio"])
     assert (row["h"], row["tau"], row["delta"], row["lambda"], row["p"]) == \
         (GRID.h, 3.0, 0.5, 2.0, 0)
 
-    row_bad = feasibility_row(make_weight(tau=40.0, delta=0.25), runs)
+    row_bad = feasibility_rows([make_weight(tau=40.0, delta=0.25)], runs)[0]
     assert not row_bad["admissible"]
     assert row_bad["ratio"] == "" and row_bad["I_p"] == "" and row_bad["skipped_rel"] == 0.0
 
     # skipped mass relative to lhs + rhs, outside the CSV columns; at lambda = 3
     # every term underflows, so the skipped mass is all there is
-    rep = verify_inequality(traj, src, coeffs, make_weight(tau=3.0, delta=0.5), 0)
+    rep = verify_cells(traj, src, coeffs, [(make_weight(tau=3.0, delta=0.5), 0)])[0]
     assert row["skipped_rel"] == rep.skipped_rel
-    rep = verify_inequality(traj, src, coeffs, make_weight(tau=8.0), 0)
+    rep = verify_cells(traj, src, coeffs, [(make_weight(tau=8.0), 0)])[0]
     assert rep.skipped_rel == rep.skipped_bound / (rep.lhs + rep.rhs) > 0.0
     w = make_weight(tau=4.0, lam=3.0)
-    rep = verify_inequality(traj, src, coeffs, w, 0)
+    rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
     assert rep.admissible and rep.lhs == rep.rhs == 0.0 < rep.skipped_bound
-    assert rep.skipped_rel == math.inf == feasibility_row(w, runs)["skipped_rel"]
+    assert rep.skipped_rel == math.inf == feasibility_rows([w], runs)[0]["skipped_rel"]
 
 
 def test_feasibility_row_carries_the_largest_ratio_first_on_tie():
@@ -308,11 +309,11 @@ def test_feasibility_row_carries_the_largest_ratio_first_on_tie():
         _, coeffs, src, traj = solved_run(seed=seed, steps=64)
         runs.append((traj, src, coeffs))
     w = make_weight()
-    reps = [verify_inequality(traj, src, coeffs, w, 0) for traj, src, coeffs in runs]
+    reps = [verify_cells(traj, src, coeffs, [(w, 0)])[0] for traj, src, coeffs in runs]
     assert reps[0].ratio != reps[1].ratio
     best = max(reps, key=lambda rep: rep.ratio)
     for order in (runs, runs[::-1]):
-        row = feasibility_row(w, order)
+        row = feasibility_rows([w], order)[0]
         assert {k: row[k] for k in best.columns()} == best.columns()
 
     # doubling a run is exact in floating point: every term gains exactly 4 and
@@ -322,10 +323,10 @@ def test_feasibility_row_carries_the_largest_ratio_first_on_tie():
                SeparableSource(FourierBump(tuple(2.0 * a for a in src.profile.amps),
                                            src.profile.modes), src.r),
                coeffs)
-    rep2 = verify_inequality(*doubled, w, 0)
+    rep2 = verify_cells(*doubled, [(w, 0)])[0]
     assert rep2.ratio == reps[0].ratio and rep2.columns()["I_p"] == 4.0 * reps[0].columns()["I_p"]
-    assert feasibility_row(w, [runs[0], doubled])["I_p"] == reps[0].columns()["I_p"]
-    assert feasibility_row(w, [doubled, runs[0]])["I_p"] == rep2.columns()["I_p"]
+    assert feasibility_rows([w], [runs[0], doubled])[0]["I_p"] == reps[0].columns()["I_p"]
+    assert feasibility_rows([w], [doubled, runs[0]])[0]["I_p"] == rep2.columns()["I_p"]
 
 
 def test_scheme_residual_detects_wrong_coefficients():
@@ -343,7 +344,7 @@ def test_underflow_guard_skips_and_reports_mass():
     traj = Trajectory(GRID, tg, np.ones((17, 15)))
     w = make_weight(tau=8.0, lam=3.0)
     co = CoefficientFields.constant(1)
-    lhs = compute_lhs(traj, co, w, 0)
+    lhs = verify_cells(traj, zero_source, co, [(w, 0)])[0].terms
     term = lhs["J_p_zeroth"]
     assert term.skipped_bound > 0.0
     assert math.isfinite(term.value) and term.value >= 0.0
@@ -462,12 +463,35 @@ def test_verify_cells_matches_per_frame_reference(d, n):
 
     # every cell of the pass equals its one-cell evaluation bit for bit
     for (weight, p), rep in zip(cells, reports):
-        one = verify_inequality(traj, src, coeffs, weight, p)
+        one = verify_cells(traj, src, coeffs, [(weight, p)])[0]
         assert (rep.p, rep.admissible, rep.lhs, rep.rhs, rep.ratio, rep.skipped_bound) == \
             (one.p, one.admissible, one.lhs, one.rhs, one.ratio, one.skipped_bound)
         assert rep.terms == one.terms
-        assert rep.terms == {**compute_lhs(traj, coeffs, weight, p),
-                             **compute_rhs(traj, src, weight, p)}
+
+
+def term_bits(rep, keys) -> dict:
+    return {key: (rep.terms[key].value.hex(), rep.terms[key].skipped_bound.hex()) for key in keys}
+
+
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7)])
+def test_one_pass_keeps_its_sides_apart(d, n):
+    # the right-hand terms read no coefficient and the left-hand ones no source, so
+    # swapping either leaves the other side's bits alone within one pass
+    grid, coeffs, src, traj = solved_run(seed=50 + d, n=n, steps=32, d=d, b_amp=0.3)
+    other_coeffs = random_smooth_coefficients(np.random.default_rng(60 + d), d, 1.0,
+                                              time_dependent=True, b_amp=0.3)
+    other_src = random_separable_source(np.random.default_rng(70 + d), d, 1.0)
+    w = make_weight(grid=grid, d=d)
+    cells = [(w, 0), (w, 1), (make_weight(grid=grid, tau=8.0, lam=3.0, d=d), 0)]
+    lhs_keys = [key for key in verify_cells(traj, src, coeffs, cells[:1])[0].terms
+                if key not in RHS_KEYS]
+    base = verify_cells(traj, src, coeffs, cells)
+    for rep, other in zip(base, verify_cells(traj, src, other_coeffs, cells)):
+        assert term_bits(other, RHS_KEYS) == term_bits(rep, RHS_KEYS)
+        assert term_bits(other, ["I_p_mixed"]) != term_bits(rep, ["I_p_mixed"])
+    for rep, other in zip(base, verify_cells(traj, other_src, coeffs, cells)):
+        assert term_bits(other, lhs_keys) == term_bits(rep, lhs_keys)
+        assert term_bits(other, ["rhs_source"]) != term_bits(rep, ["rhs_source"])
 
 
 def test_verify_cells_of_no_cell_and_a_bad_p():
@@ -485,6 +509,6 @@ def test_feasibility_rows_equal_their_one_cell_rows():
     weights = [make_weight(tau=3.0), make_weight(tau=40.0, delta=0.25),
                make_weight(tau=4.0, delta=0.5), make_weight(tau=3.0)]
     rows = feasibility_rows(weights, runs)
-    assert rows == [feasibility_row(w, runs) for w in weights]
+    assert rows == [feasibility_rows([w], runs)[0] for w in weights]
     assert [row["admissible"] for row in rows] == [True, False, True, True]
     assert rows[1]["ratio"] == "" and rows[0] == rows[3]

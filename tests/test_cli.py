@@ -66,7 +66,9 @@ def test_interval_and_list_parsing():
     ("carleman", "carleman.grids="),
     ("carleman", "carleman.feasibility_taus="),
     ("carleman", "carleman.feasibility_taus=0.5"),
-    ("carleman", "carleman.feasibility_tau1=0.5"),
+    ("carleman", "weights.tau1=0.5"),
+    ("carleman", "weights.eps0=0"),
+    ("carleman", "weights.eps0=-0.5"),
     ("stability", "stability.decay_grids=15"),
     ("carleman", "carleman.grids=0,15"),
     ("converge", "converge.temporal_steps=0,64"),
@@ -74,8 +76,11 @@ def test_interval_and_list_parsing():
     ("stability", "stability.grids=7,15"),
     ("carleman", "carleman.grids=7,15"),
     ("stability", "stability.decay_grids=3,15"),
-    ("stability", "stability.eps0=0.6"),
-    ("stability", "stability.tau1=1.5"),
+    ("stability", "weights.eps0=0.6"),
+    ("stability", "weights.tau1=1.5"),
+    ("stability", "weights.eps0=0"),
+    ("stability", "weights.eps0=-0.5"),
+    ("stability", "weights.tau1=0.5"),
     ("stability", "stability.decay_lambda=0.5"),
 ], ids=lambda v: v if "=" in v else None)
 def test_validation_rules(suite, override, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from carlstab import grid as g
 from carlstab import operators as ops
-from carlstab.carleman import compute_rhs
+from carlstab.carleman import verify_cells
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.cli import main
 from carlstab.errors import (AdmissibilityError, CertificationError, EmptyMaskError,
@@ -131,7 +131,8 @@ def test_empty_observation_box_is_a_grid_error(tmp_path, capsys):
         observe(traj, omega)
     w = CarlemanWeight(grid, WeightParams(T=1.0, tau=3.0), Box.cube(0.55, 0.58, 1), omega)
     with pytest.raises(GridError, match="no primal points"):
-        compute_rhs(traj, lambda t, X: np.zeros(X.shape[0]), w, 0)
+        verify_cells(traj, lambda t, X: np.zeros(X.shape[0]), CoefficientFields.constant(1),
+                     [(w, 0)])
     args = ["reconstruct", "--set", "reconstruct.n=7", "--set", "domain.omega=0.51:0.62",
             "--set", "domain.omega0=0.55:0.58", "--out", str(tmp_path)]
     assert main(args) == 1

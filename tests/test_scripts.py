@@ -1,5 +1,7 @@
 """Every script under scripts/ imports against the current package, so a
-renamed or deleted helper cannot leave a script that fails only when run."""
+renamed or deleted helper cannot leave a script that fails only when run;
+`bench_steps.py`, which reads the stepper's private frame rows, also runs one
+tiny case."""
 
 import importlib.util
 import os
@@ -8,19 +10,35 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 
 
 def test_there_are_scripts():
     assert {p.name for p in SCRIPTS} >= {"run_all.py", "bench_sums.py", "bench_steps.py"}
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_script_imports(monkeypatch, path):
+def load(monkeypatch, path):
     # the scripts set BLAS thread variables and prepend src/ on import
     monkeypatch.setattr(os, "environ", os.environ.copy())
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(monkeypatch, path):
+    assert callable(load(monkeypatch, path).main)
+
+
+def test_bench_steps_runs_one_tiny_case(monkeypatch):
+    # march and kernels reach into the stepper's private frame rows
+    bench = load(monkeypatch, SCRIPT_DIR / "bench_steps.py")
+    monkeypatch.setattr(bench, "PRODUCTS", 2)
+    elapsed, diag = bench.march(1, 7, 8, True, 0)
+    assert elapsed > 0.0 and diag["linear_solves"] == 8
+    assert diag["max_linear_residual"] <= 1e-10
+    per_frame, per_product = bench.kernels(1, 7, 8, True, 0)
+    assert per_frame > 0.0 and per_product > 0.0

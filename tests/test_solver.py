@@ -378,7 +378,7 @@ def test_tridiagonal_solve_rejects_singular_step(rng):
     # L = I with a zero last pivot, and a rhs whose last entry is zero: dgtsv reports the
     # pivot and leaves x = rhs, which meets L x = rhs exactly, so only the pivot check raises
     stepper = Stepper(GRID, random_smooth_coefficients(rng, 1, 1.0), TimeGrid(1.0, 16))
-    L = stepper._frame(0)[1]
+    L = stepper._frame(0)[0]
     L[:] = 0.0
     L[stepper._diag[:-1]] = 1.0
     f = rng.normal(size=15)
@@ -477,9 +477,11 @@ def reference_assemble_ah(grid, coeffs, t):
 
 
 def operator_at(stepper: Stepper, m: int) -> sp.csr_matrix:
-    """A_h at frame m, built from the stepper's frame data on its pattern."""
-    t = solver._pattern(stepper.grid, stepper.coeffs.b is not None)[0]
-    return sp.csr_matrix((stepper._frame(m)[0], t.indices, t.indptr), shape=t.shape)
+    """A_h at frame m after the stepper has handed out that frame, which raises
+    where the block fill rejects it: `assemble_ah` is the one-frame fill, whose
+    bits a block fill shares."""
+    stepper._frame(m)
+    return assemble_ah(stepper.grid, stepper.coeffs, float(stepper.times[m]))
 
 
 def assert_same_csr(got, want):
@@ -561,7 +563,7 @@ def test_fill_equals_the_constructor_built_matrix(rng, d, n, b_amp):
 def test_block_frames_match_coo_reference_bitwise(monkeypatch, rng, d, n, b_amp, mode):
     # 17 frames in blocks of 5 are [0, 5), [5, 10), [10, 15) and the partial [15, 17)
     grid = g.GridSpec(d, n)
-    frame_bytes = 3 * 8 * solver._pattern(grid, b_amp > 0)[0].nnz
+    frame_bytes = 2 * 8 * solver._pattern(grid, b_amp > 0)[0].nnz
     monkeypatch.setattr(solver, "FRAME_BLOCK_BYTES", frame_bytes * (1 if "one" in mode else 5))
     coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=mode != "time-independent",
                                         b_amp=b_amp)
@@ -571,8 +573,8 @@ def test_block_frames_match_coo_reference_bitwise(monkeypatch, rng, d, n, b_amp,
     for m in [*range(17), 12, 3, 16, 0]:
         want = reference_assemble_ah(grid, coeffs, float(stepper.times[m]))
         assert_same_csr(operator_at(stepper, m), want)
-        _, L, R = (sp.csr_matrix((data.copy(), want.indices, want.indptr), shape=want.shape)
-                   for data in stepper._frame(m))
+        L, R = (sp.csr_matrix((data.copy(), want.indices, want.indptr), shape=want.shape)
+                for data in stepper._frame(m))
         assert np.array_equal(L.toarray(), (eye - stepper.half_dt * want).toarray())
         assert np.array_equal(R.toarray(), (eye + stepper.half_dt * want).toarray())
     if mode == "one-frame-blocks":
@@ -593,7 +595,8 @@ def test_direct_product_equals_csr_matmul_bitwise(rng, d, n):
               rng.normal(size=(size, 4)), np.asfortranarray(rng.normal(size=(size, 4))),
               rng.normal(size=(size, 8))[:, ::2], rng.normal(size=(size, size))]
     for m in (0, 9, 16):
-        for data in stepper._frame(m):
+        A = assemble_ah(grid, coeffs, float(stepper.times[m])).data
+        for data in (A, *stepper._frame(m)):
             M = sp.csr_matrix((data.copy(), stepper._template.indices.copy(),
                                stepper._template.indptr.copy()), shape=(size, size))
             for x in states:
