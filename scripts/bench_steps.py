@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Per-step cost of the implicit march at fixed (d, N, steps).
 
-Each case marches `solver.solve_forward` from a random initial state with a
-random separable source.  The time-dependent cases draw coefficients with
-advection (`b_amp=0.3`); the time-independent case is the small repeated
-operator of the stability corpus and the reconstruction.  For each case the
+Each case marches `solver.solve_forward` with a random separable source,
+from a random-normal initial state or from a smooth bump (`inverse.random_bump`,
+the draw of the carleman corpus).  Rough data keeps stiff modes that the
+trapezoidal rule flips every step, which the extrapolated start of a lagged
+step at d >= 2 must not chase; a bump is what the corpora march.  The
+time-dependent cases draw coefficients with advection (`b_amp=0.3`); the
+time-independent case is the small repeated operator of the stability corpus
+and the reconstruction.  For each case the
 script prints milliseconds per step (assembly and factorisations included,
 median over `--repeat` marches), and the factorisations and refinement sweeps
 of one march, which repeat exactly for a given seed.  It also prints two
@@ -35,12 +39,15 @@ import numpy as np  # noqa: E402
 
 from carlstab import grid as g  # noqa: E402
 from carlstab.coefficients import random_smooth_coefficients  # noqa: E402
-from carlstab.inverse import random_separable_source  # noqa: E402
+from carlstab.inverse import random_bump, random_separable_source  # noqa: E402
 from carlstab.solver import Stepper, TimeGrid, solve_forward  # noqa: E402
 
-# (d, N, steps, time-dependent)
-CASES = [(1, 15, 256, True), (1, 31, 256, True), (1, 63, 256, True), (2, 31, 256, True),
-         (2, 63, 256, True), (3, 15, 64, True), (1, 15, 4096, False)]
+# (d, N, steps, time-dependent, initial state)
+CASES = [(1, 15, 256, True, "normal"), (1, 31, 256, True, "normal"),
+         (1, 63, 256, True, "normal"), (2, 31, 256, True, "normal"),
+         (2, 63, 256, True, "normal"), (3, 15, 64, True, "normal"),
+         (2, 15, 256, True, "bump"), (2, 31, 256, True, "bump"),
+         (1, 15, 4096, False, "normal")]
 PRODUCTS = 2000     # products timed per repeat
 
 
@@ -51,11 +58,13 @@ def draw(d: int, n: int, time_dependent: bool, seed: int):
     return rng, g.GridSpec(d, n), coeffs
 
 
-def march(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, dict]:
+def march(d: int, n: int, steps: int, time_dependent: bool, seed: int,
+          init: str = "normal") -> tuple[float, dict]:
     rng, grid, coeffs = draw(d, n, time_dependent, seed)
     src = random_separable_source(rng, d, 1.0)
     pm = g.primal(grid)
-    y0 = g.MeshFunction(pm, rng.normal(size=pm.size))
+    y0 = g.sample(pm, random_bump(rng, d)) if init == "bump" else \
+        g.MeshFunction(pm, rng.normal(size=pm.size))
     start = time.perf_counter()
     traj = solve_forward(grid, coeffs, src, TimeGrid(1.0, steps), y_ini=y0)
     return time.perf_counter() - start, traj.diagnostics
@@ -84,25 +93,26 @@ def main() -> int:
     ap.add_argument("--json", help="also write the table to this file")
     args = ap.parse_args()
     rows = []
-    print(f"{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'ms/step':>8} "
+    print(f"{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'init':>6} {'ms/step':>8} "
           f"{'factorisations':>14} {'sweeps':>6} {'sweeps/step':>11} {'us/frame':>9} "
           f"{'us/product':>10}")
-    for d, n, steps, time_dependent in CASES:
+    for d, n, steps, time_dependent, init in CASES:
         times, frames, products, diag = [], [], [], None
         for _ in range(args.repeat):
-            elapsed, diag = march(d, n, steps, time_dependent, args.seed)
+            elapsed, diag = march(d, n, steps, time_dependent, args.seed, init)
             times.append(elapsed)
             per_frame, per_product = kernels(d, n, steps, time_dependent, args.seed)
             frames.append(per_frame)
             products.append(per_product)
         ms = 1e3 * statistics.median(times) / steps
         row = {"d": d, "N": n, "steps": steps, "time_dependent": time_dependent,
-               "ms_per_step": ms, "factorisations": diag["factorisations"],
+               "init": init, "ms_per_step": ms, "factorisations": diag["factorisations"],
                "sweeps": diag["sweeps"], "us_per_frame": 1e6 * statistics.median(frames),
                "us_per_product": 1e6 * statistics.median(products)}
         rows.append(row)
         kind = "time-dependent" if time_dependent else "time-independent"
-        print(f"{d:>2} {n:>3} {steps:>5} {kind:>16} {ms:>8.3f} {row['factorisations']:>14} "
+        print(f"{d:>2} {n:>3} {steps:>5} {kind:>16} {init:>6} {ms:>8.3f} "
+              f"{row['factorisations']:>14} "
               f"{row['sweeps']:>6} {row['sweeps'] / steps:>11.2f} {row['us_per_frame']:>9.2f} "
               f"{row['us_per_product']:>10.2f}", flush=True)
     if args.json:

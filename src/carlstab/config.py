@@ -263,6 +263,7 @@ def _validate(cfg: Config):
         problems.append("weights.eps0: must be positive")
     if not problems:
         _check_tau_window(cfg, problems)
+        _check_feasibility_cells(cfg, problems)
         _check_decay_window(cfg, problems)
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
@@ -288,6 +289,29 @@ def _check_tau_window(cfg: Config, problems: list):
                     f"{section}.grids: carleman.{end}={tau!r} is inadmissible on N={n}: need "
                     f"tau >= {tau_floor:.4g} and tau h / (delta T^2) = {coupling:.4g} <= "
                     f"epsilon = {EPSILON!r}")
+
+
+def _check_feasibility_cells(cfg: Config, problems: list):
+    """Every feasibility grid needs an admissible (tau, delta) cell among the
+    table's taus (weights.tau1 and carleman.feasibility_taus) and deltas
+    (carleman.feasibility_deltas and the mesh-coupled delta where it lies in
+    (0, 1/2]), or the suite would march every run and then fail."""
+    ca, w = cfg["carleman"], cfg["weights"]
+    T = cfg.get("time", "t_final")
+    for n in ca["feasibility_grids"]:
+        h = GridSpec(cfg.get("grid", "d"), n).h
+        deltas = list(ca["feasibility_deltas"])
+        try:
+            deltas.append(coupled_delta(T, h, w["tau1"], w["eps0"]))
+        except AdmissibilityError:
+            pass
+        if not any(admissible(tau, h, T, delta)[0]
+                   for tau in (w["tau1"], *ca["feasibility_taus"]) for delta in deltas):
+            problems.append(
+                f"carleman.feasibility_grids: no admissible (tau, delta) cell on N={n} "
+                f"among weights.tau1, carleman.feasibility_taus and carleman.feasibility_deltas "
+                f"(with the mesh-coupled delta); need tau h / (delta T^2) <= epsilon = "
+                f"{EPSILON!r} with tau >= the floor")
 
 
 def _check_decay_window(cfg: Config, problems: list):

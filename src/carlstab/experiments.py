@@ -175,6 +175,7 @@ def run_converge(cfg: Config) -> SuiteResult:
 
     tg = TimeGrid(T, cc["manufactured_steps"])
     traj = solve_forward(grid, coeffs, discrete_src, tg, y_ini=u0)
+    diagnostics = [traj.diagnostics]
     scale = np.max(np.abs(u0.values))
     rel_discrete = max(
         float(np.max(np.abs(traj.values[m] - math.exp(-t) * u0.values))) / scale
@@ -196,6 +197,7 @@ def run_converge(cfg: Config) -> SuiteResult:
         tgn = TimeGrid(T, cc["spatial_steps"])
         trn = solve_forward(gn, CoefficientFields.constant(d),
                             continuous_src_factory(un.values), tgn, y_ini=un)
+        diagnostics.append(trn.diagnostics)
         exact = math.exp(-T) * un.values
         err = math.sqrt(gn.h ** d * float(np.sum((trn.values[-1] - exact) ** 2)))
         err /= math.sqrt(gn.h ** d * float(np.sum(exact ** 2)))
@@ -207,6 +209,7 @@ def run_converge(cfg: Config) -> SuiteResult:
     for steps in cc["temporal_steps"]:
         tgt = TimeGrid(T, int(steps))
         trt = solve_forward(grid, coeffs, discrete_src, tgt, y_ini=u0)
+        diagnostics.append(trt.diagnostics)
         exact = math.exp(-T) * u0.values
         err = float(np.max(np.abs(trt.values[-1] - exact))) / scale
         terrs.append(err)
@@ -221,7 +224,8 @@ def run_converge(cfg: Config) -> SuiteResult:
     return SuiteResult("converge", assertions,
                        {"converge": (["study", "n", "steps", "rel_error"], rows)},
                        extras={"spatial_orders": spatial_orders,
-                               "temporal_orders": temporal_orders})
+                               "temporal_orders": temporal_orders,
+                               **_solver_work(diagnostics)})
 
 
 # energy ---------------------------------------------------------------------
@@ -555,7 +559,8 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
         _ge("coefficient_mask_fraction", recov.mask_fraction, 0.5),
     ]
     header = ["kind", "n", "beta", "noise", "rel_error"]
-    return SuiteResult("reconstruct", assertions, {"reconstruct": (header, rows)})
+    return SuiteResult("reconstruct", assertions, {"reconstruct": (header, rows)},
+                       extras=_solver_work([traj.diagnostics, ctraj.diagnostics]))
 
 
 def _zero_source(t, X):

@@ -29,6 +29,12 @@ current L_m until the worst column's relative residual is at most
 REFINE_TOL, for at most REFINE_SWEEPS sweeps; a factor of another frame that
 misses the target is replaced by one of L_m, and so is one whose previous
 step needed more than REFRESH_SWEEPS sweeps.  Both rules read only the data.
+With a factor of another frame, refinement starts from the march's own
+states: the Newton backward extrapolation of the last GUESS_STATES solutions,
+when the step directly follows the previous one with the same shape (reusing
+earlier solutions as Fischer's projection method does, CMAME 163, 1998).  The
+trapezoidal rule flips the sign of stiff modes every step, so a column whose
+extrapolated residual is no smaller than its rhs starts from zero instead.
 Time-independent coefficients factorise once, and that exact factor meets
 the target without a sweep.  Every column must reach relative residual
 LINEAR_RESIDUAL_TOL = 1e-10 or the step raises.
@@ -65,8 +71,12 @@ LINEAR_RESIDUAL_TOL = 1e-10
 REFINE_TOL = 1e-13
 REFINE_SWEEPS = 8
 # a lower threshold refactorises more often than it saves in sweeps on the
-# costliest factor measured (d = 3, N = 15); see scripts/bench_steps.py
+# costliest factor measured (d = 3, N = 15; measured before the extrapolated
+# start, which rarely lets a step come near it); see scripts/bench_steps.py
 REFRESH_SWEEPS = 7
+# solutions of the lagged path held for the starting guess: Newton backward
+# extrapolation of degree GUESS_STATES - 1
+GUESS_STATES = 4
 # bytes of the L and R data a time-dependent Stepper holds for one block of frames;
 # twice this saves little per frame and adds ~0.5 MB of fill temporaries to a d = 1 peak RSS
 FRAME_BLOCK_BYTES = 128 << 10
@@ -329,6 +339,15 @@ class Stepper:
     rerun repeats every factorisation.  A time-independent march factorises
     once and its exact factor needs no sweep; a time-dependent one factorises
     whenever its coefficients have drifted too far for the lagged factor.
+    A time-dependent march holds the last GUESS_STATES solutions of its
+    lagged steps, newest first, and the step they lead into.  Step m with a
+    factor of another frame, directly following the held states with the
+    same shape, starts from their Newton backward extrapolation
+    x_g = sum_j (-1)^j C(p, j + 1) y_j over the p states held: the first
+    solve is x = x_g + LU^{-1}(rhs - L_m x_g), where a column whose residual
+    is no smaller than its rhs (a stiff mode the trapezoidal rule flipped)
+    starts from zero.  A step with an exact factor, and the solve again
+    after a miss, start from zero and keep their bits.
     At every dimension, every column
     must reach relative residual LINEAR_RESIDUAL_TOL and a finite state, or
     the step raises; the residual reported is the largest over the columns.
@@ -345,6 +364,8 @@ class Stepper:
         self.linear_solves = 0
         self._lu = None         # (frame of L, its LU factor)
         self._last_sweeps = 0   # sweeps the previous step needed
+        self._history = []      # solutions of lagged steps, newest first
+        self._next = None       # the step they lead into
         self._samplers = _field_samplers(grid, coeffs)
         self._template, slot = _pattern(grid, coeffs.b is not None)
         self._diag = slot[-g.primal(grid).size:]   # `_fill_block` emits the diagonal last
@@ -389,11 +410,40 @@ class Stepper:
         L = sp.csr_matrix((L, t.indices, t.indptr), shape=t.shape).tocsc()
         self._lu = (frame, spla.splu(L, permc_spec="MMD_AT_PLUS_A"))
 
-    def _refine(self, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solve with the current factor, then refine against L."""
+    def _follows(self, m: int, shape: tuple) -> bool:
+        """Whether the held states lead into step m with states of this shape."""
+        return m == self._next and self._history[0].shape == shape
+
+    def _guess(self, m: int, rhs: np.ndarray) -> np.ndarray | None:
+        """Newton backward extrapolation of the held states to step m, or None
+        unless they lead into it with rhs's shape."""
+        if not self._follows(m, rhs.shape):
+            return None
+        p = len(self._history)
+        return sum((-1) ** j * math.comb(p, j + 1) * y for j, y in enumerate(self._history))
+
+    def _remember(self, m: int, x: np.ndarray):
+        """Hold x, the solution of step m, newest first with the states leading into it."""
+        follows = self._follows(m, x.shape)
+        self._history = [x, *self._history[:GUESS_STATES - 1]] if follows else [x]
+        self._next = m + 1
+
+    def _start(self, L: np.ndarray, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        """guess + LU^{-1}(rhs - L guess); a column whose residual is no smaller
+        than its rhs starts from zero instead."""
+        r = rhs - self._product(L, guess)
+        r2, guess2, rhs2 = (a.reshape(rhs.shape[0], -1) for a in (r, guess, rhs))
+        cold = np.einsum("ij,ij->j", r2, r2) >= np.einsum("ij,ij->j", rhs2, rhs2)
+        guess2[:, cold] = 0.0
+        r2[:, cold] = rhs2[:, cold]
+        return guess + self._lu[1].solve(r)
+
+    def _refine(self, L: np.ndarray, rhs: np.ndarray,
+                guess: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """Solve with the current factor from zero or from `guess`, then refine against L."""
         solve = self._lu[1].solve
         worst = _worst_relative(rhs)
-        x = solve(rhs)
+        x = solve(rhs) if guess is None else self._start(L, rhs, guess)
         sweeps = 0
         while True:
             r = rhs - self._product(L, x)
@@ -406,15 +456,19 @@ class Stepper:
         self._last_sweeps = sweeps
         return x, res
 
-    def _lagged(self, frame: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solve with the lagged factor and refine, refactorising by the policy's rules."""
+    def _lagged(self, m: int, frame: int, L: np.ndarray,
+                rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solve with the lagged factor and refine, refactorising by the policy's rules;
+        a factor of another frame starts from the extrapolated state."""
         if self._lu is None or (self._lu[0] != frame and self._last_sweeps > REFRESH_SWEEPS):
             self._factorise(frame, L)
-        x, res = self._refine(L, rhs)
+        x, res = self._refine(L, rhs, self._guess(m, rhs) if self._lu[0] != frame else None)
         # a non-finite residual is a miss too: a diverged refinement gets a fresh factor
         if not res <= REFINE_TOL and self._lu[0] != frame:
             self._factorise(frame, L)
             x, res = self._refine(L, rhs)
+        if not self.coeffs.time_independent:
+            self._remember(m, x)
         return x, res
 
     def _tridiagonal(self, m: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -433,7 +487,7 @@ class Stepper:
         frame = 0 if self.coeffs.time_independent else m + 1
         L = self._frame(frame)[0]
         if self._bands is None:
-            x, res = self._lagged(frame, L, rhs)
+            x, res = self._lagged(m, frame, L, rhs)
         else:
             x, res = self._tridiagonal(m, L, rhs)
         if not np.isfinite(x).all():

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,9 @@ def test_interval_and_list_parsing():
     ("reconstruct", "reconstruct.beta=-1"),
     ("stability", "stability.grids=7,15"),
     ("carleman", "carleman.grids=7,15"),
+    ("carleman", "carleman.feasibility_grids=7,15"),
+    ("carleman", "carleman.feasibility_grids=7,15 carleman.feasibility_taus=2.5 "
+                 "carleman.feasibility_deltas=0.5"),
     ("stability", "stability.decay_grids=3,15"),
     ("stability", "weights.eps0=0.6"),
     ("stability", "weights.tau1=1.5"),
@@ -84,11 +90,27 @@ def test_interval_and_list_parsing():
     ("stability", "stability.decay_lambda=0.5"),
 ], ids=lambda v: v if "=" in v else None)
 def test_validation_rules(suite, override, tmp_path, capsys):
-    key = override.partition("=")[0]
+    # `override` is one override or several separated by spaces; the first names the key
+    overrides = override.split()
+    key = overrides[0].partition("=")[0]
     with pytest.raises(ConfigError, match=key):
-        parse_config(None, [override])
-    assert main([suite, "--set", override, "--out", str(tmp_path)]) == 2
+        parse_config(None, overrides)
+    assert main([suite, "--out", str(tmp_path), *(f"--set={ov}" for ov in overrides)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_defaults_and_benchmark_workloads_validate(monkeypatch):
+    # the checks that reject a config before any solve pass every shipped one
+    for d in (1, 2, 3):
+        parse_config(None, [f"grid.d={d}"])
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for _, overrides in workload.suites:
+            parse_config(None, list(overrides))
 
 
 def test_beta_sweep_needs_positive_beta(tmp_path, capsys):

@@ -42,3 +42,6 @@ def test_bench_steps_runs_one_tiny_case(monkeypatch):
     assert diag["max_linear_residual"] <= 1e-10
     per_frame, per_product = bench.kernels(1, 7, 8, True, 0)
     assert per_frame > 0.0 and per_product > 0.0
+    # the smooth-bump start, at d = 2 where a lagged step extrapolates
+    elapsed, diag = bench.march(2, 7, 8, True, 0, "bump")
+    assert diag["linear_solves"] == 8 and diag["max_linear_residual"] <= 1e-10

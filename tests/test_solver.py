@@ -10,6 +10,7 @@ from carlstab import solver
 from carlstab.coefficients import (CoefficientFields, ConstantField, FieldTimeDerivative,
                                    SmoothField, random_smooth_coefficients)
 from carlstab.errors import GridError, SolverError
+from carlstab.inverse import random_bump
 from carlstab.solver import (Stepper, TimeGrid, apply_ah, apply_bh, assemble_ah,
                              central_time_derivative, energy_check, solve_forward,
                              solve_z_system)
@@ -250,9 +251,17 @@ def test_linear_solver_residual_contract(rng):
             assert (traj.diagnostics["factorisations"], traj.diagnostics["sweeps"]) == (1, 0)
 
 
-def test_refresh_rule_repeats_and_cuts_sweeps(rng):
+def _unguessed(self, m, rhs):
+    """`Stepper._guess` of the oracle: every lagged step starts from zero."""
+    return None
+
+
+def test_refresh_rule_repeats_and_cuts_sweeps(rng, monkeypatch):
     # a step that needed more than REFRESH_SWEEPS sweeps gets a fresh factor for the
-    # next one; replacing the factor only on a missed target took 6.41 sweeps per step
+    # next one; replacing the factor only on a missed target took 6.41 sweeps per step.
+    # Started from the extrapolated state, one factor lasts this whole march, so the
+    # rule is measured on the unguessed path it was tuned on
+    monkeypatch.setattr(Stepper, "_guess", _unguessed)
     grid = g.GridSpec(2, 15)
     pm = g.primal(grid)
     coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.3)
@@ -268,6 +277,124 @@ def test_refresh_rule_repeats_and_cuts_sweeps(rng):
     frozen = random_smooth_coefficients(rng, 2, 1.0, b_amp=0.3)
     traj = solve_forward(grid, frozen, product_sine_source, tg, y_ini=y0)
     assert (traj.diagnostics["factorisations"], traj.diagnostics["sweeps"]) == (1, 0)
+
+
+def test_refresh_fires_only_above_refresh_sweeps(rng):
+    grid = g.GridSpec(2, 7)
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.3)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 64))
+    # smooth data, so that the lagged steps keep their extrapolated starts
+    y = product_sine(g.primal(grid).physical)
+    f = np.zeros(y.size)
+    for m in range(3):
+        y = stepper.step(m, y, f)[0]
+    assert (stepper.factorisations, stepper._lu[0]) == (1, 1)
+    stepper._last_sweeps = solver.REFRESH_SWEEPS
+    y = stepper.step(3, y, f)[0]
+    assert (stepper.factorisations, stepper._lu[0]) == (1, 1)
+    stepper._last_sweeps = solver.REFRESH_SWEEPS + 1
+    x = stepper.step(4, y, f)[0]
+    # step 4 solves L_4 at frame 5 with its own exact factor: no sweep, and no guess
+    # from the states it follows, so it has the bits of a fresh stepper's step 4
+    assert (stepper.factorisations, stepper._lu[0], stepper._last_sweeps) == (2, 5, 0)
+    assert x.tobytes() == Stepper(grid, coeffs, TimeGrid(1.0, 64)).step(4, y, f)[0].tobytes()
+
+
+def _d2_march(rng, n, bump):
+    grid = g.GridSpec(2, n)
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.3)
+    pm = g.primal(grid)
+    y0 = g.sample(pm, random_bump(rng, 2)) if bump else \
+        g.MeshFunction(pm, rng.normal(size=pm.size))
+    return lambda: solve_forward(grid, coeffs, product_sine_source, TimeGrid(1.0, 256), y_ini=y0)
+
+
+def test_guessed_march_matches_unguessed_oracle(rng, monkeypatch):
+    # from a smooth bump the extrapolated state is close: the same march to within a
+    # few REFINE_TOL, in no more sweeps than refinement from zero
+    march = _d2_march(rng, 15, bump=True)
+    guessed = march()
+    monkeypatch.setattr(Stepper, "_guess", _unguessed)
+    oracle = march()
+    err = np.linalg.norm(guessed.values - oracle.values) / np.linalg.norm(oracle.values)
+    assert err <= 1e-12
+    assert oracle.diagnostics["sweeps"] >= guessed.diagnostics["sweeps"]
+    assert guessed.diagnostics["max_linear_residual"] <= solver.REFINE_TOL
+
+
+@pytest.mark.parametrize("n", [15, 63])
+def test_guess_costs_no_work_on_rough_data(rng, monkeypatch, n):
+    # random-normal data carries stiff modes that flip sign every step; the
+    # safeguard starts such columns from zero, so the guess never costs work
+    # (unguarded, the N = 63 march took 9 factorisations against the oracle's 7)
+    march = _d2_march(rng, n, bump=False)
+    guessed = march().diagnostics
+    monkeypatch.setattr(Stepper, "_guess", _unguessed)
+    oracle = march().diagnostics
+    assert guessed["factorisations"] <= oracle["factorisations"]
+    assert guessed["sweeps"] <= oracle["sweeps"]
+
+
+def test_guess_needs_the_following_step_and_its_shape(rng, monkeypatch):
+    grid = g.GridSpec(2, 7)
+    size = g.primal(grid).size
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.3)
+    stepper, oracle = (Stepper(grid, coeffs, TimeGrid(1.0, 64)) for _ in range(2))
+    oracle._guess = lambda m, rhs: None
+    guessed = []
+    refine = Stepper._refine
+
+    def spy(self, L, rhs, guess=None):
+        if self is stepper:
+            guessed.append(guess is not None)
+        return refine(self, L, rhs, guess)
+
+    monkeypatch.setattr(Stepper, "_refine", spy)
+    states = [rng.normal(size=size)]
+    f = np.zeros(size)
+    for m in range(5):
+        states.append(stepper.step(m, states[-1], f)[0])
+        oracle.step(m, states[-2], f)
+    # step 0 factorises its own L (exact: no guess); the lagged steps 1-4 extrapolate
+    assert guessed == [False, True, True, True, True]
+    y0, y1, y2, y3 = states[:0:-1][:4]
+    want = 4 * y0 - 6 * y1 + 4 * y2 - y3
+    assert np.allclose(stepper._guess(5, y0), want, rtol=1e-14, atol=0.0)
+    assert stepper._guess(6, y0) is None and stepper._guess(5, np.zeros((size, 2))) is None
+    guessed.clear()
+    # a step that does not follow, then a block that follows with another shape: both
+    # start from zero, with the oracle's bits (its factors are the same)
+    y = rng.normal(size=size)
+    assert stepper.step(10, y, f)[0].tobytes() == oracle.step(10, y, f)[0].tobytes()
+    Y = rng.normal(size=(size, 3))
+    assert stepper.step(11, Y, 0 * Y)[0].tobytes() == oracle.step(11, Y, 0 * Y)[0].tobytes()
+    # the next block follows with the same shape: guessed from the one state held
+    stepper.step(12, Y, 0 * Y)
+    assert guessed == [False, False, True]
+    assert stepper.factorisations == oracle.factorisations
+
+
+def test_safeguard_starts_a_worse_column_from_zero(rng):
+    grid = g.GridSpec(2, 7)
+    size = g.primal(grid).size
+    stepper = Stepper(grid, random_smooth_coefficients(rng, 2, 1.0, time_dependent=True),
+                      TimeGrid(1.0, 16))
+    L = stepper._frame(1)[0]
+    stepper._factorise(1, L)
+    solve = stepper._lu[1].solve
+    rhs = rng.normal(size=size)
+    x = solve(rhs)
+    # -x leaves residual 2 rhs: the start is the zero start's bits
+    assert stepper._start(L, rhs, -x).tobytes() == x.tobytes()
+    # a close guess is kept and corrected
+    near = x + 1e-6 * rng.normal(size=size)
+    start = stepper._start(L, rhs, near.copy())
+    assert start.tobytes() != x.tobytes()
+    assert np.linalg.norm(start - x) <= 1e-12 * np.linalg.norm(x)
+    # a zero column of the rhs solves to exactly zero whatever its guess
+    rhs = np.column_stack([np.zeros(size), rhs])
+    start = stepper._start(L, rhs, rng.normal(size=(size, 2)))
+    assert not start[:, 0].any()
 
 
 def _oracle_step(stepper, m, y, f):
