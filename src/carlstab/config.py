@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ConfigError
 from .grid import GridSpec
-from .weights import EPSILON, admissible, coupled_delta
+from .weights import EPSILON, admissible, coupled_delta, feasibility_cells
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -292,21 +292,15 @@ def _check_tau_window(cfg: Config, problems: list):
 
 
 def _check_feasibility_cells(cfg: Config, problems: list):
-    """Every feasibility grid needs an admissible (tau, delta) cell among the
-    table's taus (weights.tau1 and carleman.feasibility_taus) and deltas
-    (carleman.feasibility_deltas and the mesh-coupled delta where it lies in
-    (0, 1/2]), or the suite would march every run and then fail."""
+    """Every feasibility grid needs an admissible cell among the table's
+    `weights.feasibility_cells`, or the suite would march every run and then fail."""
     ca, w = cfg["carleman"], cfg["weights"]
     T = cfg.get("time", "t_final")
     for n in ca["feasibility_grids"]:
         h = GridSpec(cfg.get("grid", "d"), n).h
-        deltas = list(ca["feasibility_deltas"])
-        try:
-            deltas.append(coupled_delta(T, h, w["tau1"], w["eps0"]))
-        except AdmissibilityError:
-            pass
-        if not any(admissible(tau, h, T, delta)[0]
-                   for tau in (w["tau1"], *ca["feasibility_taus"]) for delta in deltas):
+        cells = feasibility_cells(T, h, w["tau1"], w["eps0"], ca["feasibility_taus"],
+                                  ca["feasibility_deltas"])
+        if not any(admissible(tau, h, T, delta)[0] for tau, delta in cells):
             problems.append(
                 f"carleman.feasibility_grids: no admissible (tau, delta) cell on N={n} "
                 f"among weights.tau1, carleman.feasibility_taus and carleman.feasibility_deltas "

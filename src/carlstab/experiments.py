@@ -23,12 +23,11 @@ from .carleman import (check_scheme_residual, endpoint_term, feasibility_rows,
                        log_endpoint_term, verify_cells)
 from .coefficients import CoefficientFields, random_smooth_coefficients
 from .config import Config
-from .errors import AdmissibilityError
 from .inverse import (add_observation_noise, certify_separable, observe, random_bump,
                       random_separable_source, reconstruct_source, recover_coefficient,
                       stability_quotient)
 from .solver import TimeGrid, Trajectory, apply_ah, energy_check, solve_forward, solve_z_system
-from .weights import Box, CarlemanWeight, WeightParams, coupled_delta
+from .weights import Box, CarlemanWeight, WeightParams, coupled_delta, feasibility_cells
 
 SUITE_IDS = {"verify_ops": 1, "converge": 2, "energy": 3, "carleman": 4,
              "stability": 5, "reconstruct": 6, "decay": 7, "feasibility": 8}
@@ -344,8 +343,6 @@ def run_carleman(cfg: Config) -> SuiteResult:
                                   tau_range=(ca["tau_min"], ca["tau_max"]))
                  for i in range(ca["feasibility_runs"])]
     w = cfg["weights"]
-    # tau1 may repeat a listed tau (it does at the defaults): one set of cells per tau
-    fea_taus = list(dict.fromkeys([w["tau1"], *ca["feasibility_taus"]]))
     fea_rows = []
     for n in ca["feasibility_grids"]:
         grid = g.GridSpec(d, int(n))
@@ -353,14 +350,11 @@ def run_carleman(cfg: Config) -> SuiteResult:
                                y_ini=g.sample(g.primal(grid), y_prof)), src, coeffs)
                 for _, coeffs, y_prof, src in fea_draws]
         solver_work += [traj.diagnostics for traj, _, _ in runs]
-        cell_deltas = list(ca["feasibility_deltas"])
-        try:
-            cell_deltas.append(coupled_delta(T, grid.h, w["tau1"], w["eps0"]))
-        except AdmissibilityError:
-            pass  # coupling lands outside (0, 1/2] on this grid; plain cells remain
+        cells = feasibility_cells(T, grid.h, w["tau1"], w["eps0"], ca["feasibility_taus"],
+                                  ca["feasibility_deltas"])
         fea_rows += feasibility_rows(
             [_weight(cfg, grid, _weight_params(cfg, tau=float(tau), delta=float(delta)))
-             for tau in fea_taus for delta in dict.fromkeys(cell_deltas)], runs)
+             for tau, delta in cells], runs)
     for n in ca["feasibility_grids"]:
         h = g.GridSpec(d, int(n)).h
         n_adm = sum(1 for r in fea_rows if r["h"] == h and r["admissible"])

@@ -131,6 +131,19 @@ def coupled_delta(T: float, h: float, tau1: float, eps0: float) -> float:
     return delta
 
 
+def feasibility_cells(T: float, h: float, tau1: float, eps0: float, taus, deltas) -> list:
+    """The (tau, delta) cells of the feasibility table on a mesh of size h, each
+    once: tau1, then each listed tau, with every listed delta and then the
+    mesh-coupled delta, where that lies in (0, 1/2]."""
+    cell_deltas = list(deltas)
+    try:
+        cell_deltas.append(coupled_delta(T, h, tau1, eps0))
+    except AdmissibilityError:
+        pass  # coupling lands outside (0, 1/2] on this grid; plain cells remain
+    return [(tau, delta) for tau in dict.fromkeys([tau1, *taus])
+            for delta in dict.fromkeys(cell_deltas)]
+
+
 def omega_mask(omega: Box, physical: np.ndarray) -> np.ndarray:
     """Membership of primal points in omega; raises GridError if none is inside."""
     mask = omega.mask(physical)
