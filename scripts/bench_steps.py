@@ -13,9 +13,10 @@ script prints milliseconds per step (assembly and factorisations included,
 median over `--repeat` marches), and the factorisations and refinement sweeps
 of one march, which repeat exactly for a given seed.  It also prints two
 kernel costs of the same stepper, medians over `--repeat`: microseconds per
-frame for `Stepper._frame` to hand out the data of L and R at every frame
-of the march in order (block fills included), and microseconds per product
-R_m y of one state.
+frame for a new `Stepper` to build its frame data and for `Stepper._frame` to
+hand out L and R at every frame of the march in order (the construction,
+which builds the separable basis, is timed with the frames), and
+microseconds per product R_m y of one state.
 
     python scripts/bench_steps.py [--repeat 3] [--seed 0] [--json FILE]
 
@@ -71,11 +72,11 @@ def march(d: int, n: int, steps: int, time_dependent: bool, seed: int,
 
 
 def kernels(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, float]:
-    """Seconds per frame handed out by `Stepper._frame` over a whole march, and
-    seconds per product R_m y of one state."""
+    """Seconds per frame to build a `Stepper` and have `Stepper._frame` hand
+    out every frame of a whole march, and seconds per product R_m y of one state."""
     rng, grid, coeffs = draw(d, n, time_dependent, seed)
-    stepper = Stepper(grid, coeffs, TimeGrid(1.0, steps))
     start = time.perf_counter()
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, steps))
     for m in range(steps + 1):
         stepper._frame(m)
     per_frame = (time.perf_counter() - start) / (steps + 1)

@@ -6,6 +6,8 @@ pickle cleanly across worker processes.  A fast sampler (these fields but
 the time derivative, separable sources and their rates) also has `at(X)`:
 t -> values bitwise equal to the call, the spatial part evaluated once; t is a
 scalar or a column of times, one row each.  `sample_frames` goes through it.
+The coefficient fields also have `separable(X)`: (base, space or None, rho or
+None), the call being base + space * rho(t) bitwise; `solver.Stepper` needs it.
 
 The regularity functional collects, per diffusion component,
 
@@ -40,6 +42,9 @@ class ConstantField:
         n = np.atleast_2d(X).shape[0]
         return lambda t: np.full(np.broadcast_shapes(np.shape(t), (n,)), self.value)
 
+    def separable(self, X):
+        return self.value, None, None
+
 
 @dataclass(frozen=True)
 class SmoothField:
@@ -68,6 +73,9 @@ class SmoothField:
         """t -> self(t, X) bitwise, with amp S(X) evaluated once."""
         space = self.amp * self._space(X)
         return lambda t: self.base + space * self._rho(t)
+
+    def separable(self, X):
+        return self.base, self.amp * self._space(X), self._rho
 
     def dt(self, t, X):
         rho_p = self.tamp * (2.0 * math.pi / self.T) * math.cos(2.0 * math.pi * t / self.T + self.tphase)

@@ -12,6 +12,7 @@ problem on every grid.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -51,6 +52,7 @@ class SuiteResult:
     assertions: list
     tables: dict = field(default_factory=dict)   # name -> (header, rows)
     extras: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # seconds per phase
 
     @property
     def passed(self) -> bool:
@@ -99,6 +101,14 @@ def _solver_work(diagnostics: list) -> dict:
     work["max_linear_residual"] = max((d["max_linear_residual"] for d in diagnostics),
                                       default=0.0)
     return work
+
+
+def _timed(timings: dict, phase: str, fn, *args):
+    """fn(*args), its seconds added to timings[phase]."""
+    start = time.perf_counter()
+    out = fn(*args)
+    timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - start
+    return out
 
 
 # identities ---------------------------------------------------------------
@@ -278,7 +288,7 @@ def _draw_corpus_run(rng: np.random.Generator, cfg: Config, time_dependent: bool
     return tau, coeffs, y_prof, src
 
 
-def _carleman_worker(payload) -> tuple[list, dict]:
+def _carleman_worker(payload) -> tuple[list, dict, dict]:
     cfg_values, run_index = payload
     cfg = Config(cfg_values)
     seed = cfg.get("run", "seed")
@@ -289,23 +299,24 @@ def _carleman_worker(payload) -> tuple[list, dict]:
     tau, coeffs, y_prof, src = _draw_corpus_run(
         rng, cfg, time_dependent=True, b_amp=ca["b_amp"],
         tau_range=(ca["tau_min"], ca["tau_max"]))
-    rows, diagnostics = [], []
+    rows, diagnostics, timings = [], [], {}
     for n in ca["grids"]:
         grid = g.GridSpec(d, int(n))
         y0 = g.sample(g.primal(grid), y_prof)
         tg = TimeGrid(T, ca["steps"])
-        traj = solve_forward(grid, coeffs, src, tg, y_ini=y0)
+        traj = _timed(timings, "march", solve_forward, grid, coeffs, src, tg, y0)
         diagnostics.append(traj.diagnostics)
-        residual = check_scheme_residual(traj, coeffs, src)
+        residual = _timed(timings, "scheme_residual", check_scheme_residual, traj, coeffs, src)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
-        for rep in verify_cells(traj, src, coeffs, [(weight, 0), (weight, 1)]):
+        for rep in _timed(timings, "corpus_terms", verify_cells, traj, src, coeffs,
+                          [(weight, 0), (weight, 1)]):
             rows.append({
                 "run_id": run_index, "N": int(n), "h": grid.h, "p": rep.p,
                 "tau": tau, "delta": weight.params.delta, "lambda": weight.params.lam,
                 **rep.columns(), "admissible": rep.admissible, "residual": residual,
                 "skipped_rel": rep.skipped_rel,
             })
-    return rows, _solver_work(diagnostics)
+    return rows, _solver_work(diagnostics), timings
 
 
 def _map_runs(worker, payloads, workers: int):
@@ -324,9 +335,10 @@ def run_carleman(cfg: Config) -> SuiteResult:
     workers = cfg.get("run", "workers")
     payloads = [(cfg.values, k) for k in range(ca["runs"])]
     results = _map_runs(_carleman_worker, payloads, workers)    # in run-id order
-    rows = [row for batch, _ in results for row in batch]
+    rows = [row for batch, _, _ in results for row in batch]
     rows.sort(key=lambda r: (r["run_id"], r["N"], r["p"]))
-    solver_work = [work for _, work in results]
+    solver_work = [work for _, work, _ in results]
+    timings = {phase: sum(t[phase] for _, _, t in results) for phase in results[0][2]}
 
     assertions = []
     for p in (0, 1):
@@ -338,6 +350,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
     T = cfg.get("time", "t_final")
     seed = cfg.get("run", "seed")
 
+    fea_start = time.perf_counter()
     fea_draws = [_draw_corpus_run(run_rng(seed, SUITE_IDS["feasibility"], i), cfg,
                                   time_dependent=True, b_amp=ca["b_amp"],
                                   tau_range=(ca["tau_min"], ca["tau_max"]))
@@ -355,6 +368,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
         fea_rows += feasibility_rows(
             [_weight(cfg, grid, _weight_params(cfg, tau=float(tau), delta=float(delta)))
              for tau, delta in cells], runs)
+    timings["feasibility_table"] = time.perf_counter() - fea_start
     for n in ca["feasibility_grids"]:
         h = g.GridSpec(d, int(n)).h
         n_adm = sum(1 for r in fea_rows if r["h"] == h and r["admissible"])
@@ -379,7 +393,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
               # has no relative skipped mass: it is counted instead
               "max_skipped_rel": max((v for v in skipped if v < math.inf), default=0.0),
               "fully_skipped_cells": skipped.count(math.inf)}
-    return SuiteResult("carleman", assertions, tables, extras=extras)
+    return SuiteResult("carleman", assertions, tables, extras=extras, timings=timings)
 
 
 # stability corpus and decay ---------------------------------------------------

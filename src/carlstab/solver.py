@@ -7,9 +7,11 @@ The spatial operator on primal unknowns (homogeneous Dirichlet data) is
 assembled both as a sparse matrix (per-axis three-point stencils) and as a
 matrix-free application through the difference/average operators; the two
 routes agree to rounding and are cross-checked in the tests.  The matrix has
-one CSR pattern per (grid, advection), built and checked on first use; one
-vectorised fill writes its (K, nnz) data at K times from one sampler per
-field (a SmoothField, base + amp S(x) rho(t), evaluates amp S(x) once).
+one CSR pattern per (grid, advection), built and checked on first use, and
+one vectorised fill.  A_h is linear in (gamma, b, c) and every time-dependent
+field is base + space(x) rho(t), so A_h(t) = A_0 + sum_k rho_k(t) A_k: a
+stepper fills A_0, each field's stencil A_k and I once, and forms the frame
+I -+ dt/2 A_h(t_m) as one product of its factors with them.
 
 Time integration is ours: one `Stepper` owns the trapezoidal step
 
@@ -18,8 +20,9 @@ Time integration is ours: one `Stepper` owns the trapezoidal step
 and its residual; the forward solve, the z-system march, the reconstruction's
 normal equations and the scheme residual check all run through it.  A step
 takes one state or a block of states as columns, so a linear map of the
-forcing marches all its columns at once.  A stepper holds L and R for a block
-of frames and applies either by scipy's CSR kernel, no matrix per frame.
+forcing marches all its columns at once.  A stepper holds L and R of the
+last frame formed and applies either by scipy's CSR kernel, no matrix per
+frame.
 The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and each
 step solves it exactly by one Gaussian elimination, LAPACK's dgtsv.  At
 d >= 2 a step solves with one sparse LU factor of L taken at some frame, in
@@ -77,9 +80,6 @@ REFRESH_SWEEPS = 7
 # solutions of the lagged path held for the starting guess: Newton backward
 # extrapolation of degree GUESS_STATES - 1
 GUESS_STATES = 4
-# bytes of the L and R data a time-dependent Stepper holds for one block of frames;
-# twice this saves little per frame and adds ~0.5 MB of fill temporaries to a d = 1 peak RSS
-FRAME_BLOCK_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def central_time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pattern(grid: g.GridSpec, advection: bool):
     """A checked CSR template of A_h's pattern, and the slot of each entry
-    `_fill_block` emits.  The template's index arrays are shared by every fill
+    `_stencil` emits.  The template's index arrays are shared by every fill
     and read-only, so an in-place change raises instead of corrupting the cache."""
     pm = g.primal(grid)
     size = pm.size
@@ -177,48 +177,34 @@ def _pattern(grid: g.GridSpec, advection: bool):
     return template, slot
 
 
-def _frame_slots(slot: np.ndarray, nnz: int, K: int) -> np.ndarray:
-    """The slots `slot` in each of K frames of nnz entries laid end to end."""
-    return slot if K == 1 else (slot + nnz * np.arange(K)[:, None]).ravel()
-
-
-def _field_samplers(grid: g.GridSpec, coeffs: CoefficientFields) -> list:
-    """One sampler per field, a time or a column of times to values: gamma_i on
-    dual_star(i), then b_i and c on the primal mesh.  A field with `at`
-    samples its spatial part once; any other goes through `sample_frames`."""
+def _field_points(grid: g.GridSpec, coeffs: CoefficientFields) -> list:
+    """(field, points) per field: gamma_i on dual_star(i), then b_i and c on the
+    primal mesh."""
     if coeffs.d != grid.d:
         raise GridError(f"coefficients for d={coeffs.d} used with grid d={grid.d}")
     fields = (*coeffs.gamma, *(coeffs.b or ()), coeffs.c)
     points = [g.dual_star(grid, ax).physical for ax in range(grid.d)]
     points += [g.primal(grid).physical] * (len(fields) - grid.d)
-    return [f.at(X) if hasattr(f, "at") else (lambda t, f=f, X=X: sample_frames(f, np.ravel(t), X))
-            for f, X in zip(fields, points)]
+    return list(zip(fields, points))
 
 
-def _fill_block(grid: g.GridSpec, samplers: list, times) -> tuple[np.ndarray, list]:
-    """A_h's CSR data at K times, shape (K, nnz), from its `_field_samplers`,
-    and per time the message rejecting its non-positive diffusion, or None.
+def _stencil(grid: g.GridSpec, vals: list) -> np.ndarray:
+    """A_h's CSR data, shape (K, nnz), from K rows of values per field in
+    `_field_points` order; linear in the values.
 
     Per axis: the stencil [gamma_-, -(gamma_+ + gamma_-), gamma_+]/h^2, then the
-    advection -b (y_+ - y_-)/(2h); the zero-order part is diagonal.  One time
-    samples as a scalar (faster).  One `np.bincount` over the frames' slots in
-    turn gives each entry the bits of a fill of its frame alone.
+    advection -b (y_+ - y_-)/(2h); the zero-order part is diagonal.  One
+    `np.bincount` over the rows' slots in turn gives each entry the bits of a
+    fill of its row alone.
     """
-    K = len(times)
-    t = times[:, None] if K > 1 else float(times[0])
-    vals = [at(t).reshape(K, -1) for at in samplers]
+    K = len(vals[-1])
     gammas, bs, c = vals[:grid.d], vals[grid.d:-1] or None, vals[-1]
     template, slot = _pattern(grid, bs is not None)
     shape, h = g.primal(grid).shape, grid.h
-    parts, diag, bad = [], np.zeros((K, template.shape[0])), [None] * K
+    parts, diag = [], np.zeros((K, template.shape[0]))
     for ax, gam in enumerate(gammas):
-        star = g.dual_star(grid, ax)
-        for k in np.flatnonzero((gam <= 0.0).any(axis=1)).tolist():
-            j = int(np.argmin(gam[k]))
-            bad[k] = bad[k] or (f"non-positive diffusion gamma_{ax}={gam[k, j]:.4g} "
-                                f"at x={star.physical[j]}, t={float(times[k])}")
         lo, hi = g.axis_index(grid.d + 1, ax + 1, slice(None, -1), slice(1, None))
-        gam = gam.reshape((K, *star.shape))
+        gam = gam.reshape((K, *g.dual_star(grid, ax).shape))
         g_minus, g_plus = gam[lo], gam[hi]
         diag += (-(g_plus + g_minus) / (h * h)).reshape(K, -1)
         parts += [g_plus[lo] / (h * h), g_minus[hi] / (h * h)]
@@ -227,17 +213,54 @@ def _fill_block(grid: g.GridSpec, samplers: list, times) -> tuple[np.ndarray, li
             parts += [-b[lo] / (2.0 * h), b[hi] / (2.0 * h)]
     diag -= c
     weights = np.concatenate([part.reshape(K, -1) for part in parts + [diag]], axis=1)
-    return np.bincount(_frame_slots(slot, template.nnz, K), weights=weights.ravel(),
-                       minlength=K * template.nnz).reshape(K, -1), bad
+    slots = (slot + template.nnz * np.arange(K)[:, None]).ravel()   # the rows end to end
+    return np.bincount(slots, weights=weights.ravel(), minlength=K * template.nnz).reshape(K, -1)
+
+
+def _separable(grid: g.GridSpec, coeffs: CoefficientFields, times, half_dt: float) -> tuple:
+    """(coef, basis, flags) with I -+ dt/2 A_h(t_m) = coef[m] @ basis, for
+    fields base + space(x) rho(t); coef[m] is (2, 2 + F), basis (2 + F, nnz).
+
+    Basis row 0 is A_h of the bases, row 1 + k the stencil of field k's space
+    alone and the last row I; coef[m] is -+ dt/2 times 1 and each rho_k(t_m),
+    then 1.  flags[m] says some sampled gamma_i is <= 0 at t_m: rounding is
+    monotone, so the least value is the base plus the least (rho >= 0) or the
+    largest (rho < 0) spatial value times rho.
+    """
+    fields = _field_points(grid, coeffs)
+    rho, vals = np.ones((len(times), 1 + len(fields))), []
+    flags = np.zeros(len(times), dtype=bool)
+    for k, (f, X) in enumerate(fields):
+        if not hasattr(f, "separable"):
+            raise GridError(f"time-dependent field {type(f).__name__} has no separable form")
+        base, space, rho_k = f.separable(X)
+        v = np.zeros((2 + len(fields), len(X)))   # the last row stays zero, for I
+        v[0], v[1 + k] = base, 0.0 if space is None else space
+        rho[:, 1 + k] = 1.0 if rho_k is None else rho_k(times)
+        if k < grid.d:
+            r = rho[:, 1 + k]
+            flags |= np.where(r >= 0.0, base + v[1 + k].min() * r, base + v[1 + k].max() * r) <= 0.0
+        vals.append(v)
+    basis = _stencil(grid, vals)
+    basis[-1, _pattern(grid, coeffs.b is not None)[1][-g.primal(grid).size:]] = 1.0
+    coef = np.ones((len(times), 2, 2 + len(fields)))
+    coef[:, :, :-1] = np.multiply.outer([-half_dt, half_dt], rho).transpose(1, 0, 2)
+    return coef, basis, flags
 
 
 def assemble_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float) -> sp.csr_matrix:
-    """Sparse matrix of A_h on primal unknowns at time t (a one-time block)."""
-    data, bad = _fill_block(grid, _field_samplers(grid, coeffs), np.array([float(t)]))
-    if bad[0]:
-        raise GridError(bad[0])
+    """Sparse matrix of A_h on primal unknowns at time t, each field sampled by
+    `sample_frames`: the one-frame fill, which rejects non-positive diffusion
+    with its value, x and t."""
+    vals = [sample_frames(f, (t,), X) for f, X in _field_points(grid, coeffs)]
+    for ax, gam in enumerate(vals[:grid.d]):
+        if np.any(gam <= 0.0):
+            j = int(np.argmin(gam[0]))
+            raise GridError(f"non-positive diffusion gamma_{ax}={gam[0, j]:.4g} "
+                            f"at x={g.dual_star(grid, ax).physical[j]}, t={float(t)}")
     template = _pattern(grid, coeffs.b is not None)[0]
-    return sp.csr_matrix((data[0], template.indices, template.indptr), shape=template.shape)
+    return sp.csr_matrix((_stencil(grid, vals)[0], template.indices, template.indptr),
+                         shape=template.shape)
 
 
 def apply_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
@@ -317,11 +340,14 @@ class Stepper:
         L_m = I - dt/2 A(t_{m+1}),    R_m = I + dt/2 A(t_m).
 
     y and f are one state of shape (n,) or a block of states of shape (n, k),
-    one per column.  The stepper holds the CSR data of I -+ dt/2 A for frames
-    [m0, m0 + K), K in FRAME_BLOCK_BYTES (190 at d = 1, N = 15; 7 at d = 2,
-    N = 15; 1 if time-independent), filled in one pass from the first
-    frame asked for outside; a frame with non-positive diffusion raises when
-    asked for.  Products call `csr_matvec(s)` as `csr_matrix @ x` does.
+    one per column.  A time-dependent stepper fills a (2 + F, nnz) basis, A_0,
+    the F field stencils A_k and I, and the factors of every frame once
+    (`_separable`; a field without the separable form raises), and forms
+    frame m's L and R as the one product coef[m] @ basis, whose bits depend
+    only on m; it holds the last frame formed.  A time-independent stepper
+    forms its one frame from `assemble_ah` when built.  A frame with
+    non-positive diffusion raises through `assemble_ah` when asked for.
+    Products call `csr_matvec(s)` as `csr_matrix @ x` does.
 
     Solve policy, chosen by the dimension with no option.  At d = 1, L_m is
     tridiagonal: each step hands its three diagonals to LAPACK's dgtsv, one
@@ -366,33 +392,32 @@ class Stepper:
         self._last_sweeps = 0   # sweeps the previous step needed
         self._history = []      # solutions of lagged steps, newest first
         self._next = None       # the step they lead into
-        self._samplers = _field_samplers(grid, coeffs)
         self._template, slot = _pattern(grid, coeffs.b is not None)
-        self._diag = slot[-g.primal(grid).size:]   # `_fill_block` emits the diagonal last
+        self._diag = slot[-g.primal(grid).size:]   # `_stencil` emits the diagonal last
         self._bands = _tridiagonal_slots(self._diag) if grid.d == 1 else None
-        self._block_frames = 1 if coeffs.time_independent else \
-            max(1, FRAME_BLOCK_BYTES // (2 * self._template.data.nbytes))
-        self._m0, self._bad, self._block = 0, [], None   # frames [m0, m0 + len(bad)): L, R
+        if coeffs.time_independent:   # one frame, held from the start
+            LR = np.multiply.outer([-self.half_dt, self.half_dt],
+                                   assemble_ah(grid, coeffs, float(self.times[0])).data)
+            LR[:, self._diag] += 1.0
+            self._held = (0, LR)
+        else:
+            self._coef, self._basis, self._bad = _separable(grid, coeffs, self.times, self.half_dt)
+            self._held = (None, None)   # the last frame formed and its L, R
 
     def forcing(self, g0, g1):
         """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
         return self.half_dt * (g0 + g1)
 
     def _frame(self, m: int) -> np.ndarray:
-        """The CSR data of I - dt/2 A and I + dt/2 A at frame m as rows of a
-        (2, nnz) view, filling the block from m if m is not held."""
+        """The CSR data of I - dt/2 A and I + dt/2 A at frame m as the rows of a
+        (2, nnz) array, coef[m] @ basis; the last frame formed is held."""
         if self.coeffs.time_independent:
             m = 0
-        k = m - self._m0
-        if not 0 <= k < len(self._bad):
-            A, self._bad = _fill_block(self.grid, self._samplers,
-                                       self.times[m:m + self._block_frames])
-            self._block = np.multiply.outer([-self.half_dt, self.half_dt], A)
-            self._block.reshape(-1)[_frame_slots(self._diag, A.shape[1], 2 * len(A))] += 1.0
-            self._m0, k = m, 0
-        if self._bad[k]:
-            raise GridError(self._bad[k])
-        return self._block[:, k]
+        if m != self._held[0]:
+            if self._bad[m]:   # the one-frame fill raises with the value, its x and t
+                assemble_ah(self.grid, self.coeffs, float(self.times[m]))
+            self._held = (m, self._coef[m] @ self._basis)
+        return self._held[1]
 
     def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
         """`data` on A's pattern times x by the kernel `csr_matrix @ x` calls."""

@@ -383,8 +383,9 @@ def test_carleman_worker_d3_smoke():
     cfg = parse_config(overrides=["grid.d=3", "carleman.grids=7", "carleman.steps=64",
                                   "carleman.runs=1", "carleman.tau_min=2",
                                   "carleman.tau_max=2"])
-    rows, solver = _carleman_worker((cfg.values, 0))
+    rows, solver, timings = _carleman_worker((cfg.values, 0))
     assert solver["linear_solves"] == 64 and solver["max_linear_residual"] <= 1e-10
+    assert set(timings) == {"march", "scheme_residual", "corpus_terms"}
     assert [(row["N"], row["p"]) for row in rows] == [(7, 0), (7, 1)]
     for row in rows:
         for key in ("I_p", "J_p", "rhs_source", "rhs_local", "rhs_endpoint"):

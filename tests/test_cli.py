@@ -187,6 +187,18 @@ def test_feasibility_csv_header_schema(tmp_path):
     assert sheader == "run_id,h,N,d,tau,delta,lambda,lhs,rhs_observed,rhs_error_term,quotient,seed"
 
 
+def test_carleman_summary_times_each_phase(tmp_path):
+    out = tmp_path / "c"
+    assert main(["carleman", "--set", "carleman.runs=2", "--set", "carleman.steps=16",
+                 "--set", "carleman.feasibility_grids=15", "--set", "carleman.feasibility_runs=1",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    timings = summary["timings"]
+    assert set(timings) == {"march", "scheme_residual", "corpus_terms", "feasibility_table"}
+    assert all(0.0 < s for s in timings.values())
+    assert sum(timings.values()) <= summary["wall_time_s"]
+
+
 def test_feasibility_cells_appear_once(tmp_path):
     # tau1 = 2.5 repeats the first listed tau at the defaults; 4.0 is listed twice here
     out = tmp_path / "fs"

@@ -61,3 +61,16 @@ def test_sample_frames_rejects_wrong_shape(sampler):
     with pytest.raises(GridError, match="shape"):
         solve_forward(grid, random_smooth_coefficients(np.random.default_rng(1), 1, 1.0),
                       sampler, TimeGrid(1.0, 8))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_separable_form_rebuilds_each_call_bitwise(rng, d):
+    # the time factor is taken for all times in one call, as `solver.Stepper` does
+    X = g.primal(g.GridSpec(d, 7)).physical
+    moving = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=0.3)
+    for field in [ConstantField(0.7), *moving.gamma, *moving.b, moving.c]:
+        base, space, rho = field.separable(X)
+        factors = np.ones(len(TIMES)) if rho is None else rho(TIMES)
+        for t, r in zip(TIMES, factors):
+            got = np.full(len(X), base) if space is None else base + space * r
+            assert got.tobytes() == field(float(t), X).tobytes(), field

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from carlstab import grid as g
 from carlstab import solver
+from carlstab.carleman import SCHEME_RESIDUAL_CHECKS
 from carlstab.coefficients import (CoefficientFields, ConstantField, FieldTimeDerivative,
                                    SmoothField, random_smooth_coefficients)
 from carlstab.errors import GridError, SolverError
@@ -605,8 +606,8 @@ def reference_assemble_ah(grid, coeffs, t):
 
 def operator_at(stepper: Stepper, m: int) -> sp.csr_matrix:
     """A_h at frame m after the stepper has handed out that frame, which raises
-    where the block fill rejects it: `assemble_ah` is the one-frame fill, whose
-    bits a block fill shares."""
+    where the stepper's diffusion check flags it: `assemble_ah` is the
+    one-frame fill."""
     stepper._frame(m)
     return assemble_ah(stepper.grid, stepper.coeffs, float(stepper.times[m]))
 
@@ -684,32 +685,94 @@ def test_fill_equals_the_constructor_built_matrix(rng, d, n, b_amp):
         B.indptr[-1] = 0
 
 
-@pytest.mark.parametrize("mode", ["one-frame-blocks", "five-frame-blocks", "time-independent"])
+def _dense(stepper: Stepper, data: np.ndarray) -> np.ndarray:
+    t = stepper._template
+    return sp.csr_matrix((data.copy(), t.indices, t.indptr), shape=t.shape).toarray()
+
+
 @pytest.mark.parametrize("b_amp", [0.0, 0.3], ids=["no-advection", "advection"])
 @pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)], ids=["d1", "d2", "d3"])
-def test_block_frames_match_coo_reference_bitwise(monkeypatch, rng, d, n, b_amp, mode):
-    # 17 frames in blocks of 5 are [0, 5), [5, 10), [10, 15) and the partial [15, 17)
+def test_frames_match_the_one_frame_fill(rng, d, n, b_amp):
+    """L_m and R_m of the separable basis are I -+ dt/2 assemble_ah(t_m) within a
+    few ulp of each row's largest entry; frozen coefficients match bit for bit."""
     grid = g.GridSpec(d, n)
-    frame_bytes = 2 * 8 * solver._pattern(grid, b_amp > 0)[0].nnz
-    monkeypatch.setattr(solver, "FRAME_BLOCK_BYTES", frame_bytes * (1 if "one" in mode else 5))
-    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=mode != "time-independent",
-                                        b_amp=b_amp)
-    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
-    eye = sp.identity(g.primal(grid).size, format="csr")
-    # forward through every block edge, then frames outside the block held
-    for m in [*range(17), 12, 3, 16, 0]:
-        want = reference_assemble_ah(grid, coeffs, float(stepper.times[m]))
-        assert_same_csr(operator_at(stepper, m), want)
-        L, R = (sp.csr_matrix((data.copy(), want.indices, want.indptr), shape=want.shape)
-                for data in stepper._frame(m))
-        assert np.array_equal(L.toarray(), (eye - stepper.half_dt * want).toarray())
-        assert np.array_equal(R.toarray(), (eye + stepper.half_dt * want).toarray())
-    if mode == "one-frame-blocks":
-        assert stepper._block_frames == 1
-    elif mode == "five-frame-blocks":
-        assert stepper._block_frames == 5 and (stepper._m0, len(stepper._bad)) == (0, 5)
-    else:
-        assert len(stepper._bad) == 1
+    eye = np.eye(g.primal(grid).size)
+    for time_dependent in (True, False):
+        coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent,
+                                            b_amp=b_amp)
+        stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
+        for m, t in enumerate(stepper.times):
+            A = assemble_ah(grid, coeffs, float(t)).toarray()
+            for data, sign in zip(stepper._frame(m), (-1.0, 1.0)):
+                got, want = _dense(stepper, data), eye + sign * stepper.half_dt * A
+                if time_dependent:
+                    scale = np.max(np.abs(want), axis=1, keepdims=True)
+                    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+                else:
+                    assert np.array_equal(got, want)
+        if not time_dependent:
+            A = assemble_ah(grid, coeffs, 0.0).data
+            want = np.multiply.outer([-stepper.half_dt, stepper.half_dt], A)
+            want[:, stepper._diag] += 1.0
+            assert all(stepper._frame(m).tobytes() == want.tobytes() for m in (0, 7, 16))
+
+
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7)], ids=["d1", "d2"])
+def test_frame_bytes_do_not_depend_on_access_order(rng, d, n):
+    grid = g.GridSpec(d, n)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=0.3)
+    tg = TimeGrid(1.0, 96)
+    checked = np.arange(0, tg.steps, max(1, tg.steps // SCHEME_RESIDUAL_CHECKS)).tolist()
+    orders = {
+        "march": [k for m in range(tg.steps) for k in (m, m + 1)],   # R_m, then L_m
+        "residual_stride": [k for m in checked for k in (m, m + 1)],
+        "reverse": list(range(tg.steps, -1, -1)),
+    }
+    frames = {}
+    for name, order in orders.items():
+        stepper = Stepper(grid, coeffs, tg)
+        for m in order:
+            frames.setdefault(m, set()).add(stepper._frame(m).tobytes())
+    assert len(frames) == tg.steps + 1 and all(len(seen) == 1 for seen in frames.values())
+
+
+def test_diffusion_flags_equal_the_sampled_check():
+    # rho = 1 + 3 sin(2 pi t + 1) spans [-2, 4]; S = sin(pi x) > 0 on the grid, so
+    # gamma_0 (amp > 0) turns non-positive only where rho < 0 and gamma_1 only where
+    # rho > 0: each branch of the flag decides some frames
+    gammas = tuple(SmoothField(base=0.5, amp=amp, w=(1.0, 0.0), tamp=3.0, tphase=1.0)
+                   for amp in (0.4, -0.4))
+    c = SmoothField(base=0.0, amp=0.5, w=(1.0, 1.0), tamp=0.2)
+    coeffs = CoefficientFields(gamma=gammas, b=None, c=c,
+                               dt_gamma=tuple(FieldTimeDerivative(gm) for gm in gammas),
+                               dt_c=FieldTimeDerivative(c))
+    grid = g.GridSpec(2, 7)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 64))
+    rho = 1.0 + 3.0 * np.sin(2.0 * math.pi * stepper.times + 1.0)
+    flagged = []
+    for ax, gm in enumerate(gammas):
+        X = g.dual_star(grid, ax).physical
+        flagged.append(np.array([(gm(float(t), X) <= 0.0).any() for t in stepper.times]))
+    assert 0 < flagged[0].sum() and not (flagged[0] & (rho >= 0.0)).any()
+    assert 0 < flagged[1].sum() and not (flagged[1] & (rho < 0.0)).any()
+    assert np.array_equal(stepper._bad, flagged[0] | flagged[1])
+    for m in np.flatnonzero(stepper._bad)[:3].tolist():
+        with pytest.raises(GridError, match="non-positive diffusion gamma_"):
+            stepper._frame(m)
+
+
+def test_time_dependent_field_without_separable_form_raises_at_construction():
+    class Plain:
+        def __call__(self, t, X):
+            return np.full(np.atleast_2d(X).shape[0], 1.0 + 0.1 * t)
+
+    gamma = SmoothField(base=1.0, amp=0.2, w=(1.0,), tamp=0.2)
+    coeffs = CoefficientFields(gamma=(gamma,), b=None, c=Plain(),
+                               dt_gamma=(FieldTimeDerivative(gamma),), dt_c=Plain())
+    with pytest.raises(GridError, match="Plain has no separable form"):
+        Stepper(GRID, coeffs, TimeGrid(1.0, 16))
+    # frozen, the same field takes the one-frame fill
+    Stepper(GRID, CoefficientFields(gamma=(gamma,), b=None, c=Plain()), TimeGrid(1.0, 16))
 
 
 @pytest.mark.parametrize("d,n", [(1, 15), (2, 7)], ids=["d1", "d2"])
