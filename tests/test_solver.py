@@ -562,20 +562,31 @@ def test_coefficient_sampler_shape_validated():
 def reference_assemble_ah(grid, coeffs, t):
     """A_h built entry by entry in COO form and converted to CSR: the oracle
     for the fixed-pattern fill."""
-    pm = g.primal(grid)
-    d, h, shape, size = grid.d, grid.h, pm.shape, pm.size
-    idx = np.arange(size).reshape(shape)
-    Xp = pm.physical
-    rows, cols, data = [], [], []
-    diag = np.zeros(size)
-    for ax in range(d):
+    Xp = g.primal(grid).physical
+    gammas = []
+    for ax in range(grid.d):
         star = g.dual_star(grid, ax)
         gam = np.asarray(coeffs.gamma[ax](t, star.physical), dtype=np.float64)
         if np.any(gam <= 0.0):
             k = int(np.argmin(gam))
             raise GridError(
                 f"non-positive diffusion gamma_{ax}={gam[k]:.4g} at x={star.physical[k]}, t={t}")
-        gam = gam.reshape(star.shape)
+        gammas.append(gam)
+    bs = None if coeffs.b is None else [np.asarray(b(t, Xp), dtype=np.float64) for b in coeffs.b]
+    return reference_stencil(grid, gammas, bs, np.asarray(coeffs.c(t, Xp), dtype=np.float64))
+
+
+def reference_stencil(grid, gammas, bs, c):
+    """The COO assembly of A_h from sampled values: gamma_i on dual_star(i),
+    b_i (or None) and c on the primal mesh; no sign check."""
+    pm = g.primal(grid)
+    d, h, shape, size = grid.d, grid.h, pm.shape, pm.size
+    idx = np.arange(size).reshape(shape)
+    rows, cols, data = [], [], []
+    diag = np.zeros(size)
+    for ax in range(d):
+        gam = np.broadcast_to(gammas[ax], (g.dual_star(grid, ax).size,))
+        gam = gam.reshape(g.dual_star(grid, ax).shape)
         sl_lo = [slice(None)] * d
         sl_hi = [slice(None)] * d
         sl_lo[ax] = slice(None, -1)
@@ -589,13 +600,13 @@ def reference_assemble_ah(grid, coeffs, t):
         cols.extend([cols_up, rows_up])
         data.extend([(g_plus[tuple(sl_lo)] / (h * h)).ravel(),
                      (g_minus[tuple(sl_hi)] / (h * h)).ravel()])
-        if coeffs.b is not None:
-            bvals = np.asarray(coeffs.b[ax](t, Xp), dtype=np.float64).reshape(shape)
+        if bs is not None:
+            bvals = np.broadcast_to(bs[ax], (size,)).reshape(shape)
             rows.extend([rows_up, cols_up])
             cols.extend([cols_up, rows_up])
             data.extend([(-bvals[tuple(sl_lo)] / (2.0 * h)).ravel(),
                          (bvals[tuple(sl_hi)] / (2.0 * h)).ravel()])
-    diag -= np.asarray(coeffs.c(t, Xp), dtype=np.float64)
+    diag -= c
     rows.append(np.arange(size))
     cols.append(np.arange(size))
     data.append(diag)
@@ -683,6 +694,71 @@ def test_fill_equals_the_constructor_built_matrix(rng, d, n, b_amp):
         A.indices[0] = 1
     with pytest.raises(ValueError):
         B.indptr[-1] = 0
+
+
+def reference_separable(grid, coeffs, stepper):
+    """(coef, basis) of I -+ dt/2 A_h(t_m) = coef[m] @ basis with each basis row
+    A_h assembled in COO form: the bases, then each field's space alone, then I."""
+    fields = [*coeffs.gamma, *(coeffs.b or ()), coeffs.c]
+    points = [g.dual_star(grid, ax).physical for ax in range(grid.d)]
+    points += [g.primal(grid).physical] * (len(fields) - grid.d)
+    parts = [f.separable(X) for f, X in zip(fields, points)]
+    rows = [[base for base, _, _ in parts]]
+    for k, (_, space, _) in enumerate(parts):
+        rows.append([0.0] * len(parts))
+        rows[-1][k] = 0.0 if space is None else space
+    basis = []
+    for vals in rows:
+        bs = vals[grid.d:-1] if coeffs.b is not None else None
+        basis.append(reference_stencil(grid, vals[:grid.d], bs, vals[-1]))
+    eye = reference_stencil(grid, [0.0] * grid.d, [0.0] * grid.d if coeffs.b else None, 0.0)
+    eye.data[eye.indices == np.repeat(np.arange(eye.shape[0]), np.diff(eye.indptr))] = 1.0
+    basis.append(eye)
+    rho = np.ones((len(stepper.times), 1 + len(parts)))
+    for k, (_, _, rho_k) in enumerate(parts):
+        if rho_k is not None:
+            rho[:, 1 + k] = rho_k(stepper.times)
+    coef = np.ones((len(stepper.times), 2, 2 + len(parts)))
+    coef[:, 0, :-1], coef[:, 1, :-1] = -stepper.half_dt * rho, stepper.half_dt * rho
+    return coef, basis
+
+
+@pytest.mark.parametrize("mode", ["one-frame-blocks", "five-frame-blocks", "time-independent"])
+@pytest.mark.parametrize("b_amp", [0.0, 0.3], ids=["no-advection", "advection"])
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)], ids=["d1", "d2", "d3"])
+def test_block_frames_match_coo_reference_bitwise(rng, d, n, b_amp, mode):
+    """Every frame the stepper hands out, in the walk the mode names over 17
+    frames, matches a COO oracle bit for bit: I -+ dt/2 A_h(t_m) for frozen
+    coefficients, and for time-dependent ones coef[m] @ basis, each basis row
+    assembled in COO form from the separable parts."""
+    grid = g.GridSpec(d, n)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=mode != "time-independent",
+                                        b_amp=b_amp)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
+    if mode == "five-frame-blocks":   # runs of five, the last run first
+        walk = [m for start in (15, 10, 5, 0) for m in range(start, min(start + 5, 17))]
+    else:                             # forward one at a time, then back
+        walk = [*range(17), 12, 3, 16, 0]
+    if mode == "time-independent":
+        assert stepper._held[0] == 0
+        eye = sp.identity(g.primal(grid).size, format="csr")
+    else:
+        coef, basis = reference_separable(grid, coeffs, stepper)
+        assert stepper._coef.tobytes() == coef.tobytes()
+        for got, want in zip(stepper._basis, basis):
+            assert_same_csr(sp.csr_matrix((got, stepper._template.indices,
+                                           stepper._template.indptr), shape=want.shape), want)
+        data = np.stack([want.data for want in basis])
+    for m in walk:
+        want = reference_assemble_ah(grid, coeffs, float(stepper.times[m]))
+        assert_same_csr(operator_at(stepper, m), want)
+        if mode == "time-independent":
+            L, R = (sp.csr_matrix((data.copy(), want.indices, want.indptr), shape=want.shape)
+                    for data in stepper._frame(m))
+            assert np.array_equal(L.toarray(), (eye - stepper.half_dt * want).toarray())
+            assert np.array_equal(R.toarray(), (eye + stepper.half_dt * want).toarray())
+        else:
+            assert stepper._frame(m).tobytes() == (coef[m] @ data).tobytes()
 
 
 def _dense(stepper: Stepper, data: np.ndarray) -> np.ndarray:
