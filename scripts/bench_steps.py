@@ -16,7 +16,15 @@ kernel costs of the same stepper, medians over `--repeat`: microseconds per
 frame for a new `Stepper` to build its frame data and for `Stepper._frame` to
 hand out L and R at every frame of the march in order (the construction,
 which builds the separable basis, is timed with the frames), and
-microseconds per product R_m y of one state.
+microseconds per product R_m y of one state.  A second table times the
+d = 1 march kernel: microseconds per step of `Stepper.march` against the loop
+of `Stepper.step` it replaces, on the same stepper data and forcing, medians
+over `--repeat`; the two must give the same frames bit for bit.
+
+Every time is in reference units, as perfbench reports them: each case runs
+after one burst of `perfbench/reference.py`'s fixed work, and its raw times are
+multiplied by the host speed that burst measured, UNIT_S over the mean unit
+time.  So rows stay comparable while the host's speed drifts between runs.
 
     python scripts/bench_steps.py [--repeat 3] [--seed 0] [--json FILE]
 
@@ -34,9 +42,11 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
+import reference  # noqa: E402
 
 from carlstab import grid as g  # noqa: E402
 from carlstab.coefficients import random_smooth_coefficients  # noqa: E402
@@ -50,6 +60,9 @@ CASES = [(1, 15, 256, True, "normal"), (1, 31, 256, True, "normal"),
          (2, 15, 256, True, "bump"), (2, 31, 256, True, "bump"),
          (1, 15, 4096, False, "normal")]
 PRODUCTS = 2000     # products timed per repeat
+# (N, time-dependent) of the d = 1 march kernel against the step loop, 1024 steps
+MARCH_CASES = [(15, False), (31, False), (63, False), (15, True), (31, True), (63, True)]
+MARCH_STEPS = 1024
 
 
 def draw(d: int, n: int, time_dependent: bool, seed: int):
@@ -87,6 +100,28 @@ def kernels(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tupl
     return per_frame, (time.perf_counter() - start) / PRODUCTS
 
 
+def march_vs_steps(n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, float]:
+    """Seconds per step of `Stepper.march` and of the `Stepper.step` loop at
+    d = 1, from a random-normal state with random-normal forcing; each on a
+    fresh stepper of the same data, so both form their frames."""
+    rng, grid, coeffs = draw(1, n, time_dependent, seed)
+    tg = TimeGrid(1.0, steps)
+    y0, F = rng.normal(size=n), rng.normal(size=(steps, n))
+    stepper = Stepper(grid, coeffs, tg)
+    start = time.perf_counter()
+    frames = stepper.march(y0, F)[0]
+    per_march = (time.perf_counter() - start) / steps
+    stepper = Stepper(grid, coeffs, tg)
+    start = time.perf_counter()
+    y = [y0]
+    for m in range(steps):
+        y.append(stepper.step(m, y[-1], F[m])[0])
+    per_step = (time.perf_counter() - start) / steps
+    if np.array(y).tobytes() != frames.tobytes():
+        raise AssertionError(f"march and step loop differ at N={n}")
+    return per_march, per_step
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
@@ -100,11 +135,12 @@ def main() -> int:
     for d, n, steps, time_dependent, init in CASES:
         times, frames, products, diag = [], [], [], None
         for _ in range(args.repeat):
+            speed = reference.burst()
             elapsed, diag = march(d, n, steps, time_dependent, args.seed, init)
-            times.append(elapsed)
+            times.append(elapsed * speed)
             per_frame, per_product = kernels(d, n, steps, time_dependent, args.seed)
-            frames.append(per_frame)
-            products.append(per_product)
+            frames.append(per_frame * speed)
+            products.append(per_product * speed)
         ms = 1e3 * statistics.median(times) / steps
         row = {"d": d, "N": n, "steps": steps, "time_dependent": time_dependent,
                "init": init, "ms_per_step": ms, "factorisations": diag["factorisations"],
@@ -116,8 +152,27 @@ def main() -> int:
               f"{row['factorisations']:>14} "
               f"{row['sweeps']:>6} {row['sweeps'] / steps:>11.2f} {row['us_per_frame']:>9.2f} "
               f"{row['us_per_product']:>10.2f}", flush=True)
+    print(f"\n{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'us/step march':>13} "
+          f"{'us/step loop':>12} {'loop/march':>10}")
+    kernel_rows = []
+    for n, time_dependent in MARCH_CASES:
+        marches, loops = [], []
+        for _ in range(args.repeat):
+            speed = reference.burst()
+            per_march, per_step = march_vs_steps(n, MARCH_STEPS, time_dependent, args.seed)
+            marches.append(per_march * speed)
+            loops.append(per_step * speed)
+        row = {"d": 1, "N": n, "steps": MARCH_STEPS, "time_dependent": time_dependent,
+               "us_per_step_march": 1e6 * statistics.median(marches),
+               "us_per_step_loop": 1e6 * statistics.median(loops)}
+        kernel_rows.append(row)
+        kind = "time-dependent" if time_dependent else "time-independent"
+        print(f"{1:>2} {n:>3} {MARCH_STEPS:>5} {kind:>16} {row['us_per_step_march']:>13.2f} "
+              f"{row['us_per_step_loop']:>12.2f} "
+              f"{row['us_per_step_loop'] / row['us_per_step_march']:>10.2f}", flush=True)
     if args.json:
-        Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
+        Path(args.json).write_text(json.dumps({"steps": rows, "march": kernel_rows},
+                                              indent=1) + "\n")
     return 0
 
 

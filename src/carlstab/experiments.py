@@ -22,7 +22,7 @@ from . import grid as g
 from . import operators as ops
 from .carleman import (check_scheme_residual, endpoint_term, feasibility_rows,
                        log_endpoint_term, verify_cells)
-from .coefficients import CoefficientFields, random_smooth_coefficients
+from .coefficients import CoefficientFields, ConstantField, random_smooth_coefficients
 from .config import Config
 from .inverse import (add_observation_noise, certify_separable, observe, random_bump,
                       random_separable_source, reconstruct_source, recover_coefficient,
@@ -103,10 +103,10 @@ def _solver_work(diagnostics: list) -> dict:
     return work
 
 
-def _timed(timings: dict, phase: str, fn, *args):
-    """fn(*args), its seconds added to timings[phase]."""
+def _timed(timings: dict, phase: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its seconds added to timings[phase]."""
     start = time.perf_counter()
-    out = fn(*args)
+    out = fn(*args, **kwargs)
     timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - start
     return out
 
@@ -399,7 +399,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
 # stability corpus and decay ---------------------------------------------------
 
 
-def _stability_worker(payload) -> tuple[list, dict]:
+def _stability_worker(payload) -> tuple[list, dict, dict]:
     cfg_values, run_index = payload
     cfg = Config(cfg_values)
     seed = cfg.get("run", "seed")
@@ -410,16 +410,16 @@ def _stability_worker(payload) -> tuple[list, dict]:
     tau, coeffs, _, src = _draw_corpus_run(rng, cfg, time_dependent=False, b_amp=0.0,
                                            tau_range=(cfg.get("carleman", "tau_min"),
                                                       cfg.get("carleman", "tau_max")))
-    rows, marches = [], []
+    rows, marches, timings = [], [], {}
     for n in st["grids"]:
         grid = g.GridSpec(d, int(n))
         tg = TimeGrid(T, st["steps"])
         adm = certify_separable(src, grid, tg)
-        traj = solve_forward(grid, coeffs, adm.g, tg)
-        z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
+        traj = _timed(timings, "march", solve_forward, grid, coeffs, adm.g, tg)
+        z = _timed(timings, "z_system", solve_z_system, traj, coeffs, adm.g, adm.dt_g)
         marches.append((traj.diagnostics, z.diagnostics))
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
-        res = stability_quotient(traj, z, adm, weight)
+        res = _timed(timings, "quotient", stability_quotient, traj, z, adm, weight)
         rows.append({
             "run_id": run_index, "h": grid.h, "N": int(n), "d": d, "tau": tau,
             "delta": weight.params.delta, "lambda": weight.params.lam,
@@ -429,7 +429,7 @@ def _stability_worker(payload) -> tuple[list, dict]:
             "reduced_quotient": res.reduced_quotient,
             "c_g": adm.c_g,
         })
-    return rows, _march_health(marches)
+    return rows, _march_health(marches), timings
 
 
 def _march_health(marches: list) -> dict:
@@ -445,17 +445,18 @@ def run_stability(cfg: Config) -> SuiteResult:
     workers = cfg.get("run", "workers")
     payloads = [(cfg.values, k) for k in range(st["runs"])]
     results = _map_runs(_stability_worker, payloads, workers)    # in run-id order
-    rows = [row for batch, _ in results for row in batch]
+    rows = [row for batch, _, _ in results for row in batch]
     rows.sort(key=lambda r: (r["run_id"], r["N"]))
+    timings = {phase: sum(t[phase] for _, _, t in results) for phase in results[0][2]}
 
     assertions = []
     for key in ("quotient", "reduced_quotient"):
         per_grid = [[r[key] for r in rows if r["N"] == n] for n in st["grids"]]
         assertions.extend(_grid_stability(key, f"{key}_finite", per_grid))
 
-    decay_rows, decay_assertions, decay_health = _decay_study(cfg)
+    decay_rows, decay_assertions, decay_health = _timed(timings, "decay", _decay_study, cfg)
     assertions.extend(decay_assertions)
-    health = [h for _, h in results] + [decay_health]
+    health = [h for _, h, _ in results] + [decay_health]
 
     header = ["run_id", "h", "N", "d", "tau", "delta", "lambda", "lhs", "rhs_observed",
               "rhs_error_term", "quotient", "seed"]
@@ -469,7 +470,7 @@ def run_stability(cfg: Config) -> SuiteResult:
     }
     extras = {**_solver_work(health),
               "max_cross_check_rel": max(h["max_cross_check_rel"] for h in health)}
-    return SuiteResult("stability", assertions, tables, extras=extras)
+    return SuiteResult("stability", assertions, tables, extras=extras, timings=timings)
 
 
 def _decay_study(cfg: Config) -> tuple[list, list, dict]:
@@ -530,15 +531,16 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     d = cfg.get("grid", "d")
     T = cfg.get("time", "t_final")
     rng = run_rng(seed, SUITE_IDS["reconstruct"], 0)
-    rows = []
+    rows, timings = [], {}
 
     grid = g.GridSpec(d, rc["n"])
     tg = TimeGrid(T, rc["steps"])
     adm = certify_separable(random_separable_source(rng, d, T), grid, tg)
     coeffs = random_smooth_coefficients(rng, d, T, time_dependent=False)
-    traj = solve_forward(grid, coeffs, adm.g, tg)
+    traj = _timed(timings, "source_march", solve_forward, grid, coeffs, adm.g, tg)
     obs = observe(traj, Box.cube(*cfg.get("domain", "omega"), d))
-    rec = reconstruct_source(grid, coeffs, adm.r, tg, obs, beta=rc["beta"], truth=adm.f)
+    rec = _timed(timings, "normal_equations", reconstruct_source, grid, coeffs, adm.r, tg, obs,
+                 beta=rc["beta"], truth=adm.f)
     rows.append(["source", grid.n, rc["beta"], 0.0, rec.relative_error])
 
     if rc["noise"] > 0:
@@ -546,7 +548,8 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
         betas = np.logspace(math.log10(rc["beta"]), math.log10(rc["beta"]) + rc["beta_sweep_decades"],
                             rc["beta_sweep_decades"] + 1)
         for b in betas:
-            rec_n = reconstruct_source(grid, coeffs, adm.r, tg, noisy, beta=float(b), truth=adm.f)
+            rec_n = _timed(timings, "normal_equations", reconstruct_source, grid, coeffs, adm.r,
+                           tg, noisy, beta=float(b), truth=adm.f)
             rows.append(["source_noisy", grid.n, float(b), rc["noise"], rec_n.relative_error])
 
     cgrid = g.GridSpec(d, rc["coeff_n"])
@@ -556,9 +559,11 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     shifted = CoefficientFields(gamma=base.gamma, b=None, c=_ShiftedPotential())
     ctg = TimeGrid(rc["coeff_t_final"], rc["coeff_steps"])
     y0 = g.sample(cpm, _product_sine)
-    ctraj = solve_forward(cgrid, shifted, _zero_source, ctg, y_ini=y0)
-    cz = Trajectory(cgrid, ctg, ctraj.dt_frames())
-    recov = recover_coefficient(ctraj, cz, base, alpha=rc["coeff_alpha"], truth=p_true)
+    ctraj = _timed(timings, "coefficient_march", solve_forward, cgrid, shifted, _zero_source,
+                   ctg, y0)
+    recov = _timed(timings, "coefficient_recovery", lambda: recover_coefficient(
+        ctraj, Trajectory(cgrid, ctg, ctraj.dt_frames()), base, alpha=rc["coeff_alpha"],
+        truth=p_true))
     rows.append(["coefficient", cgrid.n, 0.0, 0.0, recov.relative_error])
 
     assertions = [
@@ -568,11 +573,12 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     ]
     header = ["kind", "n", "beta", "noise", "rel_error"]
     return SuiteResult("reconstruct", assertions, {"reconstruct": (header, rows)},
-                       extras=_solver_work([traj.diagnostics, ctraj.diagnostics]))
+                       extras=_solver_work([traj.diagnostics, ctraj.diagnostics]),
+                       timings=timings)
 
 
-def _zero_source(t, X):
-    return np.zeros(np.atleast_2d(X).shape[0])
+# a sampler with `at`, so the coefficient march samples its frames in one call
+_zero_source = ConstantField(0.0)
 
 
 class _ShiftedPotential:

@@ -20,9 +20,9 @@ Time integration is ours: one `Stepper` owns the trapezoidal step
 and its residual; the forward solve, the z-system march, the reconstruction's
 normal equations and the scheme residual check all run through it.  A step
 takes one state or a block of states as columns, so a linear map of the
-forcing marches all its columns at once.  A stepper holds L and R of the
-last frame formed and applies either by scipy's CSR kernel, no matrix per
-frame.
+forcing marches all its columns at once; `Stepper.march` runs one state's
+whole march.  A stepper holds L and R of the last frame formed and applies
+either by scipy's CSR kernel, no matrix per frame.
 The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and each
 step solves it exactly by one Gaussian elimination, LAPACK's dgtsv.  At
 d >= 2 a step solves with one sparse LU factor of L taken at some frame, in
@@ -80,6 +80,9 @@ REFRESH_SWEEPS = 7
 # solutions of the lagged path held for the starting guess: Newton backward
 # extrapolation of degree GUESS_STATES - 1
 GUESS_STATES = 4
+# steps a d = 1 march solves between two checks of the residual contract: the
+# check holds their right-hand sides, so its memory does not grow with the march
+CHECK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -379,6 +382,12 @@ class Stepper:
     the step raises; the residual reported is the largest over the columns.
     `factorisations`, `sweeps` and `linear_solves` (one per step) count the
     work done; at d = 1 every step is one factorisation and no sweep.
+
+    `march` runs one state's steps with the frames, residuals, counters and
+    errors of a `step` loop, which stays its oracle; at d >= 2 it is that
+    loop, as a lagged step needs each solve's residual to choose its sweeps.
+    At d = 1 a step is one R product and one dgtsv on bands formed before
+    its block of CHECK_STEPS steps, and the contract is checked once a block.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
@@ -404,19 +413,27 @@ class Stepper:
             self._coef, self._basis, self._bad = _separable(grid, coeffs, self.times, self.half_dt)
             self._held = (None, None)   # the last frame formed and its L, R
 
-    def forcing(self, g0, g1):
-        """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both ends."""
-        return self.half_dt * (g0 + g1)
+    def forcing(self, g0, g1, out=None):
+        """The source term f_m = dt/2 (g0 + g1) of one step from the sources at both
+        ends, or of every step from the rows g[:-1], g[1:] with out=g[:-1], in place."""
+        return np.multiply(self.half_dt, np.add(g0, g1, out=out), out=out)
+
+    def _frames(self, m0: int, count: int) -> np.ndarray:
+        """The (count, 2, nnz) rows of frames m0, ..., m0 + count - 1 as one product
+        coef[m0:m0 + count] @ basis, bitwise the per-frame products; (1, 2, nnz) for
+        time-independent coefficients, whose one frame serves every m."""
+        if self.coeffs.time_independent:
+            return self._held[1][None]
+        bad = self._bad[m0:m0 + count]
+        if bad.any():   # the one-frame fill raises with the value, its x and t
+            assemble_ah(self.grid, self.coeffs, float(self.times[m0 + int(np.argmax(bad))]))
+        return self._coef[m0:m0 + count] @ self._basis
 
     def _frame(self, m: int) -> np.ndarray:
         """The CSR data of I - dt/2 A and I + dt/2 A at frame m as the rows of a
         (2, nnz) array, coef[m] @ basis; the last frame formed is held."""
-        if self.coeffs.time_independent:
-            m = 0
-        if m != self._held[0]:
-            if self._bad[m]:   # the one-frame fill raises with the value, its x and t
-                assemble_ah(self.grid, self.coeffs, float(self.times[m]))
-            self._held = (m, self._coef[m] @ self._basis)
+        if not self.coeffs.time_independent and m != self._held[0]:
+            self._held = (m, self._frames(m, 1)[0])
         return self._held[1]
 
     def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -496,15 +513,25 @@ class Stepper:
             self._remember(m, x)
         return x, res
 
+    def _singular(self, m: int, info: int) -> SolverError:
+        return SolverError(f"singular L at step {m + 1} (t={float(self.times[m + 1])}): "
+                           f"zero pivot in row {info}")
+
     def _tridiagonal(self, m: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """Solve the tridiagonal L (d = 1) exactly by dgtsv: one factorisation, no sweep."""
         self.factorisations += 1
         lower, diag, upper = (L[slots] for slots in self._bands)
         x, info = dgtsv(lower, diag, upper, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info > 0:
-            raise SolverError(f"singular L at step {m + 1} (t={float(self.times[m + 1])}): "
-                              f"zero pivot in row {info}")
+            raise self._singular(m, info)
         return x, _worst_relative(rhs)(rhs - self._product(L, x))
+
+    def _contract(self, m: int, x: np.ndarray, res: float):
+        """Raise unless step m's state x is finite and its residual meets LINEAR_RESIDUAL_TOL."""
+        if not np.isfinite(x).all():
+            raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
+        if not res <= LINEAR_RESIDUAL_TOL:
+            raise SolverError(f"linear solve failed at step {m + 1}: relative residual {res:.3e}")
 
     def _solve(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """x with L_m x = rhs, and its largest relative residual over the columns."""
@@ -515,15 +542,67 @@ class Stepper:
             x, res = self._lagged(m, frame, L, rhs)
         else:
             x, res = self._tridiagonal(m, L, rhs)
-        if not np.isfinite(x).all():
-            raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
-        if res > LINEAR_RESIDUAL_TOL:
-            raise SolverError(f"linear solve failed: relative residual {res:.3e}")
+        self._contract(m, x, res)
         return x, res
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """y_{m+1} and the largest relative residual of its linear solves."""
         return self._solve(m, self._product(self._frame(m)[1], y) + f)
+
+    def march(self, y0: np.ndarray, F: np.ndarray, m0: int = 0) -> tuple[np.ndarray, float]:
+        """The states y_{m0}, ..., y_{m0 + s} of one state's march from y0 with
+        forcing F[k] at step m0 + k, s = len(F), and the largest relative
+        residual of its solves; bitwise the `step` loop."""
+        frames = np.empty((len(F) + 1, np.size(y0)))
+        frames[0] = y0
+        worst = 0.0
+        if self._bands is None:
+            for k, f in enumerate(F):
+                frames[k + 1], res = self.step(m0 + k, frames[k], f)
+                worst = max(worst, res)
+            return frames, worst
+        steps, n = F.shape
+        t, rhs = self._template, np.empty((CHECK_STEPS, n))
+        for k0 in range(0, steps, CHECK_STEPS):   # form a block's frames and bands of L, then solve
+            count = min(CHECK_STEPS, steps - k0)
+            LR = self._frames(m0 + k0, count + 1)
+            R = np.broadcast_to(LR[:, 1], (count + 1, LR.shape[2]))
+            bands = [np.broadcast_to(LR[:, 0, s], (count + 1, s.size)) for s in self._bands]
+            lower, diag, upper = bands
+            rhs[:], info = 0.0, 0
+            for j, k in enumerate(range(k0, k0 + count)):
+                b = rhs[j]
+                _sparsetools.csr_matvec(n, n, t.indptr, t.indices, R[j], frames[k], b)
+                b += F[k]
+                frames[k + 1], info = dgtsv(lower[j + 1], diag[j + 1], upper[j + 1], b)[3:]
+                if info > 0:
+                    count = j
+                    break
+            worst = max(worst, self._check(m0 + k0, [a[1:count + 1] for a in bands],
+                                           frames[k0 + 1:k0 + count + 1], rhs[:count]))
+            if info > 0:   # after any failure earlier in its block
+                raise self._singular(m0 + k0 + count, info)
+        self.factorisations += steps
+        self.linear_solves += steps
+        return frames, worst
+
+    def _check(self, m: int, bands: list, X: np.ndarray, rhs: np.ndarray) -> float:
+        """The largest relative residual of steps m, m + 1, ... from rows of their
+        states X, right-hand sides and bands of L, summed in csr_matvec's order
+        with `_tridiagonal`'s bits; the first step that breaks the contract raises."""
+        lower, diag, upper = bands
+        n = X.shape[1]
+        LX = diag * X
+        LX[:, 1:] += lower[:, :n - 1] * X[:, :-1]   # at n = 1 the stand-ins drop out
+        LX[:, :-1] += upper[:, :n - 1] * X[:, 1:]
+        r = rhs - LX
+        norms = np.sqrt(np.einsum("ij,ij->i", rhs, rhs))
+        res = np.sqrt(np.einsum("ij,ij->i", r, r)) / np.where(norms > 0.0, norms, 1.0)
+        ok = np.isfinite(X).all(axis=1) & (res <= LINEAR_RESIDUAL_TOL)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            self._contract(m + j, X[j], res[j])
+        return float(res.max(initial=0.0))
 
     def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
         """L_m y1 - R_m y0 - f: zero up to the solve tolerance on a true step."""
@@ -545,16 +624,9 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
         y = np.zeros(pm.size)
     else:
         g.require_mesh(y_ini, pm, "initial frame")
-        y = y_ini.values.copy()
-    times = time_grid.times
-    frames = np.empty((time_grid.steps + 1, pm.size))
-    frames[0] = y
-    g_all = sample_frames(source, times, X)
-    max_res = 0.0
-    for m in range(time_grid.steps):
-        y, res = stepper.step(m, y, stepper.forcing(g_all[m], g_all[m + 1]))
-        max_res = max(max_res, res)
-        frames[m + 1] = y
+        y = y_ini.values
+    g_all = sample_frames(source, time_grid.times, X)
+    frames, max_res = stepper.march(y, stepper.forcing(g_all[:-1], g_all[1:], out=g_all[:-1]))
     return Trajectory(grid, time_grid, frames,
                       diagnostics={"max_linear_residual": max_res,
                                    "factorisations": stepper.factorisations,
@@ -586,19 +658,13 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
         + np.asarray(source(t_half, X), dtype=np.float64)
 
     rates = sample_frames(dt_source, times[half:], X)
-
-    def forcing(m):
-        if coeffs.time_independent:
-            return rates[m - half]
-        bh = apply_bh(grid, coeffs, float(times[m]), g.MeshFunction(pm, y_traj.values[m]))
-        return rates[m - half] + bh.values
-
+    if not coeffs.time_independent:
+        for m in range(half, tg.steps + 1):
+            rates[m - half] += apply_bh(grid, coeffs, float(times[m]),
+                                        g.MeshFunction(pm, y_traj.values[m])).values
     stepper = Stepper(grid, coeffs, tg)
-    f_now = forcing(half)
-    for m in range(half, tg.steps):
-        f_next = forcing(m + 1)
-        frames[m + 1] = stepper.step(m, frames[m], stepper.forcing(f_now, f_next))[0]
-        f_now = f_next
+    frames[half:] = stepper.march(frames[half], stepper.forcing(rates[:-1], rates[1:],
+                                                                out=rates[:-1]), half)[0]
 
     cell = grid.h ** grid.d
     gap = np.sqrt(np.sum((frames - zc) ** 2, axis=1) * cell)

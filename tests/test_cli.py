@@ -199,6 +199,23 @@ def test_carleman_summary_times_each_phase(tmp_path):
     assert sum(timings.values()) <= summary["wall_time_s"]
 
 
+@pytest.mark.parametrize("argv,phases", [
+    (["stability", "--set", "stability.runs=2", "--set", "stability.steps=64",
+      "--set", "stability.decay_grids=15,31", "--set", "stability.decay_steps=64"],
+     {"march", "z_system", "quotient", "decay"}),
+    (["reconstruct", "--set", "reconstruct.steps=64", "--set", "reconstruct.coeff_steps=256",
+      "--set", "reconstruct.noise=0.01"],
+     {"source_march", "normal_equations", "coefficient_march", "coefficient_recovery"}),
+], ids=["stability", "reconstruct"])
+def test_inverse_summaries_time_each_phase(tmp_path, argv, phases):
+    out = tmp_path / argv[0]
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["timings"]) == phases
+    assert all(0.0 < s for s in summary["timings"].values())
+    assert sum(summary["timings"].values()) <= summary["wall_time_s"]
+
+
 def test_feasibility_cells_appear_once(tmp_path):
     # tau1 = 2.5 repeats the first listed tau at the defaults; 4.0 is listed twice here
     out = tmp_path / "fs"

@@ -45,3 +45,7 @@ def test_bench_steps_runs_one_tiny_case(monkeypatch):
     # the smooth-bump start, at d = 2 where a lagged step extrapolates
     elapsed, diag = bench.march(2, 7, 8, True, 0, "bump")
     assert diag["linear_solves"] == 8 and diag["max_linear_residual"] <= 1e-10
+    # the d = 1 march kernel against the step loop, which must agree bit for bit
+    for time_dependent in (False, True):
+        per_march, per_step = bench.march_vs_steps(7, 8, time_dependent, 0)
+        assert per_march > 0.0 and per_step > 0.0

@@ -868,3 +868,154 @@ def test_direct_product_equals_csr_matmul_bitwise(rng, d, n):
             for x in states:
                 got, want = stepper._product(data, x), M @ x
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# the whole-march kernel against the step loop -------------------------------------
+
+
+def _step_loop(stepper, y0, F, m0=0):
+    """The oracle of `Stepper.march`: one `step` per forcing row, its frames and
+    largest residual."""
+    frames, worst = [np.asarray(y0, dtype=np.float64)], 0.0
+    for k, f in enumerate(F):
+        y, res = stepper.step(m0 + k, frames[-1], f)
+        frames.append(y)
+        worst = max(worst, res)
+    return np.array(frames), worst
+
+
+def _raised(fn, *args):
+    """The type and message of what fn(*args) raises."""
+    with pytest.raises((SolverError, GridError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+# 2 CHECK_STEPS + 22 steps: from 0 and from the mid frame, neither a multiple of the block
+MARCH_STEPS = 2 * solver.CHECK_STEPS + 22
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 63])
+@pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (False, 0.8), (True, 0.0),
+                                                  (True, 0.8)],
+                         ids=["time-independent", "time-independent-advection",
+                              "time-dependent", "time-dependent-advection"])
+def test_march_equals_the_step_loop_bitwise(rng, n, time_dependent, b_amp):
+    grid = g.GridSpec(1, n)
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent, b_amp=b_amp)
+    tg = TimeGrid(1.0, MARCH_STEPS)
+    for m0 in (0, tg.mid):
+        y0, F = rng.normal(size=n), rng.normal(size=(tg.steps - m0, n))
+        fast, slow = (Stepper(grid, coeffs, tg) for _ in range(2))
+        frames, worst = fast.march(y0, F, m0)
+        want, want_worst = _step_loop(slow, y0, F, m0)
+        assert frames.shape == want.shape and frames.tobytes() == want.tobytes()
+        # the same residuals, whose norms may be summed in another order
+        assert math.isclose(worst, want_worst, rel_tol=1e-12) and worst <= 1e-10
+        # one exact elimination a step
+        counters = [(s.factorisations, s.sweeps, s.linear_solves) for s in (fast, slow)]
+        assert counters[0] == counters[1] == (tg.steps - m0, 0, tg.steps - m0)
+
+
+def test_march_at_d2_is_the_step_loop(rng):
+    grid = g.GridSpec(2, 7)
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.8)
+    tg = TimeGrid(1.0, 32)
+    y0, F = rng.normal(size=(2, 49)), rng.normal(size=(16, 49))
+    fast, slow = (Stepper(grid, coeffs, tg) for _ in range(2))
+    frames, worst = fast.march(y0[0], F, 16)
+    want, want_worst = _step_loop(slow, y0[0], F, 16)
+    assert frames.tobytes() == want.tobytes() and worst == want_worst
+    assert (fast.factorisations, fast.sweeps) == (slow.factorisations, slow.sweeps)
+
+
+@pytest.mark.parametrize("d,n", [(1, 15), (1, 63), (2, 15)])
+def test_batched_frames_equal_the_per_frame_product_bitwise(rng, d, n):
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=0.3)
+    stepper = Stepper(g.GridSpec(d, n), coeffs, TimeGrid(1.0, 64))
+    for m0, count in ((0, 65), (32, 33), (5, 1)):
+        batch = stepper._frames(m0, count)
+        for k in range(count):
+            assert batch[k].tobytes() == (stepper._coef[m0 + k] @ stepper._basis).tobytes()
+
+
+def _faulty_dgtsv(call: int):
+    """dgtsv with its solution 3 times too large on the given call, counted from 1."""
+    calls = [0]
+
+    def faulty(*args, **kw):
+        calls[0] += 1
+        return _perturbed_dgtsv(*args, **kw) if calls[0] == call else _dgtsv(*args, **kw)
+    return faulty
+
+
+def test_march_raises_at_the_first_step_that_breaks_the_contract(rng, monkeypatch):
+    tg = TimeGrid(1.0, 100)
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True, b_amp=0.8)
+    y0, F = rng.normal(size=15), rng.normal(size=(100, 15))
+    # every step off: the first one raises
+    monkeypatch.setattr(solver, "dgtsv", _perturbed_dgtsv)
+    with pytest.raises(SolverError, match="at step 1: relative residual"):
+        solve_forward(GRID, coeffs, product_sine_source, tg)
+    # one step in the second check block off: the march raises it, as the loop does
+    for call in (70, 100):
+        monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(call))
+        got = _raised(Stepper(GRID, coeffs, tg).march, y0, F)
+        monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(call))
+        assert got == _raised(_step_loop, Stepper(GRID, coeffs, tg), y0, F)
+        assert got[0] is SolverError and f"at step {call}: relative residual" in got[1]
+
+
+def test_march_raises_at_the_first_non_finite_step():
+    class ExplodingSource:
+        def __call__(self, t, X):
+            return np.full(X.shape[0], np.nan if t > 0.5 else 0.0)
+
+    tg = TimeGrid(1.0, 100)
+    coeffs = CoefficientFields.constant(1)
+    F = solver.sample_frames(ExplodingSource(), tg.times, g.primal(GRID).physical)
+    F = F[:-1] + F[1:]
+    got = _raised(Stepper(GRID, coeffs, tg).march, np.zeros(15), F)
+    assert got == _raised(_step_loop, Stepper(GRID, coeffs, tg), np.zeros(15), F)
+    assert got == (SolverError, "non-finite state at step 51 (t=0.51)")
+    with pytest.raises(SolverError, match="non-finite state at step 51"):
+        solve_forward(GRID, coeffs, ExplodingSource(), tg)
+
+
+def test_march_raises_a_zero_pivot_at_its_step(rng, monkeypatch):
+    tg = TimeGrid(1.0, 100)
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True, b_amp=0.8)
+    y0, F = rng.normal(size=15), rng.normal(size=(100, 15))
+
+    def singular_at(frame):
+        stepper = Stepper(GRID, coeffs, tg)
+        stepper._coef[frame, 0] = 0.0   # L_{frame - 1} = 0: a zero pivot in row 1
+        return stepper
+
+    got = _raised(singular_at(70).march, y0, F)
+    assert got == _raised(_step_loop, singular_at(70), y0, F)
+    assert got[0] is SolverError and got[1].startswith("singular L at step 70 ")
+    # a step earlier in the same check block that breaks the contract comes first
+    monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(66))
+    got = _raised(singular_at(70).march, y0, F)
+    monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(66))
+    assert got == _raised(_step_loop, singular_at(70), y0, F)
+    assert "at step 66: relative residual" in got[1]
+
+
+def test_march_rejects_nonpositive_diffusion_as_the_loop_does():
+    # gamma = 0.5 - 0.45 sin(pi x) rho(t), rho in [0.7, 1.3]: positive on some frames only
+    gamma = SmoothField(base=0.5, amp=0.45, w=(1.0,), phase=math.pi, tamp=0.3)
+    c = SmoothField(base=0.0, amp=0.5, w=(1.0,), tamp=0.2)
+    coeffs = CoefficientFields(gamma=(gamma,), b=None, c=c,
+                               dt_gamma=(FieldTimeDerivative(gamma),),
+                               dt_c=FieldTimeDerivative(c))
+    tg = TimeGrid(1.0, 16)
+    y0, F = np.ones(15), np.zeros((16, 15))
+    stepper = Stepper(GRID, coeffs, tg)
+    first = int(np.argmax(stepper._bad))
+    with pytest.raises(GridError) as info:
+        assemble_ah(GRID, coeffs, float(tg.times[first]))
+    got = _raised(stepper.march, y0, F)
+    assert got == _raised(_step_loop, Stepper(GRID, coeffs, tg), y0, F)
+    assert got == (GridError, str(info.value))
