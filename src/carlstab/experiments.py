@@ -561,9 +561,9 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
     y0 = g.sample(cpm, _product_sine)
     ctraj = _timed(timings, "coefficient_march", solve_forward, cgrid, shifted, _zero_source,
                    ctg, y0)
-    recov = _timed(timings, "coefficient_recovery", lambda: recover_coefficient(
-        ctraj, Trajectory(cgrid, ctg, ctraj.dt_frames()), base, alpha=rc["coeff_alpha"],
-        truth=p_true))
+    cz = Trajectory(cgrid, ctg, ctraj.dt_frames())
+    recov = _timed(timings, "coefficient_recovery", recover_coefficient, ctraj, cz, base,
+                   alpha=rc["coeff_alpha"], truth=p_true)
     rows.append(["coefficient", cgrid.n, 0.0, 0.0, recov.relative_error])
 
     assertions = [

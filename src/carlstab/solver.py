@@ -335,6 +335,17 @@ def _worst_relative(rhs: np.ndarray):
     return lambda r: float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r)) / scale))
 
 
+def _banded(bands: list, X: np.ndarray) -> np.ndarray:
+    """L x for each row x of X, where the rows of bands hold each L's diagonals as
+    dgtsv takes them; summed in csr_matvec's order, so bitwise `Stepper._product`."""
+    lower, diag, upper = bands
+    n = X.shape[1]
+    LX = diag * X
+    LX[:, 1:] += lower[:, :n - 1] * X[:, :-1]   # at n = 1 the stand-ins drop out
+    LX[:, :-1] += upper[:, :n - 1] * X[:, 1:]
+    return LX
+
+
 class Stepper:
     """The implicit time step of dt y = A_h(t) y + g on one time grid.
 
@@ -425,15 +436,19 @@ class Stepper:
         if self.coeffs.time_independent:
             return self._held[1][None]
         bad = self._bad[m0:m0 + count]
-        if bad.any():   # the one-frame fill raises with the value, its x and t
+        if bad.any():   # as `_frame` would at the first flagged frame
             assemble_ah(self.grid, self.coeffs, float(self.times[m0 + int(np.argmax(bad))]))
         return self._coef[m0:m0 + count] @ self._basis
 
     def _frame(self, m: int) -> np.ndarray:
         """The CSR data of I - dt/2 A and I + dt/2 A at frame m as the rows of a
         (2, nnz) array, coef[m] @ basis; the last frame formed is held."""
-        if not self.coeffs.time_independent and m != self._held[0]:
-            self._held = (m, self._frames(m, 1)[0])
+        if self.coeffs.time_independent:
+            m = 0
+        if m != self._held[0]:
+            if self._bad[m]:   # the one-frame fill raises with the value, its x and t
+                assemble_ah(self.grid, self.coeffs, float(self.times[m]))
+            self._held = (m, self._coef[m] @ self._basis)
         return self._held[1]
 
     def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -588,14 +603,9 @@ class Stepper:
 
     def _check(self, m: int, bands: list, X: np.ndarray, rhs: np.ndarray) -> float:
         """The largest relative residual of steps m, m + 1, ... from rows of their
-        states X, right-hand sides and bands of L, summed in csr_matvec's order
-        with `_tridiagonal`'s bits; the first step that breaks the contract raises."""
-        lower, diag, upper = bands
-        n = X.shape[1]
-        LX = diag * X
-        LX[:, 1:] += lower[:, :n - 1] * X[:, :-1]   # at n = 1 the stand-ins drop out
-        LX[:, :-1] += upper[:, :n - 1] * X[:, 1:]
-        r = rhs - LX
+        states X, right-hand sides and bands of L; the first step that breaks the
+        contract raises."""
+        r = rhs - _banded(bands, X)
         norms = np.sqrt(np.einsum("ij,ij->i", rhs, rhs))
         res = np.sqrt(np.einsum("ij,ij->i", r, r)) / np.where(norms > 0.0, norms, 1.0)
         ok = np.isfinite(X).all(axis=1) & (res <= LINEAR_RESIDUAL_TOL)

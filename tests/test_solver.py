@@ -936,7 +936,19 @@ def test_batched_frames_equal_the_per_frame_product_bitwise(rng, d, n):
     for m0, count in ((0, 65), (32, 33), (5, 1)):
         batch = stepper._frames(m0, count)
         for k in range(count):
-            assert batch[k].tobytes() == (stepper._coef[m0 + k] @ stepper._basis).tobytes()
+            assert batch[k].tobytes() == stepper._frame(m0 + k).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 63])
+def test_banded_product_equals_the_csr_kernel_bitwise(rng, n):
+    # the block check's L x against `_product`, on the bands a march gathers
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True, b_amp=0.8)
+    stepper = Stepper(g.GridSpec(1, n), coeffs, TimeGrid(1.0, 16))
+    L = stepper._frames(0, 17)[:, 0]
+    X = rng.normal(size=(17, n))
+    got = solver._banded([L[:, s] for s in stepper._bands], X)
+    want = np.array([stepper._product(L[k], X[k]) for k in range(17)])
+    assert got.tobytes() == want.tobytes()
 
 
 def _faulty_dgtsv(call: int):
@@ -992,9 +1004,11 @@ def test_march_raises_a_zero_pivot_at_its_step(rng, monkeypatch):
         stepper._coef[frame, 0] = 0.0   # L_{frame - 1} = 0: a zero pivot in row 1
         return stepper
 
-    got = _raised(singular_at(70).march, y0, F)
-    assert got == _raised(_step_loop, singular_at(70), y0, F)
-    assert got[0] is SolverError and got[1].startswith("singular L at step 70 ")
+    # mid-block, and first in the first and the second check block
+    for frame in (70, 1, solver.CHECK_STEPS + 1):
+        got = _raised(singular_at(frame).march, y0, F)
+        assert got == _raised(_step_loop, singular_at(frame), y0, F)
+        assert got[0] is SolverError and got[1].startswith(f"singular L at step {frame} ")
     # a step earlier in the same check block that breaks the contract comes first
     monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(66))
     got = _raised(singular_at(70).march, y0, F)
