@@ -921,10 +921,10 @@ def test_march_at_d2_is_the_step_loop(rng):
     grid = g.GridSpec(2, 7)
     coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.8)
     tg = TimeGrid(1.0, 32)
-    y0, F = rng.normal(size=(2, 49)), rng.normal(size=(16, 49))
+    y0, F = rng.normal(size=49), rng.normal(size=(16, 49))
     fast, slow = (Stepper(grid, coeffs, tg) for _ in range(2))
-    frames, worst = fast.march(y0[0], F, 16)
-    want, want_worst = _step_loop(slow, y0[0], F, 16)
+    frames, worst = fast.march(y0, F, 16)
+    want, want_worst = _step_loop(slow, y0, F, 16)
     assert frames.tobytes() == want.tobytes() and worst == want_worst
     assert (fast.factorisations, fast.sweeps) == (slow.factorisations, slow.sweeps)
 
