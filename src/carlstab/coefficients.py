@@ -90,21 +90,28 @@ class FieldTimeDerivative:
         return self.field.dt(t, X)
 
 
-def sample_frames(fn, times, X) -> np.ndarray:
-    """fn(t, X) at every time of `times`, stacked: shape (len(times), len(X)).
+def frame_sampler(fn, X):
+    """times -> fn(t, X) at every time, stacked, shape (len(times), len(X)): by
+    `fn.at(X)`, formed once, on the column of times if the sampler has `at`, else
+    by fn once per time; a block of the wrong shape is rejected."""
+    X = np.atleast_2d(X)
+    at = fn.at(X) if hasattr(fn, "at") else None
 
-    Calls `fn.at(X)` on the column of times when the sampler has `at`, else
-    fn once per time; rejects a block of the wrong shape.
-    """
-    times, X = np.asarray(times, dtype=np.float64), np.atleast_2d(X)
-    if hasattr(fn, "at"):
-        vals = np.asarray(fn.at(X)(times[:, None]), dtype=np.float64)
-    else:
-        vals = np.stack([np.asarray(fn(float(t), X), dtype=np.float64) for t in times])
-    if vals.shape != (len(times), X.shape[0]):
-        raise GridError(f"sampler returned frames of shape {vals.shape}, "
-                        f"expected ({len(times)}, {X.shape[0]})")
-    return vals
+    def frames(times) -> np.ndarray:
+        times = np.asarray(times, dtype=np.float64)
+        vals = np.asarray(at(times[:, None]) if at is not None else
+                          [np.asarray(fn(float(t), X), dtype=np.float64) for t in times],
+                          dtype=np.float64)
+        if vals.shape != (len(times), X.shape[0]):
+            raise GridError(f"sampler returned frames of shape {vals.shape}, "
+                            f"expected ({len(times)}, {X.shape[0]})")
+        return vals
+
+    return frames
+
+
+def sample_frames(fn, times, X) -> np.ndarray:
+    return frame_sampler(fn, X)(times)
 
 
 @dataclass

@@ -119,6 +119,9 @@ SCHEMA = {
 }
 
 
+# the most primal unknowns a corpus or feasibility grid may march: N = 31 at d = 3
+# (29 791), not N = 63 (250 047, gigabytes of factors)
+MAX_UNKNOWNS = 1 << 15
 # step counts whose runs observe, or certify a source at, the mid time T/2
 _MID_TIME_STEPS = ("stability.steps", "stability.decay_steps", "reconstruct.steps",
                    "reconstruct.coeff_steps")
@@ -261,6 +264,11 @@ def _validate(cfg: Config):
                         "(the noisy sweep steps beta in decades from it)")
     if cfg.get("weights", "eps0") <= 0:
         problems.append("weights.eps0: must be positive")
+    d = cfg.get("grid", "d")
+    for name in ("carleman.grids", "carleman.feasibility_grids", "stability.grids"):
+        for n in [n for n in cfg.get(*name.split(".")) if n ** d > MAX_UNKNOWNS][:1]:
+            problems.append(f"{name}: N={n} at d={d} marches {n ** d} unknowns, more than "
+                            f"{MAX_UNKNOWNS}")
     if not problems:
         _check_tau_window(cfg, problems)
         _check_feasibility_cells(cfg, problems)

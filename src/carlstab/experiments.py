@@ -20,8 +20,7 @@ import numpy as np
 
 from . import grid as g
 from . import operators as ops
-from .carleman import (check_scheme_residual, endpoint_term, feasibility_rows,
-                       log_endpoint_term, verify_cells)
+from .carleman import check_scheme_residual, endpoint_term, feasibility_rows, verify_cells
 from .coefficients import CoefficientFields, ConstantField, random_smooth_coefficients
 from .config import Config
 from .inverse import (add_observation_noise, certify_separable, observe, random_bump,
@@ -247,7 +246,7 @@ def run_energy(cfg: Config) -> SuiteResult:
     violations = 0
     margins = []
     rows = []
-    diagnostics = []
+    diagnostics, timings = [], {}
     for k in range(en["runs"]):
         rng = run_rng(seed, SUITE_IDS["energy"], k)
         d = int(rng.integers(1, 3))
@@ -259,10 +258,10 @@ def run_energy(cfg: Config) -> SuiteResult:
         y0 = g.MeshFunction(pm, rng.normal(size=pm.size))
         src = random_separable_source(rng, d, 1.0)
         tg = TimeGrid(1.0, en["steps"])
-        traj = solve_forward(grid, coeffs, src, tg, y_ini=y0)
+        traj = _timed(timings, "march", solve_forward, grid, coeffs, src, tg, y_ini=y0)
         diagnostics.append(traj.diagnostics)
         for t0, t1 in ((0.0, 1.0), (0.25, 0.75), (0.5, 0.9375)):
-            rep = energy_check(traj, coeffs, src, t0, t1)
+            rep = _timed(timings, "check", energy_check, traj, coeffs, src, t0, t1)
             violations += int(not rep.holds)
             margin = rep.rhs / rep.lhs if rep.lhs > 0 else math.inf
             margins.append(margin)
@@ -270,7 +269,8 @@ def run_energy(cfg: Config) -> SuiteResult:
     assertions = [_le("energy_violations", violations, 0)]
     header = ["run_id", "d", "n", "t0", "t1", "lhs", "rhs", "c_tilde", "holds"]
     return SuiteResult("energy", assertions, {"energy": (header, rows)},
-                       extras={"min_margin": min(margins), **_solver_work(diagnostics)})
+                       extras={"min_margin": min(margins), **_solver_work(diagnostics)},
+                       timings=timings)
 
 
 # weighted-inequality corpus --------------------------------------------------
@@ -299,7 +299,7 @@ def _carleman_worker(payload) -> tuple[list, dict, dict]:
     tau, coeffs, y_prof, src = _draw_corpus_run(
         rng, cfg, time_dependent=True, b_amp=ca["b_amp"],
         tau_range=(ca["tau_min"], ca["tau_max"]))
-    rows, diagnostics, timings = [], [], {}
+    rows, diagnostics, timings, work = [], [], {}, {"weighted_points": 0}
     for n in ca["grids"]:
         grid = g.GridSpec(d, int(n))
         y0 = g.sample(g.primal(grid), y_prof)
@@ -309,14 +309,13 @@ def _carleman_worker(payload) -> tuple[list, dict, dict]:
         residual = _timed(timings, "scheme_residual", check_scheme_residual, traj, coeffs, src)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
         for rep in _timed(timings, "corpus_terms", verify_cells, traj, src, coeffs,
-                          [(weight, 0), (weight, 1)]):
+                          [(weight, 0), (weight, 1)], work):
             rows.append({
                 "run_id": run_index, "N": int(n), "h": grid.h, "p": rep.p,
                 "tau": tau, "delta": weight.params.delta, "lambda": weight.params.lam,
                 **rep.columns(), "admissible": rep.admissible, "residual": residual,
-                "skipped_rel": rep.skipped_rel,
             })
-    return rows, _solver_work(diagnostics), timings
+    return rows, {**_solver_work(diagnostics), **work}, timings
 
 
 def _map_runs(worker, payloads, workers: int):
@@ -326,6 +325,32 @@ def _map_runs(worker, payloads, workers: int):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, payloads))
     return results
+
+
+def _feasibility_table(cfg: Config) -> tuple[list, list, int]:
+    """The feasibility rows of every feasibility grid, the diagnostics of their
+    marches, and the table entries their weighted sums formed."""
+    ca, w = cfg["carleman"], cfg["weights"]
+    d = cfg.get("grid", "d")
+    T = cfg.get("time", "t_final")
+    seed = cfg.get("run", "seed")
+    draws = [_draw_corpus_run(run_rng(seed, SUITE_IDS["feasibility"], i), cfg,
+                              time_dependent=True, b_amp=ca["b_amp"],
+                              tau_range=(ca["tau_min"], ca["tau_max"]))
+             for i in range(ca["feasibility_runs"])]
+    rows, diagnostics, work = [], [], {"weighted_points": 0}
+    for n in ca["feasibility_grids"]:
+        grid = g.GridSpec(d, int(n))
+        runs = [(solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]),
+                               y_ini=g.sample(g.primal(grid), y_prof)), src, coeffs)
+                for _, coeffs, y_prof, src in draws]
+        diagnostics += [traj.diagnostics for traj, _, _ in runs]
+        cells = feasibility_cells(T, grid.h, w["tau1"], w["eps0"], ca["feasibility_taus"],
+                                  ca["feasibility_deltas"])
+        rows += feasibility_rows(
+            [_weight(cfg, grid, _weight_params(cfg, tau=float(tau), delta=float(delta)))
+             for tau, delta in cells], runs, work)
+    return rows, diagnostics, work["weighted_points"]
 
 
 def run_carleman(cfg: Config) -> SuiteResult:
@@ -346,29 +371,9 @@ def run_carleman(cfg: Config) -> SuiteResult:
                      and r["admissible"] and r["ratio"] is not None] for n in ca["grids"]]
         assertions.extend(_grid_stability(f"p{p}", f"p{p}_max_ratio_finite", per_grid))
 
+    fea_rows, fea_diagnostics, fea_points = _timed(timings, "feasibility_table",
+                                                   _feasibility_table, cfg)
     d = cfg.get("grid", "d")
-    T = cfg.get("time", "t_final")
-    seed = cfg.get("run", "seed")
-
-    fea_start = time.perf_counter()
-    fea_draws = [_draw_corpus_run(run_rng(seed, SUITE_IDS["feasibility"], i), cfg,
-                                  time_dependent=True, b_amp=ca["b_amp"],
-                                  tau_range=(ca["tau_min"], ca["tau_max"]))
-                 for i in range(ca["feasibility_runs"])]
-    w = cfg["weights"]
-    fea_rows = []
-    for n in ca["feasibility_grids"]:
-        grid = g.GridSpec(d, int(n))
-        runs = [(solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]),
-                               y_ini=g.sample(g.primal(grid), y_prof)), src, coeffs)
-                for _, coeffs, y_prof, src in fea_draws]
-        solver_work += [traj.diagnostics for traj, _, _ in runs]
-        cells = feasibility_cells(T, grid.h, w["tau1"], w["eps0"], ca["feasibility_taus"],
-                                  ca["feasibility_deltas"])
-        fea_rows += feasibility_rows(
-            [_weight(cfg, grid, _weight_params(cfg, tau=float(tau), delta=float(delta)))
-             for tau, delta in cells], runs)
-    timings["feasibility_table"] = time.perf_counter() - fea_start
     for n in ca["feasibility_grids"]:
         h = g.GridSpec(d, int(n)).h
         n_adm = sum(1 for r in fea_rows if r["h"] == h and r["admissible"])
@@ -387,12 +392,9 @@ def run_carleman(cfg: Config) -> SuiteResult:
         "carleman_corpus": (corpus_header, [[r[k] for k in corpus_header] for r in rows]),
         "feasibility": (fea_header, [[r[k] for k in fea_header] for r in fea_rows]),
     }
-    skipped = [r["skipped_rel"] for r in rows + fea_rows]
-    extras = {**_solver_work(solver_work),
-              # a cell whose every term fell below the underflow guard (lhs = rhs = 0)
-              # has no relative skipped mass: it is counted instead
-              "max_skipped_rel": max((v for v in skipped if v < math.inf), default=0.0),
-              "fully_skipped_cells": skipped.count(math.inf)}
+    extras = {**_solver_work(solver_work + fea_diagnostics),
+              # entries of the scale-free weight tables the weighted sums formed
+              "weighted_points": sum(w["weighted_points"] for w in solver_work) + fea_points}
     return SuiteResult("carleman", assertions, tables, extras=extras, timings=timings)
 
 
@@ -498,12 +500,11 @@ def _decay_study(cfg: Config) -> tuple[list, list, dict]:
         traj = solve_forward(grid, coeffs, adm.g, tg, y_ini=y0)
         z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
         marches.append((traj.diagnostics, z.diagnostics))
-        log_endpoint = log_endpoint_term(traj, weight, 0)
+        end = endpoint_term(traj, weight, 0)
         res = stability_quotient(traj, z, adm, weight)
         rows.append([int(n), grid.h, 1.0 / grid.h, params.tau, params.delta, params.lam,
-                     endpoint_term(traj, weight, 0).value, log_endpoint, res.rhs_error_term,
-                     res.log_error_term])
-        log_end.append(log_endpoint)
+                     end.value, end.log, res.rhs_error_term, res.log_error_term])
+        log_end.append(end.log)
         log_err.append(res.log_error_term)
         inv_h.append(1.0 / grid.h)
     assertions = []

@@ -36,6 +36,7 @@ from . import grid as g
 from . import operators as ops
 from .coefficients import CoefficientFields, sample_frames
 from .errors import CertificationError, EmptyMaskError, SolverError
+from .quadrature import Term, space_time_sum
 from .solver import Stepper, TimeGrid, Trajectory, apply_ah
 from .weights import Box, CarlemanWeight, omega_mask
 
@@ -206,23 +207,20 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
     pm = g.primal(traj.grid)
     tg = traj.time_grid
     lhs = ops.l2_norm(g.MeshFunction(pm, source.g(tg.times[tg.mid], pm.physical)))
-    X = pm.physical[obs.mask]
-    w_dt, w_y = (math.sqrt(max(weight.space_time_term(block * block, X, 0.0, tg).value, 0.0))
+    phi, s, cell = weight.phi(pm.physical[obs.mask]), weight.s(tg.times), pm.grid.h ** pm.grid.d
+    w_dt, w_y = (math.sqrt(space_time_sum(block * block, phi, s, 0.0, cell, tg.trap).value)
                  for block in (z_traj.values[:, obs.mask], obs.local_y))
     snapshot_h2 = ops.h2_norm(obs.snapshot)
     rhs_observed = snapshot_h2 + w_dt + w_y
     y0 = ops.l2_norm(traj.frame(0))
     z0 = ops.l2_norm(z_traj.frame(0))
-    log_pref = -2.0 * weight.params.tau * float(weight.theta(0.0)) * weight.mu0
-    err = math.exp(log_pref) * (y0 + z0) if log_pref > -745.0 else 0.0
-    log_err = log_pref + math.log(y0 + z0) if y0 + z0 > 0 else -math.inf
-    denom = rhs_observed + err
+    err = Term(-2.0 * weight.params.tau * float(weight.theta(0.0)) * weight.mu0, y0 + z0)
+    denom = rhs_observed + err.value
     quotient = lhs / denom if denom > 0 else 0.0
-    err_red = math.exp(log_pref) * z0 if log_pref > -745.0 else 0.0
-    reduced_rhs = snapshot_h2 + w_dt + err_red
+    reduced_rhs = snapshot_h2 + w_dt + Term(err.log_scale, z0).value
     reduced_quotient = lhs / reduced_rhs if reduced_rhs > 0 else 0.0
     return StabilityResult(
-        lhs=lhs, rhs_observed=rhs_observed, rhs_error_term=err, log_error_term=log_err,
+        lhs=lhs, rhs_observed=rhs_observed, rhs_error_term=err.value, log_error_term=err.log,
         quotient=quotient, reduced_quotient=reduced_quotient,
     )
 

@@ -21,6 +21,8 @@ the test suite pins at 1e-12 times the field scale.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import grid as g
@@ -32,6 +34,23 @@ def _step_two(c: tuple[int, ...]) -> bool:
     return len(c) >= 2 and all(b - a == 2 for a, b in zip(c[:-1], c[1:]))
 
 
+@lru_cache(maxsize=256)
+def _shift_meshes(mesh: g.Mesh, axis: int) -> tuple[bool, g.Mesh]:
+    """Whether a shift of `mesh` along `axis` zero-extends it first, and the
+    in-between mesh it lands on."""
+    gs = mesh.grid
+    gs.check_axis(axis)
+    c = mesh.coords[axis]
+    padded = g.is_primal_axis(gs, c)
+    if padded:
+        c = tuple(range(0, 2 * gs.n + 3, 2))
+    if not _step_two(c):
+        raise GridError(f"axis {axis} of {mesh.kind} is not shiftable by +-h/2")
+    coords = list(mesh.coords)
+    coords[axis] = tuple(k + 1 for k in c[:-1])
+    return padded, g.make_mesh(gs, coords)
+
+
 def _shift_core(values: np.ndarray, mesh: g.Mesh, axis: int):
     """Neighbour slabs of a (batched) field along one axis.
 
@@ -40,26 +59,14 @@ def _shift_core(values: np.ndarray, mesh: g.Mesh, axis: int):
     enumeration of the in-between mesh.  Applies the Dirichlet zero-extension
     when the axis carries the primal interior range.
     """
-    gs = mesh.grid
-    gs.check_axis(axis)
-    c = mesh.coords[axis]
-    if g.is_primal_axis(gs, c):
-        arr = values.reshape((-1,) + mesh.shape)
-        pad = [(0, 0)] * (gs.d + 1)
+    padded, new_mesh = _shift_meshes(mesh, axis)
+    d = mesh.grid.d
+    arr = values.reshape((-1,) + mesh.shape)
+    if padded:
+        pad = [(0, 0)] * (d + 1)
         pad[axis + 1] = (1, 1)
         arr = np.pad(arr, pad, mode="constant")
-        coords = list(mesh.coords)
-        coords[axis] = tuple(range(0, 2 * gs.n + 3, 2))
-        mesh = g.make_mesh(gs, coords)
-        c = mesh.coords[axis]
-    else:
-        arr = values.reshape((-1,) + mesh.shape)
-    if not _step_two(c):
-        raise GridError(f"axis {axis} of {mesh.kind} is not shiftable by +-h/2")
-    lo, hi = g.axis_index(gs.d + 1, axis + 1, slice(None, -1), slice(1, None))
-    coords = list(mesh.coords)
-    coords[axis] = tuple(k + 1 for k in c[:-1])
-    new_mesh = g.make_mesh(gs, coords)
+    lo, hi = g.axis_index(d + 1, axis + 1, slice(None, -1), slice(1, None))
     batch = values.shape[0]
     return arr[hi].reshape(batch, -1), arr[lo].reshape(batch, -1), new_mesh
 

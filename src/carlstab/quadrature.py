@@ -1,32 +1,28 @@
-"""Compensated summation and underflow-safe weighted quadrature.
+"""Compensated summation and scale-free weighted quadrature.
 
 Every reduction in the package is deterministic and order-fixed.  The
-discrete integrals of `operators` and the totals over frames go through
+discrete integrals of `operators` and the energy check's totals go through
 `exact_sum`, an exactly rounded float sum (math.fsum): identity residuals
 tested at the 1e-12 * scale level must not be polluted by naive accumulation.
 
-Weighted space-time sums of the form
+Weighted space-time sums
 
     sum_m  w_m * cell * s_m^power * sum_x  f(t_m, x)^2 * exp(2 s_m phi(x))
 
-are evaluated by `space_time_sum` on the squared (frames x points) block
-f^2 of a trajectory-like field, so a caller that sums one block under
-several weights squares it once.  The block is walked in chunks of whole
-frames holding about CHUNK_POINTS points, which bounds the temporaries
-whatever the grid.  Within a chunk the log weight is formed once per point,
-and points whose log weight sits below the underflow threshold are skipped
-(an upper bound on the skipped mass is recorded).  Each frame's value and
-skipped mass is numpy's sum of one contiguous row, which depends only on the
-row, not on the chunk that holds it; the summands are non-negative, so it is
-within (width - 1) 2^-53 of the exact sum relative (Higham, "The accuracy of
-floating point summation", SIAM J. Sci. Comput. 14(4), 1993).  The frames
-are then combined with the time weights by `exact_sum`.
-
-`weighted_square_sum` is the same sum for a single frame through math.fsum;
-it serves the single-time terms and is the reference the block kernel is
-tested against.  `log_weighted_square_sum` is the exact log of one frame's
-sum, which survives even where the plain value underflows to zero; the
-exponential-decay study depends on it.
+never form exp(2 s_m phi(x)), which underflows where s_m phi(x) < -372.  A
+frame's weight splits into a table entry exp(2 s_m (phi(x) - max phi)) in
+(0, 1] (`scaled_table`, stacked over weights), which depends on (s, phi) only
+and so serves every field on its points and every exponent, and a log scale
+2 s_m max phi + power log s_m + log(w_m cell) (`frame_scales`).  Each frame
+sum of a squared block times the table (`row_sums`) is numpy's sum of one
+contiguous row, so its bits do not depend on the chunk that holds the row,
+and it is within (width - 1) 2^-53 of the exact sum relative (Higham, "The
+accuracy of floating point summation", SIAM J. Sci. Comput. 14(4), 1993).
+`frame_terms` combines the frames as logsumexp does (Blanchard, Higham &
+Higham, IMA J. Numer. Anal. 41(4), 2021) into a `Term`, a (log scale,
+mantissa) pair whose ratios are taken in log space.  `space_time_sum` is the
+kernel for one weight, a chunk of whole frames holding about CHUNK_POINTS
+table entries at a time, which bounds the temporaries whatever the grid.
 """
 
 from __future__ import annotations
@@ -38,10 +34,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-LOG_TINY = math.log(np.finfo(np.float64).tiny)
-SKIP_MARGIN = 60.0
-SKIP_THRESHOLD = LOG_TINY + SKIP_MARGIN
-# points per chunk of whole frames in `space_time_sum`
+# table entries (weights x frames x points) per chunk of whole frames
 CHUNK_POINTS = 1 << 15
 
 
@@ -51,33 +44,78 @@ def exact_sum(values) -> float:
     return math.fsum(arr.tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Term:
-    """One weighted quadratic term: its value and a skip bound.
+    """A non-negative weighted sum, mantissa * exp(log_scale); zero is (-inf, 0)."""
 
-    `skipped_bound` is an upper bound on the mass dropped by the underflow
-    guard; it is zero unless some points fell below the threshold.
-    """
+    log_scale: float
+    mantissa: float
 
-    value: float
-    skipped_bound: float
+    @property
+    def value(self) -> float:
+        """The linear value; 0.0 where it underflows."""
+        return self.mantissa * math.exp(self.log_scale)
+
+    @property
+    def log(self) -> float:
+        """log of the value, finite where the value underflows; -inf for zero."""
+        return self.log_scale + math.log(self.mantissa) if self.mantissa else -math.inf
 
     def __add__(self, other: "Term") -> "Term":
-        return Term(self.value + other.value, self.skipped_bound + other.skipped_bound)
+        top = max(self.log_scale, other.log_scale)
+        if top == -math.inf:
+            return self
+        return Term(top, self.mantissa * math.exp(self.log_scale - top)
+                    + other.mantissa * math.exp(other.log_scale - top))
+
+    def __truediv__(self, other: "Term") -> float:
+        """The ratio of two terms, exp(log self - log other), for a non-zero `other`."""
+        return self.mantissa / other.mantissa * math.exp(self.log_scale - other.log_scale)
 
 
-ZERO_TERM = Term(0.0, 0.0)
+ZERO_TERM = Term(-math.inf, 0.0)
 
 
-def weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> Term:
-    """cell * sum_x values(x)^2 * exp(logw(x)) with underflow skipping."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    logw = np.asarray(logw, dtype=np.float64).ravel()
-    sq = values * values
-    keep = logw >= SKIP_THRESHOLD
-    val = cell * exact_sum(sq[keep] * np.exp(logw[keep]))
-    skipped = cell * exact_sum(sq[~keep]) * math.exp(SKIP_THRESHOLD)
-    return Term(val, skipped)
+def scaled_table(s: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """exp(2 s[w, m] dphi[w, x]), shape (weights, frames, points), of (weights,
+    frames) `s` and (weights, points) `dphi` = phi - max phi <= 0."""
+    table = (2.0 * s)[:, :, None] * dphi[:, None, :]
+    return np.exp(table, out=table)
+
+
+def row_sums(table: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """sum_x table[w, m, x] sq[m, x], shape (weights, frames): each entry numpy's
+    sum of one contiguous row."""
+    return np.multiply(table, sq).sum(axis=-1)
+
+
+def frame_scales(s, top, power, log_cell) -> np.ndarray:
+    """Frame log scales 2 s_m top + power log s_m + log_cell, with top = max phi
+    and log_cell = log(w_m cell); the arguments broadcast."""
+    return 2.0 * s * top + power * np.log(s) + log_cell
+
+
+def frame_terms(sums: np.ndarray, scales: np.ndarray) -> list[Term]:
+    """sum_m sums[k, m] exp(scales[k, m]) per row k of non-negative frame sums, as
+    Terms scaled by the row's largest scale of a non-zero frame."""
+    live = sums != 0.0
+    top = np.where(live, scales, -np.inf).max(axis=1)
+    mantissas = (sums * np.exp(np.where(live, scales - top[:, None], -np.inf))).sum(axis=1)
+    return [Term(float(t), float(m)) for t, m in zip(top, mantissas)]
+
+
+def space_time_sum(sq: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
+                   cell: float, time_weights: np.ndarray) -> Term:
+    """sum_m w_m cell sum_x sq[m, x] s_m^power e^(2 s_m phi(x)) as a Term, for
+    the squared (frames, points) block `sq`, `phi` per point and `s` and
+    `time_weights` per frame; its bits do not depend on CHUNK_POINTS."""
+    top = float(phi.max())
+    sums = np.empty((1, sq.shape[0]))
+    rows = max(1, CHUNK_POINTS // max(1, phi.size))
+    for a in range(0, sq.shape[0], rows):
+        table = scaled_table(s[None, a:a + rows], (phi - top)[None])
+        sums[:, a:a + rows] = row_sums(table, sq[a:a + rows])
+    return frame_terms(sums, frame_scales(s, top, power, np.log(time_weights * cell))[None])[0]
 
 
 def logsumexp(a) -> float:
@@ -97,48 +135,6 @@ def logsumexp(a) -> float:
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
     return float(np.where(np.isfinite(out), out, plain)[0])
-
-
-def log_weighted_square_sum(values: np.ndarray, logw: np.ndarray, cell: float) -> float:
-    """log of cell * sum_x values(x)^2 * exp(logw(x)), exact where the value
-    underflows; -inf for an identically zero frame."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    logw = np.asarray(logw, dtype=np.float64).ravel()
-    sq = values * values
-    nz = sq > 0.0
-    if not np.any(nz):
-        return -np.inf
-    return float(logsumexp(np.log(sq[nz]) + logw[nz])) + math.log(cell)
-
-
-def space_time_sum(sq: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
-                   cell: float, time_weights: np.ndarray) -> Term:
-    """sum_m w_m cell sum_x sq[m, x] s_m^power e^(2 s_m phi(x)), guarded.
-
-    `sq` is the squared (frames, points) block of a field; `phi` (one entry per
-    point), `s` and `time_weights` (one per frame) are float arrays.  Each row
-    sum is numpy's sum of the contiguous row, so each frame's bits do not
-    depend on CHUNK_POINTS.
-    """
-    n_frames = sq.shape[0]
-    if power != 0.0:
-        shift = power * np.log(s)
-    vals = np.empty(n_frames)
-    skips = np.zeros(n_frames)
-    rows = max(1, CHUNK_POINTS // max(1, phi.size))
-    for a in range(0, n_frames, rows):
-        b = min(a + rows, n_frames)
-        logw = (2.0 * s[a:b])[:, None] * phi
-        if power != 0.0:
-            logw += shift[a:b, None]
-        keep = logw >= SKIP_THRESHOLD
-        w = np.exp(logw, out=logw)
-        if not keep.all():
-            skips[a:b] = cell * np.where(keep, 0.0, sq[a:b]).sum(axis=1) * math.exp(SKIP_THRESHOLD)
-            w[~keep] = 0.0
-        w *= sq[a:b]
-        vals[a:b] = cell * w.sum(axis=1)
-    return Term(exact_sum(vals * time_weights), exact_sum(skips * time_weights))
 
 
 def trapezoid_weights(n_frames: int, dt: float) -> np.ndarray:

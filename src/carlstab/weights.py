@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, GridError
 from .grid import GridSpec, full_closure
-from .quadrature import Term, adaptive_log_integral, fit_slope, space_time_sum
+from .quadrature import adaptive_log_integral, fit_slope
 
 # fixed constants of the family: psi = C0 - |x - x0|^2, K = KAPPA * C0 > sup psi,
 # the window tau >= TAU0 (T + T^2) and tau h / (delta T^2) <= EPSILON, and the
@@ -152,7 +152,7 @@ def omega_mask(omega: Box, physical: np.ndarray) -> np.ndarray:
     return mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsiReport:
     """Numerical check of the bump conditions on the inflated box sample."""
 
@@ -160,6 +160,10 @@ class PsiReport:
     min_grad_outside: float
     max_normal_derivative: float
     satisfied: bool
+
+
+# (grid, omega0) -> PsiReport: the bump checks read nothing else
+_BUMP_REPORTS: dict = {}
 
 
 class CarlemanWeight:
@@ -186,7 +190,9 @@ class CarlemanWeight:
         self.omega = omega
         self.x0 = np.asarray(x0)
         self.K = KAPPA * C0
-        self.assumption_report = self._check_assumptions()
+        if (grid, omega0) not in _BUMP_REPORTS:
+            _BUMP_REPORTS[grid, omega0] = self._check_assumptions()
+        self.assumption_report = _BUMP_REPORTS[grid, omega0]
         if not self.assumption_report.satisfied:
             raise GridError(
                 f"bump conditions failed on the inflated box: {self.assumption_report}")
@@ -241,14 +247,6 @@ class CarlemanWeight:
 
     def s(self, t):
         return self.params.tau * self.theta(t)
-
-    def space_time_term(self, sq: np.ndarray, points: np.ndarray, power: float,
-                        time_grid) -> Term:
-        """sum_m w_m h^d sum_x sq[m, x] (s_m)^power e^(2 s_m phi(x)) of a squared
-        block: one row per frame of `time_grid` (trapezoid weights w_m), one
-        column per point."""
-        return space_time_sum(sq, self.phi(points), self.s(time_grid.times), power,
-                              self.grid.h ** self.grid.d, time_grid.trap)
 
     def log_weight(self, t, phi_values: np.ndarray, power: float = 0.0) -> np.ndarray:
         """log of (tau theta(t))^power * exp(2 tau theta(t) phi(x))."""

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from carlstab import carleman, quadrature
 from carlstab import grid as g
 from carlstab import operators as ops
 from carlstab.carleman import (LHS_KEYS, RHS_KEYS, check_scheme_residual, endpoint_term,
-                               feasibility_rows, log_endpoint_term, verify_cells)
+                               feasibility_rows, verify_cells)
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.config import parse_config
 from carlstab.errors import GridError, SolverError
-from carlstab.experiments import _carleman_worker
+from carlstab.experiments import _carleman_worker, _feasibility_table
 from carlstab.inverse import (FourierBump, SeparableSource, SineTimeProfile, random_bump,
                               random_separable_source)
-from carlstab.quadrature import ZERO_TERM, Term, exact_sum, weighted_square_sum
+from carlstab.quadrature import ZERO_TERM, Term
 from carlstab.solver import TimeGrid, Trajectory, solve_forward
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
@@ -111,6 +112,13 @@ def test_rhs_trivial_cases():
     assert rhs["rhs_time_endpoints"].value == 0.0
     assert rhs["rhs_local_omega"].value > 0.0
 
+    # a field that vanishes on omega: the omega term is exactly zero, although the
+    # weight's peak lies in omega and the points outside weigh below 1e-30 of it
+    outside = np.where(OMEGA.mask(pm.physical), 0.0, 1.0)
+    traj = Trajectory(GRID, tg, np.tile(outside, (33, 1)))
+    terms = verify_cells(traj, zero_source, CoefficientFields.constant(1), [(w, 0)])[0].terms
+    assert terms["rhs_local_omega"] == ZERO_TERM and terms["J_p_zeroth"].mantissa > 0.0
+
 
 def test_rhs_source_homogeneity():
     grid, coeffs, src, traj = solved_run(seed=5)
@@ -185,6 +193,11 @@ class PointwiseBound:
     holds: bool
 
 
+def frame_value(values, logw, cell) -> float:
+    """cell * sum_x values^2 exp(logw), exactly rounded."""
+    return cell * math.fsum((values * values * np.exp(logw)).tolist())
+
+
 def pointwise_time_bound(traj: Trajectory, weight: CarlemanWeight, p: int, t: float,
                          constant: float, lhs_total: float) -> PointwiseBound:
     """Mid-run weighted mass bound at a single frame time.
@@ -201,10 +214,8 @@ def pointwise_time_bound(traj: Trajectory, weight: CarlemanWeight, p: int, t: fl
     pm = g.primal(traj.grid)
     phi = weight.phi(pm.physical)
     cell = traj.grid.h ** traj.grid.d
-    lhs_t = weighted_square_sum(traj.values[idx],
-                                weight.log_weight(float(t), phi, p + 1), cell).value
-    initial = weighted_square_sum(traj.values[0],
-                                  weight.log_weight(0.0, phi, p + 1), cell).value
+    lhs_t = frame_value(traj.values[idx], weight.log_weight(float(t), phi, p + 1), cell)
+    initial = frame_value(traj.values[0], weight.log_weight(0.0, phi, p + 1), cell)
     bound = constant * lhs_total + initial
     return PointwiseBound(t=float(t), lhs_t=lhs_t, bound=bound, initial_term=initial,
                           holds=bool(lhs_t <= bound * (1.0 + 1e-8)))
@@ -214,7 +225,7 @@ def test_pointwise_time_bound():
     grid, coeffs, src, traj = solved_run(seed=17, steps=64)
     w = make_weight()
     rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
-    pb = pointwise_time_bound(traj, w, 0, 0.5, constant=10.0, lhs_total=rep.lhs)
+    pb = pointwise_time_bound(traj, w, 0, 0.5, constant=10.0, lhs_total=rep.lhs.value)
     assert pb.lhs_t >= 0 and math.isfinite(pb.bound)
 
     # direct-summation recompute of lhs_t
@@ -231,7 +242,7 @@ def test_pointwise_time_bound():
     assert pb0.lhs_t == 0.0 and pb0.holds
 
     with pytest.raises(GridError):
-        pointwise_time_bound(traj, w, 0, 1.5, constant=1.0, lhs_total=rep.lhs)
+        pointwise_time_bound(traj, w, 0, 1.5, constant=1.0, lhs_total=rep.lhs.value)
 
 
 def test_pointwise_bound_corpus_zero_initial():
@@ -246,9 +257,9 @@ def test_pointwise_bound_corpus_zero_initial():
         w = make_weight()
         rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
         for t in (0.25, 0.5, 0.75, 1.0):
-            pb = pointwise_time_bound(traj, w, 0, t, constant=1.0, lhs_total=rep.lhs)
+            pb = pointwise_time_bound(traj, w, 0, t, constant=1.0, lhs_total=rep.lhs.value)
             assert pb.initial_term == 0.0
-            rows.append((pb.lhs_t, rep.lhs))
+            rows.append((pb.lhs_t, rep.lhs.value))
     c_emp = max(l / r for l, r in rows if r > 0)
     assert math.isfinite(c_emp)
     assert all(l <= c_emp * r * (1 + 1e-8) for l, r in rows)
@@ -289,18 +300,18 @@ def test_feasibility_map_single_cell_and_inadmissible():
 
     row_bad = feasibility_rows([make_weight(tau=40.0, delta=0.25)], runs)[0]
     assert not row_bad["admissible"]
-    assert row_bad["ratio"] == "" and row_bad["I_p"] == "" and row_bad["skipped_rel"] == 0.0
+    assert row_bad["ratio"] == "" and row_bad["I_p"] == ""
 
-    # skipped mass relative to lhs + rhs, outside the CSV columns; at lambda = 3
-    # every term underflows, so the skipped mass is all there is
-    rep = verify_cells(traj, src, coeffs, [(make_weight(tau=3.0, delta=0.5), 0)])[0]
-    assert row["skipped_rel"] == rep.skipped_rel
-    rep = verify_cells(traj, src, coeffs, [(make_weight(tau=8.0), 0)])[0]
-    assert rep.skipped_rel == rep.skipped_bound / (rep.lhs + rep.rhs) > 0.0
+    # at lambda = 3 every weighted term underflows as a linear value; the ratio,
+    # taken in log space, and the row stay finite
     w = make_weight(tau=4.0, lam=3.0)
     rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
-    assert rep.admissible and rep.lhs == rep.rhs == 0.0 < rep.skipped_bound
-    assert rep.skipped_rel == math.inf == feasibility_rows([w], runs)[0]["skipped_rel"]
+    assert rep.admissible and rep.lhs.value == rep.rhs.value == 0.0
+    assert rep.lhs.mantissa > 0.0 and rep.rhs.mantissa > 0.0
+    assert math.isfinite(rep.lhs.log) and math.isfinite(rep.rhs.log)
+    assert rep.ratio == pytest.approx(math.exp(rep.lhs.log - rep.rhs.log), rel=1e-12)
+    row = feasibility_rows([w], runs)[0]
+    assert row["ratio"] == rep.ratio and row["I_p"] == 0.0
 
 
 def test_feasibility_row_carries_the_largest_ratio_first_on_tie():
@@ -336,24 +347,26 @@ def test_scheme_residual_detects_wrong_coefficients():
         check_scheme_residual(traj, other, src)
 
 
-def test_underflow_guard_skips_and_reports_mass():
-    # lambda = 3 pushes the weight below the double floor away from the bump
-    # centre; the value path must skip those points and account for them
+def test_underflowing_weights_keep_their_mass():
+    # lambda = 3 pushes every weight below the double floor; the term keeps that
+    # mass, its log matching logsumexp of the log summands point by point
     tg = TimeGrid(1.0, 16)
     pm = g.primal(GRID)
     traj = Trajectory(GRID, tg, np.ones((17, 15)))
     w = make_weight(tau=8.0, lam=3.0)
     co = CoefficientFields.constant(1)
-    lhs = verify_cells(traj, zero_source, co, [(w, 0)])[0].terms
-    term = lhs["J_p_zeroth"]
-    assert term.skipped_bound > 0.0
-    assert math.isfinite(term.value) and term.value >= 0.0
-    assert term.skipped_bound <= 1e-250
+    term = verify_cells(traj, zero_source, co, [(w, 0)])[0].terms["J_p_zeroth"]
+    phi = w.phi(pm.physical)
+    logs = [w.log_weight(float(t), phi, 3) + math.log(tg.trap[m] * GRID.h)
+            for m, t in enumerate(tg.times)]
+    assert max(float(lw.max()) for lw in logs) < math.log(np.finfo(np.float64).tiny)
+    assert term.value == 0.0 < term.mantissa
+    assert term.log == pytest.approx(float(logsumexp(np.concatenate(logs))), rel=1e-13)
 
 
 def test_log_endpoint_term_survives_underflow():
     # delta = 0.01 puts s(0) near 800: e^(2 s(0) phi) underflows at every point, so
-    # the value path skips the whole endpoint mass while its exact log stays finite
+    # the linear value reads 0 while the term's log stays finite
     tg = TimeGrid(1.0, 16)
     pm = g.primal(GRID)
     frames = np.ones((17, 15))
@@ -361,8 +374,8 @@ def test_log_endpoint_term_survives_underflow():
     w = make_weight(tau=8.0, delta=0.01, lam=3.0)
     traj = Trajectory(GRID, tg, frames)
     term = endpoint_term(traj, w, 0)
-    assert term.value == 0.0 and term.skipped_bound > 0.0
-    got = log_endpoint_term(traj, w, 0)
+    assert term.value == 0.0 < term.mantissa
+    got = term.log
     assert math.isfinite(got)
 
     # the per-frame log formula, the two frames combined by logsumexp
@@ -373,8 +386,8 @@ def test_log_endpoint_term_survives_underflow():
         sq = y * y
         nz = sq > 0.0
         logs.append(float(logsumexp(np.log(sq[nz]) + logw[nz])) + math.log(cell))
-    assert got == float(logsumexp(logs))
-    assert log_endpoint_term(Trajectory(GRID, tg, np.zeros((17, 15))), w, 0) == -np.inf
+    assert got == pytest.approx(float(logsumexp(logs)), rel=1e-13)
+    assert endpoint_term(Trajectory(GRID, tg, np.zeros((17, 15))), w, 0).log == -np.inf
 
 
 def test_carleman_worker_d3_smoke():
@@ -382,7 +395,7 @@ def test_carleman_worker_d3_smoke():
     # exit code says nothing here; tau = 2 is the one corpus tau admissible on N = 7
     cfg = parse_config(overrides=["grid.d=3", "carleman.grids=7", "carleman.steps=64",
                                   "carleman.runs=1", "carleman.tau_min=2",
-                                  "carleman.tau_max=2"])
+                                  "carleman.tau_max=2", "carleman.feasibility_grids=15"])
     rows, solver, timings = _carleman_worker((cfg.values, 0))
     assert solver["linear_solves"] == 64 and solver["max_linear_residual"] <= 1e-10
     assert set(timings) == {"march", "scheme_residual", "corpus_terms"}
@@ -393,11 +406,26 @@ def test_carleman_worker_d3_smoke():
         assert row["residual"] <= 1e-6
 
 
+def oracle_term(fields, phi, s, power, frame_cells) -> Term:
+    """math.fsum over each exp-scaled frame, fields[m]^2 exp(2 s_m (phi - max
+    phi)), then over the frames under their log scales 2 s_m max phi +
+    power log s_m + log(frame_cells[m]), the last being w_m times the cell."""
+    top = float(phi.max())
+    sums = np.array([math.fsum((np.asarray(f) ** 2 * np.exp((2.0 * sm) * (phi - top))).tolist())
+                     for f, sm in zip(fields, s)])
+    scales = 2.0 * s * top + power * np.log(s) + np.log(frame_cells)
+    live = sums != 0.0
+    if not live.any():
+        return ZERO_TERM
+    lead = float(scales[live].max())
+    return Term(lead, math.fsum((sums[live] * np.exp(scales[live] - lead)).tolist()))
+
+
 def per_frame_terms(traj, source, coeffs, weight, p) -> dict:
     """Every term of one (weight, p) cell, frame by frame: the fields through
-    `ops.second_diff`, `diff` and `avg_diff`, each frame through
-    `weighted_square_sum` on the weight's `log_weight`, the frames combined
-    with the trapezoid weights by exactly rounded sums."""
+    `ops.second_diff`, `diff` and `avg_diff`, each term by `oracle_term`; the
+    endpoint term is `oracle_term` of the two end frames, both at s(0) and time
+    weight 1."""
     grid, tg = traj.grid, traj.time_grid
     pm = g.primal(grid)
     X = pm.physical
@@ -406,11 +434,8 @@ def per_frame_terms(traj, source, coeffs, weight, p) -> dict:
     times = [float(t) for t in tg.times]
 
     def term(fields, points, power) -> Term:
-        phi = weight.phi(points)
-        parts = [weighted_square_sum(f, weight.log_weight(t, phi, power), cell)
-                 for t, f in zip(times, fields)]
-        return Term(exact_sum(np.array([q.value for q in parts]) * tg.trap),
-                    exact_sum(np.array([q.skipped_bound for q in parts]) * tg.trap))
+        return oracle_term(fields, weight.phi(points), weight.s(tg.times), power,
+                           tg.trap * cell)
 
     i_mixed = ZERO_TERM
     for i in range(grid.d):
@@ -437,41 +462,45 @@ def per_frame_terms(traj, source, coeffs, weight, p) -> dict:
         "J_p_zeroth": term(traj.values, X, p + 3),
         "rhs_source": term([source(t, X) for t in times], X, p),
         "rhs_local_omega": term(traj.values[:, mask], X[mask], p + 3),
-        "rhs_time_endpoints": endpoint_term(traj, weight, p),
+        "rhs_time_endpoints": oracle_term(traj.values[[0, -1]], weight.phi(X),
+                                          np.full(2, weight.s(0.0)), p,
+                                          np.full(2, cell / grid.h ** 2)),
     }
 
 
 @pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)])
-def test_verify_cells_matches_per_frame_reference(d, n):
+def test_verify_cells_matches_per_frame_reference(monkeypatch, d, n):
     grid, coeffs, src, traj = solved_run(seed=40 + d, n=n, steps=32, d=d, b_amp=0.3)
     w0 = make_weight(grid=grid, d=d)
-    w1 = make_weight(grid=grid, tau=8.0, lam=3.0, d=d)   # skips points on every frame
-    cells = [(w0, 0), (w0, 1), (w1, 0)]
+    w1 = make_weight(grid=grid, tau=8.0, lam=3.0, d=d)   # underflows on every frame
+    cells = [(w0, 0), (w0, 1), (w1, 0), (w1, 1)]
+    # two distinct weights, 5 frames per chunk: 33 frames end in a ragged chunk of 3
+    monkeypatch.setattr(quadrature, "CHUNK_POINTS", 2 * 5 * (n + 1) ** d)
     reports = verify_cells(traj, src, coeffs, cells)
-    assert [rep.p for rep in reports] == [0, 1, 0]
-    assert reports[2].skipped_bound > 0.0
-    # the kernel's row sums are float sums of non-negative terms: within
-    # (width - 1) 2^-53 of fsum relative, width at most (n + 1)^d, plus 8 ulps
-    # for the scalings around them
-    skip_rel = ((n + 1) ** d + 7) * 2.0 ** -53
+    assert [rep.p for rep in reports] == [0, 1, 0, 1]
+    # the kernel's row and frame sums are float sums of non-negative terms: within
+    # (width - 1) 2^-53 of fsum relative, width at most (n + 1)^d, plus (frames - 1)
+    # 2^-53 over the 33 frames and 8 ulps for the scalings around them
+    rel = ((n + 1) ** d + 33 + 6) * 2.0 ** -53
     for (weight, p), rep in zip(cells, reports):
         want = per_frame_terms(traj, src, coeffs, weight, p)
         assert list(rep.terms) == list(want)
         for key, term in want.items():
-            assert rep.terms[key].value == pytest.approx(term.value, rel=1e-14, abs=0.0), key
-            assert rep.terms[key].skipped_bound == pytest.approx(term.skipped_bound,
-                                                                 rel=skip_rel, abs=0.0), key
+            assert term.mantissa > 0.0, key
+            assert abs(rep.terms[key] / term - 1.0) <= rel, (key, rep.terms[key], term)
+    assert reports[2].lhs.value == 0.0 < reports[2].lhs.mantissa
 
     # every cell of the pass equals its one-cell evaluation bit for bit
+    monkeypatch.setattr(quadrature, "CHUNK_POINTS", 1 << 15)
     for (weight, p), rep in zip(cells, reports):
         one = verify_cells(traj, src, coeffs, [(weight, p)])[0]
-        assert (rep.p, rep.admissible, rep.lhs, rep.rhs, rep.ratio, rep.skipped_bound) == \
-            (one.p, one.admissible, one.lhs, one.rhs, one.ratio, one.skipped_bound)
+        assert (rep.p, rep.admissible, rep.lhs, rep.rhs, rep.ratio) == \
+            (one.p, one.admissible, one.lhs, one.rhs, one.ratio)
         assert rep.terms == one.terms
 
 
 def term_bits(rep, keys) -> dict:
-    return {key: (rep.terms[key].value.hex(), rep.terms[key].skipped_bound.hex()) for key in keys}
+    return {key: (rep.terms[key].log_scale.hex(), rep.terms[key].mantissa.hex()) for key in keys}
 
 
 @pytest.mark.parametrize("d,n", [(1, 15), (2, 7)])
@@ -513,3 +542,35 @@ def test_feasibility_rows_equal_their_one_cell_rows():
     assert rows == [feasibility_rows([w], runs)[0] for w in weights]
     assert [row["admissible"] for row in rows] == [True, False, True, True]
     assert rows[1]["ratio"] == "" and rows[0] == rows[3]
+
+
+@pytest.fixture(scope="module")
+def fast_feasibility():
+    # the feasibility table of `scripts/run_all.py --fast`: grids 15, 31, 63, one run
+    cfg = parse_config(overrides=["carleman.runs=8", "carleman.feasibility_runs=1"])
+    return cfg, _feasibility_table(cfg)[0]
+
+
+def test_feasibility_ratios_are_shift_free(monkeypatch, fast_feasibility):
+    # adding 500 to every log weight scales both sides of every cell by e^500
+    cfg, rows = fast_feasibility
+    monkeypatch.setattr(carleman, "frame_scales",
+                        lambda *args: quadrature.frame_scales(*args) + 500.0)
+    shifted = _feasibility_table(cfg)[0]
+    pairs = [(row["ratio"], moved["ratio"]) for row, moved in zip(rows, shifted)
+             if row["admissible"]]
+    assert len(pairs) == 18
+    for ratio, moved in pairs:
+        assert moved == pytest.approx(ratio, rel=1e-14, abs=0.0)
+
+
+def test_every_admissible_feasibility_cell_has_finite_columns(fast_feasibility):
+    # (h, tau, delta) = (1/64, 8, 0.25): every weighted term underflows as a value
+    _, rows = fast_feasibility
+    cell = [row for row in rows if (row["h"], row["tau"], row["delta"]) == (1 / 64, 8.0, 0.25)]
+    assert len(cell) == 1 and cell[0]["admissible"]
+    for row in rows:
+        if row["admissible"]:
+            for key in ("I_p", "J_p", "rhs_source", "rhs_local", "rhs_endpoint", "ratio"):
+                assert isinstance(row[key], float) and math.isfinite(row[key]), (row, key)
+            assert row["ratio"] > 0.0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from carlstab.cli import main
-from carlstab.config import SCHEMA, Config, default_config, parse_config
+from carlstab.config import MAX_UNKNOWNS, SCHEMA, Config, default_config, parse_config
 from carlstab.errors import ConfigError
 from carlstab.experiments import (run_carleman, run_converge, run_energy, run_reconstruct,
                                   run_stability, run_verify_ops)
@@ -100,8 +100,9 @@ def test_validation_rules(suite, override, tmp_path, capsys):
 
 
 def test_defaults_and_benchmark_workloads_validate(monkeypatch):
-    # the checks that reject a config before any solve pass every shipped one
-    for d in (1, 2, 3):
+    # the checks that reject a config before any solve pass every shipped one; at
+    # d = 3 the default feasibility grid N = 63 is too large (test below)
+    for d in (1, 2):
         parse_config(None, [f"grid.d={d}"])
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -111,6 +112,24 @@ def test_defaults_and_benchmark_workloads_validate(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         for _, overrides in workload.suites:
             parse_config(None, list(overrides))
+
+
+def test_grids_over_the_unknown_bound_exit_two(tmp_path, capsys):
+    # the d = 3 default marches N = 63, 250 047 unknowns, in the feasibility table;
+    # the d = 3 probe (corpus grids 15 and 31, feasibility at 15) stays admitted
+    assert 31 ** 3 <= MAX_UNKNOWNS < 63 ** 3
+    # parse first, so a missing bound fails here instead of marching N = 63
+    for name, over in (("carleman.feasibility_grids", []),
+                       ("carleman.grids", ["carleman.feasibility_grids=15"]),
+                       ("stability.grids", ["carleman.feasibility_grids=15"])):
+        with pytest.raises(ConfigError, match=f"{name}: N=63"):
+            parse_config(None, ["grid.d=3", *over, f"{name}=15,63"])
+    assert main(["carleman", "--out", str(tmp_path), "--set=grid.d=3"]) == 2
+    err = capsys.readouterr().err
+    assert "carleman.feasibility_grids: N=63 at d=3 marches 250047 unknowns" in err
+    assert "stability.grids" not in err and "carleman.grids" not in err
+    parse_config(None, ["grid.d=3", "carleman.grids=15,31", "carleman.feasibility_grids=15",
+                        "carleman.runs=2", "carleman.steps=64"])
 
 
 def test_beta_sweep_needs_positive_beta(tmp_path, capsys):
@@ -197,6 +216,11 @@ def test_carleman_summary_times_each_phase(tmp_path):
     assert set(timings) == {"march", "scheme_residual", "corpus_terms", "feasibility_table"}
     assert all(0.0 < s for s in timings.values())
     assert sum(timings.values()) <= summary["wall_time_s"]
+    # one table per mesh (primal N points, dual N + 1) and weight over the 17 frames:
+    # 2 corpus runs of one weight on N = 15 and 31, and the 3 admissible N = 15 cells
+    extras = summary["extras"]
+    assert extras["weighted_points"] == 17 * (2 * (15 + 16 + 31 + 32) + 3 * (15 + 16))
+    assert "max_skipped_rel" not in extras and "fully_skipped_cells" not in extras
 
 
 @pytest.mark.parametrize("argv,phases", [
@@ -206,7 +230,8 @@ def test_carleman_summary_times_each_phase(tmp_path):
     (["reconstruct", "--set", "reconstruct.steps=64", "--set", "reconstruct.coeff_steps=256",
       "--set", "reconstruct.noise=0.01"],
      {"source_march", "normal_equations", "coefficient_march", "coefficient_recovery"}),
-], ids=["stability", "reconstruct"])
+    (["energy", "--set", "energy.runs=2", "--set", "energy.steps=32"], {"march", "check"}),
+], ids=["stability", "reconstruct", "energy"])
 def test_inverse_summaries_time_each_phase(tmp_path, argv, phases):
     out = tmp_path / argv[0]
     assert main(argv + ["--out", str(out)]) == 0

@@ -1,13 +1,15 @@
-"""The block kernel `space_time_sum` against a per-frame reference.
+"""The block kernel `space_time_sum` against two references.
 
-The reference evaluates each frame with `weighted_square_sum` on the weight's
-own `log_weight` and combines the frames with the time weights by exactly
-rounded sums, for the value and for the skipped mass.  The kernel's row sums
-are held to the error bound of a float sum of non-negative terms against
-math.fsum, and to math.fsum bit for bit where no partial sum or only the one
-addition rounds; non-finite and overflowing rows keep the plain sum.  Its
-terms are pinned bit for bit across chunkings; the numpy `logsumexp` is
-pinned to scipy.special's.
+The oracle sums each frame of the exp-scaled block, sq[m] * exp(2 s_m (phi -
+max phi)), by math.fsum and combines the frames under the kernel's frame log
+scales by math.fsum; the kernel, whose row and frame sums are numpy's, must
+agree within the error bound of a float sum of non-negative terms at both
+levels.  The per-point reference sums sq * exp(log weight) with the weight's
+own `log_weight` where that does not underflow, and logsumexp of the log
+summands where it does.  The kernel's row sums are held to math.fsum bit for
+bit where no partial sum or only the one addition rounds; non-finite and
+overflowing rows keep the plain sum.  Its terms are pinned bit for bit across
+chunkings; the numpy `logsumexp` is pinned to scipy.special's.
 """
 
 import math
@@ -17,8 +19,7 @@ import pytest
 
 from carlstab import grid as g
 from carlstab import quadrature
-from carlstab.quadrature import (CHUNK_POINTS, Term, exact_sum, space_time_sum,
-                                 weighted_square_sum)
+from carlstab.quadrature import CHUNK_POINTS, ZERO_TERM, Term, space_time_sum
 from carlstab.solver import TimeGrid
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
@@ -29,35 +30,64 @@ def make_weight(grid, tau=3.0, delta=0.5, lam=2.0):
     return CarlemanWeight(grid, params, Box.cube(0.35, 0.65, d), Box.cube(0.2, 0.8, d))
 
 
-def per_frame_reference(block, phi, weight, tg, power, cell) -> Term:
-    vals, skips = [], []
+def oracle_term(sq, phi, s, power, cell, time_weights) -> Term:
+    """math.fsum over each exp-scaled frame, then over the frames under their
+    log scales 2 s_m max phi + power log s_m + log(w_m cell)."""
+    top = float(phi.max())
+    sums = np.array([math.fsum((row * np.exp((2.0 * sm) * (phi - top))).tolist())
+                     for row, sm in zip(sq, s)])
+    scales = 2.0 * s * top + power * np.log(s) + np.log(time_weights * cell)
+    live = sums != 0.0
+    if not live.any():
+        return ZERO_TERM
+    lead = float(scales[live].max())
+    return Term(lead, math.fsum((sums[live] * np.exp(scales[live] - lead)).tolist()))
+
+
+def float_sum_rel(width: int, frames: int) -> float:
+    """Relative distance allowed between a term and its oracle: (width - 1) 2^-53
+    for each frame's float sum of `width` non-negative terms against math.fsum,
+    (frames - 1) 2^-53 for the sum over frames, plus 8 ulps for the roundings
+    of the scalings around them."""
+    return (width + frames + 6) * 2.0 ** -53
+
+
+def assert_term_close(got: Term, want: Term, rel: float):
+    if want == ZERO_TERM:
+        assert got == ZERO_TERM
+    else:
+        assert abs(got / want - 1.0) <= rel, (got, want)
+
+
+def per_point_log(block, phi, weight, tg, power, cell) -> float:
+    """log of sum_m w_m cell sum_x block^2 exp(log_weight), by logsumexp."""
+    logs = [np.log(block[m] ** 2) + weight.log_weight(float(t), phi, power)
+            + math.log(tg.trap[m] * cell) for m, t in enumerate(tg.times)]
+    return quadrature.logsumexp(np.concatenate(logs))
+
+
+def per_point_value(block, phi, weight, tg, power, cell) -> tuple[float, float]:
+    """sum_m w_m cell sum_x block^2 exp(log_weight) by math.fsum, and the
+    relative distance allowed to it: 8 ulps of the largest |log weight|, the
+    exponents being rounded differently in the kernel's split into table and
+    scale."""
+    vals, widest = [], 0.0
     for m, t in enumerate(tg.times):
-        term = weighted_square_sum(block[m], weight.log_weight(float(t), phi, power), cell)
-        vals.append(term.value)
-        skips.append(term.skipped_bound)
-    tw = np.asarray(tg.trap)
-    return Term(exact_sum(np.asarray(vals) * tw), exact_sum(np.asarray(skips) * tw))
-
-
-def float_sum_rel(width: int) -> float:
-    """Relative distance allowed between a term and its per-frame reference:
-    (width - 1) 2^-53 for a float sum of `width` non-negative terms against
-    math.fsum, plus 8 ulps for the roundings of the scalings around it."""
-    return (width + 7) * 2.0 ** -53
-
-
-def assert_pinned(got: Term, want: Term, width: int):
-    assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
-    assert got.skipped_bound == pytest.approx(want.skipped_bound, rel=float_sum_rel(width),
-                                              abs=0.0)
+        logw = weight.log_weight(float(t), phi, power)
+        vals.append(cell * math.fsum((block[m] ** 2 * np.exp(logw)).tolist()))
+        widest = max(widest, float(np.abs(logw).max()) + abs(math.log(tg.trap[m] * cell)))
+    return math.fsum((np.asarray(vals) * tg.trap).tolist()), 8.0 * widest * 2.0 ** -53
 
 
 def both(block, grid, tg, power, weight=None):
     weight = weight or make_weight(grid)
     phi = weight.phi(g.primal(grid).physical)
     cell = grid.h ** grid.d
-    return (space_time_sum(block * block, phi, weight.s(tg.times), power, cell, tg.trap),
-            per_frame_reference(block, phi, weight, tg, power, cell))
+    s = weight.s(tg.times)
+    got = space_time_sum(block * block, phi, s, power, cell, tg.trap)
+    assert_term_close(got, oracle_term(block * block, phi, s, power, cell, tg.trap),
+                      float_sum_rel(block.shape[1], block.shape[0]))
+    return got, per_point_value(block, phi, weight, tg, power, cell)
 
 
 @pytest.mark.parametrize("d,n", [(1, 15), (1, 31), (2, 15)])
@@ -67,8 +97,8 @@ def test_kernel_matches_per_frame_reference(d, n, power):
     tg = TimeGrid(1.0, 64)
     rng = np.random.default_rng(100 * d + n)
     block = rng.normal(size=(tg.steps + 1, g.primal(grid).size))
-    got, want = both(block, grid, tg, power)
-    assert_pinned(got, want, block.shape[1])
+    got, (want, rel) = both(block, grid, tg, power)
+    assert got.value == pytest.approx(want, rel=rel, abs=0.0)
     assert got.value > 0.0
 
 
@@ -80,8 +110,8 @@ def test_kernel_spans_chunks_with_a_ragged_last_chunk():
     n_frames = tg.steps + 1
     assert n_frames * npts > CHUNK_POINTS and n_frames % rows != 0
     block = np.random.default_rng(7).normal(size=(n_frames, npts))
-    got, want = both(block, grid, tg, 4)
-    assert_pinned(got, want, block.shape[1])
+    got, (want, rel) = both(block, grid, tg, 4)
+    assert got.value == pytest.approx(want, rel=rel, abs=0.0)
 
 
 def test_zero_frames_and_zero_block():
@@ -90,22 +120,39 @@ def test_zero_frames_and_zero_block():
     block = np.random.default_rng(11).normal(size=(tg.steps + 1, 15))
     block[0] = 0.0
     block[10:13] = 0.0
-    got, want = both(block, grid, tg, 1)
-    assert_pinned(got, want, block.shape[1])
+    got, (want, rel) = both(block, grid, tg, 1)
+    assert got.value == pytest.approx(want, rel=rel, abs=0.0)
 
-    got, want = both(np.zeros_like(block), grid, tg, 1)
-    assert_pinned(got, want, block.shape[1])
-    assert got.value == 0.0 and got.skipped_bound == 0.0
+    got, (want, _) = both(np.zeros_like(block), grid, tg, 1)
+    assert got == ZERO_TERM and got.value == want == 0.0 and got.log == -math.inf
 
 
-def test_underflow_guard_matches_per_frame_reference():
-    # the lambda = 3 case of test_underflow_guard_skips_and_reports_mass
+def test_kernel_keeps_the_mass_where_every_weight_underflows():
+    # lambda = 3 and delta = 0.05 put every log weight below log(tiny) - 60: the
+    # plain sum of exp(log weight) is 0, the term keeps its mass in its mantissa
     grid = g.GridSpec(1, 15)
     tg = TimeGrid(1.0, 16)
-    block = np.ones((17, 15))
-    got, want = both(block, grid, tg, 3, weight=make_weight(grid, tau=8.0, lam=3.0))
-    assert_pinned(got, want, block.shape[1])
-    assert got.skipped_bound > 0.0
+    weight = make_weight(grid, tau=8.0, delta=0.05, lam=3.0)
+    phi = weight.phi(g.primal(grid).physical)
+    assert max(float(weight.log_weight(float(t), phi, 3).max()) for t in tg.times) \
+        < math.log(np.finfo(np.float64).tiny) - 60.0
+    block = np.random.default_rng(3).normal(size=(17, 15))
+    got, (want, _) = both(block, grid, tg, 3, weight=weight)
+    assert want == 0.0 and got.value == 0.0 < got.mantissa
+    assert got.log == pytest.approx(per_point_log(block, phi, weight, tg, 3, grid.h),
+                                    rel=1e-13, abs=0.0)
+
+
+def test_term_arithmetic_in_log_space():
+    a, b = Term(-800.0, 1.5), Term(-802.0, 3.0)
+    assert a.value == 0.0 and a.log == -800.0 + math.log(1.5)
+    total = a + b
+    assert total.log_scale == -800.0
+    assert total.mantissa == pytest.approx(1.5 + 3.0 * math.exp(-2.0), rel=1e-15)
+    assert a / b == pytest.approx(0.5 * math.exp(2.0), rel=1e-15)
+    assert ZERO_TERM + ZERO_TERM == ZERO_TERM and ZERO_TERM + a == a + ZERO_TERM == a
+    assert ZERO_TERM / a == 0.0 and ZERO_TERM.value == 0.0
+    assert Term(0.0, 2.0).value == 2.0 and Term(3.0, 2.0) / Term(3.0, 4.0) == 0.5
 
 
 def kernel_row_sums(block) -> np.ndarray:
@@ -199,8 +246,8 @@ def test_row_sums_overflowing_row_reads_inf():
 
 @pytest.mark.parametrize("power", [0, 1.5])
 def test_kernel_term_is_bitwise_the_same_under_any_chunking(monkeypatch, power):
-    # d = 2, N = 31 with a weight that skips some points on every frame; chunks of
-    # 1, 3, 7 and 34 frames (the default) and the whole block at once
+    # d = 2, N = 31; chunks of 1, 3, 7 and 34 frames (the default) and the whole
+    # block at once
     grid = g.GridSpec(2, 31)
     npts = g.primal(grid).size
     tg = TimeGrid(1.0, 256)
@@ -211,8 +258,8 @@ def test_kernel_term_is_bitwise_the_same_under_any_chunking(monkeypatch, power):
     for chunk in (1, 3 * npts, 7 * npts, CHUNK_POINTS, sq.size):
         monkeypatch.setattr(quadrature, "CHUNK_POINTS", chunk)
         term = space_time_sum(sq, phi, weight.s(tg.times), power, grid.h ** 2, tg.trap)
-        terms.append(np.array([term.value, term.skipped_bound]).tobytes())
-    assert term.value > 0.0 and term.skipped_bound > 0.0
+        terms.append(np.array([term.log_scale, term.mantissa]).tobytes())
+    assert term.value > 0.0
     assert terms == [terms[0]] * len(terms)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from carlstab import grid as g
+from carlstab import weights
 from carlstab.errors import AdmissibilityError, GridError, QuadratureError
 from carlstab.quadrature import adaptive_log_integral, fit_slope
 from carlstab.weights import (Box, CarlemanWeight, WeightParams, coupled_delta,
@@ -46,6 +47,30 @@ def test_bump_positive_on_inflated_box(d):
     w = make_weight(grid=grid, d=d)
     assert w.assumption_report.min_psi > 0
     assert w.assumption_report.satisfied
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bump_report_is_cached_per_geometry(monkeypatch, d):
+    # the checks read only (grid, omega0): every weight on one geometry shares one
+    # report, equal to a fresh check
+    monkeypatch.setattr(weights, "_BUMP_REPORTS", {})
+    grid = g.GridSpec(d, 9)
+    first, second = make_weight(grid=grid, d=d), make_weight(tau=5.0, lam=3.0, grid=grid, d=d)
+    assert first.assumption_report is second.assumption_report
+    assert first.assumption_report == first._check_assumptions() == second._check_assumptions()
+    assert list(weights._BUMP_REPORTS) == [(grid, Box.cube(0.35, 0.65, d))]
+    make_weight(grid=g.GridSpec(d, 11), d=d)
+    assert len(weights._BUMP_REPORTS) == 2
+
+
+def test_failing_bump_geometry_raises_every_time(monkeypatch):
+    # C0 = 0.05 makes psi negative on the inflated box; the cached verdict still raises
+    monkeypatch.setattr(weights, "_BUMP_REPORTS", {})
+    monkeypatch.setattr(weights, "C0", 0.05)
+    for _ in range(2):
+        with pytest.raises(GridError, match="bump conditions failed"):
+            make_weight()
+    assert not weights._BUMP_REPORTS[GRID, OMEGA0].satisfied
 
 
 def test_bump_centre_near_face_rejected():
