@@ -79,6 +79,7 @@ def _write_run_dir(out_dir: Path, cfg: Config, result: SuiteResult, wall: float)
         ],
         "extras": {key: _json_value(v) for key, v in result.extras.items()},
         "timings": result.timings,
+        "health": {key: _json_value(v) for key, v in result.health.items()},
         "wall_time_s": wall,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -52,6 +52,7 @@ class SuiteResult:
     tables: dict = field(default_factory=dict)   # name -> (header, rows)
     extras: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)  # seconds per phase
+    health: dict = field(default_factory=dict)   # per-grid figures behind the assertions
 
     @property
     def passed(self) -> bool:
@@ -80,10 +81,14 @@ def _weight(cfg: Config, grid: g.GridSpec, params: WeightParams) -> CarlemanWeig
     return CarlemanWeight(grid, params, Box.cube(lo0, hi0, grid.d), Box.cube(lo, hi, grid.d))
 
 
-def _grid_stability(label: str, finite_name: str, per_grid: list) -> list:
+def _grid_maxima(per_grid: list) -> list:
+    """The largest value of one quantity on each grid, NaN on a grid without one."""
+    return [max(vals) if vals else math.nan for vals in per_grid]
+
+
+def _grid_stability(label: str, finite_name: str, maxima: list) -> list:
     """Per-grid maxima of one quantity: all finite and positive, and the first
     two grids within a factor 2 of each other."""
-    maxima = [max(vals) if vals else math.nan for vals in per_grid]
     finite = all(math.isfinite(v) and v > 0 for v in maxima)
     out = [Assertion(finite_name, max(maxima) if finite else math.inf, math.inf, finite)]
     if len(maxima) >= 2 and finite:
@@ -120,7 +125,7 @@ def run_verify_ops(cfg: Config) -> SuiteResult:
     vo = cfg["verify_ops"]
     worst = {k: 0.0 for k in ("leibniz_diff", "leibniz_avg", "avg_square",
                               "diff_square", "ibp_diff", "ibp_avg")}
-    avg_dominance_violations = 0
+    avg_dominance_violations, timings = 0, {}
     for k in range(vo["fields"]):
         rng = run_rng(seed, SUITE_IDS["verify_ops"], k)
         d = int(rng.integers(1, 4))
@@ -132,29 +137,36 @@ def run_verify_ops(cfg: Config) -> SuiteResult:
         axis = int(rng.integers(0, d))
         scale_uv = max(1.0, ops.linf_norm(u)) * max(1.0, ops.linf_norm(v))
         scale_uu = max(1.0, ops.linf_norm(u)) ** 2
-        leib = ops.leibniz_residuals(u, v, axis)
+        leib = _timed(timings, "leibniz", ops.leibniz_residuals, u, v, axis)
         worst["leibniz_diff"] = max(worst["leibniz_diff"], leib["diff_rule"] / scale_uv)
         worst["leibniz_avg"] = max(worst["leibniz_avg"], leib["avg_rule"] / scale_uv)
-        du, au = ops.diff(u, axis), ops.avg(u, axis)
-        u_sq = g.MeshFunction(fc, u.values ** 2)
-        a_sq = ops.avg(u_sq, axis).values
-        d_sq = ops.diff(u_sq, axis).values
-        h = grid.h
-        r_avg_sq = np.max(np.abs(a_sq - (au.values ** 2 + 0.25 * h * h * du.values ** 2)))
-        r_diff_sq = np.max(np.abs(d_sq - 2.0 * du.values * au.values))
+        r_avg_sq, r_diff_sq, dominance = _timed(timings, "squares", _square_residuals, u, axis)
         worst["avg_square"] = max(worst["avg_square"], r_avg_sq / scale_uu)
-        worst["diff_square"] = max(worst["diff_square"], r_diff_sq / (scale_uu / h))
-        avg_dominance_violations += int(np.any(a_sq - au.values ** 2 < -1e-12 * scale_uu))
+        worst["diff_square"] = max(worst["diff_square"], r_diff_sq / (scale_uu / grid.h))
+        avg_dominance_violations += int(dominance < -1e-12 * scale_uu)
         uc = g.MeshFunction(g.closure(grid, axis), rng.normal(size=g.closure(grid, axis).size))
         vs = g.MeshFunction(g.dual_star(grid, axis), rng.normal(size=g.dual_star(grid, axis).size))
         scale_ibp = max(1.0, ops.linf_norm(uc)) * max(1.0, ops.linf_norm(vs))
-        worst["ibp_diff"] = max(worst["ibp_diff"], abs(ops.ibp_diff_residual(uc, vs, axis)) / scale_ibp)
-        worst["ibp_avg"] = max(worst["ibp_avg"], abs(ops.ibp_avg_residual(uc, vs, axis)) / scale_ibp)
+        ibp_diff = _timed(timings, "ibp", ops.ibp_diff_residual, uc, vs, axis)
+        ibp_avg = _timed(timings, "ibp", ops.ibp_avg_residual, uc, vs, axis)
+        worst["ibp_diff"] = max(worst["ibp_diff"], abs(ibp_diff) / scale_ibp)
+        worst["ibp_avg"] = max(worst["ibp_avg"], abs(ibp_avg) / scale_ibp)
     assertions = [_le(f"{k}_residual", v, 1e-12) for k, v in sorted(worst.items())]
     assertions.append(_le("avg_dominance_violations", avg_dominance_violations, 0))
     header = ["identity", "max_normalized_residual"]
     rows = [[k, v] for k, v in sorted(worst.items())]
-    return SuiteResult("verify_ops", assertions, {"identities": (header, rows)})
+    return SuiteResult("verify_ops", assertions, {"identities": (header, rows)}, timings=timings)
+
+
+def _square_residuals(u: g.MeshFunction, axis: int) -> tuple:
+    """The largest residuals of A(u^2) = (A u)^2 + h^2/4 (D u)^2 and
+    D(u^2) = 2 D u A u along one axis, and the least A(u^2) - (A u)^2."""
+    h = u.mesh.grid.h
+    du, au = ops.diff(u, axis).values, ops.avg(u, axis).values
+    u_sq = g.MeshFunction(u.mesh, u.values ** 2)
+    a_sq, d_sq = ops.avg(u_sq, axis).values, ops.diff(u_sq, axis).values
+    return (np.max(np.abs(a_sq - (au ** 2 + 0.25 * h * h * du ** 2))),
+            np.max(np.abs(d_sq - 2.0 * du * au)), np.min(a_sq - au ** 2))
 
 
 # convergence ---------------------------------------------------------------
@@ -181,8 +193,8 @@ def run_converge(cfg: Config) -> SuiteResult:
     def discrete_src(t, X):
         return -math.exp(-t) * (u0.values + a_u0)
 
-    tg = TimeGrid(T, cc["manufactured_steps"])
-    traj = solve_forward(grid, coeffs, discrete_src, tg, y_ini=u0)
+    tg, timings = TimeGrid(T, cc["manufactured_steps"]), {}
+    traj = _timed(timings, "manufactured", solve_forward, grid, coeffs, discrete_src, tg, y_ini=u0)
     diagnostics = [traj.diagnostics]
     scale = np.max(np.abs(u0.values))
     rel_discrete = max(
@@ -203,8 +215,8 @@ def run_converge(cfg: Config) -> SuiteResult:
         pn = g.primal(gn)
         un = g.sample(pn, _product_sine)
         tgn = TimeGrid(T, cc["spatial_steps"])
-        trn = solve_forward(gn, CoefficientFields.constant(d),
-                            continuous_src_factory(un.values), tgn, y_ini=un)
+        trn = _timed(timings, "spatial", solve_forward, gn, CoefficientFields.constant(d),
+                     continuous_src_factory(un.values), tgn, y_ini=un)
         diagnostics.append(trn.diagnostics)
         exact = math.exp(-T) * un.values
         err = math.sqrt(gn.h ** d * float(np.sum((trn.values[-1] - exact) ** 2)))
@@ -216,7 +228,7 @@ def run_converge(cfg: Config) -> SuiteResult:
     terrs = []
     for steps in cc["temporal_steps"]:
         tgt = TimeGrid(T, int(steps))
-        trt = solve_forward(grid, coeffs, discrete_src, tgt, y_ini=u0)
+        trt = _timed(timings, "temporal", solve_forward, grid, coeffs, discrete_src, tgt, y_ini=u0)
         diagnostics.append(trt.diagnostics)
         exact = math.exp(-T) * u0.values
         err = float(np.max(np.abs(trt.values[-1] - exact))) / scale
@@ -233,7 +245,7 @@ def run_converge(cfg: Config) -> SuiteResult:
                        {"converge": (["study", "n", "steps", "rel_error"], rows)},
                        extras={"spatial_orders": spatial_orders,
                                "temporal_orders": temporal_orders,
-                               **_solver_work(diagnostics)})
+                               **_solver_work(diagnostics)}, timings=timings)
 
 
 # energy ---------------------------------------------------------------------
@@ -365,11 +377,13 @@ def run_carleman(cfg: Config) -> SuiteResult:
     solver_work = [work for _, work, _ in results]
     timings = {phase: sum(t[phase] for _, _, t in results) for phase in results[0][2]}
 
-    assertions = []
+    assertions, health = [], {"grids": [int(n) for n in ca["grids"]]}
     for p in (0, 1):
         per_grid = [[r["ratio"] for r in rows if r["p"] == p and r["N"] == n
                      and r["admissible"] and r["ratio"] is not None] for n in ca["grids"]]
-        assertions.extend(_grid_stability(f"p{p}", f"p{p}_max_ratio_finite", per_grid))
+        health[f"p{p}_max_ratio"] = _grid_maxima(per_grid)
+        assertions.extend(_grid_stability(f"p{p}", f"p{p}_max_ratio_finite",
+                                          health[f"p{p}_max_ratio"]))
 
     fea_rows, fea_diagnostics, fea_points = _timed(timings, "feasibility_table",
                                                    _feasibility_table, cfg)
@@ -395,7 +409,8 @@ def run_carleman(cfg: Config) -> SuiteResult:
     extras = {**_solver_work(solver_work + fea_diagnostics),
               # entries of the scale-free weight tables the weighted sums formed
               "weighted_points": sum(w["weighted_points"] for w in solver_work) + fea_points}
-    return SuiteResult("carleman", assertions, tables, extras=extras, timings=timings)
+    return SuiteResult("carleman", assertions, tables, extras=extras, timings=timings,
+                       health=health)
 
 
 # stability corpus and decay ---------------------------------------------------
@@ -451,14 +466,15 @@ def run_stability(cfg: Config) -> SuiteResult:
     rows.sort(key=lambda r: (r["run_id"], r["N"]))
     timings = {phase: sum(t[phase] for _, _, t in results) for phase in results[0][2]}
 
-    assertions = []
+    assertions, health = [], {"grids": [int(n) for n in st["grids"]]}
     for key in ("quotient", "reduced_quotient"):
-        per_grid = [[r[key] for r in rows if r["N"] == n] for n in st["grids"]]
-        assertions.extend(_grid_stability(key, f"{key}_finite", per_grid))
+        health[f"max_{key}"] = _grid_maxima([[r[key] for r in rows if r["N"] == n]
+                                             for n in st["grids"]])
+        assertions.extend(_grid_stability(key, f"{key}_finite", health[f"max_{key}"]))
 
     decay_rows, decay_assertions, decay_health = _timed(timings, "decay", _decay_study, cfg)
     assertions.extend(decay_assertions)
-    health = [h for _, h, _ in results] + [decay_health]
+    solver_health = [h for _, h, _ in results] + [decay_health]
 
     header = ["run_id", "h", "N", "d", "tau", "delta", "lambda", "lhs", "rhs_observed",
               "rhs_error_term", "quotient", "seed"]
@@ -470,9 +486,10 @@ def run_stability(cfg: Config) -> SuiteResult:
         "stability_extra": (extra_header, [[r[k] for k in extra_header] for r in rows]),
         "decay": (decay_header, decay_rows),
     }
-    extras = {**_solver_work(health),
-              "max_cross_check_rel": max(h["max_cross_check_rel"] for h in health)}
-    return SuiteResult("stability", assertions, tables, extras=extras, timings=timings)
+    extras = {**_solver_work(solver_health),
+              "max_cross_check_rel": max(h["max_cross_check_rel"] for h in solver_health)}
+    return SuiteResult("stability", assertions, tables, extras=extras, timings=timings,
+                       health=health)
 
 
 def _decay_study(cfg: Config) -> tuple[list, list, dict]:

@@ -33,11 +33,13 @@ REFINE_TOL, for at most REFINE_SWEEPS sweeps; a factor of another frame that
 misses the target is replaced by one of L_m, and so is one whose previous
 step needed more than REFRESH_SWEEPS sweeps.  Both rules read only the data.
 With a factor of another frame, refinement starts from the march's own
-states: the Newton backward extrapolation of the last GUESS_STATES solutions,
-when the step directly follows the previous one with the same shape (reusing
-earlier solutions as Fischer's projection method does, CMAME 163, 1998).  The
-trapezoidal rule flips the sign of stiff modes every step, so a column whose
-extrapolated residual is no smaller than its rhs starts from zero instead.
+states, when the step directly follows the previous one with the same shape
+(reusing earlier solutions as Fischer's projection method does, CMAME 163,
+1998): the Newton backward extrapolations of degree 3 and 5 from the last
+GUESS_STATES solutions, blended per column by the factor in [0, 1] that
+minimises the residual.  The trapezoidal rule flips the sign of stiff modes
+every step, so a column whose start's residual is no smaller than its rhs
+starts from zero instead.
 Time-independent coefficients factorise once, and that exact factor meets
 the target without a sweep.  Every column must reach relative residual
 LINEAR_RESIDUAL_TOL = 1e-10 or the step raises.
@@ -74,12 +76,17 @@ LINEAR_RESIDUAL_TOL = 1e-10
 REFINE_TOL = 1e-13
 REFINE_SWEEPS = 8
 # a lower threshold refactorises more often than it saves in sweeps on the
-# costliest factor measured (d = 3, N = 15; measured before the extrapolated
-# start, which rarely lets a step come near it); see scripts/bench_steps.py
+# costliest factor measured (d = 3, N = 15, refining from zero; a blended start
+# rarely lets a step come near it); see scripts/bench_steps.py
 REFRESH_SWEEPS = 7
-# solutions of the lagged path held for the starting guess: Newton backward
-# extrapolation of degree GUESS_STATES - 1
-GUESS_STATES = 4
+# solutions of the lagged path held for the starting guess, newest first: the
+# start blends the Newton backward extrapolations of degree BASE_STATES - 1 and
+# GUESS_STATES - 1 (a fixed degree 5 makes more sweeps on rough or finer data)
+GUESS_STATES = 6
+BASE_STATES = 4
+# frames a d >= 2 march forms in one product: a longer block holds more memory for
+# no time (64 frames at d = 2, N = 31 raised the peak RSS of a carleman pass by 12 %)
+FRAME_BLOCK = 8
 # steps a d = 1 march solves between two checks of the residual contract: the
 # check holds their right-hand sides, so its memory does not grow with the march
 CHECK_STEPS = 64
@@ -323,16 +330,45 @@ def _tridiagonal_slots(diag: np.ndarray) -> tuple:
     return diag[1:] - 1, diag, diag[:-1] + 1
 
 
-def _worst_relative(rhs: np.ndarray):
-    """The largest relative 2-norm over the columns of a residual of L x = rhs,
-    as a function of the residual; a zero column counts its residual absolutely
-    (a zero rhs solves exactly to zero)."""
+def _scale(rhs: np.ndarray):
+    """The 2-norms of rhs's columns against which a residual of L x = rhs is
+    relative; a zero column counts its residual absolutely (a zero rhs solves
+    exactly to zero).  A plain float for one state."""
     if rhs.ndim == 1:
-        scale = math.sqrt(rhs @ rhs) or 1.0
-        return lambda r: math.sqrt(r @ r) / scale
+        return math.sqrt(rhs @ rhs) or 1.0
     norms = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
-    scale = np.where(norms > 0.0, norms, 1.0)
-    return lambda r: float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r)) / scale))
+    return np.where(norms > 0.0, norms, 1.0)
+
+
+def _worst(r: np.ndarray, scale) -> float:
+    """The largest relative 2-norm over the columns of a residual r, given `_scale(rhs)`."""
+    if r.ndim == 1:
+        return math.sqrt(r @ r) / scale
+    return float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r)) / scale))
+
+
+def _dots(a: np.ndarray, b: np.ndarray):
+    """The dot products of a's and b's columns: a plain dot for one state."""
+    return a @ b if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
+
+
+def _unit_ratio(num, den):
+    """num / den clipped to [0, 1], and 0 where den is 0: per column, or one float."""
+    if np.ndim(num):
+        return np.clip(num / np.where(den > 0.0, den, np.inf), 0.0, 1.0)
+    return min(max(num / den, 0.0), 1.0) if den > 0.0 else 0.0
+
+
+@lru_cache(maxsize=None)
+def _start_weights(p: int) -> np.ndarray:
+    """(2, p) weights on p held states, newest first: the Newton backward
+    extrapolation sum_j (-1)^j C(q, j + 1) y_j of degree q - 1 = min(p,
+    BASE_STATES) - 1, then the step from it to the one of degree p - 1."""
+    base, top = ([(-1) ** j * math.comb(q, j + 1) if j < q else 0 for j in range(p)]
+                 for q in (min(p, BASE_STATES), p))
+    weights = np.array([base, np.subtract(top, base)], dtype=np.float64)
+    weights.flags.writeable = False
+    return weights
 
 
 def _banded(bands: list, X: np.ndarray) -> np.ndarray:
@@ -380,14 +416,17 @@ class Stepper:
     once and its exact factor needs no sweep; a time-dependent one factorises
     whenever its coefficients have drifted too far for the lagged factor.
     A time-dependent march holds the last GUESS_STATES solutions of its
-    lagged steps, newest first, and the step they lead into.  Step m with a
-    factor of another frame, directly following the held states with the
-    same shape, starts from their Newton backward extrapolation
-    x_g = sum_j (-1)^j C(p, j + 1) y_j over the p states held: the first
-    solve is x = x_g + LU^{-1}(rhs - L_m x_g), where a column whose residual
-    is no smaller than its rhs (a stiff mode the trapezoidal rule flipped)
-    starts from zero.  A step with an exact factor, and the solve again
-    after a miss, start from zero and keep their bits.
+    lagged steps as rows, newest first, and the step they lead into.  Step m
+    with a factor of another frame, directly following the held states with
+    the same shape, starts from their Newton backward extrapolations
+    sum_j (-1)^j C(q, j + 1) y_j over the newest q states: g_3 (q = 4) and
+    g_5 (q = 6), both one product of the rows (with p < 6 states held, q is
+    at most p).  Its start is g = g_3 + alpha (g_5 - g_3), with alpha in
+    [0, 1] per column the least-squares minimiser of |rhs - L_m g|, and the
+    first solve is x = g + LU^{-1}(rhs - L_m g), where a column whose
+    residual is no smaller than its rhs (a stiff mode the trapezoidal rule
+    flipped) starts from zero.  A step with an exact factor, and the solve
+    again after a miss, start from zero and keep their bits.
     At every dimension, every column
     must reach relative residual LINEAR_RESIDUAL_TOL and a finite state, or
     the step raises; the residual reported is the largest over the columns.
@@ -395,10 +434,12 @@ class Stepper:
     work done; at d = 1 every step is one factorisation and no sweep.
 
     `march` runs one state's steps with the frames, residuals, counters and
-    errors of a `step` loop, which stays its oracle; at d >= 2 it is that
-    loop, as a lagged step needs each solve's residual to choose its sweeps.
-    At d = 1 a step is one R product and one dgtsv on bands formed before
-    its block of CHECK_STEPS steps, and the contract is checked once a block.
+    errors of a `step` loop, which stays its oracle.  At d >= 2 each step
+    solves as `step` does, since a lagged step needs each solve's residual
+    to choose its sweeps, on frames formed FRAME_BLOCK at a time; a block
+    stops before a flagged frame, which raises when its step comes.  At
+    d = 1 a step is one R product and one dgtsv on bands formed before its
+    block of CHECK_STEPS steps, and the contract is checked once a block.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
@@ -410,7 +451,8 @@ class Stepper:
         self.linear_solves = 0
         self._lu = None         # (frame of L, its LU factor)
         self._last_sweeps = 0   # sweeps the previous step needed
-        self._history = []      # solutions of lagged steps, newest first
+        self._history = np.empty(0)   # solutions of lagged steps as rows, newest first
+        self._states = 0        # how many of its rows are held
         self._next = None       # the step they lead into
         self._template, slot = _pattern(grid, coeffs.b is not None)
         self._diag = slot[-g.primal(grid).size:]   # `_stencil` emits the diagonal last
@@ -451,14 +493,19 @@ class Stepper:
             self._held = (m, self._coef[m] @ self._basis)
         return self._held[1]
 
-    def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """`data` on A's pattern times x by the kernel `csr_matrix @ x` calls."""
-        out, n = np.zeros(x.shape), x.shape[0]
-        args = (self._template.indptr, self._template.indices, data, x.ravel(), out.ravel())
-        if x.size == n:
-            _sparsetools.csr_matvec(n, n, *args)
+    def _product(self, data: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """`data` on A's pattern times x by the kernel `csr_matrix @ x` calls, into
+        a new array or the C-ordered `out` of x's shape."""
+        n, t = x.shape[0], self._template
+        if out is None:
+            out = np.zeros(x.shape)
         else:
-            _sparsetools.csr_matvecs(n, n, x.size // n, *args)
+            out.fill(0.0)
+        if x.size == n:
+            _sparsetools.csr_matvec(n, n, t.indptr, t.indices, data, x.ravel(), out.ravel())
+        else:
+            _sparsetools.csr_matvecs(n, n, x.size // n, t.indptr, t.indices, data, x.ravel(),
+                                     out.ravel())
         return out
 
     def _factorise(self, frame: int, L: np.ndarray):
@@ -469,42 +516,57 @@ class Stepper:
 
     def _follows(self, m: int, shape: tuple) -> bool:
         """Whether the held states lead into step m with states of this shape."""
-        return m == self._next and self._history[0].shape == shape
+        return m == self._next and self._history.shape[1:] == shape
 
-    def _guess(self, m: int, rhs: np.ndarray) -> np.ndarray | None:
-        """Newton backward extrapolation of the held states to step m, or None
-        unless they lead into it with rhs's shape."""
+    def _guess(self, m: int, rhs: np.ndarray) -> tuple | None:
+        """The extrapolation of degree 3 of the held states to step m, and the step
+        from it to the one of degree GUESS_STATES - 1 (None while at most
+        BASE_STATES are held): one product of their rows.  None unless they lead
+        into step m with rhs's shape."""
         if not self._follows(m, rhs.shape):
             return None
-        p = len(self._history)
-        return sum((-1) ** j * math.comb(p, j + 1) * y for j, y in enumerate(self._history))
+        p = self._states
+        base, step = (_start_weights(p) @ self._history[:p].reshape(p, -1)).reshape(2, *rhs.shape)
+        return base, step if p > BASE_STATES else None
 
     def _remember(self, m: int, x: np.ndarray):
         """Hold x, the solution of step m, newest first with the states leading into it."""
-        follows = self._follows(m, x.shape)
-        self._history = [x, *self._history[:GUESS_STATES - 1]] if follows else [x]
+        if self._follows(m, x.shape):
+            keep = min(self._states, GUESS_STATES - 1)
+            self._history[1:keep + 1] = self._history[:keep]
+            self._states = keep + 1
+        else:
+            if self._history.shape[1:] != x.shape:
+                self._history = np.empty((GUESS_STATES, *x.shape))
+            self._states = 1
+        self._history[0] = x
         self._next = m + 1
 
-    def _start(self, L: np.ndarray, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
-        """guess + LU^{-1}(rhs - L guess); a column whose residual is no smaller
-        than its rhs starts from zero instead."""
+    def _start(self, L: np.ndarray, rhs: np.ndarray, guess: np.ndarray,
+               step: np.ndarray | None = None) -> np.ndarray:
+        """g + LU^{-1}(rhs - L g) from g = guess + alpha step, with alpha in [0, 1] per
+        column the least-squares minimiser of the residual; a column whose residual
+        is no smaller than its rhs starts from zero instead.  Writes into guess."""
         r = rhs - self._product(L, guess)
-        r2, guess2, rhs2 = (a.reshape(rhs.shape[0], -1) for a in (r, guess, rhs))
-        cold = np.einsum("ij,ij->j", r2, r2) >= np.einsum("ij,ij->j", rhs2, rhs2)
-        guess2[:, cold] = 0.0
-        r2[:, cold] = rhs2[:, cold]
+        if step is not None:
+            Ls = self._product(L, step)
+            alpha = _unit_ratio(_dots(r, Ls), _dots(Ls, Ls))
+            guess += alpha * step
+            r -= alpha * Ls
+        cold = _dots(r, r) >= _dots(rhs, rhs)
+        if cold.any():
+            n, cold = rhs.shape[0], np.atleast_1d(cold)
+            guess.reshape(n, -1)[:, cold] = 0.0
+            r.reshape(n, -1)[:, cold] = rhs.reshape(n, -1)[:, cold]
         return guess + self._lu[1].solve(r)
 
-    def _refine(self, L: np.ndarray, rhs: np.ndarray,
-                guess: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        """Solve with the current factor from zero or from `guess`, then refine against L."""
-        solve = self._lu[1].solve
-        worst = _worst_relative(rhs)
-        x = solve(rhs) if guess is None else self._start(L, rhs, guess)
-        sweeps = 0
+    def _refine(self, L: np.ndarray, rhs: np.ndarray, scale, x: np.ndarray) -> tuple:
+        """Refine x against L with the current factor, in place, until the worst
+        column's relative residual is at most REFINE_TOL or REFINE_SWEEPS sweeps are spent."""
+        solve, sweeps, Lx = self._lu[1].solve, 0, np.empty(rhs.shape)
         while True:
-            r = rhs - self._product(L, x)
-            res = worst(r)
+            r = rhs - self._product(L, x, Lx)
+            res = _worst(r, scale)
             if res <= REFINE_TOL or sweeps == REFINE_SWEEPS or not math.isfinite(res):
                 break
             x += solve(r)
@@ -516,14 +578,17 @@ class Stepper:
     def _lagged(self, m: int, frame: int, L: np.ndarray,
                 rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """Solve with the lagged factor and refine, refactorising by the policy's rules;
-        a factor of another frame starts from the extrapolated state."""
+        a factor of another frame starts from the held states."""
         if self._lu is None or (self._lu[0] != frame and self._last_sweeps > REFRESH_SWEEPS):
             self._factorise(frame, L)
-        x, res = self._refine(L, rhs, self._guess(m, rhs) if self._lu[0] != frame else None)
+        scale = _scale(rhs)
+        guess = self._guess(m, rhs) if self._lu[0] != frame else None
+        x = self._lu[1].solve(rhs) if guess is None else self._start(L, rhs, *guess)
+        x, res = self._refine(L, rhs, scale, x)
         # a non-finite residual is a miss too: a diverged refinement gets a fresh factor
         if not res <= REFINE_TOL and self._lu[0] != frame:
             self._factorise(frame, L)
-            x, res = self._refine(L, rhs)
+            x, res = self._refine(L, rhs, scale, self._lu[1].solve(rhs))
         if not self.coeffs.time_independent:
             self._remember(m, x)
         return x, res
@@ -539,22 +604,21 @@ class Stepper:
         x, info = dgtsv(lower, diag, upper, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info > 0:
             raise self._singular(m, info)
-        return x, _worst_relative(rhs)(rhs - self._product(L, x))
+        return x, _worst(rhs - self._product(L, x), _scale(rhs))
 
     def _contract(self, m: int, x: np.ndarray, res: float):
         """Raise unless step m's state x is finite and its residual meets LINEAR_RESIDUAL_TOL."""
+        if res <= LINEAR_RESIDUAL_TOL:   # then x is finite: each row of L holds its diagonal
+            return
         if not np.isfinite(x).all():
             raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
-        if not res <= LINEAR_RESIDUAL_TOL:
-            raise SolverError(f"linear solve failed at step {m + 1}: relative residual {res:.3e}")
+        raise SolverError(f"linear solve failed at step {m + 1}: relative residual {res:.3e}")
 
-    def _solve(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    def _solve(self, m: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """x with L_m x = rhs, and its largest relative residual over the columns."""
         self.linear_solves += 1
-        frame = 0 if self.coeffs.time_independent else m + 1
-        L = self._frame(frame)[0]
         if self._bands is None:
-            x, res = self._lagged(m, frame, L, rhs)
+            x, res = self._lagged(m, 0 if self.coeffs.time_independent else m + 1, L, rhs)
         else:
             x, res = self._tridiagonal(m, L, rhs)
         self._contract(m, x, res)
@@ -562,7 +626,8 @@ class Stepper:
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """y_{m+1} and the largest relative residual of its linear solves."""
-        return self._solve(m, self._product(self._frame(m)[1], y) + f)
+        rhs = self._product(self._frame(m)[1], y) + f
+        return self._solve(m, self._frame(m + 1)[0], rhs)
 
     def march(self, y0: np.ndarray, F: np.ndarray, m0: int = 0) -> tuple[np.ndarray, float]:
         """The states y_{m0}, ..., y_{m0 + s} of one state's march from y0 with
@@ -570,14 +635,10 @@ class Stepper:
         residual of its solves; bitwise the `step` loop."""
         frames = np.empty((len(F) + 1, np.size(y0)))
         frames[0] = y0
-        worst = 0.0
         if self._bands is None:
-            for k, f in enumerate(F):
-                frames[k + 1], res = self.step(m0 + k, frames[k], f)
-                worst = max(worst, res)
-            return frames, worst
+            return frames, self._lagged_march(frames, F, m0)
         steps, n = F.shape
-        t, rhs = self._template, np.empty((CHECK_STEPS, n))
+        t, rhs, worst = self._template, np.empty((CHECK_STEPS, n)), 0.0
         for k0 in range(0, steps, CHECK_STEPS):   # form a block's frames and bands of L, then solve
             count = min(CHECK_STEPS, steps - k0)
             LR = self._frames(m0 + k0, count + 1)
@@ -600,6 +661,32 @@ class Stepper:
         self.factorisations += steps
         self.linear_solves += steps
         return frames, worst
+
+    def _lagged_march(self, frames: np.ndarray, F: np.ndarray, m0: int) -> float:
+        """`march` at d >= 2, into frames: each step is `step`'s, on frames formed
+        FRAME_BLOCK at a time; returns the largest residual."""
+        LR, first, rhs, worst = None, m0, np.empty(frames.shape[1]), 0.0
+        for k, f in enumerate(F):
+            m = m0 + k
+            if LR is None or m + 1 - first >= len(LR):
+                LR, first = self._block(m, len(F) - k + 1), m
+            self._product(LR[m - first, 1], frames[k], rhs)   # R_m y_m, then the forcing
+            rhs += f
+            frames[k + 1], res = self._solve(m, LR[m + 1 - first, 0], rhs)
+            worst = max(worst, res)
+        return worst
+
+    def _block(self, m: int, count: int) -> np.ndarray:
+        """The rows of frames m, m + 1, ..., at most count and FRAME_BLOCK of them, as
+        `_frames` forms them.  The block stops before a flagged frame past m + 1, so
+        that frame raises only when the step that needs it comes."""
+        count = min(count, FRAME_BLOCK)
+        if self.coeffs.time_independent:
+            return np.broadcast_to(self._held[1], (count, *self._held[1].shape))
+        bad = self._bad[m:m + count]
+        if bad.any():   # frames m and m + 1 raise as `step` would, at the first flagged
+            count = max(int(np.argmax(bad)), 2)
+        return self._frames(m, count)
 
     def _check(self, m: int, bands: list, X: np.ndarray, rhs: np.ndarray) -> float:
         """The largest relative residual of steps m, m + 1, ... from rows of their

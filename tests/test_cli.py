@@ -231,7 +231,9 @@ def test_carleman_summary_times_each_phase(tmp_path):
       "--set", "reconstruct.noise=0.01"],
      {"source_march", "normal_equations", "coefficient_march", "coefficient_recovery"}),
     (["energy", "--set", "energy.runs=2", "--set", "energy.steps=32"], {"march", "check"}),
-], ids=["stability", "reconstruct", "energy"])
+    (["converge", "--set", "converge.spatial_steps=64"], {"manufactured", "spatial", "temporal"}),
+    (["verify-ops", "--set", "verify_ops.fields=8"], {"leibniz", "squares", "ibp"}),
+], ids=["stability", "reconstruct", "energy", "converge", "verify-ops"])
 def test_inverse_summaries_time_each_phase(tmp_path, argv, phases):
     out = tmp_path / argv[0]
     assert main(argv + ["--out", str(out)]) == 0
@@ -239,6 +241,38 @@ def test_inverse_summaries_time_each_phase(tmp_path, argv, phases):
     assert set(summary["timings"]) == phases
     assert all(0.0 < s for s in summary["timings"].values())
     assert sum(summary["timings"].values()) <= summary["wall_time_s"]
+
+
+def _csv_rows(path: Path) -> list:
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_summaries_carry_the_per_grid_maxima(tmp_path):
+    # `health` holds the per-grid maxima behind the grid-stability assertions, as the CSVs
+    # give them: the largest admissible ratio per p, and the largest quotients
+    out = tmp_path / "c"
+    assert main(["carleman", "--set", "carleman.runs=2", "--set", "carleman.steps=16",
+                 "--set", "carleman.feasibility_grids=15", "--set", "carleman.feasibility_runs=1",
+                 "--out", str(out)]) == 0
+    health = json.loads((out / "summary.json").read_text())["health"]
+    rows = [r for r in _csv_rows(out / "carleman_corpus.csv") if r["admissible"] == "true"]
+    assert health["grids"] == [15, 31]
+    for p in (0, 1):
+        assert health[f"p{p}_max_ratio"] == [
+            max(float(r["ratio"]) for r in rows if r["p"] == str(p) and r["N"] == str(n))
+            for n in (15, 31)]
+    out = tmp_path / "s"
+    assert main(["stability", "--set", "stability.runs=2", "--set", "stability.steps=64",
+                 "--set", "stability.decay_grids=15,31", "--set", "stability.decay_steps=64",
+                 "--out", str(out)]) == 0
+    health = json.loads((out / "summary.json").read_text())["health"]
+    rows = _csv_rows(out / "stability.csv")
+    extra = _csv_rows(out / "stability_extra.csv")
+    assert health["grids"] == [15, 31]
+    for key, table in (("quotient", rows), ("reduced_quotient", extra)):
+        assert health[f"max_{key}"] == [max(float(r[key]) for r in table if r["N"] == str(n))
+                                        for n in (15, 31)]
 
 
 def test_feasibility_cells_appear_once(tmp_path):

@@ -4,9 +4,9 @@ Every suite is rerun with the fast overrides into a temporary directory and
 each CSV is compared with its committed copy: the header and non-numeric
 cells exactly, numeric cells to 1e-9 relative.  Each summary.json must list
 the same assertions, with the same bounds and verdicts and values to the
-same tolerance, and the same extras: counters such as the carleman suite's
-factorisations and sweeps exactly, other numbers to the same tolerance; its
-wall time is not compared.  Each config.cfg snapshot must parse and hold the
+same tolerance, and the same extras and health: counters such as the
+carleman suite's factorisations and sweeps exactly, other numbers to the same
+tolerance; its wall time and timings are not compared.  Each config.cfg snapshot must parse and hold the
 fresh run's settings, `run.out` aside.  A change that moves a run on purpose
 regenerates the files and says so in CHANGES.md.
 """
@@ -102,9 +102,10 @@ def test_fast_runs_match_committed_summaries(fresh_runs):
             assert (g["bound"], g["pass"]) == (w["bound"], w["pass"]), f"{rel} {w['name']}"
             assert _numbers_agree(float(w["value"]), float(g["value"])), \
                 f"{rel} {w['name']}: {g['value']} != {w['value']}"
-        assert got["extras"].keys() == want["extras"].keys(), rel
-        for key, w in want["extras"].items():
-            assert _extras_agree(w, got["extras"][key]), f"{rel} {key}: {got['extras'][key]} != {w}"
+        for part in ("extras", "health"):
+            assert got[part].keys() == want[part].keys(), f"{rel} {part}"
+            for key, w in want[part].items():
+                assert _extras_agree(w, got[part][key]), f"{rel} {key}: {got[part][key]} != {w}"
 
 
 def test_committed_snapshots_match_fresh_configs(fresh_runs):

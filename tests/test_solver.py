@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -343,25 +346,32 @@ def test_guess_needs_the_following_step_and_its_shape(rng, monkeypatch):
     stepper, oracle = (Stepper(grid, coeffs, TimeGrid(1.0, 64)) for _ in range(2))
     oracle._guess = lambda m, rhs: None
     guessed = []
-    refine = Stepper._refine
+    guess = Stepper._guess
 
-    def spy(self, L, rhs, guess=None):
+    def spy(self, m, rhs):
+        out = guess(self, m, rhs)
         if self is stepper:
-            guessed.append(guess is not None)
-        return refine(self, L, rhs, guess)
+            guessed.append((m, out is not None))
+        return out
 
-    monkeypatch.setattr(Stepper, "_refine", spy)
+    monkeypatch.setattr(Stepper, "_guess", spy)
     states = [rng.normal(size=size)]
     f = np.zeros(size)
-    for m in range(5):
+    for m in range(7):
         states.append(stepper.step(m, states[-1], f)[0])
         oracle.step(m, states[-2], f)
-    # step 0 factorises its own L (exact: no guess); the lagged steps 1-4 extrapolate
-    assert guessed == [False, True, True, True, True]
-    y0, y1, y2, y3 = states[:0:-1][:4]
-    want = 4 * y0 - 6 * y1 + 4 * y2 - y3
-    assert np.allclose(stepper._guess(5, y0), want, rtol=1e-14, atol=0.0)
-    assert stepper._guess(6, y0) is None and stepper._guess(5, np.zeros((size, 2))) is None
+    # step 0 factorises its own L (exact: no guess asked); the lagged steps 1-6 extrapolate
+    assert guessed == [(m, True) for m in range(1, 7)]
+    # the start blends the degree-3 extrapolation with the degree-5 one of the six
+    # states held, newest first
+    y = states[:0:-1][:solver.GUESS_STATES]
+    base, step = stepper._guess(7, y[0])
+    cubic = 4 * y[0] - 6 * y[1] + 4 * y[2] - y[3]
+    quintic = 6 * y[0] - 15 * y[1] + 20 * y[2] - 15 * y[3] + 6 * y[4] - y[5]
+    scale = np.linalg.norm(quintic)
+    assert np.linalg.norm(base - cubic) <= 1e-14 * scale
+    assert np.linalg.norm(base + step - quintic) <= 1e-14 * scale
+    assert stepper._guess(8, y[0]) is None and stepper._guess(7, np.zeros((size, 2))) is None
     guessed.clear()
     # a step that does not follow, then a block that follows with another shape: both
     # start from zero, with the oracle's bits (its factors are the same)
@@ -369,10 +379,58 @@ def test_guess_needs_the_following_step_and_its_shape(rng, monkeypatch):
     assert stepper.step(10, y, f)[0].tobytes() == oracle.step(10, y, f)[0].tobytes()
     Y = rng.normal(size=(size, 3))
     assert stepper.step(11, Y, 0 * Y)[0].tobytes() == oracle.step(11, Y, 0 * Y)[0].tobytes()
-    # the next block follows with the same shape: guessed from the one state held
+    # step 10, refined from zero, took more than REFRESH_SWEEPS sweeps: step 11
+    # solved with its own exact factor, so it asked for no guess
+    assert stepper._lu[0] == 12
+    # the next block follows with the same shape: guessed from the one state held, so
+    # there is no degree to blend with until more than BASE_STATES are held
     stepper.step(12, Y, 0 * Y)
-    assert guessed == [False, False, True]
+    assert guessed == [(10, False), (12, True)]
+    assert stepper._states == 2 and stepper._guess(13, Y)[1] is None
     assert stepper.factorisations == oracle.factorisations
+
+
+class _ZeroSolve:
+    """A factor whose solve returns zero, so `Stepper._start` returns the start itself."""
+
+    def solve(self, rhs):
+        return np.zeros_like(rhs)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), cols=st.sampled_from([0, 1, 3]),
+       held=st.integers(1, solver.GUESS_STATES), degree=st.integers(0, 6),
+       noise=st.sampled_from([0.0, 1e-9, 1e-4, 1e-1, 1.0]))
+def test_blended_start_is_no_worse_than_degree_3_or_zero(seed, cols, held, degree, noise):
+    # held states on a random polynomial path of time plus noise, and the rhs of the
+    # path's next state: per column, the blended start's residual is at most the
+    # degree-3 start's and the zero start's
+    rng = np.random.default_rng(seed)
+    grid = g.GridSpec(2, 7)
+    size = g.primal(grid).size
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.3)
+    stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
+    L = stepper._frame(9)[0]
+    shape = (size,) if cols == 0 else (size, cols)
+    path = rng.normal(size=(degree + 1, *shape))
+
+    def state(s):
+        return sum(c * (0.1 * s) ** k for k, c in enumerate(path)) + noise * rng.normal(size=shape)
+
+    for k in range(held):
+        stepper._remember(8 - held + k, state(k))
+    rhs = stepper._product(L, state(held))
+    stepper._lu = (0, _ZeroSolve())
+    base, step = stepper._guess(8, rhs)
+    cubic = base.copy()
+    start = stepper._start(L, rhs, base, step)
+
+    def norms(a):
+        return np.linalg.norm(a.reshape(size, -1), axis=0)
+
+    got = norms(rhs - stepper._product(L, start))
+    slack = 1e-12 * (norms(rhs) + norms(stepper._product(L, start)))
+    assert np.all(got <= norms(rhs - stepper._product(L, cubic)) + slack)
+    assert np.all(got <= norms(rhs) + slack)
 
 
 def test_safeguard_starts_a_worse_column_from_zero(rng):
@@ -917,16 +975,102 @@ def test_march_equals_the_step_loop_bitwise(rng, n, time_dependent, b_amp):
         assert counters[0] == counters[1] == (tg.steps - m0, 0, tg.steps - m0)
 
 
+# 3 FRAME_BLOCK + 22 steps: from 0 and from the mid frame, neither a multiple of the block
+D2_STEPS = 3 * solver.FRAME_BLOCK + 22
+
+
 def test_march_at_d2_is_the_step_loop(rng):
+    # time-independent and time-dependent coefficients, with and without advection, from
+    # 0 and from the mid frame; the smooth march keeps its blended starts, the rough one
+    # starts stiff columns from zero
     grid = g.GridSpec(2, 7)
-    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.8)
-    tg = TimeGrid(1.0, 32)
-    y0, F = rng.normal(size=49), rng.normal(size=(16, 49))
-    fast, slow = (Stepper(grid, coeffs, tg) for _ in range(2))
-    frames, worst = fast.march(y0, F, 16)
-    want, want_worst = _step_loop(slow, y0, F, 16)
-    assert frames.tobytes() == want.tobytes() and worst == want_worst
-    assert (fast.factorisations, fast.sweeps) == (slow.factorisations, slow.sweeps)
+    tg = TimeGrid(1.0, D2_STEPS)
+    X = g.primal(grid).physical
+    for time_dependent, b_amp in ((False, 0.8), (True, 0.0), (True, 0.8)):
+        coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=time_dependent,
+                                            b_amp=b_amp)
+        for init, m0 in itertools.product(("rough", "smooth"), (0, tg.mid)):
+            steps = tg.steps - m0
+            if init == "rough":
+                y0, F = rng.normal(size=49), rng.normal(size=(steps, 49))
+            else:
+                y0 = g.sample(g.primal(grid), random_bump(rng, 2)).values
+                F = np.outer(np.cos(tg.times[m0:-1]), product_sine(X)) * tg.dt
+            fast, slow = (Stepper(grid, coeffs, tg) for _ in range(2))
+            frames, worst = fast.march(y0, F, m0)
+            want, want_worst = _step_loop(slow, y0, F, m0)
+            assert frames.shape == want.shape and frames.tobytes() == want.tobytes()
+            assert worst == want_worst and worst <= solver.REFINE_TOL
+            counters = [(s.factorisations, s.sweeps, s.linear_solves) for s in (fast, slow)]
+            assert counters[0] == counters[1] and counters[0][2] == steps
+
+
+def _d2_flagged(tphase: float = -0.5) -> CoefficientFields:
+    """d = 2 fields whose gamma_0 = 0.5 - 0.45 sin(pi x) rho(t) is non-positive on frames
+    10 to 32 of a 64-step grid: 10 lies inside a march's second block of frames."""
+    gamma = SmoothField(base=0.5, amp=0.45, w=(1.0, 0.0), phase=math.pi, tamp=0.3, tphase=tphase)
+    flat = SmoothField(base=1.0, amp=0.0, w=(0.0, 0.0))
+    c = SmoothField(base=0.0, amp=0.5, w=(1.0, 1.0), tamp=0.2)
+    return CoefficientFields(gamma=(gamma, flat), b=None, c=c,
+                             dt_gamma=(FieldTimeDerivative(gamma), FieldTimeDerivative(flat)),
+                             dt_c=FieldTimeDerivative(c))
+
+
+_splu = spla.splu
+
+
+def _faulty_splu(after: int):
+    """splu whose factors' solves are 3 times too large from the given solve on,
+    counted from 1 over every factor it makes."""
+    calls = [0]
+
+    class Faulty:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            calls[0] += 1
+            return self.lu.solve(rhs) * (3.0 if calls[0] >= after else 1.0)
+
+    return lambda A, **kw: Faulty(_splu(A, **kw))
+
+
+def test_march_at_d2_raises_what_the_loop_raises_at_its_step(rng, monkeypatch):
+    grid, tg = g.GridSpec(2, 7), TimeGrid(1.0, 64)
+    coeffs = _d2_flagged()
+    first = int(np.argmax(Stepper(grid, coeffs, tg)._bad))
+    assert first == 10 and solver.FRAME_BLOCK < first < 2 * solver.FRAME_BLOCK
+    y0 = g.sample(g.primal(grid), random_bump(rng, 2)).values
+    F = np.zeros((64, 49))
+
+    def both(F, m0=0):
+        """What the march and the step loop raise, each on a fresh stepper."""
+        got = _raised(Stepper(grid, coeffs, tg).march, y0, F[m0:], m0)
+        assert got == _raised(_step_loop, Stepper(grid, coeffs, tg), y0, F[m0:], m0)
+        return got
+
+    # a flagged frame inside a block raises at the step whose L it is, from 0 and from
+    # a flagged start frame
+    with pytest.raises(GridError) as info:
+        assemble_ah(grid, coeffs, float(tg.times[first]))
+    assert both(F) == (GridError, str(info.value))
+    with pytest.raises(GridError) as info:
+        assemble_ah(grid, coeffs, float(tg.times[16]))
+    assert both(F, 16) == (GridError, str(info.value))
+    # a NaN source at a step of the same block before the flagged frame comes first
+    F[7] = np.nan
+    assert both(F) == (SolverError, f"non-finite state at step 8 (t={tg.times[8]})")
+    # so does a step that breaks the residual contract, in the first block or in the
+    # flagged frame's: a factor that turns faulty mid-march leaves every later step,
+    # refactorised too, short of it
+    F[7] = 0.0
+    for after in (26, 50):
+        monkeypatch.setattr(spla, "splu", _faulty_splu(after))
+        got = _raised(Stepper(grid, coeffs, tg).march, y0, F)
+        monkeypatch.setattr(spla, "splu", _faulty_splu(after))
+        assert got == _raised(_step_loop, Stepper(grid, coeffs, tg), y0, F)
+        assert got[0] is SolverError and "linear solve failed at step" in got[1]
+        assert int(got[1].split("step ")[1].split(":")[0]) < first
 
 
 @pytest.mark.parametrize("d,n", [(1, 15), (1, 63), (2, 15)])
