@@ -18,13 +18,11 @@ kernel costs of the same stepper, medians over `--repeat`: microseconds per
 frame for a new `Stepper` to build its frame data and for `Stepper._frame` to
 hand out L and R at every frame of the march in order (the construction,
 which builds the separable basis, is timed with the frames), and
-microseconds per product R_m y of one state.  A second table times
-`Stepper.march` against the loop of `Stepper.step` that is its oracle:
-microseconds per step of each, on the same stepper data and forcing, medians
-over `--repeat`; the two must give the same frames bit for bit.  At d = 1 the
-march is its own kernel, from a random-normal state with random-normal
-forcing; at d = 2 it runs `step`'s lagged solve on frames formed a block at a
-time, from a smooth bump with the separable source's forcing.
+microseconds per product R_m y of one state.  A second table times the
+d = 1 march kernel: microseconds per step of `Stepper.march` against the loop
+of `Stepper.step` it replaces, on the same stepper data and forcing, medians
+over `--repeat`; the two must give the same frames bit for bit.  (At d >= 2
+`Stepper.march` is that loop.)
 
 Every time is in reference units, as perfbench reports them: each case runs
 after one burst of `perfbench/reference.py`'s fixed work, and its raw times are
@@ -57,7 +55,6 @@ import scipy.sparse.linalg as spla  # noqa: E402
 from carlstab import grid as g  # noqa: E402
 from carlstab.coefficients import random_smooth_coefficients  # noqa: E402
 from carlstab.inverse import random_bump, random_separable_source  # noqa: E402
-from carlstab.coefficients import sample_frames  # noqa: E402
 from carlstab.solver import Stepper, TimeGrid, solve_forward  # noqa: E402
 
 # (d, N, steps, time-dependent, initial state)
@@ -67,11 +64,9 @@ CASES = [(1, 15, 256, True, "normal"), (1, 31, 256, True, "normal"),
          (2, 15, 256, True, "bump"), (2, 31, 256, True, "bump"),
          (2, 63, 256, True, "bump"), (1, 15, 4096, False, "normal")]
 PRODUCTS = 2000     # products timed per repeat
-# (d, N, steps, time-dependent, initial state) of the march against the step loop
-MARCH_CASES = [(1, 15, 1024, False, "normal"), (1, 31, 1024, False, "normal"),
-               (1, 63, 1024, False, "normal"), (1, 15, 1024, True, "normal"),
-               (1, 31, 1024, True, "normal"), (1, 63, 1024, True, "normal"),
-               (2, 15, 256, True, "bump"), (2, 31, 256, True, "bump")]
+# (N, time-dependent) of the d = 1 march kernel against the step loop, 1024 steps
+MARCH_CASES = [(15, False), (31, False), (63, False), (15, True), (31, True), (63, True)]
+MARCH_STEPS = 1024
 
 
 def draw(d: int, n: int, time_dependent: bool, seed: int):
@@ -135,21 +130,13 @@ def kernels(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tupl
     return per_frame, (time.perf_counter() - start) / PRODUCTS
 
 
-def march_vs_steps(d: int, n: int, steps: int, time_dependent: bool, seed: int,
-                   init: str = "normal") -> tuple[float, float]:
-    """Seconds per step of `Stepper.march` and of the `Stepper.step` loop, from a
-    random-normal state with random-normal forcing, or from a smooth bump with
-    the forcing of a random separable source; each on a fresh stepper of the
-    same data, so both form their frames."""
-    rng, grid, coeffs = draw(d, n, time_dependent, seed)
-    tg, pm = TimeGrid(1.0, steps), g.primal(grid)
-    if init == "bump":
-        src = random_separable_source(rng, d, 1.0)
-        y0 = g.sample(pm, random_bump(rng, d)).values
-        F = sample_frames(src, tg.times, pm.physical)
-        F = Stepper(grid, coeffs, tg).forcing(F[:-1], F[1:])
-    else:
-        y0, F = rng.normal(size=pm.size), rng.normal(size=(steps, pm.size))
+def march_vs_steps(n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, float]:
+    """Seconds per step of `Stepper.march` and of the `Stepper.step` loop at
+    d = 1, from a random-normal state with random-normal forcing; each on a
+    fresh stepper of the same data, so both form their frames."""
+    rng, grid, coeffs = draw(1, n, time_dependent, seed)
+    tg = TimeGrid(1.0, steps)
+    y0, F = rng.normal(size=n), rng.normal(size=(steps, n))
     stepper = Stepper(grid, coeffs, tg)
     start = time.perf_counter()
     frames = stepper.march(y0, F)[0]
@@ -161,7 +148,7 @@ def march_vs_steps(d: int, n: int, steps: int, time_dependent: bool, seed: int,
         y.append(stepper.step(m, y[-1], F[m])[0])
     per_step = (time.perf_counter() - start) / steps
     if np.array(y).tobytes() != frames.tobytes():
-        raise AssertionError(f"march and step loop differ at d={d}, N={n}")
+        raise AssertionError(f"march and step loop differ at N={n}")
     return per_march, per_step
 
 
@@ -197,22 +184,22 @@ def main() -> int:
               f"{row['factorisations']:>14} "
               f"{row['sweeps']:>6} {row['sweeps'] / steps:>11.2f} {row['solves'] / steps:>11.2f} "
               f"{row['us_per_frame']:>9.2f} {row['us_per_product']:>10.2f}", flush=True)
-    print(f"\n{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'init':>6} {'us/step march':>13} "
+    print(f"\n{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'us/step march':>13} "
           f"{'us/step loop':>12} {'loop/march':>10}")
     kernel_rows = []
-    for d, n, steps, time_dependent, init in MARCH_CASES:
+    for n, time_dependent in MARCH_CASES:
         marches, loops = [], []
         for _ in range(args.repeat):
             speed = reference.burst()
-            per_march, per_step = march_vs_steps(d, n, steps, time_dependent, args.seed, init)
+            per_march, per_step = march_vs_steps(n, MARCH_STEPS, time_dependent, args.seed)
             marches.append(per_march * speed)
             loops.append(per_step * speed)
-        row = {"d": d, "N": n, "steps": steps, "time_dependent": time_dependent, "init": init,
+        row = {"d": 1, "N": n, "steps": MARCH_STEPS, "time_dependent": time_dependent,
                "us_per_step_march": 1e6 * statistics.median(marches),
                "us_per_step_loop": 1e6 * statistics.median(loops)}
         kernel_rows.append(row)
         kind = "time-dependent" if time_dependent else "time-independent"
-        print(f"{d:>2} {n:>3} {steps:>5} {kind:>16} {init:>6} {row['us_per_step_march']:>13.2f} "
+        print(f"{1:>2} {n:>3} {MARCH_STEPS:>5} {kind:>16} {row['us_per_step_march']:>13.2f} "
               f"{row['us_per_step_loop']:>12.2f} "
               f"{row['us_per_step_loop'] / row['us_per_step_march']:>10.2f}", flush=True)
     if args.json:

@@ -84,9 +84,6 @@ REFRESH_SWEEPS = 7
 # GUESS_STATES - 1 (a fixed degree 5 makes more sweeps on rough or finer data)
 GUESS_STATES = 6
 BASE_STATES = 4
-# frames a d >= 2 march forms in one product: a longer block holds more memory for
-# no time (64 frames at d = 2, N = 31 raised the peak RSS of a carleman pass by 12 %)
-FRAME_BLOCK = 8
 # steps a d = 1 march solves between two checks of the residual contract: the
 # check holds their right-hand sides, so its memory does not grow with the march
 CHECK_STEPS = 64
@@ -361,12 +358,12 @@ def _unit_ratio(num, den):
 
 @lru_cache(maxsize=None)
 def _start_weights(p: int) -> np.ndarray:
-    """(2, p) weights on p held states, newest first: the Newton backward
-    extrapolation sum_j (-1)^j C(q, j + 1) y_j of degree q - 1 = min(p,
-    BASE_STATES) - 1, then the step from it to the one of degree p - 1."""
+    """Weights on p held states, newest first: the Newton backward extrapolation
+    sum_j (-1)^j C(q, j + 1) y_j of degree q - 1 = min(p, BASE_STATES) - 1, then,
+    when p > BASE_STATES, the step from it to the one of degree p - 1."""
     base, top = ([(-1) ** j * math.comb(q, j + 1) if j < q else 0 for j in range(p)]
                  for q in (min(p, BASE_STATES), p))
-    weights = np.array([base, np.subtract(top, base)], dtype=np.float64)
+    weights = np.array([base, np.subtract(top, base)][:1 + (p > BASE_STATES)], dtype=np.float64)
     weights.flags.writeable = False
     return weights
 
@@ -434,12 +431,10 @@ class Stepper:
     work done; at d = 1 every step is one factorisation and no sweep.
 
     `march` runs one state's steps with the frames, residuals, counters and
-    errors of a `step` loop, which stays its oracle.  At d >= 2 each step
-    solves as `step` does, since a lagged step needs each solve's residual
-    to choose its sweeps, on frames formed FRAME_BLOCK at a time; a block
-    stops before a flagged frame, which raises when its step comes.  At
-    d = 1 a step is one R product and one dgtsv on bands formed before its
-    block of CHECK_STEPS steps, and the contract is checked once a block.
+    errors of a `step` loop, which stays its oracle; at d >= 2 it is that
+    loop, as a lagged step needs each solve's residual to choose its sweeps.
+    At d = 1 a step is one R product and one dgtsv on bands formed before
+    its block of CHECK_STEPS steps, and the contract is checked once a block.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
@@ -526,8 +521,9 @@ class Stepper:
         if not self._follows(m, rhs.shape):
             return None
         p = self._states
-        base, step = (_start_weights(p) @ self._history[:p].reshape(p, -1)).reshape(2, *rhs.shape)
-        return base, step if p > BASE_STATES else None
+        weights = _start_weights(p)
+        rows = (weights @ self._history[:p].reshape(p, -1)).reshape(len(weights), *rhs.shape)
+        return rows[0], rows[1] if len(rows) > 1 else None
 
     def _remember(self, m: int, x: np.ndarray):
         """Hold x, the solution of step m, newest first with the states leading into it."""
@@ -614,11 +610,13 @@ class Stepper:
             raise SolverError(f"non-finite state at step {m + 1} (t={float(self.times[m + 1])})")
         raise SolverError(f"linear solve failed at step {m + 1}: relative residual {res:.3e}")
 
-    def _solve(self, m: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    def _solve(self, m: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """x with L_m x = rhs, and its largest relative residual over the columns."""
         self.linear_solves += 1
+        frame = 0 if self.coeffs.time_independent else m + 1
+        L = self._frame(frame)[0]
         if self._bands is None:
-            x, res = self._lagged(m, 0 if self.coeffs.time_independent else m + 1, L, rhs)
+            x, res = self._lagged(m, frame, L, rhs)
         else:
             x, res = self._tridiagonal(m, L, rhs)
         self._contract(m, x, res)
@@ -626,8 +624,7 @@ class Stepper:
 
     def step(self, m: int, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """y_{m+1} and the largest relative residual of its linear solves."""
-        rhs = self._product(self._frame(m)[1], y) + f
-        return self._solve(m, self._frame(m + 1)[0], rhs)
+        return self._solve(m, self._product(self._frame(m)[1], y) + f)
 
     def march(self, y0: np.ndarray, F: np.ndarray, m0: int = 0) -> tuple[np.ndarray, float]:
         """The states y_{m0}, ..., y_{m0 + s} of one state's march from y0 with
@@ -635,10 +632,14 @@ class Stepper:
         residual of its solves; bitwise the `step` loop."""
         frames = np.empty((len(F) + 1, np.size(y0)))
         frames[0] = y0
+        worst = 0.0
         if self._bands is None:
-            return frames, self._lagged_march(frames, F, m0)
+            for k, f in enumerate(F):
+                frames[k + 1], res = self.step(m0 + k, frames[k], f)
+                worst = max(worst, res)
+            return frames, worst
         steps, n = F.shape
-        t, rhs, worst = self._template, np.empty((CHECK_STEPS, n)), 0.0
+        t, rhs = self._template, np.empty((CHECK_STEPS, n))
         for k0 in range(0, steps, CHECK_STEPS):   # form a block's frames and bands of L, then solve
             count = min(CHECK_STEPS, steps - k0)
             LR = self._frames(m0 + k0, count + 1)
@@ -661,32 +662,6 @@ class Stepper:
         self.factorisations += steps
         self.linear_solves += steps
         return frames, worst
-
-    def _lagged_march(self, frames: np.ndarray, F: np.ndarray, m0: int) -> float:
-        """`march` at d >= 2, into frames: each step is `step`'s, on frames formed
-        FRAME_BLOCK at a time; returns the largest residual."""
-        LR, first, rhs, worst = None, m0, np.empty(frames.shape[1]), 0.0
-        for k, f in enumerate(F):
-            m = m0 + k
-            if LR is None or m + 1 - first >= len(LR):
-                LR, first = self._block(m, len(F) - k + 1), m
-            self._product(LR[m - first, 1], frames[k], rhs)   # R_m y_m, then the forcing
-            rhs += f
-            frames[k + 1], res = self._solve(m, LR[m + 1 - first, 0], rhs)
-            worst = max(worst, res)
-        return worst
-
-    def _block(self, m: int, count: int) -> np.ndarray:
-        """The rows of frames m, m + 1, ..., at most count and FRAME_BLOCK of them, as
-        `_frames` forms them.  The block stops before a flagged frame past m + 1, so
-        that frame raises only when the step that needs it comes."""
-        count = min(count, FRAME_BLOCK)
-        if self.coeffs.time_independent:
-            return np.broadcast_to(self._held[1], (count, *self._held[1].shape))
-        bad = self._bad[m:m + count]
-        if bad.any():   # frames m and m + 1 raise as `step` would, at the first flagged
-            count = max(int(np.argmax(bad)), 2)
-        return self._frames(m, count)
 
     def _check(self, m: int, bands: list, X: np.ndarray, rhs: np.ndarray) -> float:
         """The largest relative residual of steps m, m + 1, ... from rows of their

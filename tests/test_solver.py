@@ -975,16 +975,12 @@ def test_march_equals_the_step_loop_bitwise(rng, n, time_dependent, b_amp):
         assert counters[0] == counters[1] == (tg.steps - m0, 0, tg.steps - m0)
 
 
-# 3 FRAME_BLOCK + 22 steps: from 0 and from the mid frame, neither a multiple of the block
-D2_STEPS = 3 * solver.FRAME_BLOCK + 22
-
-
 def test_march_at_d2_is_the_step_loop(rng):
     # time-independent and time-dependent coefficients, with and without advection, from
     # 0 and from the mid frame; the smooth march keeps its blended starts, the rough one
     # starts stiff columns from zero
     grid = g.GridSpec(2, 7)
-    tg = TimeGrid(1.0, D2_STEPS)
+    tg = TimeGrid(1.0, 46)
     X = g.primal(grid).physical
     for time_dependent, b_amp in ((False, 0.8), (True, 0.0), (True, 0.8)):
         coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=time_dependent,
@@ -1007,7 +1003,7 @@ def test_march_at_d2_is_the_step_loop(rng):
 
 def _d2_flagged(tphase: float = -0.5) -> CoefficientFields:
     """d = 2 fields whose gamma_0 = 0.5 - 0.45 sin(pi x) rho(t) is non-positive on frames
-    10 to 32 of a 64-step grid: 10 lies inside a march's second block of frames."""
+    10 to 32 of a 64-step grid."""
     gamma = SmoothField(base=0.5, amp=0.45, w=(1.0, 0.0), phase=math.pi, tamp=0.3, tphase=tphase)
     flat = SmoothField(base=1.0, amp=0.0, w=(0.0, 0.0))
     c = SmoothField(base=0.0, amp=0.5, w=(1.0, 1.0), tamp=0.2)
@@ -1039,7 +1035,7 @@ def test_march_at_d2_raises_what_the_loop_raises_at_its_step(rng, monkeypatch):
     grid, tg = g.GridSpec(2, 7), TimeGrid(1.0, 64)
     coeffs = _d2_flagged()
     first = int(np.argmax(Stepper(grid, coeffs, tg)._bad))
-    assert first == 10 and solver.FRAME_BLOCK < first < 2 * solver.FRAME_BLOCK
+    assert first == 10
     y0 = g.sample(g.primal(grid), random_bump(rng, 2)).values
     F = np.zeros((64, 49))
 
@@ -1049,19 +1045,19 @@ def test_march_at_d2_raises_what_the_loop_raises_at_its_step(rng, monkeypatch):
         assert got == _raised(_step_loop, Stepper(grid, coeffs, tg), y0, F[m0:], m0)
         return got
 
-    # a flagged frame inside a block raises at the step whose L it is, from 0 and from
-    # a flagged start frame
+    # a flagged frame raises at the step whose L it is, from 0 and from a flagged
+    # start frame
     with pytest.raises(GridError) as info:
         assemble_ah(grid, coeffs, float(tg.times[first]))
     assert both(F) == (GridError, str(info.value))
     with pytest.raises(GridError) as info:
         assemble_ah(grid, coeffs, float(tg.times[16]))
     assert both(F, 16) == (GridError, str(info.value))
-    # a NaN source at a step of the same block before the flagged frame comes first
+    # a NaN source at a step before the flagged frame comes first
     F[7] = np.nan
     assert both(F) == (SolverError, f"non-finite state at step 8 (t={tg.times[8]})")
-    # so does a step that breaks the residual contract, in the first block or in the
-    # flagged frame's: a factor that turns faulty mid-march leaves every later step,
+    # so does a step that breaks the residual contract, early or just before the
+    # flagged frame: a factor that turns faulty mid-march leaves every later step,
     # refactorised too, short of it
     F[7] = 0.0
     for after in (26, 50):
