@@ -22,7 +22,13 @@ microseconds per product R_m y of one state.  A second table times the
 d = 1 march kernel: microseconds per step of `Stepper.march` against the loop
 of `Stepper.step` it replaces, on the same stepper data and forcing, medians
 over `--repeat`; the two must give the same frames bit for bit.  (At d >= 2
-`Stepper.march` is that loop.)
+`Stepper.march` is that loop.)  A third table times one forward application
+of the reconstruction map: milliseconds for `inverse._normal_equations`,
+which marches the forcing block s_m I of the normal equations through
+`Stepper.march`, against the same accumulation over a loop of `Stepper.step`
+on the whole block, medians over `--repeat`, with time-independent
+coefficients as the reconstruct suite draws them; the two must give the same
+G = F^T F and F^T d bit for bit.
 
 Every time is in reference units, as perfbench reports them: each case runs
 after one burst of `perfbench/reference.py`'s fixed work, and its raw times are
@@ -54,8 +60,10 @@ import scipy.sparse.linalg as spla  # noqa: E402
 
 from carlstab import grid as g  # noqa: E402
 from carlstab.coefficients import random_smooth_coefficients  # noqa: E402
-from carlstab.inverse import random_bump, random_separable_source  # noqa: E402
+from carlstab.inverse import (SineTimeProfile, _normal_equations, observe,  # noqa: E402
+                              random_bump, random_separable_source)
 from carlstab.solver import Stepper, TimeGrid, solve_forward  # noqa: E402
+from carlstab.weights import Box  # noqa: E402
 
 # (d, N, steps, time-dependent, initial state)
 CASES = [(1, 15, 256, True, "normal"), (1, 31, 256, True, "normal"),
@@ -67,6 +75,9 @@ PRODUCTS = 2000     # products timed per repeat
 # (N, time-dependent) of the d = 1 march kernel against the step loop, 1024 steps
 MARCH_CASES = [(15, False), (31, False), (63, False), (15, True), (31, True), (63, True)]
 MARCH_STEPS = 1024
+# (d, N) of the reconstruction's normal equations, 256 steps
+NORMAL_CASES = [(1, 15), (1, 31)]
+NORMAL_STEPS = 256
 
 
 def draw(d: int, n: int, time_dependent: bool, seed: int):
@@ -152,6 +163,45 @@ def march_vs_steps(n: int, steps: int, time_dependent: bool, seed: int) -> tuple
     return per_march, per_step
 
 
+def step_loop_normal_equations(grid, coeffs, r, time_grid, observation):
+    """G and F^T d of `_normal_equations` by one `Stepper.step` per frame on the
+    whole forcing block, each frame's share added in the same order."""
+    size = g.primal(grid).size
+    mask, cell = observation.mask, grid.h ** grid.d
+    frame_w = time_grid.trap * cell
+    r_vals = np.asarray(r(time_grid.times), dtype=np.float64)
+    stepper = Stepper(grid, coeffs, time_grid)
+    eye = np.eye(size)
+    Y, gram, rhs = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
+    for m in range(time_grid.steps):
+        Y = stepper.step(m, Y, stepper.forcing(r_vals[m], r_vals[m + 1]) * eye)[0]
+        local = Y[mask]
+        gram += frame_w[m + 1] * (local.T @ local)
+        rhs += frame_w[m + 1] * (local.T @ observation.local_y[m + 1])
+        if m + 1 == time_grid.mid:
+            gram += cell * (Y.T @ Y)
+            rhs += cell * (Y.T @ observation.snapshot.values)
+    return gram, rhs
+
+
+def normal_vs_steps(d: int, n: int, steps: int, seed: int) -> tuple[float, float]:
+    """Seconds of `_normal_equations` and of its `step`-loop oracle on the
+    observation of one forward run, time-independent coefficients."""
+    rng, grid, coeffs = draw(d, n, False, seed)
+    tg = TimeGrid(1.0, steps)
+    traj = solve_forward(grid, coeffs, random_separable_source(rng, d, 1.0), tg)
+    obs, r = observe(traj, Box.cube(0.2, 0.8, d)), SineTimeProfile(1.0, 0.5, 0.2, 1.0)
+    start = time.perf_counter()
+    gram, rhs = _normal_equations(grid, coeffs, r, tg, obs)[:2]
+    per_march = time.perf_counter() - start
+    start = time.perf_counter()
+    want = step_loop_normal_equations(grid, coeffs, r, tg, obs)
+    per_loop = time.perf_counter() - start
+    if gram.tobytes() != want[0].tobytes() or rhs.tobytes() != want[1].tobytes():
+        raise AssertionError(f"normal equations by march and step loop differ at N={n}")
+    return per_march, per_loop
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
@@ -202,8 +252,24 @@ def main() -> int:
         print(f"{1:>2} {n:>3} {MARCH_STEPS:>5} {kind:>16} {row['us_per_step_march']:>13.2f} "
               f"{row['us_per_step_loop']:>12.2f} "
               f"{row['us_per_step_loop'] / row['us_per_step_march']:>10.2f}", flush=True)
+    print(f"\n{'d':>2} {'N':>3} {'steps':>5} {'ms march':>9} {'ms loop':>8} {'loop/march':>10}")
+    normal_rows = []
+    for d, n in NORMAL_CASES:
+        marches, loops = [], []
+        for _ in range(args.repeat):
+            speed = reference.burst()
+            per_march, per_loop = normal_vs_steps(d, n, NORMAL_STEPS, args.seed)
+            marches.append(per_march * speed)
+            loops.append(per_loop * speed)
+        row = {"d": d, "N": n, "steps": NORMAL_STEPS,
+               "ms_march": 1e3 * statistics.median(marches),
+               "ms_loop": 1e3 * statistics.median(loops)}
+        normal_rows.append(row)
+        print(f"{d:>2} {n:>3} {NORMAL_STEPS:>5} {row['ms_march']:>9.3f} {row['ms_loop']:>8.3f} "
+              f"{row['ms_loop'] / row['ms_march']:>10.2f}", flush=True)
     if args.json:
-        Path(args.json).write_text(json.dumps({"steps": rows, "march": kernel_rows},
+        Path(args.json).write_text(json.dumps({"steps": rows, "march": kernel_rows,
+                                               "normal_equations": normal_rows},
                                               indent=1) + "\n")
     return 0
 

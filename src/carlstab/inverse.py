@@ -20,8 +20,11 @@ with C = max|R'| / |R(T/2)|.
 The reconstruction is Tikhonov-regularised least squares on the observation
 misfit.  The misfit is linear in the spatial profile, so one implicit march
 with one column per unknown builds the normal equations, which a Cholesky
-factorisation solves.  The estimate exists to exhibit the stability constant
-operationally, not as a production inversion.
+factorisation solves.  The zero-order coefficient is recovered pointwise
+from the measurement at T/2: the snapshot y(T/2) and its time derivative
+there, which a run marched one step past T/2 gives by a centred difference.
+The estimates exist to exhibit the stability constant operationally, not as
+a production inversion.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from .errors import CertificationError, EmptyMaskError, SolverError
 from .quadrature import Term, space_time_sum
 from .solver import Stepper, TimeGrid, Trajectory, apply_ah
 from .weights import Box, CarlemanWeight, omega_mask
+
+# entries of the n x n states held by one chunk of the normal equations' march, about
+# 1 MB, so its memory stays bounded at d = 2; much smaller chunks cost more per step
+MARCH_POINTS = 1 << 17
 
 
 @dataclass
@@ -235,9 +242,10 @@ def _normal_equations(grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimePr
     F f stacks sqrt(cell) y(T/2) and sqrt(trap_m cell) y_m on omega for the
     zero-initial trapezoidal march with forcing s_m f, s_m = dt/2 (R(t_m) +
     R(t_{m+1})); d is the observation in the same weights.  One march of the
-    forcing block s_m I carries every column of F, and each frame adds its
-    share to G and F^T d, so F is never stored.  Returns G, F^T d and the
-    stepper that marched.
+    forcing block s_m I carries every column of F, through `Stepper.march` in
+    chunks of about MARCH_POINTS state entries, and each frame adds its share
+    to G and F^T d in frame order, so F is never stored.  Returns G, F^T d and
+    the stepper that marched.
     """
     size = g.primal(grid).size
     mask = observation.mask
@@ -246,18 +254,22 @@ def _normal_equations(grid: g.GridSpec, coeffs: CoefficientFields, r: SineTimePr
     frame_w = time_grid.trap * cell
     r_vals = np.asarray(r(time_grid.times), dtype=np.float64)
     stepper = Stepper(grid, coeffs, time_grid)
+    weights = stepper.forcing(r_vals[:-1], r_vals[1:])[:, None, None]
     eye = np.eye(size)
     Y = np.zeros((size, size))
     gram = np.zeros((size, size))
     rhs = np.zeros(size)
-    for m in range(time_grid.steps):
-        Y = stepper.step(m, Y, stepper.forcing(r_vals[m], r_vals[m + 1]) * eye)[0]
-        local = Y[mask]
-        gram += frame_w[m + 1] * (local.T @ local)
-        rhs += frame_w[m + 1] * (local.T @ observation.local_y[m + 1])
-        if m + 1 == obs_index:
-            gram += cell * (Y.T @ Y)
-            rhs += cell * (Y.T @ observation.snapshot.values)
+    chunk = max(1, MARCH_POINTS // size ** 2)
+    for m0 in range(0, time_grid.steps, chunk):   # each chunk starts from the last frame
+        frames = stepper.march(Y, weights[m0:m0 + chunk] * eye, m0)[0]
+        for m, Y in enumerate(frames[1:], m0 + 1):
+            local = Y[mask]
+            gram += frame_w[m] * (local.T @ local)
+            rhs += frame_w[m] * (local.T @ observation.local_y[m])
+            if m == obs_index:   # in the Fortran layout of a dgtsv or LU solve: the
+                Y = np.asfortranarray(Y)   # products' bits depend on it
+                gram += cell * (Y.T @ Y)
+                rhs += cell * (Y.T @ observation.snapshot.values)
     return gram, rhs, stepper
 
 
@@ -319,10 +331,12 @@ class CoefficientRecovery:
     mask_fraction: float
 
 
-def recover_coefficient(traj: Trajectory, z_traj: Trajectory,
+def recover_coefficient(snapshot: g.MeshFunction, dt_snapshot: np.ndarray, time_grid: TimeGrid,
                         base_coeffs: CoefficientFields, alpha: float,
                         truth: g.MeshFunction | None = None) -> CoefficientRecovery:
-    """Pointwise zero-order coefficient from the mid-time snapshot.
+    """Pointwise zero-order coefficient from the measurement at T/2 of `time_grid`:
+    the snapshot y(T/2) and its time derivative there, such as the centred
+    difference (y_{mid+1} - y_{mid-1}) / (2 dt) of a run marched one step past T/2.
 
     On points where |y(T/2)| >= alpha,
 
@@ -331,18 +345,16 @@ def recover_coefficient(traj: Trajectory, z_traj: Trajectory,
     with A~_h the operator without the sought zero-order part; masked (NaN)
     elsewhere.  Raises when the mask is empty.
     """
-    tg = traj.time_grid
-    idx = tg.mid
-    pm = g.primal(traj.grid)
-    y_vt = traj.frame(idx)
-    z_vt = z_traj.values[idx]
-    mask = np.abs(y_vt.values) >= alpha
+    t = float(time_grid.times[time_grid.mid])
+    pm = snapshot.mesh
+    y = snapshot.values
+    mask = np.abs(y) >= alpha
     if not np.any(mask):
         raise EmptyMaskError(
-            f"no snapshot values reach alpha={alpha} (max |y| = {np.max(np.abs(y_vt.values)):.4g})")
-    a_y = apply_ah(traj.grid, base_coeffs, float(tg.times[idx]), y_vt).values
+            f"no snapshot values reach alpha={alpha} (max |y| = {np.max(np.abs(y)):.4g})")
+    a_y = apply_ah(pm.grid, base_coeffs, t, snapshot).values
     est = np.full(pm.size, np.nan)
-    est[mask] = (z_vt[mask] - a_y[mask]) / y_vt.values[mask]
+    est[mask] = (dt_snapshot[mask] - a_y[mask]) / y[mask]
     rel = None
     if truth is not None:
         diff = est[mask] - truth.values[mask]

@@ -20,9 +20,10 @@ Time integration is ours: one `Stepper` owns the trapezoidal step
 and its residual; the forward solve, the z-system march, the reconstruction's
 normal equations and the scheme residual check all run through it.  A step
 takes one state or a block of states as columns, so a linear map of the
-forcing marches all its columns at once; `Stepper.march` runs one state's
-whole march.  A stepper holds L and R of the last frame formed and applies
-either by scipy's CSR kernel, no matrix per frame.
+forcing marches all its columns at once; `Stepper.march` runs a whole march
+of either, and the scheme residual check takes single steps' residuals.
+A stepper holds L and R of the last frame formed and applies either by
+scipy's CSR kernel, no matrix per frame.
 The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and each
 step solves it exactly by one Gaussian elimination, LAPACK's dgtsv.  At
 d >= 2 a step solves with one sparse LU factor of L taken at some frame, in
@@ -145,9 +146,6 @@ class Trajectory:
 
     def frame(self, i: int) -> g.MeshFunction:
         return g.MeshFunction(self.mesh, self.values[i])
-
-    def dt_frames(self) -> np.ndarray:
-        return central_time_derivative(self.values, self.time_grid.dt)
 
 
 def central_time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
@@ -430,11 +428,14 @@ class Stepper:
     `factorisations`, `sweeps` and `linear_solves` (one per step) count the
     work done; at d = 1 every step is one factorisation and no sweep.
 
-    `march` runs one state's steps with the frames, residuals, counters and
-    errors of a `step` loop, which stays its oracle; at d >= 2 it is that
-    loop, as a lagged step needs each solve's residual to choose its sweeps.
-    At d = 1 a step is one R product and one dgtsv on bands formed before
-    its block of CHECK_STEPS steps, and the contract is checked once a block.
+    `march` runs the steps of one state or of a block of states with the
+    frames, residuals, counters and errors of a `step` loop, which stays its
+    oracle; at d >= 2 it is that loop, as a lagged step needs each solve's
+    residual to choose its sweeps.  At d = 1 a step is one R product and one
+    dgtsv on bands formed before its block of CHECK_STEPS steps, and the
+    contract is checked once a block, the worst column of each step for a
+    block of states; the first flagged frame ends its block, which is solved
+    and checked up to it before the frame raises, as in the loop.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
@@ -457,6 +458,7 @@ class Stepper:
                                    assemble_ah(grid, coeffs, float(self.times[0])).data)
             LR[:, self._diag] += 1.0
             self._held = (0, LR)
+            self._bad = np.zeros(len(self.times), dtype=bool)   # assemble_ah checked it
         else:
             self._coef, self._basis, self._bad = _separable(grid, coeffs, self.times, self.half_dt)
             self._held = (None, None)   # the last frame formed and its L, R
@@ -469,12 +471,10 @@ class Stepper:
     def _frames(self, m0: int, count: int) -> np.ndarray:
         """The (count, 2, nnz) rows of frames m0, ..., m0 + count - 1 as one product
         coef[m0:m0 + count] @ basis, bitwise the per-frame products; (1, 2, nnz) for
-        time-independent coefficients, whose one frame serves every m."""
+        time-independent coefficients, whose one frame serves every m.  Unlike
+        `_frame` it does not check the flags: `march` forms no flagged frame."""
         if self.coeffs.time_independent:
             return self._held[1][None]
-        bad = self._bad[m0:m0 + count]
-        if bad.any():   # as `_frame` would at the first flagged frame
-            assemble_ah(self.grid, self.coeffs, float(self.times[m0 + int(np.argmax(bad))]))
         return self._coef[m0:m0 + count] @ self._basis
 
     def _frame(self, m: int) -> np.ndarray:
@@ -627,10 +627,10 @@ class Stepper:
         return self._solve(m, self._product(self._frame(m)[1], y) + f)
 
     def march(self, y0: np.ndarray, F: np.ndarray, m0: int = 0) -> tuple[np.ndarray, float]:
-        """The states y_{m0}, ..., y_{m0 + s} of one state's march from y0 with
-        forcing F[k] at step m0 + k, s = len(F), and the largest relative
-        residual of its solves; bitwise the `step` loop."""
-        frames = np.empty((len(F) + 1, np.size(y0)))
+        """The states y_{m0}, ..., y_{m0 + s} of a march from y0, one state (n,) or
+        a block (n, k), with forcing F[k] of y0's shape at step m0 + k, s = len(F),
+        and the largest relative residual of its solves; bitwise the `step` loop."""
+        frames = np.empty((len(F) + 1, *np.shape(y0)))
         frames[0] = y0
         worst = 0.0
         if self._bands is None:
@@ -638,43 +638,81 @@ class Stepper:
                 frames[k + 1], res = self.step(m0 + k, frames[k], f)
                 worst = max(worst, res)
             return frames, worst
-        steps, n = F.shape
-        t, rhs = self._template, np.empty((CHECK_STEPS, n))
+        steps, n, t = len(F), frames.shape[1], self._template
+        cols = frames.shape[2] if frames.ndim == 3 else None
+        rhs = np.empty((CHECK_STEPS, *frames.shape[1:]))
+        # a block's check takes L x from the loop: the banded products cost more there
+        LX = None if cols is None else np.empty_like(rhs)
+        # the first flagged frame cuts its block: the loop solves every step before it
+        flagged = np.flatnonzero(self._bad[m0:m0 + steps + 1])
+        stop = int(flagged[0]) if flagged.size else steps + 1
         for k0 in range(0, steps, CHECK_STEPS):   # form a block's frames and bands of L, then solve
             count = min(CHECK_STEPS, steps - k0)
+            cut = k0 + count >= stop
+            if cut:
+                count = max(stop - k0 - 1, 0)
             LR = self._frames(m0 + k0, count + 1)
             R = np.broadcast_to(LR[:, 1], (count + 1, LR.shape[2]))
             bands = [np.broadcast_to(LR[:, 0, s], (count + 1, s.size)) for s in self._bands]
             lower, diag, upper = bands
             rhs[:], info = 0.0, 0
-            for j, k in enumerate(range(k0, k0 + count)):
-                b = rhs[j]
-                _sparsetools.csr_matvec(n, n, t.indptr, t.indices, R[j], frames[k], b)
-                b += F[k]
-                frames[k + 1], info = dgtsv(lower[j + 1], diag[j + 1], upper[j + 1], b)[3:]
-                if info > 0:
-                    count = j
-                    break
-            worst = max(worst, self._check(m0 + k0, [a[1:count + 1] for a in bands],
-                                           frames[k0 + 1:k0 + count + 1], rhs[:count]))
+            if cols is None:   # one state's own loop, free of a block's branch and products
+                for j, k in enumerate(range(k0, k0 + count)):
+                    b = rhs[j]
+                    _sparsetools.csr_matvec(n, n, t.indptr, t.indices, R[j], frames[k], b)
+                    b += F[k]
+                    frames[k + 1], info = dgtsv(lower[j + 1], diag[j + 1], upper[j + 1], b)[3:]
+                    if info > 0:
+                        count = j
+                        break
+            else:
+                L = np.broadcast_to(LR[:, 0], R.shape)
+                LX[:] = 0.0
+                for j, k in enumerate(range(k0, k0 + count)):
+                    b = rhs[j]
+                    _sparsetools.csr_matvecs(n, n, cols, t.indptr, t.indices, R[j], frames[k], b)
+                    b += F[k]
+                    frames[k + 1], info = dgtsv(lower[j + 1], diag[j + 1], upper[j + 1], b)[3:]
+                    if info > 0:
+                        count = j
+                        break
+                    _sparsetools.csr_matvecs(n, n, cols, t.indptr, t.indices, L[j + 1],
+                                             frames[k + 1], LX[j])
+            X = frames[k0 + 1:k0 + count + 1]
+            products = _banded([a[1:count + 1] for a in bands], X) if LX is None else LX[:count]
+            worst = max(worst, self._check(m0 + k0, products, X, rhs[:count]))
             if info > 0:   # after any failure earlier in its block
                 raise self._singular(m0 + k0 + count, info)
+            if cut:   # after every step before it, through `assemble_ah`
+                self._frame(m0 + stop)
         self.factorisations += steps
         self.linear_solves += steps
         return frames, worst
 
-    def _check(self, m: int, bands: list, X: np.ndarray, rhs: np.ndarray) -> float:
+    def _check(self, m: int, LX: np.ndarray, X: np.ndarray, rhs: np.ndarray) -> float:
         """The largest relative residual of steps m, m + 1, ... from rows of their
-        states X, right-hand sides and bands of L; the first step that breaks the
-        contract raises."""
-        r = rhs - _banded(bands, X)
-        norms = np.sqrt(np.einsum("ij,ij->i", rhs, rhs))
-        res = np.sqrt(np.einsum("ij,ij->i", r, r)) / np.where(norms > 0.0, norms, 1.0)
-        ok = np.isfinite(X).all(axis=1) & (res <= LINEAR_RESIDUAL_TOL)
+        states X (one state or a block each), products L x and right-hand sides, the
+        worst column of each step; the first step that breaks the contract raises."""
+        r = rhs - LX
+        if X.ndim == 2:
+            norms = np.sqrt(np.einsum("ij,ij->i", rhs, rhs))
+            res = np.sqrt(np.einsum("ij,ij->i", r, r)) / np.where(norms > 0.0, norms, 1.0)
+            finite = np.isfinite(X).all(axis=1)
+        else:
+            norms = np.sqrt(np.einsum("kij,kij->kj", rhs, rhs))
+            res = np.max(np.sqrt(np.einsum("kij,kij->kj", r, r))
+                         / np.where(norms > 0.0, norms, 1.0), axis=1)
+            finite = np.isfinite(X).all(axis=(1, 2))
+        ok = finite & (res <= LINEAR_RESIDUAL_TOL)
         if not ok.all():
             j = int(np.argmin(ok))
             self._contract(m + j, X[j], res[j])
         return float(res.max(initial=0.0))
+
+    def diagnostics(self, max_res: float) -> dict:
+        """A march's `Trajectory.diagnostics`: its largest residual and the work counted."""
+        return {"max_linear_residual": max_res, "factorisations": self.factorisations,
+                "sweeps": self.sweeps, "linear_solves": self.linear_solves}
 
     def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
         """L_m y1 - R_m y0 - f: zero up to the solve tolerance on a true step."""
@@ -699,11 +737,7 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
         y = y_ini.values
     g_all = sample_frames(source, time_grid.times, X)
     frames, max_res = stepper.march(y, stepper.forcing(g_all[:-1], g_all[1:], out=g_all[:-1]))
-    return Trajectory(grid, time_grid, frames,
-                      diagnostics={"max_linear_residual": max_res,
-                                   "factorisations": stepper.factorisations,
-                                   "sweeps": stepper.sweeps,
-                                   "linear_solves": stepper.linear_solves})
+    return Trajectory(grid, time_grid, frames, diagnostics=stepper.diagnostics(max_res))
 
 
 def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,

@@ -17,7 +17,7 @@ from carlstab.experiments import _carleman_worker, _feasibility_table
 from carlstab.inverse import (FourierBump, SeparableSource, SineTimeProfile, random_bump,
                               random_separable_source)
 from carlstab.quadrature import ZERO_TERM, Term
-from carlstab.solver import TimeGrid, Trajectory, solve_forward
+from carlstab.solver import TimeGrid, Trajectory, central_time_derivative, solve_forward
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
 GRID = g.GridSpec(1, 15)
@@ -448,7 +448,7 @@ def per_frame_terms(traj, source, coeffs, weight, p) -> dict:
                 fields.append(d2.values * np.sqrt(gam))
             t_ij = term(fields, Xij, p - 1)
             i_mixed = i_mixed + (t_ij + t_ij if i != j else t_ij)
-    i_time = term(traj.dt_frames(), X, p - 1)
+    i_time = term(central_time_derivative(traj.values, traj.time_grid.dt), X, p - 1)
     mask = weight.omega.mask(X)
     return {
         "I_p_time": i_time,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carlstab import experiments, inverse
 from carlstab import grid as g
 from carlstab import operators as ops
 from carlstab.carleman import verify_cells
@@ -14,7 +15,8 @@ from carlstab.inverse import (AdmissibleSource, SeparableSource, SineTimeProfile
                               _normal_equations, add_observation_noise, certify_separable,
                               certify_source, observe, random_bump, random_separable_source,
                               reconstruct_source, recover_coefficient, stability_quotient)
-from carlstab.solver import Stepper, TimeGrid, Trajectory, solve_forward, solve_z_system
+from carlstab.solver import (Stepper, TimeGrid, Trajectory, central_time_derivative,
+                             solve_forward, solve_z_system)
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
 GRID = g.GridSpec(1, 15)
@@ -144,7 +146,8 @@ def test_empty_observation_box_is_a_grid_error(tmp_path, capsys):
     lambda traj, src: observe(traj, OMEGA),
     lambda traj, src: solve_z_system(traj, CoefficientFields.constant(1), src, SourceRate(src)),
     lambda traj, src: certify_separable(src, GRID, traj.time_grid),
-    lambda traj, src: recover_coefficient(traj, traj, CoefficientFields.constant(1), alpha=0.0),
+    lambda traj, src: recover_coefficient(traj.frame(0), traj.values[0], traj.time_grid,
+                                          CoefficientFields.constant(1), alpha=0.0),
 ], ids=["observe", "solve_z_system", "certify_separable", "recover_coefficient"])
 def test_mid_time_needs_even_steps(call):
     # 63 steps leave no frame at T/2, where every observation is taken
@@ -285,6 +288,55 @@ def test_normal_equations_match_column_oracle(rng, time_dependent, b_amp):
     assert np.linalg.norm(rhs - want_rhs) <= 1e-12 * np.linalg.norm(want_rhs)
 
 
+def _step_loop_normal_equations(grid, coeffs, r, time_grid, observation):
+    """The oracle of `_normal_equations`: the forcing block s_m I marched by one `step`
+    per frame, each frame's share of G and F^T d added as it is formed."""
+    size = g.primal(grid).size
+    mask, cell = observation.mask, grid.h ** grid.d
+    frame_w = time_grid.trap * cell
+    r_vals = np.asarray(r(time_grid.times), dtype=np.float64)
+    stepper = Stepper(grid, coeffs, time_grid)
+    eye = np.eye(size)
+    Y = np.zeros((size, size))
+    gram, rhs = np.zeros((size, size)), np.zeros(size)
+    for m in range(time_grid.steps):
+        Y = stepper.step(m, Y, stepper.forcing(r_vals[m], r_vals[m + 1]) * eye)[0]
+        local = Y[mask]
+        gram += frame_w[m + 1] * (local.T @ local)
+        rhs += frame_w[m + 1] * (local.T @ observation.local_y[m + 1])
+        if m + 1 == time_grid.mid:
+            gram += cell * (Y.T @ Y)
+            rhs += cell * (Y.T @ observation.snapshot.values)
+    return gram, rhs, stepper
+
+
+@pytest.mark.parametrize("d,n,steps", [(1, 15, 256), (1, 31, 64), (2, 7, 32)])
+def test_normal_equations_equal_the_step_loop_bitwise(rng, monkeypatch, d, n, steps):
+    # the march in chunks of steps against the step loop: one chunk, and chunks of 7
+    # steps, which the march's check blocks do not divide
+    grid, tg = g.GridSpec(d, n), TimeGrid(1.0, steps)
+    size = g.primal(grid).size
+    r = SineTimeProfile(1.0, 0.5, 0.2, 1.0)
+    for time_dependent, b_amp in ((False, 0.0), (False, 0.7), (True, 0.7)):
+        coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent,
+                                            b_amp=b_amp)
+        traj = solve_forward(grid, coeffs, random_separable_source(rng, d, 1.0), tg)
+        obs = observe(traj, Box.cube(0.2, 0.8, d))
+        want_gram, want_rhs, slow = _step_loop_normal_equations(grid, coeffs, r, tg, obs)
+        for points in (inverse.MARCH_POINTS, 7 * size ** 2):
+            monkeypatch.setattr(inverse, "MARCH_POINTS", points)
+            gram, rhs, fast = _normal_equations(grid, coeffs, r, tg, obs)
+            assert gram.tobytes() == want_gram.tobytes()
+            if d == 1 or not time_dependent:
+                assert rhs.tobytes() == want_rhs.tobytes()
+            else:   # the loop's F^T d takes the mid state in the layout its solve left:
+                # Fortran from a plain LU solve, C from a guessed start; the march's
+                # frames keep one layout
+                assert np.linalg.norm(rhs - want_rhs) <= 1e-14 * np.linalg.norm(want_rhs)
+            assert ((fast.factorisations, fast.sweeps, fast.linear_solves)
+                    == (slow.factorisations, slow.sweeps, slow.linear_solves))
+
+
 @COEFF_CASES
 def test_forward_map_adjoint_identity(rng, time_dependent, b_amp):
     # <F f1, F f2> = f1^T G f2 and <F f, d> = f^T F^T d for random f, without building F
@@ -359,9 +411,9 @@ def test_coefficient_recovery_zero_truth():
     y0 = g.sample(pm, lambda X: np.sin(np.pi * X[:, 0]))
     tg = TimeGrid(0.2, 512)
     traj = solve_forward(grid, coeffs, lambda t, X: np.zeros(X.shape[0]), tg, y_ini=y0)
-    z = Trajectory(grid, tg, traj.dt_frames())
-    rec = recover_coefficient(traj, z, coeffs, alpha=0.02,
-                              truth=g.MeshFunction(pm, np.zeros(pm.size)))
+    dt_y = central_time_derivative(traj.values, tg.dt)
+    rec = recover_coefficient(traj.frame(tg.mid), dt_y[tg.mid], tg, coeffs,
+                              alpha=0.02, truth=g.MeshFunction(pm, np.zeros(pm.size)))
     assert np.nanmax(np.abs(rec.p_estimate.values)) <= 1e-3
 
 
@@ -369,10 +421,36 @@ def test_coefficient_recovery_empty_mask():
     grid = g.GridSpec(1, 7)
     pm = g.primal(grid)
     tg = TimeGrid(0.2, 16)
-    traj = Trajectory(grid, tg, np.full((17, 7), 1e-6))
-    z = Trajectory(grid, tg, np.zeros((17, 7)))
     with pytest.raises(EmptyMaskError):
-        recover_coefficient(traj, z, CoefficientFields.constant(1), alpha=5.0)
+        recover_coefficient(g.MeshFunction(pm, np.full(7, 1e-6)), np.zeros(7), tg,
+                            CoefficientFields.constant(1), alpha=5.0)
+
+
+def test_recovery_from_the_run_cut_after_mid_equals_the_whole_run():
+    # the reconstruct suite's truth run at its defaults, N = 31 and 2048 steps: marched to
+    # frame mid + 1 it has the whole run's frames, and the centred difference at mid is
+    # the whole run's second-order time derivative there, bit for bit
+    grid, tg = g.GridSpec(1, 31), TimeGrid(0.2, 2048)
+    pm = g.primal(grid)
+    base = CoefficientFields.constant(1)
+    shifted = CoefficientFields(gamma=base.gamma, b=None, c=experiments._ShiftedPotential())
+    y0 = g.sample(pm, experiments._product_sine)
+    truth = g.sample(pm, lambda X: 1.0 + X[:, 0])
+    whole = solve_forward(grid, shifted, experiments._zero_source, tg, y0)
+    frames, diagnostics = experiments._march_past_mid(grid, shifted, tg, y0)
+    mid = tg.mid
+    assert frames.shape == (mid + 2, pm.size)
+    assert frames.tobytes() == whole.values[:mid + 2].tobytes()
+    assert diagnostics["linear_solves"] == diagnostics["factorisations"] == mid + 1
+    dt_mid = (frames[mid + 1] - frames[mid - 1]) / (2.0 * tg.dt)
+    dt_whole = central_time_derivative(whole.values, tg.dt)[mid]
+    assert dt_mid.tobytes() == dt_whole.tobytes()
+    got = recover_coefficient(g.MeshFunction(pm, frames[mid]), dt_mid, tg, base, alpha=0.02,
+                              truth=truth)
+    want = recover_coefficient(whole.frame(mid), dt_whole, tg, base, alpha=0.02,
+                               truth=truth)
+    assert got.p_estimate.values.tobytes() == want.p_estimate.values.tobytes()
+    assert got.relative_error == want.relative_error <= 1e-2
 
 
 def test_observation_linearity_superposition():

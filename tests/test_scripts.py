@@ -52,3 +52,6 @@ def test_bench_steps_runs_one_tiny_case(monkeypatch):
     for time_dependent in (False, True):
         per_march, per_step = bench.march_vs_steps(7, 8, time_dependent, 0)
         assert per_march > 0.0 and per_step > 0.0
+    # the reconstruction's normal equations by march against the step loop, equal G bits
+    per_march, per_loop = bench.normal_vs_steps(1, 7, 8, 0)
+    assert per_march > 0.0 and per_loop > 0.0

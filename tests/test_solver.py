@@ -953,23 +953,34 @@ def _raised(fn, *args):
 MARCH_STEPS = 2 * solver.CHECK_STEPS + 22
 
 
+def _states(rng, n, cols, *lead):
+    """Random-normal states of shape (*lead, n): one state, or blocks of `cols` columns
+    ("n" for n columns, as the normal equations march)."""
+    k = n if cols == "n" else cols
+    return rng.normal(size=(*lead, n) if k is None else (*lead, n, k))
+
+
 @pytest.mark.parametrize("n", [1, 2, 15, 63])
 @pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (False, 0.8), (True, 0.0),
                                                   (True, 0.8)],
                          ids=["time-independent", "time-independent-advection",
                               "time-dependent", "time-dependent-advection"])
 def test_march_equals_the_step_loop_bitwise(rng, n, time_dependent, b_amp):
+    # one state, a block of 3 and a block of n columns, as the normal equations march
     grid = g.GridSpec(1, n)
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=time_dependent, b_amp=b_amp)
     tg = TimeGrid(1.0, MARCH_STEPS)
-    for m0 in (0, tg.mid):
-        y0, F = rng.normal(size=n), rng.normal(size=(tg.steps - m0, n))
+    for cols, m0 in itertools.product((None, 3, "n"), (0, tg.mid)):
+        y0, F = _states(rng, n, cols), _states(rng, n, cols, tg.steps - m0)
         fast, slow = (Stepper(grid, coeffs, tg) for _ in range(2))
         frames, worst = fast.march(y0, F, m0)
         want, want_worst = _step_loop(slow, y0, F, m0)
         assert frames.shape == want.shape and frames.tobytes() == want.tobytes()
-        # the same residuals, whose norms may be summed in another order
-        assert math.isclose(worst, want_worst, rel_tol=1e-12) and worst <= 1e-10
+        if cols is None:   # the same residuals, whose norms may be summed in another order
+            assert math.isclose(worst, want_worst, rel_tol=1e-12)
+        else:   # a block's check takes the step's own products and column norms
+            assert worst == want_worst
+        assert worst <= 1e-10
         # one exact elimination a step
         counters = [(s.factorisations, s.sweeps, s.linear_solves) for s in (fast, slow)]
         assert counters[0] == counters[1] == (tg.steps - m0, 0, tg.steps - m0)
@@ -1104,13 +1115,14 @@ def _faulty_dgtsv(call: int):
 def test_march_raises_at_the_first_step_that_breaks_the_contract(rng, monkeypatch):
     tg = TimeGrid(1.0, 100)
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True, b_amp=0.8)
-    y0, F = rng.normal(size=15), rng.normal(size=(100, 15))
     # every step off: the first one raises
     monkeypatch.setattr(solver, "dgtsv", _perturbed_dgtsv)
     with pytest.raises(SolverError, match="at step 1: relative residual"):
         solve_forward(GRID, coeffs, product_sine_source, tg)
-    # one step in the second check block off: the march raises it, as the loop does
-    for call in (70, 100):
+    # one step in the second check block off: the march raises it, as the loop does, for
+    # one state and for a block
+    for cols, call in itertools.product((None, 3), (70, 100)):
+        y0, F = _states(rng, 15, cols), _states(rng, 15, cols, 100)
         monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(call))
         got = _raised(Stepper(GRID, coeffs, tg).march, y0, F)
         monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(call))
@@ -1137,39 +1149,62 @@ def test_march_raises_at_the_first_non_finite_step():
 def test_march_raises_a_zero_pivot_at_its_step(rng, monkeypatch):
     tg = TimeGrid(1.0, 100)
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True, b_amp=0.8)
-    y0, F = rng.normal(size=15), rng.normal(size=(100, 15))
 
     def singular_at(frame):
         stepper = Stepper(GRID, coeffs, tg)
         stepper._coef[frame, 0] = 0.0   # L_{frame - 1} = 0: a zero pivot in row 1
         return stepper
 
-    # mid-block, and first in the first and the second check block
-    for frame in (70, 1, solver.CHECK_STEPS + 1):
-        got = _raised(singular_at(frame).march, y0, F)
-        assert got == _raised(_step_loop, singular_at(frame), y0, F)
-        assert got[0] is SolverError and got[1].startswith(f"singular L at step {frame} ")
-    # a step earlier in the same check block that breaks the contract comes first
-    monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(66))
-    got = _raised(singular_at(70).march, y0, F)
-    monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(66))
-    assert got == _raised(_step_loop, singular_at(70), y0, F)
-    assert "at step 66: relative residual" in got[1]
+    for cols in (None, 3):   # one state and a block
+        y0, F = _states(rng, 15, cols), _states(rng, 15, cols, 100)
+        # mid-block, and first in the first and the second check block
+        for frame in (70, 1, solver.CHECK_STEPS + 1):
+            got = _raised(singular_at(frame).march, y0, F)
+            assert got == _raised(_step_loop, singular_at(frame), y0, F)
+            assert got[0] is SolverError and got[1].startswith(f"singular L at step {frame} ")
+        # a step earlier in the same check block that breaks the contract comes first
+        monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(66))
+        got = _raised(singular_at(70).march, y0, F)
+        monkeypatch.setattr(solver, "dgtsv", _faulty_dgtsv(66))
+        assert got == _raised(_step_loop, singular_at(70), y0, F)
+        assert "at step 66: relative residual" in got[1]
 
 
-def test_march_rejects_nonpositive_diffusion_as_the_loop_does():
-    # gamma = 0.5 - 0.45 sin(pi x) rho(t), rho in [0.7, 1.3]: positive on some frames only
-    gamma = SmoothField(base=0.5, amp=0.45, w=(1.0,), phase=math.pi, tamp=0.3)
+def _flagged(tphase: float) -> CoefficientFields:
+    """d = 1 fields whose gamma = 0.5 - 0.45 sin(pi x) rho(t), rho in [0.7, 1.3], is
+    positive on some frames only."""
+    gamma = SmoothField(base=0.5, amp=0.45, w=(1.0,), phase=math.pi, tamp=0.3, tphase=tphase)
     c = SmoothField(base=0.0, amp=0.5, w=(1.0,), tamp=0.2)
-    coeffs = CoefficientFields(gamma=(gamma,), b=None, c=c,
-                               dt_gamma=(FieldTimeDerivative(gamma),),
-                               dt_c=FieldTimeDerivative(c))
-    tg = TimeGrid(1.0, 16)
-    y0, F = np.ones(15), np.zeros((16, 15))
-    stepper = Stepper(GRID, coeffs, tg)
-    first = int(np.argmax(stepper._bad))
-    with pytest.raises(GridError) as info:
-        assemble_ah(GRID, coeffs, float(tg.times[first]))
-    got = _raised(stepper.march, y0, F)
-    assert got == _raised(_step_loop, Stepper(GRID, coeffs, tg), y0, F)
-    assert got == (GridError, str(info.value))
+    return CoefficientFields(gamma=(gamma,), b=None, c=c, dt_gamma=(FieldTimeDerivative(gamma),),
+                             dt_c=FieldTimeDerivative(c))
+
+
+def test_march_rejects_nonpositive_diffusion_as_the_loop_does(rng):
+    for cols in (None, 3):   # one state and a block
+        # the first flagged frame raises, at the step whose L it is
+        coeffs, tg = _flagged(0.0), TimeGrid(1.0, 16)
+        y0, F = _states(rng, 15, cols), np.zeros((16, *_states(rng, 15, cols).shape))
+        first = int(np.argmax(Stepper(GRID, coeffs, tg)._bad))
+        with pytest.raises(GridError) as info:
+            assemble_ah(GRID, coeffs, float(tg.times[first]))
+        got = _raised(Stepper(GRID, coeffs, tg).march, y0, F)
+        assert got == _raised(_step_loop, Stepper(GRID, coeffs, tg), y0, F)
+        assert got == (GridError, str(info.value))
+        # frame 25 of 64 is the first flagged one, inside the first check block: a NaN
+        # forcing row at step 20 raises first, as in the loop, which solves every step
+        # before the flagged frame
+        coeffs, tg = _flagged(-2.0), TimeGrid(1.0, 64)
+        assert int(np.argmax(Stepper(GRID, coeffs, tg)._bad)) == 25 < solver.CHECK_STEPS
+        F = np.zeros((64, *y0.shape))
+        F[20] = np.nan
+        got = _raised(Stepper(GRID, coeffs, tg).march, y0, F)
+        assert got == _raised(_step_loop, Stepper(GRID, coeffs, tg), y0, F)
+        assert got == (SolverError, f"non-finite state at step 21 (t={tg.times[21]})")
+        # without it the flagged frame raises, from 0 and from starts before it and at it
+        F[20] = 0.0
+        with pytest.raises(GridError) as info:
+            assemble_ah(GRID, coeffs, float(tg.times[25]))
+        for m0 in (0, 10, 24, 25):
+            got = _raised(Stepper(GRID, coeffs, tg).march, y0, F[m0:], m0)
+            assert got == _raised(_step_loop, Stepper(GRID, coeffs, tg), y0, F[m0:], m0)
+            assert got == (GridError, str(info.value))
