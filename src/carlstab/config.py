@@ -119,14 +119,18 @@ SCHEMA = {
 }
 
 
-# the most primal unknowns a corpus or feasibility grid may march: N = 31 at d = 3
-# (29 791), not N = 63 (250 047, gigabytes of factors)
+# the most primal unknowns a corpus, feasibility or decay grid may march: N = 31 at
+# d = 3 (29 791), not N = 63 (250 047, gigabytes of factors)
 MAX_UNKNOWNS = 1 << 15
 # step counts whose runs observe, or certify a source at, the mid time T/2
 _MID_TIME_STEPS = ("stability.steps", "stability.decay_steps", "reconstruct.steps",
                    "reconstruct.coeff_steps")
-_CORPUS_COUNTS = ("verify_ops.fields", "energy.runs", "carleman.runs",
-                  "carleman.feasibility_runs", "stability.runs")
+_AT_LEAST_ONE = ("grid.n", "verify_ops.fields", "energy.runs", "carleman.runs",
+                 "carleman.feasibility_runs", "stability.runs", "converge.spatial_steps",
+                 "converge.manufactured_steps", "reconstruct.n", "reconstruct.coeff_n",
+                 "weights.lambda", "weights.tau1", "stability.decay_lambda", "run.workers")
+_POSITIVE = ("time.t_final", "converge.t_final", "reconstruct.coeff_t_final", "weights.eps0")
+_NON_NEGATIVE = ("reconstruct.noise", "reconstruct.beta", "reconstruct.beta_sweep_decades")
 # lists that feed an order or a slope need two points; every other list needs one
 _MIN_ENTRIES = {"converge.spatial_grids": 2, "converge.temporal_steps": 2,
                 "stability.decay_grids": 2}
@@ -215,10 +219,12 @@ def _validate(cfg: Config):
     problems = []
     if not 1 <= cfg.get("grid", "d") <= 3:
         problems.append("grid.d: must be in [1, 3]")
-    if cfg.get("grid", "n") < 1:
-        problems.append("grid.n: must be >= 1")
-    if cfg.get("time", "t_final") <= 0:
-        problems.append("time.t_final: must be positive")
+    problems += [f"{name}: must be >= 1" for name in _AT_LEAST_ONE
+                 if cfg.get(*name.split(".")) < 1]
+    problems += [f"{name}: must be positive" for name in _POSITIVE
+                 if cfg.get(*name.split(".")) <= 0]
+    problems += [f"{name}: must be >= 0" for name in _NON_NEGATIVE
+                 if cfg.get(*name.split(".")) < 0]
     for name in _MID_TIME_STEPS:
         steps = cfg.get(*name.split("."))
         if steps < 2 or steps % 2:
@@ -228,9 +234,6 @@ def _validate(cfg: Config):
     if cfg.get("energy", "steps") < 16 or cfg.get("energy", "steps") % 16:
         problems.append("energy.steps: must be a positive multiple of 16 "
                         "(frames at t = 0.25, 0.5 and 0.9375 needed)")
-    for name in _CORPUS_COUNTS:
-        if cfg.get(*name.split(".")) < 1:
-            problems.append(f"{name}: must be >= 1")
     if not 1 <= cfg.get("verify_ops", "n_min") <= cfg.get("verify_ops", "n_max"):
         problems.append("verify_ops.n_min: must satisfy 1 <= n_min <= verify_ops.n_max")
     for section, keys in SCHEMA.items():
@@ -248,24 +251,14 @@ def _validate(cfg: Config):
         problems.append("domain.omega0: must be strictly inside domain.omega")
     if not 0 < cfg.get("weights", "delta") <= 0.5:
         problems.append("weights.delta: must be in (0, 1/2]")
-    for name in ("weights.lambda", "weights.tau1", "stability.decay_lambda"):
-        if cfg.get(*name.split(".")) < 1:
-            problems.append(f"{name}: must be >= 1")
     if min(cfg.get("carleman", "feasibility_taus"), default=1) < 1:
         problems.append("carleman.feasibility_taus: every entry must be >= 1")
-    if cfg.get("run", "workers") < 1:
-        problems.append("run.workers: must be >= 1")
-    if cfg.get("reconstruct", "noise") < 0:
-        problems.append("reconstruct.noise: must be >= 0")
-    if cfg.get("reconstruct", "beta") < 0:
-        problems.append("reconstruct.beta: must be >= 0")
-    elif cfg.get("reconstruct", "beta") == 0 and cfg.get("reconstruct", "noise") > 0:
+    if cfg.get("reconstruct", "beta") == 0 and cfg.get("reconstruct", "noise") > 0:
         problems.append("reconstruct.beta: must be > 0 when reconstruct.noise > 0 "
                         "(the noisy sweep steps beta in decades from it)")
-    if cfg.get("weights", "eps0") <= 0:
-        problems.append("weights.eps0: must be positive")
     d = cfg.get("grid", "d")
-    for name in ("carleman.grids", "carleman.feasibility_grids", "stability.grids"):
+    for name in ("carleman.grids", "carleman.feasibility_grids", "stability.grids",
+                 "stability.decay_grids"):
         for n in [n for n in cfg.get(*name.split(".")) if n ** d > MAX_UNKNOWNS][:1]:
             problems.append(f"{name}: N={n} at d={d} marches {n ** d} unknowns, more than "
                             f"{MAX_UNKNOWNS}")

@@ -17,11 +17,11 @@ Time integration is ours: one `Stepper` owns the trapezoidal step
 
     (I - dt/2 A(t_{m+1})) y_{m+1} = (I + dt/2 A(t_m)) y_m + f_m
 
-and its residual; the forward solve, the z-system march, the reconstruction's
-normal equations and the scheme residual check all run through it.  A step
-takes one state or a block of states as columns, so a linear map of the
-forcing marches all its columns at once; `Stepper.march` runs a whole march
-of either, and the scheme residual check takes single steps' residuals.
+and checks every step's residual; the forward solve, the z-system march and
+the reconstruction's normal equations all run through it.  A step takes one
+state or a block of states as columns, so a linear map of the forcing
+marches all its columns at once; `Stepper.march` runs a whole march of
+either, and a trajectory's diagnostics carry the largest residual it met.
 A stepper holds L and R of the last frame formed and applies either by
 scipy's CSR kernel, no matrix per frame.
 The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and each
@@ -427,6 +427,8 @@ class Stepper:
     the step raises; the residual reported is the largest over the columns.
     `factorisations`, `sweeps` and `linear_solves` (one per step) count the
     work done; at d = 1 every step is one factorisation and no sweep.
+    `diagnostics` hands a march's largest residual and these counters to its
+    `Trajectory`; no later pass checks a trajectory's steps again.
 
     `march` runs the steps of one state or of a block of states with the
     frames, residuals, counters and errors of a `step` loop, which stays its
@@ -713,11 +715,6 @@ class Stepper:
         """A march's `Trajectory.diagnostics`: its largest residual and the work counted."""
         return {"max_linear_residual": max_res, "factorisations": self.factorisations,
                 "sweeps": self.sweeps, "linear_solves": self.linear_solves}
-
-    def residual(self, m: int, y0: np.ndarray, y1: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """L_m y1 - R_m y0 - f: zero up to the solve tolerance on a true step."""
-        rhs = self._product(self._frame(m)[1], y0) + f
-        return self._product(self._frame(m + 1)[0], y1) - rhs
 
 
 def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from carlstab import carleman, quadrature
+from carlstab import carleman, experiments, quadrature
 from carlstab import grid as g
 from carlstab import operators as ops
-from carlstab.carleman import (LHS_KEYS, RHS_KEYS, check_scheme_residual, endpoint_term,
-                               feasibility_rows, verify_cells)
+from carlstab.carleman import LHS_KEYS, RHS_KEYS, endpoint_term, feasibility_rows, verify_cells
 from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
 from carlstab.config import parse_config
-from carlstab.errors import GridError, SolverError
+from carlstab.errors import GridError
 from carlstab.experiments import _carleman_worker, _feasibility_table
 from carlstab.inverse import (FourierBump, SeparableSource, SineTimeProfile, random_bump,
                               random_separable_source)
 from carlstab.quadrature import ZERO_TERM, Term
-from carlstab.solver import TimeGrid, Trajectory, central_time_derivative, solve_forward
+from carlstab.solver import (LINEAR_RESIDUAL_TOL, TimeGrid, Trajectory, central_time_derivative,
+                             solve_forward)
 from carlstab.weights import Box, CarlemanWeight, WeightParams
 
 GRID = g.GridSpec(1, 15)
@@ -158,23 +158,12 @@ def test_verify_inequality_reports_and_admissibility_gate():
     w = make_weight(tau=3.0)
     rep = verify_cells(traj, src, coeffs, [(w, 0)])[0]
     assert rep.admissible and rep.ratio is not None and math.isfinite(rep.ratio)
-    assert check_scheme_residual(traj, coeffs, src) <= 1e-6
     assert all(rep.terms[k].value >= 0 for k in rep.terms)
 
     w_bad = make_weight(tau=12.0)  # coupling 12/8 > epsilon
     rep_bad = verify_cells(traj, src, coeffs, [(w_bad, 0)])[0]
     assert not rep_bad.admissible
     assert rep_bad.ratio is None
-
-
-def test_scheme_residual_rejects_mismatched_source():
-    grid, coeffs, src, traj = solved_run(seed=9)
-
-    def wrong_src(t, X):
-        return src(t, X) + 1.0
-
-    with pytest.raises(SolverError, match="mismatch"):
-        check_scheme_residual(traj, coeffs, wrong_src)
 
 
 def test_verify_inequality_p_validation():
@@ -340,13 +329,6 @@ def test_feasibility_row_carries_the_largest_ratio_first_on_tie():
     assert feasibility_rows([w], [doubled, runs[0]])[0]["I_p"] == rep2.columns()["I_p"]
 
 
-def test_scheme_residual_detects_wrong_coefficients():
-    grid, coeffs, src, traj = solved_run(seed=27, steps=64)
-    other = CoefficientFields.constant(1, gamma=2.0)
-    with pytest.raises(SolverError):
-        check_scheme_residual(traj, other, src)
-
-
 def test_underflowing_weights_keep_their_mass():
     # lambda = 3 pushes every weight below the double floor; the term keeps that
     # mass, its log matching logsumexp of the log summands point by point
@@ -395,15 +377,40 @@ def test_carleman_worker_d3_smoke():
     # exit code says nothing here; tau = 2 is the one corpus tau admissible on N = 7
     cfg = parse_config(overrides=["grid.d=3", "carleman.grids=7", "carleman.steps=64",
                                   "carleman.runs=1", "carleman.tau_min=2",
-                                  "carleman.tau_max=2", "carleman.feasibility_grids=15"])
+                                  "carleman.tau_max=2", "carleman.feasibility_grids=15",
+                                  "stability.decay_grids=15,31"])
     rows, solver, timings = _carleman_worker((cfg.values, 0))
     assert solver["linear_solves"] == 64 and solver["max_linear_residual"] <= 1e-10
-    assert set(timings) == {"march", "scheme_residual", "corpus_terms"}
+    assert set(timings) == {"march", "corpus_terms"}
     assert [(row["N"], row["p"]) for row in rows] == [(7, 0), (7, 1)]
     for row in rows:
         for key in ("I_p", "J_p", "rhs_source", "rhs_local", "rhs_endpoint"):
             assert math.isfinite(row[key]) and row[key] > 0.0, key
-        assert row["residual"] <= 1e-6
+        assert row["residual"] == solver["max_linear_residual"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_corpus_residual_is_the_march_figure(monkeypatch, d):
+    # a corpus row's residual is its own march's largest relative step residual,
+    # which `Stepper.march` held to LINEAR_RESIDUAL_TOL on every step
+    marched = []
+
+    def recording(*args):
+        marched.append(solve_forward(*args))
+        return marched[-1]
+
+    monkeypatch.setattr(experiments, "solve_forward", recording)
+    cfg = parse_config(overrides=[f"grid.d={d}", "carleman.runs=2", "carleman.steps=64"])
+    grids = list(cfg.get("carleman", "grids"))
+    for run in range(2):
+        marched.clear()
+        rows, solver, _ = _carleman_worker((cfg.values, run))
+        assert len(marched) == len(grids) and len(rows) == 2 * len(grids)
+        for row in rows:
+            traj = marched[grids.index(row["N"])]
+            assert row["residual"] == traj.diagnostics["max_linear_residual"]
+            assert 0.0 < row["residual"] <= LINEAR_RESIDUAL_TOL
+        assert solver["max_linear_residual"] == max(row["residual"] for row in rows)
 
 
 def oracle_term(fields, phi, s, power, frame_cells) -> Term:

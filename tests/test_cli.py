@@ -88,6 +88,13 @@ def test_interval_and_list_parsing():
     ("stability", "weights.eps0=-0.5"),
     ("stability", "weights.tau1=0.5"),
     ("stability", "stability.decay_lambda=0.5"),
+    ("reconstruct", "reconstruct.n=0"),
+    ("reconstruct", "reconstruct.coeff_n=0"),
+    ("converge", "converge.spatial_steps=0"),
+    ("converge", "converge.manufactured_steps=0"),
+    ("reconstruct", "reconstruct.beta_sweep_decades=-3 reconstruct.noise=0.01"),
+    ("converge", "converge.t_final=0"),
+    ("reconstruct", "reconstruct.coeff_t_final=0"),
 ], ids=lambda v: v if "=" in v else None)
 def test_validation_rules(suite, override, tmp_path, capsys):
     # `override` is one override or several separated by spaces; the first names the key
@@ -115,21 +122,26 @@ def test_defaults_and_benchmark_workloads_validate(monkeypatch):
 
 
 def test_grids_over_the_unknown_bound_exit_two(tmp_path, capsys):
-    # the d = 3 default marches N = 63, 250 047 unknowns, in the feasibility table;
-    # the d = 3 probe (corpus grids 15 and 31, feasibility at 15) stays admitted
+    # the d = 3 default marches N = 63, 250 047 unknowns, in the feasibility table and
+    # the decay study; the d = 3 probe (corpus grids 15 and 31, feasibility at 15,
+    # decay at 15 and 31) stays admitted
     assert 31 ** 3 <= MAX_UNKNOWNS < 63 ** 3
     # parse first, so a missing bound fails here instead of marching N = 63
-    for name, over in (("carleman.feasibility_grids", []),
-                       ("carleman.grids", ["carleman.feasibility_grids=15"]),
-                       ("stability.grids", ["carleman.feasibility_grids=15"])):
+    small = ["carleman.feasibility_grids=15", "stability.decay_grids=15,31"]
+    for name, over in (("carleman.feasibility_grids", small[1:]),
+                       ("carleman.grids", small),
+                       ("stability.grids", small),
+                       ("stability.decay_grids", small[:1])):
         with pytest.raises(ConfigError, match=f"{name}: N=63"):
             parse_config(None, ["grid.d=3", *over, f"{name}=15,63"])
+    with pytest.raises(ConfigError, match="stability.decay_grids: N=63"):
+        parse_config(None, ["grid.d=3", "carleman.feasibility_grids=15"])
     assert main(["carleman", "--out", str(tmp_path), "--set=grid.d=3"]) == 2
     err = capsys.readouterr().err
     assert "carleman.feasibility_grids: N=63 at d=3 marches 250047 unknowns" in err
     assert "stability.grids" not in err and "carleman.grids" not in err
     parse_config(None, ["grid.d=3", "carleman.grids=15,31", "carleman.feasibility_grids=15",
-                        "carleman.runs=2", "carleman.steps=64"])
+                        "stability.decay_grids=15,31", "carleman.runs=2", "carleman.steps=64"])
 
 
 def test_beta_sweep_needs_positive_beta(tmp_path, capsys):
@@ -213,7 +225,7 @@ def test_carleman_summary_times_each_phase(tmp_path):
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     timings = summary["timings"]
-    assert set(timings) == {"march", "scheme_residual", "corpus_terms", "feasibility_table"}
+    assert set(timings) == {"march", "corpus_terms", "feasibility_table"}
     assert all(0.0 < s for s in timings.values())
     assert sum(timings.values()) <= summary["wall_time_s"]
     # one table per mesh (primal N points, dual N + 1) and weight over the 17 frames:
