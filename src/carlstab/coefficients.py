@@ -2,12 +2,11 @@
 
 A coefficient sampler maps (t, X) with X of shape (npts, d) to an array of
 npts values.  Samplers are small frozen dataclasses so whole problem setups
-pickle cleanly across worker processes.  A fast sampler (these fields but
-the time derivative, separable sources and their rates) also has `at(X)`:
-t -> values bitwise equal to the call, the spatial part evaluated once; t is a
-scalar or a column of times, one row each.  `sample_frames` goes through it.
-The coefficient fields also have `separable(X)`: (base, space or None, rho or
-None), the call being base + space * rho(t) bitwise; `solver.Stepper` needs it.
+pickle cleanly across worker processes.  A separable sampler (these fields
+but the time derivative, separable sources and their rates) also has
+`separable(X)`: (base, space or None, rho or None), the call being
+base + space * rho(t) bitwise, or base where space is None; rho takes a
+scalar or an array of times.  `sample_frames` and `solver.Stepper` read it.
 
 The regularity functional collects, per diffusion component,
 
@@ -38,10 +37,6 @@ class ConstantField:
     def __call__(self, t, X):
         return np.full(np.atleast_2d(X).shape[0], self.value)
 
-    def at(self, X):
-        n = np.atleast_2d(X).shape[0]
-        return lambda t: np.full(np.broadcast_shapes(np.shape(t), (n,)), self.value)
-
     def separable(self, X):
         return self.value, None, None
 
@@ -69,11 +64,6 @@ class SmoothField:
     def __call__(self, t, X):
         return self.base + self.amp * self._space(X) * self._rho(t)
 
-    def at(self, X):
-        """t -> self(t, X) bitwise, with amp S(X) evaluated once."""
-        space = self.amp * self._space(X)
-        return lambda t: self.base + space * self._rho(t)
-
     def separable(self, X):
         return self.base, self.amp * self._space(X), self._rho
 
@@ -91,17 +81,20 @@ class FieldTimeDerivative:
 
 
 def frame_sampler(fn, X):
-    """times -> fn(t, X) at every time, stacked, shape (len(times), len(X)): by
-    `fn.at(X)`, formed once, on the column of times if the sampler has `at`, else
-    by fn once per time; a block of the wrong shape is rejected."""
+    """times -> fn(t, X) at every time, stacked, shape (len(times), len(X)): from
+    `fn.separable(X)`, formed once, on the column of times if the sampler has the
+    form, else by fn once per time; a block of the wrong shape is rejected."""
     X = np.atleast_2d(X)
-    at = fn.at(X) if hasattr(fn, "at") else None
+    form = fn.separable(X) if hasattr(fn, "separable") else None
 
     def frames(times) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
-        vals = np.asarray(at(times[:, None]) if at is not None else
-                          [np.asarray(fn(float(t), X), dtype=np.float64) for t in times],
-                          dtype=np.float64)
+        if form is None:
+            vals = np.array([fn(float(t), X) for t in times], dtype=np.float64)
+        else:
+            base, space, rho = form
+            vals = (np.full((len(times), X.shape[0]), base, dtype=np.float64) if space is None
+                    else base + space * rho(times[:, None]))
         if vals.shape != (len(times), X.shape[0]):
             raise GridError(f"sampler returned frames of shape {vals.shape}, "
                             f"expected ({len(times)}, {X.shape[0]})")

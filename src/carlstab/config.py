@@ -119,9 +119,11 @@ SCHEMA = {
 }
 
 
-# the most primal unknowns a corpus, feasibility or decay grid may march: N = 31 at
-# d = 3 (29 791), not N = 63 (250 047, gigabytes of factors)
+# the most primal unknowns a grid of any suite may march: N = 31 at d = 3 (29 791),
+# not N = 63 (250 047, gigabytes of factors)
 MAX_UNKNOWNS = 1 << 15
+# n x n normal-equation arrays: 134 MB each at 2^12 unknowns, 7.1 GB at N = 31, d = 3
+MAX_NORMAL_UNKNOWNS = 1 << 12
 # step counts whose runs observe, or certify a source at, the mid time T/2
 _MID_TIME_STEPS = ("stability.steps", "stability.decay_steps", "reconstruct.steps",
                    "reconstruct.coeff_steps")
@@ -258,10 +260,13 @@ def _validate(cfg: Config):
                         "(the noisy sweep steps beta in decades from it)")
     d = cfg.get("grid", "d")
     for name in ("carleman.grids", "carleman.feasibility_grids", "stability.grids",
-                 "stability.decay_grids"):
-        for n in [n for n in cfg.get(*name.split(".")) if n ** d > MAX_UNKNOWNS][:1]:
-            problems.append(f"{name}: N={n} at d={d} marches {n ** d} unknowns, more than "
-                            f"{MAX_UNKNOWNS}")
+                 "stability.decay_grids", "grid.n", "converge.spatial_grids",
+                 "reconstruct.coeff_n", "reconstruct.n"):
+        bound = MAX_NORMAL_UNKNOWNS if name == "reconstruct.n" else MAX_UNKNOWNS
+        grids = cfg.get(*name.split("."))
+        grids = grids if isinstance(grids, tuple) else (grids,)
+        for n in [n for n in grids if n ** d > bound][:1]:
+            problems.append(f"{name}: N={n} at d={d} marches {n ** d} unknowns, more than {bound}")
     if not problems:
         _check_tau_window(cfg, problems)
         _check_feasibility_cells(cfg, problems)

@@ -597,7 +597,7 @@ def run_reconstruct(cfg: Config) -> SuiteResult:
                        timings=timings)
 
 
-# a sampler with `at`, so the coefficient march samples its frames in one call
+# a separable sampler, so the coefficient march samples its frames in one call
 _zero_source = ConstantField(0.0)
 
 

@@ -118,25 +118,6 @@ def space_time_sum(sq: np.ndarray, phi: np.ndarray, s: np.ndarray, power: float,
     return frame_terms(sums, frame_scales(s, top, power, np.log(time_weights * cell))[None])[0]
 
 
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) of a 1-D float array, bitwise as scipy.special's
-    (1.17) without importing it: the maxima are split out of the sum,
-    log1p(s/m) + log(m) + max with m of them, and where that is not finite
-    the plain log(sum(exp(a))) stands.  An empty array gives -inf."""
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    if a.size == 0:
-        return -math.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        plain = np.log(np.sum(np.exp(a), keepdims=True))
-        a_max = np.max(a, keepdims=True)
-        top = a == a_max
-        m = np.sum(top, keepdims=True, dtype=np.float64)
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-    return float(np.where(np.isfinite(out), out, plain)[0])
-
-
 def trapezoid_weights(n_frames: int, dt: float) -> np.ndarray:
     w = np.full(n_frames, dt)
     w[0] = w[-1] = dt / 2.0
@@ -144,10 +125,10 @@ def trapezoid_weights(n_frames: int, dt: float) -> np.ndarray:
 
 
 def log_trapezoid(fn_log, a: float, b: float, n: int) -> float:
-    """log of the composite-trapezoid value of integral exp(fn_log(t)) dt."""
+    """log of the composite-trapezoid value of integral exp(fn_log(t)) dt, by `frame_terms`."""
     t = np.linspace(a, b, n + 1)
     lw = np.log(trapezoid_weights(n + 1, (b - a) / n))
-    return float(logsumexp(fn_log(t) + lw))
+    return frame_terms(np.ones((1, n + 1)), (fn_log(t) + lw)[None])[0].log
 
 
 def adaptive_log_integral(fn_log, a: float, b: float, rel_tol: float = 1e-8,

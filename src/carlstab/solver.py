@@ -88,6 +88,8 @@ BASE_STATES = 4
 # steps a d = 1 march solves between two checks of the residual contract: the
 # check holds their right-hand sides, so its memory does not grow with the march
 CHECK_STEPS = 64
+# basis entries filled at a time: the fill's temporaries stay near the basis's size
+FILL_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -228,26 +230,33 @@ def _separable(grid: g.GridSpec, coeffs: CoefficientFields, times, half_dt: floa
 
     Basis row 0 is A_h of the bases, row 1 + k the stencil of field k's space
     alone and the last row I; coef[m] is -+ dt/2 times 1 and each rho_k(t_m),
-    then 1.  flags[m] says some sampled gamma_i is <= 0 at t_m: rounding is
-    monotone, so the least value is the base plus the least (rho >= 0) or the
-    largest (rho < 0) spatial value times rho.
+    then 1, filled a row or FILL_ENTRIES entries at a time (a row's bits do not
+    depend on the others).  flags[m] says some sampled gamma_i is <= 0 at t_m:
+    rounding is monotone, so the least value is the base plus the least
+    (rho >= 0) or the largest (rho < 0) spatial value times rho.
     """
     fields = _field_points(grid, coeffs)
-    rho, vals = np.ones((len(times), 1 + len(fields))), []
+    rho, forms = np.ones((len(times), 1 + len(fields))), []
     flags = np.zeros(len(times), dtype=bool)
     for k, (f, X) in enumerate(fields):
         if not hasattr(f, "separable"):
             raise GridError(f"time-dependent field {type(f).__name__} has no separable form")
         base, space, rho_k = f.separable(X)
-        v = np.zeros((2 + len(fields), len(X)))   # the last row stays zero, for I
-        v[0], v[1 + k] = base, 0.0 if space is None else space
+        space = np.zeros(len(X)) if space is None else space
         rho[:, 1 + k] = 1.0 if rho_k is None else rho_k(times)
         if k < grid.d:
             r = rho[:, 1 + k]
-            flags |= np.where(r >= 0.0, base + v[1 + k].min() * r, base + v[1 + k].max() * r) <= 0.0
-        vals.append(v)
-    basis = _stencil(grid, vals)
-    basis[-1, _pattern(grid, coeffs.b is not None)[1][-g.primal(grid).size:]] = 1.0
+            flags |= np.where(r >= 0.0, base + space.min() * r, base + space.max() * r) <= 0.0
+        forms.append((base, space))
+    template, slot = _pattern(grid, coeffs.b is not None)
+    basis = np.zeros((2 + len(fields), template.nnz))
+    step = max(1, FILL_ENTRIES // template.nnz)
+    for r0 in range(0, 1 + len(fields), step):
+        rows = np.arange(r0, min(r0 + step, 1 + len(fields)))[:, None]
+        vals = [np.where(rows == 0, base, np.where(rows == 1 + k, space, 0.0))
+                for k, (base, space) in enumerate(forms)]
+        basis[r0:r0 + len(rows)] = _stencil(grid, vals)
+    basis[-1, slot[-g.primal(grid).size:]] = 1.0
     coef = np.ones((len(times), 2, 2 + len(fields)))
     coef[:, :, :-1] = np.multiply.outer([-half_dt, half_dt], rho).transpose(1, 0, 2)
     return coef, basis, flags

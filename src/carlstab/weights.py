@@ -107,9 +107,6 @@ class WeightParams:
         if not 0 < self.delta <= 0.5:
             raise AdmissibilityError(f"delta={self.delta} outside (0, 1/2]")
 
-    def with_tau(self, tau: float) -> "WeightParams":
-        return replace(self, tau=tau)
-
 
 def admissible(tau: float, h: float, T: float, delta: float) -> tuple[bool, float, float]:
     """The admissibility window on a mesh of size h, as (ok, tau floor, coupling).
@@ -317,7 +314,7 @@ def gauss_scaling_slope(grid: GridSpec, params: WeightParams, omega0: Box, omega
     """
     checks = []
     for tau in taus:
-        w = CarlemanWeight(grid, params.with_tau(float(tau)), omega0, omega)
+        w = CarlemanWeight(grid, replace(params, tau=float(tau)), omega0, omega)
         checks.append(gauss_time_bound_check(w, p, x))
     xs = [math.log(c.tau) for c in checks]
     # log_rhs - (p - 1/2) log tau is exactly the mid-time exponent 2 s(T/2) phi(x)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from carlstab.cli import main
-from carlstab.config import MAX_UNKNOWNS, SCHEMA, Config, default_config, parse_config
+from carlstab.config import (MAX_NORMAL_UNKNOWNS, MAX_UNKNOWNS, SCHEMA, Config, default_config,
+                             parse_config)
 from carlstab.errors import ConfigError
 from carlstab.experiments import (run_carleman, run_converge, run_energy, run_reconstruct,
                                   run_stability, run_verify_ops)
@@ -124,16 +125,26 @@ def test_defaults_and_benchmark_workloads_validate(monkeypatch):
 def test_grids_over_the_unknown_bound_exit_two(tmp_path, capsys):
     # the d = 3 default marches N = 63, 250 047 unknowns, in the feasibility table and
     # the decay study; the d = 3 probe (corpus grids 15 and 31, feasibility at 15,
-    # decay at 15 and 31) stays admitted
+    # decay at 15 and 31) stays admitted.  The normal equations hold n x n arrays, so
+    # reconstruct.n has the smaller bound: N = 15 at d = 3 (3375 unknowns), not 31
     assert 31 ** 3 <= MAX_UNKNOWNS < 63 ** 3
-    # parse first, so a missing bound fails here instead of marching N = 63
+    assert 15 ** 3 <= MAX_NORMAL_UNKNOWNS < 31 ** 3
+    # parse first, so a missing bound fails here instead of marching the grid
     small = ["carleman.feasibility_grids=15", "stability.decay_grids=15,31"]
-    for name, over in (("carleman.feasibility_grids", small[1:]),
-                       ("carleman.grids", small),
-                       ("stability.grids", small),
-                       ("stability.decay_grids", small[:1])):
-        with pytest.raises(ConfigError, match=f"{name}: N=63"):
-            parse_config(None, ["grid.d=3", *over, f"{name}=15,63"])
+    for name, over, value in (("carleman.feasibility_grids", small[1:], "15,63"),
+                              ("carleman.grids", small, "15,63"),
+                              ("stability.grids", small, "15,63"),
+                              ("stability.decay_grids", small[:1], "15,63"),
+                              ("grid.n", small, "63"),
+                              ("converge.spatial_grids", small, "15,63"),
+                              ("reconstruct.coeff_n", small, "63"),
+                              ("reconstruct.n", small, "31")):
+        n = value.split(",")[-1]
+        with pytest.raises(ConfigError, match=f"{name}: N={n} "):
+            parse_config(None, ["grid.d=3", *over, f"{name}={value}"])
+        sets = [f"--set={ov}" for ov in ["grid.d=3", *over, f"{name}={value}"]]
+        assert main(["converge", "--out", str(tmp_path), *sets]) == 2
+        assert f"{name}: N={n} at d=3" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="stability.decay_grids: N=63"):
         parse_config(None, ["grid.d=3", "carleman.feasibility_grids=15"])
     assert main(["carleman", "--out", str(tmp_path), "--set=grid.d=3"]) == 2

@@ -1,4 +1,5 @@
-"""`sample_frames` against stacking one sampler call per time, bit for bit."""
+"""`sample_frames` and the separable form against one sampler call per time,
+bit for bit."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from carlstab import grid as g
 from carlstab.coefficients import ConstantField, random_smooth_coefficients, sample_frames
 from carlstab.errors import GridError
-from carlstab.inverse import SourceRate, random_separable_source
+from carlstab.inverse import (SeparableSource, SineTimeProfile, SourceRate,
+                              random_separable_source)
 from carlstab.solver import TimeGrid, solve_forward
 
 TIMES = TimeGrid(1.0, 64).times
@@ -26,8 +28,10 @@ def test_sample_frames_matches_stacked_calls_bitwise(rng, d):
     moving = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=0.3)
     frozen = random_smooth_coefficients(rng, d, 1.0, b_amp=0.3)
     src = random_separable_source(rng, d, 1.0)
+    # a constant profile R: the rate's frames are zeros of either sign
+    still = SeparableSource(src.profile, SineTimeProfile(1.0, 0.0, 0.0, 1.0))
     samplers = [ConstantField(0.7), *moving.gamma, *moving.b, moving.c,
-                frozen.gamma[0], frozen.c, src, SourceRate(src), plain_sampler]
+                frozen.gamma[0], frozen.c, src, SourceRate(src), SourceRate(still), plain_sampler]
     some = np.sort(rng.uniform(0.0, 1.0, 9))
     for fn in samplers:
         for times in (TIMES, TIMES[::5], some):
@@ -43,8 +47,8 @@ class WrongFrames:
     def __call__(self, t, X):
         return np.zeros(np.atleast_2d(X).shape[0])
 
-    def at(self, X):
-        return lambda t: np.zeros((len(t), 3))
+    def separable(self, X):
+        return 0.0, np.zeros(3), np.cos
 
 
 class WrongCalls:
@@ -68,7 +72,8 @@ def test_separable_form_rebuilds_each_call_bitwise(rng, d):
     # the time factor is taken for all times in one call, as `solver.Stepper` does
     X = g.primal(g.GridSpec(d, 7)).physical
     moving = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=0.3)
-    for field in [ConstantField(0.7), *moving.gamma, *moving.b, moving.c]:
+    src = random_separable_source(rng, d, 1.0)
+    for field in [ConstantField(0.7), *moving.gamma, *moving.b, moving.c, src, SourceRate(src)]:
         base, space, rho = field.separable(X)
         factors = np.ones(len(TIMES)) if rho is None else rho(TIMES)
         for t, r in zip(TIMES, factors):

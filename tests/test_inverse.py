@@ -7,13 +7,13 @@ from carlstab import experiments, inverse
 from carlstab import grid as g
 from carlstab import operators as ops
 from carlstab.carleman import verify_cells
-from carlstab.coefficients import CoefficientFields, random_smooth_coefficients
+from carlstab.coefficients import CoefficientFields, random_smooth_coefficients, sample_frames
 from carlstab.cli import main
 from carlstab.errors import (AdmissibilityError, CertificationError, EmptyMaskError,
                              GridError, SolverError)
-from carlstab.inverse import (AdmissibleSource, SeparableSource, SineTimeProfile, SourceRate,
-                              _normal_equations, add_observation_noise, certify_separable,
-                              certify_source, observe, random_bump, random_separable_source,
+from carlstab.inverse import (AdmissibleSource, FourierBump, SeparableSource, SineTimeProfile,
+                              SourceRate, _normal_equations, add_observation_noise,
+                              certify_separable, observe, random_bump, random_separable_source,
                               reconstruct_source, recover_coefficient, stability_quotient)
 from carlstab.solver import (Stepper, TimeGrid, Trajectory, central_time_derivative,
                              solve_forward, solve_z_system)
@@ -36,6 +36,41 @@ def solved_pair(seed=11, steps=256, y_ini=None):
     traj = solve_forward(GRID, coeffs, adm.g, tg, y_ini=y_ini)
     z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
     return coeffs, adm, traj, z
+
+
+def certify_source(g_fn, dt_fn, grid: g.GridSpec, time_grid: TimeGrid) -> float:
+    """Smallest constant with |dt g| <= C |g(T/2, x)| on the sampled grid: the
+    oracle of `certify_separable`'s closed form, for any pair of samplers."""
+    X = g.primal(grid).physical
+    ref = np.abs(np.asarray(g_fn(time_grid.times[time_grid.mid], X), dtype=np.float64))
+    dtv = np.abs(sample_frames(dt_fn, time_grid.times, X))
+    dead = ref <= 0.0
+    bad = np.any(dtv[:, dead] > 1e-14 * np.maximum(1.0, dtv.max(axis=1, keepdims=True)), axis=1)
+    if np.any(bad):
+        m = int(np.argmax(bad))
+        k = int(np.argmax(np.where(dead, dtv[m], -np.inf)))
+        raise CertificationError(
+            f"|dt g| > 0 where g(T/2, x) = 0 at t={float(time_grid.times[m])}, x={X[k]}")
+    return 0.0 if np.all(dead) else float(np.max(dtv[:, ~dead] / ref[~dead]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_certificate_matches_sampled_oracle(d):
+    # each sampled ratio |f R'_m| / |f R(T/2)| rounds three times against the
+    # closed form's one division
+    rng = np.random.default_rng(40 + d)
+    for n in (7, 15, 31):
+        grid = g.GridSpec(d, n)
+        for steps in (16, 64, 256):
+            tg = TimeGrid(1.0, steps)
+            src = random_separable_source(rng, d, tg.T)
+            want = certify_source(src, SourceRate(src), grid, tg)
+            got = certify_separable(src, grid, tg).c_g
+            assert want > 0.0 and abs(got / want - 1.0) <= 4 * 2.0 ** -52, (n, steps, got, want)
+    vanishing = SeparableSource(FourierBump((0.0,), ((1,) * d,)), SineTimeProfile())
+    grid, tg = g.GridSpec(d, 7), TimeGrid(1.0, 16)
+    assert certify_separable(vanishing, grid, tg).c_g == 0.0
+    assert certify_source(vanishing, SourceRate(vanishing), grid, tg) == 0.0
 
 
 def test_certificate_r_constant_gives_zero():

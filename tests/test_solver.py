@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -905,6 +906,24 @@ def test_time_dependent_field_without_separable_form_raises_at_construction():
         Stepper(GRID, coeffs, TimeGrid(1.0, 16))
     # frozen, the same field takes the one-frame fill
     Stepper(GRID, CoefficientFields(gamma=(gamma,), b=None, c=Plain()), TimeGrid(1.0, 16))
+
+
+def test_basis_fill_peaks_below_twice_the_basis():
+    # a time-dependent d = 3 stepper with advection: a fill of all 2 + F rows in one
+    # pass holds several times the basis in temporaries, while at N = 15 the fill
+    # takes one row a pass.  The first build warms the pattern cache; the second is
+    # measured.
+    grid = g.GridSpec(3, 15)
+    coeffs = random_smooth_coefficients(np.random.default_rng(3), 3, 1.0,
+                                        time_dependent=True, b_amp=0.3)
+    Stepper(grid, coeffs, TimeGrid(1.0, 256))
+    tracemalloc.start()
+    try:
+        stepper = Stepper(grid, coeffs, TimeGrid(1.0, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stepper._basis.nbytes, (peak, stepper._basis.nbytes)
 
 
 @pytest.mark.parametrize("d,n", [(1, 15), (2, 7)], ids=["d1", "d2"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ def test_gauss_bound_ratio_bounded_over_sweep():
     x = np.array([[0.4375]])
     ratios = []
     for tau in (50, 100, 200, 400, 800):
-        w = CarlemanWeight(GRID, params.with_tau(float(tau)), OMEGA0, OMEGA)
+        w = CarlemanWeight(GRID, replace(params, tau=float(tau)), OMEGA0, OMEGA)
         ratios.append(gauss_time_bound_check(w, 1.0, x).ratio)
     assert max(ratios) < 10.0
     assert max(ratios) / min(ratios) < 1.5
