@@ -27,7 +27,7 @@ from .config import Config
 from .inverse import (add_observation_noise, certify_separable, observe, random_bump,
                       random_separable_source, reconstruct_source, recover_coefficient,
                       stability_quotient)
-from .solver import Stepper, TimeGrid, apply_ah, energy_check, solve_forward, solve_z_system
+from .solver import Stepper, TimeGrid, assemble_ah, energy_check, solve_forward, solve_z_system
 from .weights import Box, CarlemanWeight, WeightParams, coupled_delta, feasibility_cells
 
 SUITE_IDS = {"verify_ops": 1, "converge": 2, "energy": 3, "carleman": 4,
@@ -189,7 +189,7 @@ def run_converge(cfg: Config) -> SuiteResult:
     pm = g.primal(grid)
     u0 = g.sample(pm, _product_sine)
     coeffs = CoefficientFields.constant(d)
-    a_u0 = apply_ah(grid, coeffs, 0.0, u0).values
+    a_u0 = assemble_ah(grid, coeffs, 0.0) @ u0.values
 
     def discrete_src(t, X):
         return -math.exp(-t) * (u0.values + a_u0)
@@ -451,9 +451,9 @@ def _stability_worker(payload) -> tuple[list, dict, dict]:
 
 
 def _march_health(marches: list) -> dict:
-    """From the diagnostics of (y, z) trajectory pairs: the `_solver_work` of the
-    forward marches and the largest `cross_check_rel` of the z-systems."""
-    return {**_solver_work([y for y, _ in marches]),
+    """From the diagnostics of (y, z) trajectory pairs: the `_solver_work` of both
+    marches of each pair and the largest `cross_check_rel` of the z-systems."""
+    return {**_solver_work([march for pair in marches for march in pair]),
             "max_cross_check_rel": max(z["cross_check_rel"] for _, z in marches)}
 
 

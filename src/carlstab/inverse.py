@@ -41,7 +41,7 @@ from . import operators as ops
 from .coefficients import CoefficientFields
 from .errors import CertificationError, EmptyMaskError, SolverError
 from .quadrature import Term, space_time_sum
-from .solver import Stepper, TimeGrid, Trajectory, apply_ah
+from .solver import Stepper, TimeGrid, Trajectory, assemble_ah
 from .weights import Box, CarlemanWeight, omega_mask
 
 # entries of the n x n states held by one chunk of the normal equations' march, about
@@ -190,9 +190,10 @@ def stability_quotient(traj: Trajectory, z_traj: Trajectory, source: AdmissibleS
     """Measure ||g(T/2)|| against the observed norms plus the mesh error term.
 
     The observation is taken on the weight's omega; its H^2 norm and both
-    weighted norms (of y and of z = dt y) are computed here.  The reduced variant (time-independent coefficients) drops the weighted
-    zero-order observation and keeps only the initial time-derivative norm in
-    the error term.
+    weighted norms, of y and of z = dt y, are computed here.  The reduced
+    variant, for time-independent coefficients, drops the weighted zero-order
+    observation and keeps only the initial time-derivative norm in the error
+    term.
     """
     weight.require_admissible()
     obs = observe(traj, weight.omega)
@@ -337,7 +338,7 @@ def recover_coefficient(snapshot: g.MeshFunction, dt_snapshot: np.ndarray, time_
     if not np.any(mask):
         raise EmptyMaskError(
             f"no snapshot values reach alpha={alpha} (max |y| = {np.max(np.abs(y)):.4g})")
-    a_y = apply_ah(pm.grid, base_coeffs, t, snapshot).values
+    a_y = assemble_ah(pm.grid, base_coeffs, t) @ y
     est = np.full(pm.size, np.nan)
     est[mask] = (dt_snapshot[mask] - a_y[mask]) / y[mask]
     rel = None

@@ -4,13 +4,13 @@ The spatial operator on primal unknowns (homogeneous Dirichlet data) is
 
     A_h y = sum_i D_i(gamma_i D_i y) - sum_i b_i D_i A_i y - c y,
 
-assembled both as a sparse matrix (per-axis three-point stencils) and as a
-matrix-free application through the difference/average operators; the two
-routes agree to rounding and are cross-checked in the tests.  The matrix has
-one CSR pattern per (grid, advection), built and checked on first use, and
-one vectorised fill.  A_h is linear in (gamma, b, c) and every time-dependent
-field is base + space(x) rho(t), so A_h(t) = A_0 + sum_k rho_k(t) A_k: a
-stepper fills A_0, each field's stencil A_k and I once, and forms the frame
+assembled as a sparse matrix of per-axis three-point stencils: one CSR
+pattern per (grid, advection), built and checked on first use, and one
+vectorised fill, the only route by which the package applies A_h; the tests
+keep a matrix-free application, by the grid's difference and average maps, as
+its oracle.  A_h is linear in (gamma, b, c) and every time-dependent field is
+base + space(x) rho(t), so A_h(t) = A_0 + sum_k rho_k(t) A_k: a stepper fills
+A_0, each field's stencil A_k and I once, and forms the frame
 I -+ dt/2 A_h(t_m) as one product of its factors with them.
 
 Time integration is ours: one `Stepper` owns the trapezoidal step
@@ -49,10 +49,10 @@ The differentiated system for z ~ dt y carries the data at the mid time
 
     z(T/2) = C_h y(T/2) + g(T/2),      C_h = A_h frozen at T/2,
 
-and the forcing B_h y + dt g, where B_h collects the time derivatives of the
-coefficients.  Integrating forward of T/2 is well posed; on [0, T/2) the
-frames are the second-order differences of the y frames (backward in time
-the heat flow is ill posed).
+and the forcing B_h y + dt g, where B_h, by the same linearity, is the fill
+of the coefficients' time derivatives.  Integrating forward of T/2 is well
+posed; on [0, T/2) the frames are the second-order differences of the y
+frames (backward in time the heat flow is ill posed).
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.sparse import _sparsetools
 
 from . import grid as g
-from . import operators as ops
-from .coefficients import CoefficientFields, sample_frames
+from .coefficients import CoefficientFields, ConstantField, sample_frames
 from .errors import GridError, SolverError
 from .quadrature import exact_sum, trapezoid_weights
 
@@ -275,53 +274,6 @@ def assemble_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float) -> sp.csr
     template = _pattern(grid, coeffs.b is not None)[0]
     return sp.csr_matrix((_stencil(grid, vals)[0], template.indices, template.indptr),
                          shape=template.shape)
-
-
-def apply_ah(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
-             u: g.MeshFunction) -> g.MeshFunction:
-    """Matrix-free A_h through the difference/average operators (oracle route)."""
-    pm = g.primal(grid)
-    g.require_mesh(u, pm, "apply_ah argument")
-    out = np.zeros(pm.size)
-    for ax in range(grid.d):
-        du = ops.diff(u, ax)
-        gam = sample_frames(coeffs.gamma[ax], (t,), du.mesh.physical)[0]
-        if np.any(gam <= 0.0):
-            k = int(np.argmin(gam))
-            raise GridError(
-                f"non-positive diffusion gamma_{ax}={gam[k]:.4g} at x={du.mesh.physical[k]}, t={t}")
-        flux = g.MeshFunction(du.mesh, gam * du.values)
-        out += ops.diff(flux, ax).values
-        if coeffs.b is not None:
-            b = sample_frames(coeffs.b[ax], (t,), pm.physical)[0]
-            out -= b * ops.avg_diff(u, ax).values
-    out -= sample_frames(coeffs.c, (t,), pm.physical)[0] * u.values
-    return g.MeshFunction(pm, out)
-
-
-def apply_bh(grid: g.GridSpec, coeffs: CoefficientFields, t: float,
-             u: g.MeshFunction) -> g.MeshFunction:
-    """The coefficient-derivative operator feeding the differentiated system.
-
-    B_h u = sum_i D_i(dt(gamma_i) D_i u) - sum_i dt(b_i) D_i A_i u - dt(c) u;
-    identically zero for time-independent coefficients.
-    """
-    pm = g.primal(grid)
-    g.require_mesh(u, pm, "apply_bh argument")
-    if coeffs.time_independent:
-        return g.MeshFunction(pm, np.zeros(pm.size))
-    out = np.zeros(pm.size)
-    for ax in range(grid.d):
-        if coeffs.dt_gamma is not None:
-            du = ops.diff(u, ax)
-            dgam = sample_frames(coeffs.dt_gamma[ax], (t,), du.mesh.physical)[0]
-            out += ops.diff(g.MeshFunction(du.mesh, dgam * du.values), ax).values
-        if coeffs.dt_b is not None:
-            dbv = sample_frames(coeffs.dt_b[ax], (t,), pm.physical)[0]
-            out -= dbv * ops.avg_diff(u, ax).values
-    if coeffs.dt_c is not None:
-        out -= sample_frames(coeffs.dt_c, (t,), pm.physical)[0] * u.values
-    return g.MeshFunction(pm, out)
 
 
 def _tridiagonal_slots(diag: np.ndarray) -> tuple:
@@ -746,43 +698,53 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
     return Trajectory(grid, time_grid, frames, diagnostics=stepper.diagnostics(max_res))
 
 
+def _rates(coeffs: CoefficientFields) -> CoefficientFields:
+    """The coefficients' time-derivative samplers as fields, zero where one is
+    missing; b's stay None without advection, so the fill keeps A_h's pattern."""
+    zero, d = ConstantField(0.0), coeffs.d
+    dt_b = None if coeffs.b is None else coeffs.dt_b or (zero,) * d
+    return CoefficientFields(coeffs.dt_gamma or (zero,) * d, dt_b, coeffs.dt_c or zero)
+
+
 def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
                    dt_source) -> Trajectory:
     """Trajectory of z ~ dt y with data imposed at the mid time.
 
-    Above T/2 the system is marched forward with forcing B_h y + dt g; below
-    T/2 the frames are the second-order differences of the y frames.  The
-    largest gap to the differenced y frames, relative to their largest norm,
-    is recorded in diagnostics['cross_check_rel'].
+    Above T/2 the system is marched forward with forcing B_h y + dt g, where
+    A_h's linearity in (gamma, b, c) makes B_h(t_m) the fill of their time
+    derivatives at t_m; below T/2 the frames are the second-order differences
+    of the y frames.  Diagnostics hold the march's (`Stepper.diagnostics`)
+    and, in 'cross_check_rel', the largest gap to the differenced y frames,
+    relative to their largest norm.
     """
     tg = y_traj.time_grid
     half = tg.mid
     grid = y_traj.grid
-    pm = g.primal(grid)
-    X = pm.physical
+    X = g.primal(grid).physical
     times = tg.times
     zc = central_time_derivative(y_traj.values, tg.dt)
     frames = np.empty_like(y_traj.values)
     frames[:half] = zc[:half]
 
     t_half = float(times[half])
-    frames[half] = apply_ah(grid, coeffs, t_half, y_traj.frame(half)).values \
+    frames[half] = assemble_ah(grid, coeffs, t_half) @ y_traj.values[half] \
         + np.asarray(source(t_half, X), dtype=np.float64)
 
     rates = sample_frames(dt_source, times[half:], X)
-    if not coeffs.time_independent:
-        for m in range(half, tg.steps + 1):
-            rates[m - half] += apply_bh(grid, coeffs, float(times[m]),
-                                        g.MeshFunction(pm, y_traj.values[m])).values
     stepper = Stepper(grid, coeffs, tg)
-    frames[half:] = stepper.march(frames[half], stepper.forcing(rates[:-1], rates[1:],
-                                                                out=rates[:-1]), half)[0]
+    if not coeffs.time_independent:
+        vals = [sample_frames(f, times[half:], Xf) for f, Xf in _field_points(grid, _rates(coeffs))]
+        for k, y in enumerate(y_traj.values[half:]):
+            rates[k] += stepper._product(_stencil(grid, [v[k:k + 1] for v in vals])[0], y)
+    frames[half:], max_res = stepper.march(frames[half], stepper.forcing(rates[:-1], rates[1:],
+                                                                         out=rates[:-1]), half)
 
     cell = grid.h ** grid.d
     gap = np.sqrt(np.sum((frames - zc) ** 2, axis=1) * cell)
     z_scale = float(np.max(np.sqrt(np.sum(zc ** 2, axis=1) * cell)))
-    return Trajectory(grid, tg, frames,
-                      diagnostics={"cross_check_rel": float(np.max(gap) / max(z_scale, 1e-300))})
+    return Trajectory(grid, tg, frames, diagnostics={
+        **stepper.diagnostics(max_res),
+        "cross_check_rel": float(np.max(gap) / max(z_scale, 1e-300))})
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carlstab import grid as g
+from carlstab import operators as ops
 from carlstab import solver
 from carlstab.coefficients import (CoefficientFields, ConstantField, FieldTimeDerivative,
-                                   SmoothField, random_smooth_coefficients)
+                                   SmoothField, random_smooth_coefficients, sample_frames)
 from carlstab.errors import GridError, SolverError
 from carlstab.inverse import random_bump
-from carlstab.solver import (Stepper, TimeGrid, apply_ah, apply_bh, assemble_ah,
-                             central_time_derivative, energy_check, solve_forward,
-                             solve_z_system)
+from carlstab.solver import (Stepper, TimeGrid, assemble_ah, central_time_derivative,
+                             energy_check, solve_forward, solve_z_system)
 
 GRID = g.GridSpec(1, 15)
 
@@ -50,9 +51,11 @@ def test_constant_coefficient_stencil_rows():
         assert A[i, i + 1] * h2 == pytest.approx(1.0)
 
 
-def test_matrix_matches_operator_application(rng):
-    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.7)
-    grid = g.GridSpec(2, 7)
+@pytest.mark.parametrize("b_amp", [0.0, 0.7], ids=["no-advection", "advection"])
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)], ids=["d1", "d2", "d3"])
+def test_matrix_matches_operator_application(rng, d, n, b_amp):
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=b_amp)
+    grid = g.GridSpec(d, n)
     A = assemble_ah(grid, coeffs, 0.37)
     pm = g.primal(grid)
     for _ in range(20):
@@ -152,10 +155,55 @@ def test_central_time_derivative_quadratic_exact():
 
 
 def test_z_system_time_independent_bh_vanishes(rng):
-    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=False)
-    pm = g.primal(GRID)
-    u = g.MeshFunction(pm, rng.normal(size=pm.size))
-    assert np.all(apply_bh(GRID, coeffs, 0.3, u).values == 0.0)
+    coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=False, b_amp=0.5)
+    assert np.all(rate_fill(GRID, coeffs, 0.3).data == 0.0)
+
+
+@pytest.mark.parametrize("b_amp,frozen_b", [(0.0, False), (0.7, False), (0.7, True)],
+                         ids=["no-advection", "advection", "advection-without-dt_b"])
+@pytest.mark.parametrize("d,n", [(1, 15), (2, 7), (3, 5)], ids=["d1", "d2", "d3"])
+def test_rate_fill_matches_the_bh_oracle(rng, d, n, b_amp, frozen_b):
+    """B_h is the fill of the derivative samplers: A_h is linear in (gamma, b, c).
+    Without dt_b, b is frozen and its rows of the fill are zero."""
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=True, b_amp=b_amp)
+    if frozen_b:
+        coeffs = replace(coeffs, dt_b=None)
+    grid = g.GridSpec(d, n)
+    pm = g.primal(grid)
+    for t in (0.0, 0.37, 0.8):
+        B = rate_fill(grid, coeffs, t)
+        assert np.array_equal(B.indptr, assemble_ah(grid, coeffs, t).indptr)
+        for _ in range(5):
+            u = g.MeshFunction(pm, rng.normal(size=pm.size))
+            want = apply_bh(grid, coeffs, t, u).values
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(B @ u.values - want)) <= 1e-12 * scale
+
+
+def test_time_dependent_z_system_matches_the_oracle_forcing_d2(rng):
+    """A d = 2 z-system with advection, marched once by `solve_z_system` and once
+    from the oracle data A_h y(T/2) + g(T/2) and forcing B_h y + dt g."""
+    grid = g.GridSpec(2, 7)
+    coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.5)
+
+    def src(t, X):
+        return product_sine(X) * (1.0 + 0.5 * math.sin(2 * math.pi * t))
+
+    def dsrc(t, X):
+        return product_sine(X) * math.pi * math.cos(2 * math.pi * t)
+
+    tg = TimeGrid(1.0, 64)
+    traj = solve_forward(grid, coeffs, src, tg, y_ini=g.sample(g.primal(grid), product_sine))
+    z = solve_z_system(traj, coeffs, src, dsrc)
+    half, X = tg.mid, g.primal(grid).physical
+    z_half = apply_ah(grid, coeffs, 0.5, traj.frame(half)).values + src(0.5, X)
+    rates = np.array([dsrc(t, X) + apply_bh(grid, coeffs, t, traj.frame(m)).values
+                      for m, t in enumerate(tg.times) if m >= half])
+    stepper = Stepper(grid, coeffs, tg)
+    want = stepper.march(z_half, stepper.forcing(rates[:-1], rates[1:]), half)[0]
+    assert np.max(np.abs(z.values[half:] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(z.values[:half], central_time_derivative(traj.values, tg.dt)[:half])
+    assert z.diagnostics["linear_solves"] == tg.steps - half
 
 
 def test_z_system_cross_check_small():
@@ -671,6 +719,57 @@ def reference_stencil(grid, gammas, bs, c):
     A = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(size, size))
     return A.tocsr()
+
+
+def apply_ah(grid, coeffs, t, u):
+    """Matrix-free A_h through the difference/average operators: the oracle of
+    the CSR fill's products."""
+    pm = g.primal(grid)
+    g.require_mesh(u, pm, "apply_ah argument")
+    out = np.zeros(pm.size)
+    for ax in range(grid.d):
+        du = ops.diff(u, ax)
+        gam = sample_frames(coeffs.gamma[ax], (t,), du.mesh.physical)[0]
+        if np.any(gam <= 0.0):
+            k = int(np.argmin(gam))
+            raise GridError(
+                f"non-positive diffusion gamma_{ax}={gam[k]:.4g} at x={du.mesh.physical[k]}, t={t}")
+        out += ops.diff(g.MeshFunction(du.mesh, gam * du.values), ax).values
+        if coeffs.b is not None:
+            b = sample_frames(coeffs.b[ax], (t,), pm.physical)[0]
+            out -= b * ops.avg_diff(u, ax).values
+    out -= sample_frames(coeffs.c, (t,), pm.physical)[0] * u.values
+    return g.MeshFunction(pm, out)
+
+
+def apply_bh(grid, coeffs, t, u):
+    """Matrix-free B_h u = sum_i D_i(dt(gamma_i) D_i u) - sum_i dt(b_i) D_i A_i u
+    - dt(c) u, a missing derivative sampler counting as zero: the oracle of the
+    fill of the derivative samplers."""
+    pm = g.primal(grid)
+    g.require_mesh(u, pm, "apply_bh argument")
+    out = np.zeros(pm.size)
+    for ax in range(grid.d):
+        if coeffs.dt_gamma is not None:
+            du = ops.diff(u, ax)
+            dgam = sample_frames(coeffs.dt_gamma[ax], (t,), du.mesh.physical)[0]
+            out += ops.diff(g.MeshFunction(du.mesh, dgam * du.values), ax).values
+        if coeffs.dt_b is not None:
+            dbv = sample_frames(coeffs.dt_b[ax], (t,), pm.physical)[0]
+            out -= dbv * ops.avg_diff(u, ax).values
+    if coeffs.dt_c is not None:
+        out -= sample_frames(coeffs.dt_c, (t,), pm.physical)[0] * u.values
+    return g.MeshFunction(pm, out)
+
+
+def rate_fill(grid, coeffs, t) -> sp.csr_matrix:
+    """B_h at time t as `solve_z_system` forms it: the `_stencil` fill of the
+    coefficients' derivative samplers, on A_h's pattern."""
+    vals = [sample_frames(f, (t,), X)
+            for f, X in solver._field_points(grid, solver._rates(coeffs))]
+    template = solver._pattern(grid, coeffs.b is not None)[0]
+    return sp.csr_matrix((solver._stencil(grid, vals)[0], template.indices, template.indptr),
+                         shape=template.shape)
 
 
 def operator_at(stepper: Stepper, m: int) -> sp.csr_matrix:
