@@ -3,7 +3,7 @@
 A coefficient sampler maps (t, X) with X of shape (npts, d) to an array of
 npts values.  Samplers are small frozen dataclasses so whole problem setups
 pickle cleanly across worker processes.  A separable sampler (these fields
-but the time derivative, separable sources and their rates) also has
+but the time derivative, and separable sources) also has
 `separable(X)`: (base, space or None, rho or None), the call being
 base + space * rho(t) bitwise, or base where space is None; rho takes a
 scalar or an array of times.  `sample_frames` and `solver.Stepper` read it.

@@ -318,6 +318,7 @@ def _carleman_worker(payload) -> tuple[list, dict, dict]:
         y0 = g.sample(g.primal(grid), y_prof)
         tg = TimeGrid(T, ca["steps"])
         traj = _timed(timings, "march", solve_forward, grid, coeffs, src, tg, y0)
+        traj.stepper = None   # no z-system here: the factor need not outlive the march
         diagnostics.append(traj.diagnostics)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
         for rep in _timed(timings, "corpus_terms", verify_cells, traj, src, coeffs,
@@ -332,12 +333,12 @@ def _carleman_worker(payload) -> tuple[list, dict, dict]:
 
 
 def _map_runs(worker, payloads, workers: int):
+    # a pool starts all its processes at the first submit: none beyond one per run
+    workers = min(workers, len(payloads))
     if workers <= 1:
-        results = [worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, payloads))
-    return results
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, payloads))
 
 
 def _feasibility_table(cfg: Config) -> tuple[list, list, int]:
@@ -354,9 +355,12 @@ def _feasibility_table(cfg: Config) -> tuple[list, list, int]:
     rows, diagnostics, work = [], [], {"weighted_points": 0}
     for n in ca["feasibility_grids"]:
         grid = g.GridSpec(d, int(n))
-        runs = [(solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]),
-                               y_ini=g.sample(g.primal(grid), y_prof)), src, coeffs)
-                for _, coeffs, y_prof, src in draws]
+        runs = []
+        for _, coeffs, y_prof, src in draws:
+            traj = solve_forward(grid, coeffs, src, TimeGrid(T, ca["steps"]),
+                                 y_ini=g.sample(g.primal(grid), y_prof))
+            traj.stepper = None   # no z-system here either
+            runs.append((traj, src, coeffs))
         diagnostics += [traj.diagnostics for traj, _, _ in runs]
         cells = feasibility_cells(T, grid.h, w["tau1"], w["eps0"], ca["feasibility_taus"],
                                   ca["feasibility_deltas"])
@@ -417,7 +421,7 @@ def run_carleman(cfg: Config) -> SuiteResult:
 # stability corpus and decay ---------------------------------------------------
 
 
-def _stability_worker(payload) -> tuple[list, dict, dict]:
+def _stability_worker(payload) -> tuple[list, list, dict]:
     cfg_values, run_index = payload
     cfg = Config(cfg_values)
     seed = cfg.get("run", "seed")
@@ -428,14 +432,14 @@ def _stability_worker(payload) -> tuple[list, dict, dict]:
     tau, coeffs, _, src = _draw_corpus_run(rng, cfg, time_dependent=False, b_amp=0.0,
                                            tau_range=(cfg.get("carleman", "tau_min"),
                                                       cfg.get("carleman", "tau_max")))
-    rows, marches, timings = [], [], {}
+    rows, zs, timings = [], [], {}
     for n in st["grids"]:
         grid = g.GridSpec(d, int(n))
         tg = TimeGrid(T, st["steps"])
         adm = certify_separable(src, grid, tg)
         traj = _timed(timings, "march", solve_forward, grid, coeffs, adm.g, tg)
-        z = _timed(timings, "z_system", solve_z_system, traj, coeffs, adm.g, adm.dt_g)
-        marches.append((traj.diagnostics, z.diagnostics))
+        z = _timed(timings, "z_system", solve_z_system, traj, adm.g)
+        zs.append(z.diagnostics)
         weight = _weight(cfg, grid, _weight_params(cfg, tau=tau))
         res = _timed(timings, "quotient", stability_quotient, traj, z, adm, weight)
         rows.append({
@@ -447,14 +451,7 @@ def _stability_worker(payload) -> tuple[list, dict, dict]:
             "reduced_quotient": res.reduced_quotient,
             "c_g": adm.c_g,
         })
-    return rows, _march_health(marches), timings
-
-
-def _march_health(marches: list) -> dict:
-    """From the diagnostics of (y, z) trajectory pairs: the `_solver_work` of both
-    marches of each pair and the largest `cross_check_rel` of the z-systems."""
-    return {**_solver_work([march for pair in marches for march in pair]),
-            "max_cross_check_rel": max(z["cross_check_rel"] for _, z in marches)}
+    return rows, zs, timings
 
 
 def run_stability(cfg: Config) -> SuiteResult:
@@ -473,9 +470,8 @@ def run_stability(cfg: Config) -> SuiteResult:
                                              for n in st["grids"]])
         assertions.extend(_grid_stability(key, f"{key}_finite", health[f"max_{key}"]))
 
-    decay_rows, decay_assertions, decay_health = _timed(timings, "decay", _decay_study, cfg)
+    decay_rows, decay_assertions, decay_zs = _timed(timings, "decay", _decay_study, cfg)
     assertions.extend(decay_assertions)
-    solver_health = [h for _, h, _ in results] + [decay_health]
 
     header = ["run_id", "h", "N", "d", "tau", "delta", "lambda", "lhs", "rhs_observed",
               "rhs_error_term", "quotient", "seed"]
@@ -487,15 +483,16 @@ def run_stability(cfg: Config) -> SuiteResult:
         "stability_extra": (extra_header, [[r[k] for k in extra_header] for r in rows]),
         "decay": (decay_header, decay_rows),
     }
-    extras = {**_solver_work(solver_health),
-              "max_cross_check_rel": max(h["max_cross_check_rel"] for h in solver_health)}
+    # each z trajectory's diagnostics count the march of its y run too
+    zs = [z for _, batch, _ in results for z in batch] + decay_zs
+    extras = {**_solver_work(zs), "max_cross_check_rel": max(z["cross_check_rel"] for z in zs)}
     return SuiteResult("stability", assertions, tables, extras=extras, timings=timings,
                        health=health)
 
 
-def _decay_study(cfg: Config) -> tuple[list, list, dict]:
+def _decay_study(cfg: Config) -> tuple[list, list, list]:
     """Mesh-coupled delta: endpoint and error terms vs 1/h, fitted in log space;
-    also the `_march_health` of its marches."""
+    also the diagnostics of its z-systems."""
     st, w = cfg["stability"], cfg["weights"]
     d = cfg.get("grid", "d")
     T = cfg.get("time", "t_final")
@@ -505,7 +502,7 @@ def _decay_study(cfg: Config) -> tuple[list, list, dict]:
     src = random_separable_source(rng, d, T)
     coeffs = random_smooth_coefficients(run_rng(seed, SUITE_IDS["decay"], 1), d, T,
                                         time_dependent=False)
-    rows, marches = [], []
+    rows, zs = [], []
     log_end, log_err, inv_h = [], [], []
     for n in st["decay_grids"]:
         grid = g.GridSpec(d, int(n))
@@ -516,8 +513,8 @@ def _decay_study(cfg: Config) -> tuple[list, list, dict]:
         y0 = g.sample(g.primal(grid), y_prof)
         adm = certify_separable(src, grid, tg)
         traj = solve_forward(grid, coeffs, adm.g, tg, y_ini=y0)
-        z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
-        marches.append((traj.diagnostics, z.diagnostics))
+        z = solve_z_system(traj, adm.g)
+        zs.append(z.diagnostics)
         end = endpoint_term(traj, weight, 0)
         res = stability_quotient(traj, z, adm, weight)
         rows.append([int(n), grid.h, 1.0 / grid.h, params.tau, params.delta, params.lam,
@@ -536,7 +533,7 @@ def _decay_study(cfg: Config) -> tuple[list, list, dict]:
         assertions.append(_le(f"decay_{name}_slope_negative", max(slopes), 0.0))
         spread = max(abs(s - slopes[0]) for s in slopes) / abs(slopes[0])
         assertions.append(_le(f"decay_{name}_slope_spread", spread, 0.2))
-    return rows, assertions, _march_health(marches)
+    return rows, assertions, zs
 
 
 # reconstruction ----------------------------------------------------------------

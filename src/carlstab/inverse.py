@@ -16,7 +16,8 @@ exp(-c/h), which the refinement studies measure through the exact log value.
 A source is admissible when |dt g(t,x)| <= C |g(T/2,x)| holds on the whole
 space-time grid.  A separable source f(x) R(t) with |R| >= 1/2 is certified
 from its form: C = max_m |R'(t_m)| / |R(T/2)|, or 0 where f vanishes on the
-grid; it and its rate f(x) R'(t) are separable samplers (`coefficients`).
+grid; it is a separable sampler (`coefficients`), whose form also gives
+the z-system its rate f(x) R'(t).
 
 The reconstruction is Tikhonov-regularised least squares on the observation
 misfit.  The misfit is linear in the spatial profile, so one implicit march
@@ -127,19 +128,6 @@ class SeparableSource:
         return -0.0, self.profile(X), self.r
 
 
-@dataclass(frozen=True)
-class SourceRate:
-    """dt g(t, x) = f(x) R'(t) of a separable source, as a sampler of its own."""
-
-    source: SeparableSource
-
-    def __call__(self, t, X):
-        return self.source.dt(t, X)
-
-    def separable(self, X):
-        return -0.0, self.source.profile(X), self.source.r.dt
-
-
 def random_separable_source(rng: np.random.Generator, d: int, T: float) -> SeparableSource:
     """Random bump profile times R(t) = 1 + sin(2 pi t / T + phase) / 2, so
     |R| >= 1/2; draws the profile, then the phase."""
@@ -152,7 +140,6 @@ class AdmissibleSource:
     """A certified source: |dt g| <= c_g |g(T/2, .)| on the space-time grid."""
 
     g: object
-    dt_g: object
     c_g: float
     f: g.MeshFunction | None = None
     r: object | None = None
@@ -170,7 +157,7 @@ def certify_separable(src: SeparableSource, grid: g.GridSpec,
     f_mf = g.MeshFunction(g.primal(grid), src.profile(g.primal(grid).physical))
     rate = np.max(np.abs(src.r.dt(time_grid.times)))
     c_g = float(rate / abs(r_vals[time_grid.mid])) if np.any(f_mf.values) else 0.0
-    return AdmissibleSource(g=src, dt_g=SourceRate(src), c_g=c_g, f=f_mf, r=src.r)
+    return AdmissibleSource(g=src, c_g=c_g, f=f_mf, r=src.r)
 
 
 @dataclass

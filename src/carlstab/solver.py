@@ -50,9 +50,10 @@ The differentiated system for z ~ dt y carries the data at the mid time
     z(T/2) = C_h y(T/2) + g(T/2),      C_h = A_h frozen at T/2,
 
 and the forcing B_h y + dt g, where B_h, by the same linearity, is the fill
-of the coefficients' time derivatives.  Integrating forward of T/2 is well
-posed; on [0, T/2) the frames are the second-order differences of the y
-frames (backward in time the heat flow is ill posed).
+of the coefficients' time derivatives; it marches on the stepper of its y
+run and takes dt g from the separable form of y's source.  Integrating
+forward of T/2 is well posed; on [0, T/2) the frames are the second-order
+differences of the y frames (backward in time the heat flow is ill posed).
 """
 
 from __future__ import annotations
@@ -128,12 +129,15 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Frames of a primal field over a time grid, plus solve diagnostics."""
+    """Frames of a primal field over a time grid, plus solve diagnostics and, from
+    `solve_forward`, the `Stepper` that marched them, held while the trajectory
+    is; at d >= 2 its SuperLU factor does not pickle."""
 
     grid: g.GridSpec
     time_grid: TimeGrid
     values: np.ndarray          # shape (steps+1, primal size)
     diagnostics: dict = field(default_factory=dict)
+    stepper: Stepper | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -695,7 +699,8 @@ def solve_forward(grid: g.GridSpec, coeffs: CoefficientFields, source,
         y = y_ini.values
     g_all = sample_frames(source, time_grid.times, X)
     frames, max_res = stepper.march(y, stepper.forcing(g_all[:-1], g_all[1:], out=g_all[:-1]))
-    return Trajectory(grid, time_grid, frames, diagnostics=stepper.diagnostics(max_res))
+    return Trajectory(grid, time_grid, frames, diagnostics=stepper.diagnostics(max_res),
+                      stepper=stepper)
 
 
 def _rates(coeffs: CoefficientFields) -> CoefficientFields:
@@ -706,22 +711,28 @@ def _rates(coeffs: CoefficientFields) -> CoefficientFields:
     return CoefficientFields(coeffs.dt_gamma or (zero,) * d, dt_b, coeffs.dt_c or zero)
 
 
-def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
-                   dt_source) -> Trajectory:
-    """Trajectory of z ~ dt y with data imposed at the mid time.
+def solve_z_system(y_traj: Trajectory, source) -> Trajectory:
+    """Trajectory of z ~ dt y with data imposed at the mid time, for the y run
+    that `solve_forward` marched with `source`.
 
-    Above T/2 the system is marched forward with forcing B_h y + dt g, where
-    A_h's linearity in (gamma, b, c) makes B_h(t_m) the fill of their time
-    derivatives at t_m; below T/2 the frames are the second-order differences
-    of the y frames.  Diagnostics hold the march's (`Stepper.diagnostics`)
-    and, in 'cross_check_rel', the largest gap to the differenced y frames,
-    relative to their largest norm.
+    Above T/2 the system is marched forward on the y run's stepper, so with
+    its coefficients, and forcing B_h y + dt g: A_h's linearity in (gamma, b, c)
+    makes B_h(t_m) the fill of their time derivatives at t_m, and dt g is
+    f(x) R'(t) from the source's separable form (zero where f is None).
+    Below T/2 the frames are the second-order differences of the y frames.
+    Diagnostics hold the stepper's totals over both marches, the larger of
+    their largest residuals and, in 'cross_check_rel', the largest gap to the
+    differenced y frames, relative to their largest norm.
     """
     tg = y_traj.time_grid
     half = tg.mid
-    grid = y_traj.grid
+    stepper = y_traj.stepper
+    if stepper is None:
+        raise GridError("the z-system marches on its y run's stepper: this trajectory has none")
+    if not hasattr(source, "separable"):
+        raise GridError(f"source {type(source).__name__} has no separable form to give dt g")
+    grid, coeffs, times = y_traj.grid, stepper.coeffs, tg.times
     X = g.primal(grid).physical
-    times = tg.times
     zc = central_time_derivative(y_traj.values, tg.dt)
     frames = np.empty_like(y_traj.values)
     frames[:half] = zc[:half]
@@ -730,8 +741,9 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
     frames[half] = assemble_ah(grid, coeffs, t_half) @ y_traj.values[half] \
         + np.asarray(source(t_half, X), dtype=np.float64)
 
-    rates = sample_frames(dt_source, times[half:], X)
-    stepper = Stepper(grid, coeffs, tg)
+    _, space, rho = source.separable(X)
+    rates = np.zeros((len(times) - half, len(X))) if space is None \
+        else space * rho.dt(times[half:, None])
     if not coeffs.time_independent:
         vals = [sample_frames(f, times[half:], Xf) for f, Xf in _field_points(grid, _rates(coeffs))]
         for k, y in enumerate(y_traj.values[half:]):
@@ -743,7 +755,7 @@ def solve_z_system(y_traj: Trajectory, coeffs: CoefficientFields, source,
     gap = np.sqrt(np.sum((frames - zc) ** 2, axis=1) * cell)
     z_scale = float(np.max(np.sqrt(np.sum(zc ** 2, axis=1) * cell)))
     return Trajectory(grid, tg, frames, diagnostics={
-        **stepper.diagnostics(max_res),
+        **stepper.diagnostics(max(y_traj.diagnostics["max_linear_residual"], max_res)),
         "cross_check_rel": float(np.max(gap) / max(z_scale, 1e-300))})
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from carlstab import experiments
 from carlstab.cli import main
 from carlstab.config import (MAX_NORMAL_UNKNOWNS, MAX_UNKNOWNS, SCHEMA, Config, default_config,
                              parse_config)
@@ -323,6 +324,52 @@ def test_worker_pool_matches_serial(tmp_path):
     serial, pool = (json.loads((tmp_path / run / "summary.json").read_text())["extras"]
                     for run in ("serial", "pool"))
     assert serial == pool and serial["linear_solves"] == (3 * 2 * 64 + 2 * 64) * 3 // 2
+
+
+class _SerialPool:
+    """Stands in for `ProcessPoolExecutor`: records `max_workers`, maps in this
+    process and starts none."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+def test_worker_pool_is_capped_at_the_run_count(tmp_path, monkeypatch):
+    # a pool launches all its processes at the first submit, so more workers than
+    # runs would only start idle processes
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    base = ["stability", "--set", "stability.steps=16", "--set", "stability.decay_grids=15,31",
+            "--set", "stability.decay_steps=16", "--set", "run.workers=1000"]
+    assert main(base + ["--set", "stability.runs=2", "--out", str(tmp_path / "two")]) == 0
+    assert _SerialPool.sizes == [2]
+    assert main(base + ["--set", "stability.runs=1", "--out", str(tmp_path / "one")]) == 0
+    assert _SerialPool.sizes == [2]   # one run is mapped serially, with no pool
+
+
+def test_d2_stability_factorises_once_per_y_march(tmp_path):
+    # each z-system marches on its y run's stepper, whose exact factor of the one
+    # frame of time-independent coefficients it reuses: one factorisation per pair
+    out = tmp_path / "d2"
+    assert main(["stability", "--set", "grid.d=2", "--set", "stability.runs=1",
+                 "--set", "stability.grids=15,31", "--set", "stability.steps=16",
+                 "--set", "stability.decay_grids=15,31", "--set", "stability.decay_steps=16",
+                 "--out", str(out)]) == 0
+    extras = json.loads((out / "summary.json").read_text())["extras"]
+    y_marches = 1 * 2 + 2
+    assert extras["factorisations"] == y_marches
+    assert extras["linear_solves"] == y_marches * (16 + 8)
 
 
 class _ReadRecorder(dict):

@@ -12,7 +12,7 @@ from carlstab.cli import main
 from carlstab.errors import (AdmissibilityError, CertificationError, EmptyMaskError,
                              GridError, SolverError)
 from carlstab.inverse import (AdmissibleSource, FourierBump, SeparableSource, SineTimeProfile,
-                              SourceRate, _normal_equations, add_observation_noise,
+                              _normal_equations, add_observation_noise,
                               certify_separable, observe, random_bump, random_separable_source,
                               reconstruct_source, recover_coefficient, stability_quotient)
 from carlstab.solver import (Stepper, TimeGrid, Trajectory, central_time_derivative,
@@ -34,7 +34,7 @@ def solved_pair(seed=11, steps=256, y_ini=None):
     tg = TimeGrid(1.0, steps)
     adm = certify_separable(random_separable_source(rng, GRID.d, tg.T), GRID, tg)
     traj = solve_forward(GRID, coeffs, adm.g, tg, y_ini=y_ini)
-    z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
+    z = solve_z_system(traj, adm.g)
     return coeffs, adm, traj, z
 
 
@@ -64,13 +64,13 @@ def test_closed_form_certificate_matches_sampled_oracle(d):
         for steps in (16, 64, 256):
             tg = TimeGrid(1.0, steps)
             src = random_separable_source(rng, d, tg.T)
-            want = certify_source(src, SourceRate(src), grid, tg)
+            want = certify_source(src, src.dt, grid, tg)
             got = certify_separable(src, grid, tg).c_g
             assert want > 0.0 and abs(got / want - 1.0) <= 4 * 2.0 ** -52, (n, steps, got, want)
     vanishing = SeparableSource(FourierBump((0.0,), ((1,) * d,)), SineTimeProfile())
     grid, tg = g.GridSpec(d, 7), TimeGrid(1.0, 16)
     assert certify_separable(vanishing, grid, tg).c_g == 0.0
-    assert certify_source(vanishing, SourceRate(vanishing), grid, tg) == 0.0
+    assert certify_source(vanishing, vanishing.dt, grid, tg) == 0.0
 
 
 def test_certificate_r_constant_gives_zero():
@@ -121,8 +121,7 @@ def test_general_mode_certifies_or_rejects():
 
 
 def zero_source():
-    return AdmissibleSource(g=lambda t, X: np.zeros(X.shape[0]),
-                            dt_g=lambda t, X: np.zeros(X.shape[0]), c_g=0.0)
+    return AdmissibleSource(g=lambda t, X: np.zeros(X.shape[0]), c_g=0.0)
 
 
 def test_observation_zero_run():
@@ -179,7 +178,7 @@ def test_empty_observation_box_is_a_grid_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("call", [
     lambda traj, src: observe(traj, OMEGA),
-    lambda traj, src: solve_z_system(traj, CoefficientFields.constant(1), src, SourceRate(src)),
+    lambda traj, src: solve_z_system(traj, src),
     lambda traj, src: certify_separable(src, GRID, traj.time_grid),
     lambda traj, src: recover_coefficient(traj.frame(0), traj.values[0], traj.time_grid,
                                           CoefficientFields.constant(1), alpha=0.0),
@@ -225,7 +224,7 @@ def test_stability_quotient_scale_invariance():
     tg = TimeGrid(1.0, 128)
     adm = certify_separable(random_separable_source(rng, GRID.d, tg.T), GRID, tg)
     traj = solve_forward(GRID, coeffs, adm.g, tg)
-    z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
+    z = solve_z_system(traj, adm.g)
     res1 = stability_quotient(traj, z, adm, make_weight())
 
     class Scaled:
@@ -235,7 +234,7 @@ def test_stability_quotient_scale_invariance():
         def __call__(self, t, X):
             return 3.0 * self.fn(t, X)
 
-    adm3 = AdmissibleSource(g=Scaled(adm.g), dt_g=Scaled(adm.dt_g), c_g=adm.c_g)
+    adm3 = AdmissibleSource(g=Scaled(adm.g), c_g=adm.c_g)
     traj3 = Trajectory(GRID, tg, 3.0 * traj.values)
     z3 = Trajectory(GRID, tg, 3.0 * z.values)
     res3 = stability_quotient(traj3, z3, adm3, make_weight())
@@ -271,7 +270,7 @@ def test_error_term_refinement_decay():
         pm = g.primal(grid)
         y0 = g.MeshFunction(pm, y_prof(pm.physical))
         traj = solve_forward(grid, coeffs, adm.g, tg, y_ini=y0)
-        z = solve_z_system(traj, coeffs, adm.g, adm.dt_g)
+        z = solve_z_system(traj, adm.g)
         params = WeightParams(T=1.0, tau=2.5, delta=2.5 * grid.h / 0.5)
         w = CarlemanWeight(grid, params, OMEGA0, OMEGA)
         res = stability_quotient(traj, z, adm, w)

@@ -16,9 +16,11 @@ from carlstab import solver
 from carlstab.coefficients import (CoefficientFields, ConstantField, FieldTimeDerivative,
                                    SmoothField, random_smooth_coefficients, sample_frames)
 from carlstab.errors import GridError, SolverError
-from carlstab.inverse import random_bump
-from carlstab.solver import (Stepper, TimeGrid, assemble_ah, central_time_derivative,
-                             energy_check, solve_forward, solve_z_system)
+from carlstab.inverse import (FourierBump, SeparableSource, SineTimeProfile, random_bump,
+                              random_separable_source)
+from carlstab.solver import (Stepper, TimeGrid, Trajectory, assemble_ah,
+                             central_time_derivative, energy_check, solve_forward,
+                             solve_z_system)
 
 GRID = g.GridSpec(1, 15)
 
@@ -180,60 +182,91 @@ def test_rate_fill_matches_the_bh_oracle(rng, d, n, b_amp, frozen_b):
             assert np.max(np.abs(B @ u.values - want)) <= 1e-12 * scale
 
 
+def sine_source(d, amp=0.5):
+    """sin(pi x_1) ... sin(pi x_d) (1 + amp sin 2 pi t) as a separable source."""
+    return SeparableSource(FourierBump((1.0,), ((1,) * d,)), SineTimeProfile(1.0, amp, 0.0, 1.0))
+
+
 def test_time_dependent_z_system_matches_the_oracle_forcing_d2(rng):
-    """A d = 2 z-system with advection, marched once by `solve_z_system` and once
-    from the oracle data A_h y(T/2) + g(T/2) and forcing B_h y + dt g."""
+    """A d = 2 z-system with advection, marched once by `solve_z_system` on the y
+    run's stepper and once on a fresh `Stepper` from the oracle data
+    A_h y(T/2) + g(T/2) and forcing B_h y + dt g."""
     grid = g.GridSpec(2, 7)
     coeffs = random_smooth_coefficients(rng, 2, 1.0, time_dependent=True, b_amp=0.5)
-
-    def src(t, X):
-        return product_sine(X) * (1.0 + 0.5 * math.sin(2 * math.pi * t))
-
-    def dsrc(t, X):
-        return product_sine(X) * math.pi * math.cos(2 * math.pi * t)
-
+    src = sine_source(2)
     tg = TimeGrid(1.0, 64)
     traj = solve_forward(grid, coeffs, src, tg, y_ini=g.sample(g.primal(grid), product_sine))
-    z = solve_z_system(traj, coeffs, src, dsrc)
+    z = solve_z_system(traj, src)
     half, X = tg.mid, g.primal(grid).physical
     z_half = apply_ah(grid, coeffs, 0.5, traj.frame(half)).values + src(0.5, X)
-    rates = np.array([dsrc(t, X) + apply_bh(grid, coeffs, t, traj.frame(m)).values
+    rates = np.array([src.dt(t, X) + apply_bh(grid, coeffs, t, traj.frame(m)).values
                       for m, t in enumerate(tg.times) if m >= half])
     stepper = Stepper(grid, coeffs, tg)
     want = stepper.march(z_half, stepper.forcing(rates[:-1], rates[1:]), half)[0]
     assert np.max(np.abs(z.values[half:] - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(z.values[:half], central_time_derivative(traj.values, tg.dt)[:half])
-    assert z.diagnostics["linear_solves"] == tg.steps - half
+    # the counters are the shared stepper's, over the y march and the z march
+    assert z.diagnostics["linear_solves"] == traj.stepper.linear_solves == tg.steps + tg.steps - half
+
+
+@pytest.mark.parametrize("amp", [0.5, 0.0], ids=["moving-R", "constant-R"])
+@pytest.mark.parametrize("d,time_dependent", [(1, False), (2, False), (1, True)],
+                         ids=["d1", "d2", "d1-time-dependent"])
+def test_z_system_on_the_y_stepper_matches_a_fresh_march_bitwise(rng, d, time_dependent, amp):
+    """The z march on the y run's stepper against one on a fresh `Stepper`, with
+    rate rows built per time from `SeparableSource.dt` (zeros of either sign for
+    a constant R) and B_h y by `rate_fill`: the same bits where the stepper
+    carries nothing between marches, an exact factor of the one frame or a
+    stateless d = 1 step."""
+    grid = g.GridSpec(d, 7)
+    coeffs = random_smooth_coefficients(rng, d, 1.0, time_dependent=time_dependent,
+                                        b_amp=0.5 if time_dependent else 0.0)
+    src = random_separable_source(rng, d, 1.0)
+    src = replace(src, r=replace(src.r, amp=amp))
+    tg = TimeGrid(1.0, 64)
+    traj = solve_forward(grid, coeffs, src, tg, y_ini=g.sample(g.primal(grid), product_sine))
+    z = solve_z_system(traj, src)
+    half, X = tg.mid, g.primal(grid).physical
+    z_half = assemble_ah(grid, coeffs, 0.5) @ traj.values[half] + src(0.5, X)
+    rates = np.array([src.dt(float(t), X) for t in tg.times[half:]])
+    if time_dependent:
+        rates += [rate_fill(grid, coeffs, float(t)) @ y
+                  for t, y in zip(tg.times[half:], traj.values[half:])]
+    stepper = Stepper(grid, coeffs, tg)
+    want, res = stepper.march(z_half, stepper.forcing(rates[:-1], rates[1:]), half)
+    assert z.values[half:].tobytes() == want.tobytes()
+    assert z.diagnostics["max_linear_residual"] == max(traj.diagnostics["max_linear_residual"], res)
+    if not time_dependent:   # one factor serves both marches
+        assert z.diagnostics["factorisations"] == (1 if d > 1 else tg.steps + tg.steps - half)
+
+
+def test_z_system_needs_the_y_stepper_and_a_separable_source():
+    coeffs = CoefficientFields.constant(1)
+    tg = TimeGrid(1.0, 16)
+    src = sine_source(1)
+    traj = solve_forward(GRID, coeffs, src, tg)
+    with pytest.raises(GridError, match="stepper"):
+        solve_z_system(Trajectory(GRID, tg, traj.values), src)
+    with pytest.raises(GridError, match="separable"):
+        solve_z_system(traj, product_sine_source)
 
 
 def test_z_system_cross_check_small():
     rng = np.random.default_rng(7)
     coeffs = random_smooth_coefficients(rng, 1, 1.0, time_dependent=True)
-
-    def src(t, X):
-        return np.sin(np.pi * X[:, 0]) * (1.0 + 0.5 * math.sin(2 * math.pi * t))
-
-    def dsrc(t, X):
-        return np.sin(np.pi * X[:, 0]) * (math.pi * math.cos(2 * math.pi * t))
-
+    src = sine_source(1)
     tg = TimeGrid(1.0, 2048)
     traj = solve_forward(GRID, coeffs, src, tg)
-    z = solve_z_system(traj, coeffs, src, dsrc)
+    z = solve_z_system(traj, src)
     assert z.diagnostics["cross_check_rel"] <= 1e-3
 
 
 def test_z_system_steady_state_decay():
     coeffs = CoefficientFields.constant(1, gamma=1.0, c=0.5)
-
-    def src(t, X):
-        return np.sin(np.pi * X[:, 0])
-
-    def zsrc(t, X):
-        return np.zeros(X.shape[0])
-
+    src = sine_source(1, amp=0.0)   # sin(pi x): dt g = 0
     tg = TimeGrid(2.0, 256)
     traj = solve_forward(GRID, coeffs, src, tg)
-    z = solve_z_system(traj, coeffs, src, zsrc)
+    z = solve_z_system(traj, src)
     cell = GRID.h
     norms = np.sqrt(cell * np.sum(z.values ** 2, axis=1))
     assert norms[-1] <= 1e-3 * norms[128 + 8]
