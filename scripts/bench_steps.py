@@ -13,7 +13,9 @@ script prints milliseconds per step (assembly and factorisations included,
 median over `--repeat` marches), and the factorisations, refinement sweeps
 and solves per step of one march, which repeat exactly for a given seed: a
 solve is one sparse LU solve at d >= 2 (counted on one more march, through a
-counting `splu`) and one dgtsv elimination at d = 1.  It also prints two
+counting `splu`) and one tridiagonal solve at d = 1, a dgtsv elimination or,
+for time-independent coefficients, a dgttrs solve with the one dgttrf factor
+the stepper holds.  It also prints two
 kernel costs of the same stepper, medians over `--repeat`: microseconds per
 frame for a new `Stepper` to build its frame data and for `Stepper._frame` to
 hand out L and R at every frame of the march in order (the construction,
@@ -21,8 +23,12 @@ which builds the separable basis, is timed with the frames), and
 microseconds per product R_m y of one state.  A second table times the
 d = 1 march kernel: microseconds per step of `Stepper.march` against the loop
 of `Stepper.step` it replaces, on the same stepper data and forcing, medians
-over `--repeat`; the two must give the same frames bit for bit.  (At d >= 2
-`Stepper.march` is that loop.)  A third table times one forward application
+over `--repeat`, and the march's factorisations; the two must give the same
+frames bit for bit.  (At d >= 2 `Stepper.march` is that loop.)  For
+time-independent coefficients it also times the march with the stepper's
+dgttrf factor withheld, so that every step eliminates the same bands by one
+dgtsv, as a time-dependent step does: the kernel gain of the held factor, with
+the same frames bit for bit.  A third table times one forward application
 of the reconstruction map: milliseconds for `inverse._normal_equations`,
 which marches the forcing block s_m I of the normal equations through
 `Stepper.march`, against the same accumulation over a loop of `Stepper.step`
@@ -113,9 +119,9 @@ class _CountedLU:
 def solves(d: int, n: int, steps: int, time_dependent: bool, seed: int,
            init: str = "normal") -> int:
     """Linear solves of one `march`: sparse LU solves at d >= 2, counted through
-    a wrapped `splu`, and one dgtsv elimination per step at d = 1."""
+    a wrapped `splu`, and one tridiagonal solve per step at d = 1."""
     if d == 1:
-        return march(d, n, steps, time_dependent, seed, init)[1]["factorisations"]
+        return march(d, n, steps, time_dependent, seed, init)[1]["linear_solves"]
     count, splu = [0], spla.splu
     spla.splu = lambda A, **kw: _CountedLU(splu(A, **kw), count)
     try:
@@ -141,10 +147,14 @@ def kernels(d: int, n: int, steps: int, time_dependent: bool, seed: int) -> tupl
     return per_frame, (time.perf_counter() - start) / PRODUCTS
 
 
-def march_vs_steps(n: int, steps: int, time_dependent: bool, seed: int) -> tuple[float, float]:
+def march_vs_steps(n: int, steps: int, time_dependent: bool,
+                   seed: int) -> tuple[float, float, float | None, int]:
     """Seconds per step of `Stepper.march` and of the `Stepper.step` loop at
     d = 1, from a random-normal state with random-normal forcing; each on a
-    fresh stepper of the same data, so both form their frames."""
+    fresh stepper of the same data, so both form their frames.  Then, for
+    time-independent coefficients, seconds per step of the march on a fresh
+    stepper whose dgttrf factor is withheld, so each step is one dgtsv on the
+    same bands (None for time-dependent ones), and the march's factorisations."""
     rng, grid, coeffs = draw(1, n, time_dependent, seed)
     tg = TimeGrid(1.0, steps)
     y0, F = rng.normal(size=n), rng.normal(size=(steps, n))
@@ -152,6 +162,18 @@ def march_vs_steps(n: int, steps: int, time_dependent: bool, seed: int) -> tuple
     start = time.perf_counter()
     frames = stepper.march(y0, F)[0]
     per_march = (time.perf_counter() - start) / steps
+    factorisations = stepper.factorisations
+    per_dgtsv = None
+    if not time_dependent:
+        stepper = Stepper(grid, coeffs, tg)
+        stepper._lu = (0, None)   # the stepper's mark of a factor it cannot use
+        start = time.perf_counter()
+        eliminated = stepper.march(y0, F)[0]
+        per_dgtsv = (time.perf_counter() - start) / steps
+        if stepper.factorisations != steps:
+            raise AssertionError(f"the withheld factor was used at N={n}")
+        if eliminated.tobytes() != frames.tobytes():
+            raise AssertionError(f"held factor and dgtsv steps differ at N={n}")
     stepper = Stepper(grid, coeffs, tg)
     start = time.perf_counter()
     y = [y0]
@@ -160,7 +182,7 @@ def march_vs_steps(n: int, steps: int, time_dependent: bool, seed: int) -> tuple
     per_step = (time.perf_counter() - start) / steps
     if np.array(y).tobytes() != frames.tobytes():
         raise AssertionError(f"march and step loop differ at N={n}")
-    return per_march, per_step
+    return per_march, per_step, per_dgtsv, factorisations
 
 
 def step_loop_normal_equations(grid, coeffs, r, time_grid, observation):
@@ -235,23 +257,33 @@ def main() -> int:
               f"{row['sweeps']:>6} {row['sweeps'] / steps:>11.2f} {row['solves'] / steps:>11.2f} "
               f"{row['us_per_frame']:>9.2f} {row['us_per_product']:>10.2f}", flush=True)
     print(f"\n{'d':>2} {'N':>3} {'steps':>5} {'coeffs':>16} {'us/step march':>13} "
-          f"{'us/step loop':>12} {'loop/march':>10}")
+          f"{'us/step loop':>12} {'loop/march':>10} {'factorisations':>14} "
+          f"{'us/step dgtsv':>13} {'dgtsv/march':>11}")
     kernel_rows = []
     for n, time_dependent in MARCH_CASES:
-        marches, loops = [], []
+        marches, loops, eliminations = [], [], []
         for _ in range(args.repeat):
             speed = reference.burst()
-            per_march, per_step = march_vs_steps(n, MARCH_STEPS, time_dependent, args.seed)
+            per_march, per_step, per_dgtsv, factorisations = march_vs_steps(
+                n, MARCH_STEPS, time_dependent, args.seed)
             marches.append(per_march * speed)
             loops.append(per_step * speed)
+            if per_dgtsv is not None:
+                eliminations.append(per_dgtsv * speed)
         row = {"d": 1, "N": n, "steps": MARCH_STEPS, "time_dependent": time_dependent,
                "us_per_step_march": 1e6 * statistics.median(marches),
-               "us_per_step_loop": 1e6 * statistics.median(loops)}
+               "us_per_step_loop": 1e6 * statistics.median(loops),
+               "factorisations": factorisations,
+               "us_per_step_dgtsv": 1e6 * statistics.median(eliminations) if eliminations else None}
         kernel_rows.append(row)
         kind = "time-dependent" if time_dependent else "time-independent"
+        per_dgtsv = row["us_per_step_dgtsv"]
+        dgtsv = ("-", "-") if per_dgtsv is None else \
+            (f"{per_dgtsv:.2f}", f"{per_dgtsv / row['us_per_step_march']:.2f}")
         print(f"{1:>2} {n:>3} {MARCH_STEPS:>5} {kind:>16} {row['us_per_step_march']:>13.2f} "
               f"{row['us_per_step_loop']:>12.2f} "
-              f"{row['us_per_step_loop'] / row['us_per_step_march']:>10.2f}", flush=True)
+              f"{row['us_per_step_loop'] / row['us_per_step_march']:>10.2f} "
+              f"{factorisations:>14} {dgtsv[0]:>13} {dgtsv[1]:>11}", flush=True)
     print(f"\n{'d':>2} {'N':>3} {'steps':>5} {'ms march':>9} {'ms loop':>8} {'loop/march':>10}")
     normal_rows = []
     for d, n in NORMAL_CASES:

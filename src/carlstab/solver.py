@@ -24,8 +24,12 @@ marches all its columns at once; `Stepper.march` runs a whole march of
 either, and a trajectory's diagnostics carry the largest residual it met.
 A stepper holds L and R of the last frame formed and applies either by
 scipy's CSR kernel, no matrix per frame.
-The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and each
-step solves it exactly by one Gaussian elimination, LAPACK's dgtsv.  At
+The solve is chosen by the dimension.  At d = 1, L_m is tridiagonal and
+solved exactly by Gaussian elimination with partial pivoting: the one L of
+time-independent coefficients is factored once by LAPACK's dgttrf, and each
+step of one state is one dgttrs solve with the held factor, with dgtsv's
+pivot choices and arithmetic, so its bits; every other step, such as one of
+a time-dependent L_m or of a block of states, is one dgtsv elimination.  At
 d >= 2 a step solves with one sparse LU factor of L taken at some frame, in
 SuperLU's minimum-degree ordering of L^T + L (about half the fill of the
 default column ordering), followed by iterative refinement against the
@@ -65,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from scipy.sparse import _sparsetools
 
 from . import grid as g
@@ -360,9 +364,17 @@ class Stepper:
     Products call `csr_matvec(s)` as `csr_matrix @ x` does.
 
     Solve policy, chosen by the dimension with no option.  At d = 1, L_m is
-    tridiagonal: each step hands its three diagonals to LAPACK's dgtsv, one
-    Gaussian elimination with partial pivoting that solves the state or the
-    whole block exactly, and keeps no factor; an exactly singular L_m raises.
+    tridiagonal and solved exactly, a state or a whole block, by Gaussian
+    elimination with partial pivoting.  Time-independent coefficients have one
+    L: the first step of one state factors it by LAPACK's dgttrf, the stepper
+    holds the factor in `_lu`, and every step of one state, of any march on
+    this stepper (the z-system's too), is one dgttrs solve with it, bitwise
+    dgtsv's solution.  Otherwise each step hands its L_m's three diagonals to
+    dgtsv, one elimination that keeps no factor: a time-dependent L_m, an L
+    of n <= 2 unknowns (f2py's dgttrf needs n >= 3), a singular L, whose
+    dgtsv raises at its step as an exactly singular L_m does, and a block of
+    states, as dgtsv applies each row's multiplier to all columns at once
+    and dgttrs solves them one by one, slower from a few columns on.
     At d >= 2 the stepper keeps one `splu` factor of L, in a minimum-degree
     ordering of the pattern of L^T + L, at the frame it was taken.  A step
     solves with it, then refines, x += LU^{-1}(rhs - L_m x), until the largest
@@ -391,7 +403,8 @@ class Stepper:
     must reach relative residual LINEAR_RESIDUAL_TOL and a finite state, or
     the step raises; the residual reported is the largest over the columns.
     `factorisations`, `sweeps` and `linear_solves` (one per step) count the
-    work done; at d = 1 every step is one factorisation and no sweep.
+    work done; at d = 1 there is no sweep, and a dgtsv step counts one
+    factorisation, a held factor one for the stepper's whole life.
     `diagnostics` hands a march's largest residual and these counters to its
     `Trajectory`; no later pass checks a trajectory's steps again.
 
@@ -399,10 +412,11 @@ class Stepper:
     frames, residuals, counters and errors of a `step` loop, which stays its
     oracle; at d >= 2 it is that loop, as a lagged step needs each solve's
     residual to choose its sweeps.  At d = 1 a step is one R product and one
-    dgtsv on bands formed before its block of CHECK_STEPS steps, and the
-    contract is checked once a block, the worst column of each step for a
-    block of states; the first flagged frame ends its block, which is solved
-    and checked up to it before the frame raises, as in the loop.
+    dgttrs with the held factor, or one dgtsv on bands formed before its
+    block of CHECK_STEPS steps, and the contract is checked once a block, the
+    worst column of each step for a block of states; the first flagged frame
+    ends its block, which is solved and checked up to it before the frame
+    raises, as in the loop.
     """
 
     def __init__(self, grid: g.GridSpec, coeffs: CoefficientFields, time_grid: TimeGrid):
@@ -412,7 +426,7 @@ class Stepper:
         self.factorisations = 0
         self.sweeps = 0
         self.linear_solves = 0
-        self._lu = None         # (frame of L, its LU factor)
+        self._lu = None         # (frame of L, its SuperLU, or at d = 1 dgttrf's arrays or None)
         self._last_sweeps = 0   # sweeps the previous step needed
         self._history = np.empty(0)   # solutions of lagged steps as rows, newest first
         self._states = 0        # how many of its rows are held
@@ -560,13 +574,32 @@ class Stepper:
         return SolverError(f"singular L at step {m + 1} (t={float(self.times[m + 1])}): "
                            f"zero pivot in row {info}")
 
+    def _held_factor(self) -> list | None:
+        """The dgttrf factor of the one tridiagonal L of time-independent
+        coefficients (d = 1) for steps of one state, taken on first use and held;
+        None where each step eliminates its own L by dgtsv: a time-dependent L,
+        n <= 2 (f2py's dgttrf needs n >= 3) or a singular L, whose dgtsv raises
+        at its step."""
+        if self._lu is None and self.coeffs.time_independent and self._diag.size > 2:
+            self.factorisations += 1
+            L = self._held[1][0]
+            *factor, info = dgttrf(*(L[slots] for slots in self._bands))
+            self._lu = (0, None if info else factor)
+        return None if self._lu is None else self._lu[1]
+
     def _tridiagonal(self, m: int, L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solve the tridiagonal L (d = 1) exactly by dgtsv: one factorisation, no sweep."""
-        self.factorisations += 1
-        lower, diag, upper = (L[slots] for slots in self._bands)
-        x, info = dgtsv(lower, diag, upper, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
-        if info > 0:
-            raise self._singular(m, info)
+        """Solve the tridiagonal L (d = 1) exactly: one state by one dgttrs solve with
+        the held factor, else by one dgtsv elimination, a factorisation; no sweep."""
+        factor = self._held_factor() if rhs.ndim == 1 else None
+        if factor is None:
+            self.factorisations += 1
+            lower, diag, upper = (L[slots] for slots in self._bands)
+            x, info = dgtsv(lower, diag, upper, rhs, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1)[3:]
+            if info > 0:
+                raise self._singular(m, info)
+        else:
+            x = dgttrs(*factor, rhs)[0]
         return x, _worst(rhs - self._product(L, x), _scale(rhs))
 
     def _contract(self, m: int, x: np.ndarray, res: float):
@@ -607,6 +640,7 @@ class Stepper:
             return frames, worst
         steps, n, t = len(F), frames.shape[1], self._template
         cols = frames.shape[2] if frames.ndim == 3 else None
+        factor = self._held_factor() if cols is None else None
         rhs = np.empty((CHECK_STEPS, *frames.shape[1:]))
         # a block's check takes L x from the loop: the banded products cost more there
         LX = None if cols is None else np.empty_like(rhs)
@@ -628,7 +662,8 @@ class Stepper:
                     b = rhs[j]
                     _sparsetools.csr_matvec(n, n, t.indptr, t.indices, R[j], frames[k], b)
                     b += F[k]
-                    frames[k + 1], info = dgtsv(lower[j + 1], diag[j + 1], upper[j + 1], b)[3:]
+                    frames[k + 1], info = (dgtsv(lower[j + 1], diag[j + 1], upper[j + 1], b)[3:]
+                                           if factor is None else dgttrs(*factor, b))
                     if info > 0:
                         count = j
                         break
@@ -652,7 +687,8 @@ class Stepper:
                 raise self._singular(m0 + k0 + count, info)
             if cut:   # after every step before it, through `assemble_ah`
                 self._frame(m0 + stop)
-        self.factorisations += steps
+        if factor is None:
+            self.factorisations += steps
         self.linear_solves += steps
         return frames, worst
 

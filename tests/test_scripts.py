@@ -45,13 +45,19 @@ def test_bench_steps_runs_one_tiny_case(monkeypatch):
     # the smooth-bump start, at d = 2 where a lagged step extrapolates
     elapsed, diag = bench.march(2, 7, 8, True, 0, "bump")
     assert diag["linear_solves"] == 8 and diag["max_linear_residual"] <= 1e-10
-    # one sparse LU solve per step of an exact factor, and one elimination per step at d = 1
+    # one sparse LU solve per step of an exact factor, and one tridiagonal solve per step
+    # at d = 1
     assert bench.solves(2, 7, 8, False, 0) == 8 and bench.solves(1, 7, 8, True, 0) == 8
+    assert bench.solves(1, 7, 8, False, 0) == 8
     assert bench.solves(2, 7, 8, True, 0, "bump") >= 8
-    # the d = 1 march kernel against the step loop, which must agree bit for bit
+    # the d = 1 march kernel against the step loop, which must agree bit for bit, and a
+    # time-independent march against dgtsv steps on the same bands: one held factor
     for time_dependent in (False, True):
-        per_march, per_step = bench.march_vs_steps(7, 8, time_dependent, 0)
+        per_march, per_step, per_dgtsv, factorisations = bench.march_vs_steps(
+            7, 8, time_dependent, 0)
         assert per_march > 0.0 and per_step > 0.0
+        assert (per_dgtsv is None) == time_dependent and per_dgtsv != 0.0
+        assert factorisations == (8 if time_dependent else 1)
     # the reconstruction's normal equations by march against the step loop, equal G bits
     per_march, per_loop = bench.normal_vs_steps(1, 7, 8, 0)
     assert per_march > 0.0 and per_loop > 0.0

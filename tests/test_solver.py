@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from carlstab import grid as g
 from carlstab import operators as ops
@@ -236,8 +237,8 @@ def test_z_system_on_the_y_stepper_matches_a_fresh_march_bitwise(rng, d, time_de
     want, res = stepper.march(z_half, stepper.forcing(rates[:-1], rates[1:]), half)
     assert z.values[half:].tobytes() == want.tobytes()
     assert z.diagnostics["max_linear_residual"] == max(traj.diagnostics["max_linear_residual"], res)
-    if not time_dependent:   # one factor serves both marches
-        assert z.diagnostics["factorisations"] == (1 if d > 1 else tg.steps + tg.steps - half)
+    if not time_dependent:   # one factor serves both marches, a dgttrf one at d = 1
+        assert z.diagnostics["factorisations"] == 1
 
 
 def test_z_system_needs_the_y_stepper_and_a_separable_source():
@@ -327,12 +328,12 @@ def test_linear_solver_residual_contract(rng):
         traj = solve_forward(grid, coeffs, zero if zero_source else src, tg, y_ini=y0)
         assert traj.diagnostics["max_linear_residual"] <= 1e-10
         assert traj.diagnostics["linear_solves"] == 256
-        if grid.d == 1:
+        if grid.d == 1 and time_dependent:
             # one exact tridiagonal elimination per step
             assert (traj.diagnostics["factorisations"], traj.diagnostics["sweeps"]) == (256, 0)
         elif time_dependent:
             assert 1 <= traj.diagnostics["factorisations"] < 256
-        else:
+        else:   # one exact factor of the one L: dgttrf at d = 1, splu at d = 2
             assert (traj.diagnostics["factorisations"], traj.diagnostics["sweeps"]) == (1, 0)
 
 
@@ -564,7 +565,7 @@ def test_direct_steps_match_krylov_oracle(rng, d, n, time_dependent, b_amp):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), m
         y = got
     assert stepper.linear_solves == steps
-    if d == 1:
+    if d == 1 and time_dependent:   # one dgtsv elimination a step
         assert (stepper.factorisations, stepper.sweeps) == (steps, 0)
     elif time_dependent:
         assert 1 <= stepper.factorisations < steps
@@ -615,6 +616,7 @@ class _PerturbedLU:
 
 
 _dgtsv = solver.dgtsv
+_dgttrs = solver.dgttrs
 
 
 def _perturbed_dgtsv(*args, **kw):
@@ -624,14 +626,25 @@ def _perturbed_dgtsv(*args, **kw):
     return (*factors, x, info)
 
 
+def _perturbed_dgttrs(*args, **kw):
+    """dgttrs with its solution 3 times too large in the last column."""
+    x, info = _dgttrs(*args, **kw)
+    x.reshape(x.shape[0], -1)[:, -1] *= 3.0
+    return x, info
+
+
 def test_direct_solve_enforces_residual_contract(rng, monkeypatch):
-    # d = 1 solves by dgtsv, d = 2 by the lagged LU: each kernel gets a faulty last column
+    # d = 1 solves a time-independent L by dgttrs with its held factor and a
+    # time-dependent one by dgtsv, d = 2 by the lagged LU: each kernel gets a faulty
+    # last column
     monkeypatch.setattr(solver, "dgtsv", _perturbed_dgtsv)
+    monkeypatch.setattr(solver, "dgttrs", _perturbed_dgttrs)
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, **kw: _PerturbedLU(splu(A, **kw)))
-    for grid in (GRID, g.GridSpec(2, 5)):
+    for grid, time_dependent in ((GRID, False), (GRID, True), (g.GridSpec(2, 5), False)):
         size = g.primal(grid).size
-        stepper = Stepper(grid, random_smooth_coefficients(rng, grid.d, 1.0), TimeGrid(1.0, 16))
+        coeffs = random_smooth_coefficients(rng, grid.d, 1.0, time_dependent=time_dependent)
+        stepper = Stepper(grid, coeffs, TimeGrid(1.0, 16))
         y, f = rng.normal(size=(2, size))
         with pytest.raises(SolverError, match="residual"):
             stepper.step(0, y, f)
@@ -1109,7 +1122,7 @@ def _states(rng, n, cols, *lead):
     return rng.normal(size=(*lead, n) if k is None else (*lead, n, k))
 
 
-@pytest.mark.parametrize("n", [1, 2, 15, 63])
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 63])
 @pytest.mark.parametrize("time_dependent,b_amp", [(False, 0.0), (False, 0.8), (True, 0.0),
                                                   (True, 0.8)],
                          ids=["time-independent", "time-independent-advection",
@@ -1130,9 +1143,76 @@ def test_march_equals_the_step_loop_bitwise(rng, n, time_dependent, b_amp):
         else:   # a block's check takes the step's own products and column norms
             assert worst == want_worst
         assert worst <= 1e-10
-        # one exact elimination a step
+        # one dgtsv elimination a step, or one dgttrf factor of a time-independent L
+        # (n >= 3) held for every step of one state
         counters = [(s.factorisations, s.sweeps, s.linear_solves) for s in (fast, slow)]
-        assert counters[0] == counters[1] == (tg.steps - m0, 0, tg.steps - m0)
+        held = not time_dependent and n > 2 and cols is None
+        assert counters[0] == counters[1] == (1 if held else tg.steps - m0, 0, tg.steps - m0)
+
+
+def _dgtsv_march(stepper, y0, F, m0=0):
+    """The reference of a d = 1 march: each step one R product and one dgtsv
+    elimination of its own L's diagonals, as before a factor was held."""
+    frames = [np.asarray(y0, dtype=np.float64)]
+    for m, f in enumerate(F, m0):
+        R, L = stepper._frame(m)[1], stepper._frame(m + 1)[0]
+        lower, diag, upper = (L[slots] for slots in stepper._bands)
+        x, info = lapack.dgtsv(lower, diag, upper, stepper._product(R, frames[-1]) + f)[3:]
+        assert info == 0
+        frames.append(x)
+    return np.array(frames)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 63])
+@pytest.mark.parametrize("case", ["diffusion", "advection", "pivoting"])
+def test_held_factor_equals_dgtsv_per_step_bitwise(rng, n, case):
+    # a time-independent L, factored once by dgttrf for steps of one state (n >= 3;
+    # dgtsv a step at n <= 2 and for a block), against one dgtsv a step, for one state
+    # and a block of 3, in `march` and in the `step` loop; "pivoting" has cell Peclet
+    # number b h / (2 gamma) = 32, so |dl| > |d| and rows swap
+    grid, tg = g.GridSpec(1, n), TimeGrid(1.0, MARCH_STEPS)
+    if case == "pivoting":
+        coeffs = CoefficientFields.constant(1, gamma=1.0, b=64.0 * (n + 1))
+    else:
+        coeffs = random_smooth_coefficients(rng, 1, 1.0, b_amp=0.8 if case == "advection" else 0.0)
+    for cols in (None, 3):
+        held = n > 2 and cols is None
+        y0, F = _states(rng, n, cols), _states(rng, n, cols, tg.steps)
+        fast, slow = (Stepper(grid, coeffs, tg) for _ in range(2))
+        want = _dgtsv_march(Stepper(grid, coeffs, tg), y0, F).tobytes()
+        assert fast.march(y0, F)[0].tobytes() == want
+        assert _step_loop(slow, y0, F)[0].tobytes() == want
+        # a second march on the same stepper, as the z-system's from the mid frame,
+        # reuses the factor
+        again = fast.march(y0, F[tg.mid:], tg.mid)[0].tobytes()
+        assert again == _dgtsv_march(Stepper(grid, coeffs, tg), y0, F[tg.mid:], tg.mid).tobytes()
+        assert slow.factorisations == (1 if held else tg.steps)
+        assert fast.factorisations == (1 if held else 2 * tg.steps - tg.mid)
+        assert fast.linear_solves == 2 * tg.steps - tg.mid
+        if case == "pivoting" and held:   # dgttrf swapped rows: ipiv is not the identity
+            assert np.any(fast._lu[1][4] != np.arange(1, n + 1))
+
+
+def test_singular_time_independent_l_raises_as_the_step_loop_does(rng):
+    # dgttrf finds the zero pivot, and every step then eliminates by dgtsv, which
+    # raises at the first step with the loop's text
+    coeffs, tg = random_smooth_coefficients(rng, 1, 1.0, b_amp=0.8), TimeGrid(1.0, 100)
+
+    def singular(row):
+        """A stepper whose one L is I with row `row` (from 1) zero."""
+        stepper = Stepper(GRID, coeffs, tg)
+        L = stepper._frame(0)[0]
+        L[:] = 0.0
+        L[stepper._diag] = 1.0
+        L[stepper._diag[row - 1]] = 0.0
+        return stepper
+
+    for cols, row, m0 in itertools.product((None, 3), (5, 15), (0, tg.mid)):
+        y0, F = _states(rng, 15, cols), _states(rng, 15, cols, tg.steps - m0)
+        got = _raised(singular(row).march, y0, F, m0)
+        assert got == _raised(_step_loop, singular(row), y0, F, m0)
+        assert got == (SolverError, f"singular L at step {m0 + 1} (t={tg.times[m0 + 1]}): "
+                                    f"zero pivot in row {row}")
 
 
 def test_march_at_d2_is_the_step_loop(rng):
